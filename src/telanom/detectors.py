@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .thresholding import nearest_rank_percentile
+from .thresholding import contamination_threshold, flag
 
 EULER_GAMMA = 0.5772156649
 _HARMONIC_EXACT_LIMIT = 10 ** 6
@@ -59,33 +59,73 @@ def _as_matrix(rows):
     return x
 
 
-def _sq_dists(a, b):
-    """Squared Euclidean distances, shape (len(a), len(b))."""
-    aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+# Floats in each of the kernel's two distance buffers (512 KB): both stay in
+# a core's L2 cache up to 8,192 reference rows. Past that, blocks keep at
+# least _MIN_BLOCK_ROWS rows: BLAS multiplies a single row by a separate
+# matrix-vector routine, and one-row blocks made LOF and DBSCAN fits on
+# 40,000 rows about twice as slow.
+_BLOCK_FLOATS = 2 ** 16
+_MIN_BLOCK_ROWS = 8
 
 
-_CHUNK_BUDGET = 2 ** 25  # distance-matrix floats held at once (256 MB)
+def _sq_dist_blocks(a, b):
+    """Squared Euclidean distances from the rows of ``a`` to every row of
+    ``b``, streamed as blocks ``(lo, hi, d2)``, ``d2`` of shape
+    (hi - lo, len(b)) and computed as ``(|a|^2 + |b|^2) - 2 a.b`` clipped at
+    zero. ``d2`` is one buffer rewritten for every block: reduce each block
+    before asking for the next."""
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_FLOATS // max(1, len(b)))
+    aa = (a * a).sum(axis=1)
+    bb = (b * b).sum(axis=1)
+    sums = np.empty((min(rows, len(a)), len(b)))
+    prods = np.empty_like(sums)
+    for lo in range(0, len(a), rows):
+        hi = min(len(a), lo + rows)
+        d2, ab = sums[:hi - lo], prods[:hi - lo]
+        np.add(aa[lo:hi, None], bb, out=d2)
+        np.matmul(a[lo:hi], b.T, out=ab)
+        ab *= 2.0
+        d2 -= ab
+        np.maximum(d2, 0.0, out=d2)
+        yield lo, hi, d2
 
 
-def _chunks(n, n_cols=None):
-    # rows per chunk shrink as the inner dimension grows so the distance
-    # buffer stays bounded
-    size = 512
-    if n_cols:
-        size = int(max(16, min(1024, _CHUNK_BUDGET // n_cols)))
-    for start in range(0, n, size):
-        yield start, min(n, start + size)
+def _run_means(values, sizes):
+    """Mean of each consecutive run of ``values``, run i being ``sizes[i]``
+    long. Runs of one length are averaged as the rows of one gathered
+    matrix, so each mean is bit-identical to ``values[run].mean()``."""
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty(len(sizes))
+    for size in np.unique(sizes):
+        runs = np.flatnonzero(sizes == size)
+        out[runs] = values[starts[runs, None] + np.arange(size)].mean(axis=1)
+    return out
+
+
+def _nearest(a, b):
+    """For each row of ``a``: the index of its nearest row of ``b`` and the
+    squared distance to it."""
+    idx = np.empty(len(a), dtype=np.int64)
+    d2_min = np.empty(len(a))
+    for lo, hi, d2 in _sq_dist_blocks(a, b):
+        idx[lo:hi] = np.argmin(d2, axis=1)
+        d2_min[lo:hi] = d2[np.arange(hi - lo), idx[lo:hi]]
+    return idx, d2_min
+
+
+class _Detector:
+    """The protocol the three detectors share: ``fit``, ``scores`` and a
+    ``threshold``, from which ``predict`` is derived."""
+
+    def predict(self, rows):
+        return flag(self.scores(rows), self.threshold)
 
 
 # ---------------------------------------------------------------------------
 # isolation forest
 
 
-class IsolationForest:
+class IsolationForest(_Detector):
     """Isolation forest with random axis-aligned splits.
 
     Trees are grown on subsamples of ``subsample`` points with height capped
@@ -162,9 +202,8 @@ class IsolationForest:
         for _ in range(self.n_estimators):
             idx = rng.choice(n, size=self.sample_size, replace=False)
             self.trees.append(self._build_tree(x[idx], rng, height_limit))
-        train_scores = self.scores(x)
-        self.threshold = nearest_rank_percentile(
-            train_scores, (1.0 - self.contamination) * 100.0)
+        self.threshold = contamination_threshold(self.scores(x),
+                                                 self.contamination)
         return self
 
     def _tree_depths(self, tree, x):
@@ -200,11 +239,6 @@ class IsolationForest:
     def scores(self, rows):
         return scores_from_mean_depths(self.mean_depths(rows), self.sample_size)
 
-    def predict(self, rows):
-        if self.threshold is None:
-            raise DataError("model is not fitted")
-        return np.where(self.scores(rows) > self.threshold, 0, 1)
-
     def to_json(self):
         return {
             "kind": self.kind,
@@ -231,7 +265,7 @@ class IsolationForest:
 # local outlier factor
 
 
-class LocalOutlierFactor:
+class LocalOutlierFactor(_Detector):
     """Local outlier factor in novelty mode.
 
     Fitting computes k-distances, tie-inclusive k-neighbourhoods, local
@@ -263,14 +297,36 @@ class LocalOutlierFactor:
         # scalar configuration constants: k, contamination, cap, threshold
         return 4
 
-    def _lrd_from(self, dists, neigh_kdist_rows):
-        """lrd of query rows given their neighbourhood distances and the
-        neighbours' k-distances (both as masked flat pieces)."""
-        reach = np.maximum(dists, neigh_kdist_rows)
-        mean = reach.mean()
-        if mean == 0.0:
-            return self.lrd_cap
-        return min(self.lrd_cap, 1.0 / mean)
+    def _neighbourhoods(self, q, self_excluded):
+        """k-distances of the rows of ``q`` against the training rows and
+        their tie-inclusive k-neighbourhoods, as (kdist, ids, dists, sizes):
+        the neighbours of row i are the i-th run of ``sizes[i]`` entries of
+        ``ids`` and ``dists``, in ascending id order. With ``self_excluded``
+        row i of ``q`` is training row i and not its own neighbour."""
+        kdist = np.empty(len(q))
+        ids, dists, sizes = [], [], []
+        for lo, hi, d in _sq_dist_blocks(q, self.x):
+            np.sqrt(d, out=d)
+            if self_excluded:
+                r = np.arange(hi - lo)
+                d[r, lo + r] = np.inf
+            kd = np.partition(d, self.k - 1, axis=1)[:, self.k - 1]
+            kdist[lo:hi] = kd
+            # flatnonzero scans the block ten times faster than nonzero
+            r, c = np.divmod(np.flatnonzero(d <= kd[:, None]), d.shape[1])
+            ids.append(c)
+            dists.append(d[r, c])
+            sizes.append(np.bincount(r, minlength=hi - lo))
+        return (kdist, np.concatenate(ids), np.concatenate(dists),
+                np.concatenate(sizes))
+
+    def _lrd(self, ids, dists, sizes):
+        """Capped local reachability densities of the rows whose
+        neighbourhoods are given; a zero mean reach distance gives the
+        cap."""
+        reach = np.maximum(dists, self.kdist[ids])
+        with np.errstate(divide="ignore"):
+            return np.minimum(self.lrd_cap, 1.0 / _run_means(reach, sizes))
 
     def fit(self, rows):
         x = _as_matrix(rows)
@@ -278,31 +334,14 @@ class LocalOutlierFactor:
         if n <= self.k:
             raise DataError("need more than k=%d rows to fit" % self.k)
         self.x = x
-        self.kdist = np.empty(n)
-        neighbourhoods = [None] * n
-
-        for lo, hi in _chunks(n, n):
-            d = np.sqrt(_sq_dists(x[lo:hi], x))
-            for r in range(hi - lo):
-                d[r, lo + r] = np.inf
-            kd = np.partition(d, self.k - 1, axis=1)[:, self.k - 1]
-            self.kdist[lo:hi] = kd
-            for r in range(hi - lo):
-                neighbourhoods[lo + r] = np.flatnonzero(d[r] <= kd[r])
-
-        self.lrd = np.empty(n)
-        for i in range(n):
-            nb = neighbourhoods[i]
-            d_nb = np.sqrt(((x[nb] - x[i]) ** 2).sum(axis=1))
-            self.lrd[i] = self._lrd_from(d_nb, self.kdist[nb])
-
-        self.train_lof = np.empty(n)
-        for i in range(n):
-            nb = neighbourhoods[i]
-            self.train_lof[i] = self.lrd[nb].mean() / self.lrd[i]
-
-        self.threshold = nearest_rank_percentile(
-            self.train_lof, (1.0 - self.contamination) * 100.0)
+        self.kdist, ids, _, sizes = self._neighbourhoods(x, self_excluded=True)
+        # training reach distances come from coordinate differences
+        own = np.repeat(np.arange(n), sizes)
+        dists = np.sqrt(((x[ids] - x[own]) ** 2).sum(axis=1))
+        self.lrd = self._lrd(ids, dists, sizes)
+        self.train_lof = _run_means(self.lrd[ids], sizes) / self.lrd
+        self.threshold = contamination_threshold(self.train_lof,
+                                                 self.contamination)
         return self
 
     def scores(self, rows):
@@ -310,20 +349,8 @@ class LocalOutlierFactor:
         if self.x is None:
             raise DataError("model is not fitted")
         q = _as_matrix(rows)
-        out = np.empty(len(q))
-        for lo, hi in _chunks(len(q), len(self.x)):
-            d = np.sqrt(_sq_dists(q[lo:hi], self.x))
-            kd = np.partition(d, self.k - 1, axis=1)[:, self.k - 1]
-            for r in range(hi - lo):
-                nb = np.flatnonzero(d[r] <= kd[r])
-                lrd_q = self._lrd_from(d[r, nb], self.kdist[nb])
-                out[lo + r] = self.lrd[nb].mean() / lrd_q
-        return out
-
-    def predict(self, rows):
-        if self.threshold is None:
-            raise DataError("model is not fitted")
-        return np.where(self.scores(rows) > self.threshold, 0, 1)
+        _, ids, dists, sizes = self._neighbourhoods(q, self_excluded=False)
+        return _run_means(self.lrd[ids], sizes) / self._lrd(ids, dists, sizes)
 
     def to_json(self):
         return {
@@ -342,10 +369,17 @@ class LocalOutlierFactor:
     def from_json(cls, obj):
         model = cls(obj["k"], obj["contamination"], obj["lrd_cap"])
         model.threshold = obj["threshold"]
-        model.x = np.asarray(obj["x"], dtype=np.float64)
+        model.x = _as_matrix(obj["x"])
         model.kdist = np.asarray(obj["kdist"], dtype=np.float64)
         model.lrd = np.asarray(obj["lrd"], dtype=np.float64)
         model.train_lof = np.asarray(obj["train_lof"], dtype=np.float64)
+        # scoring indexes kdist and lrd by training row
+        n = len(model.x)
+        if any(len(a) != n for a in (model.kdist, model.lrd, model.train_lof)):
+            raise DataError("x, kdist, lrd and train_lof differ in length")
+        if n <= model.k:
+            raise DataError("%d training rows, need more than k=%d"
+                            % (n, model.k))
         return model
 
 
@@ -353,7 +387,7 @@ class LocalOutlierFactor:
 # density clustering
 
 
-class Dbscan:
+class Dbscan(_Detector):
     """Exact density clustering with Euclidean distances.
 
     A training row is a core point when at least ``min_pts`` rows (itself
@@ -379,6 +413,8 @@ class Dbscan:
         self.core_labels = None
         self.labels_ = None       # training cluster ids, NOISE for noise
         self.n_clusters = None
+        # a row further than eps from every core point is anomalous
+        self.threshold = self.eps
 
     @property
     def n_parameters(self):
@@ -390,49 +426,42 @@ class Dbscan:
         n = len(x)
         eps2 = self.eps * self.eps
 
-        core_mask = np.zeros(n, dtype=bool)
-        for lo, hi in _chunks(n, n):
-            d2 = _sq_dists(x[lo:hi], x)
-            core_mask[lo:hi] = (d2 <= eps2).sum(axis=1) >= self.min_pts
+        core_mask = np.empty(n, dtype=bool)
+        for lo, hi, d2 in _sq_dist_blocks(x, x):
+            core_mask[lo:hi] = (np.count_nonzero(d2 <= eps2, axis=1)
+                                >= self.min_pts)
 
         core_idx = np.flatnonzero(core_mask)
         core_x = x[core_idx]
         comp = np.full(len(core_idx), -1)
         n_comp = 0
-        unassigned = np.ones(len(core_idx), dtype=bool)
-        while unassigned.any():
-            seed = int(np.flatnonzero(unassigned)[0])
+        for seed in range(len(core_idx)):
+            if comp[seed] >= 0:
+                continue
             frontier = np.array([seed])
             comp[seed] = n_comp
-            unassigned[seed] = False
             while len(frontier):
-                remaining = np.flatnonzero(unassigned)
-                if len(remaining) == 0:
-                    break
+                remaining = np.flatnonzero(comp < 0)
                 reached = np.zeros(len(remaining), dtype=bool)
-                for lo, hi in _chunks(len(frontier), len(remaining)):
-                    d2 = _sq_dists(core_x[frontier[lo:hi]], core_x[remaining])
+                for _, _, d2 in _sq_dist_blocks(core_x[frontier],
+                                                core_x[remaining]):
                     reached |= (d2 <= eps2).any(axis=0)
                 frontier = remaining[reached]
                 comp[frontier] = n_comp
-                unassigned[frontier] = False
             n_comp += 1
 
         labels = np.full(n, self.NOISE)
         labels[core_idx] = comp
         non_core = np.flatnonzero(~core_mask)
         if len(core_idx) and len(non_core):
-            for lo, hi in _chunks(len(non_core), len(core_x)):
-                d2 = _sq_dists(x[non_core[lo:hi]], core_x)
-                nearest = np.argmin(d2, axis=1)
-                within = d2[np.arange(len(nearest)), nearest] <= eps2
-                sel = non_core[lo:hi][within]
-                labels[sel] = comp[nearest[within]]
+            nearest, d2 = _nearest(x[non_core], core_x)
+            within = d2 <= eps2
+            labels[non_core[within]] = comp[nearest[within]]
 
         self.core_points = core_x
         self.core_labels = comp
         self.labels_ = labels
-        self.n_clusters = n_comp if len(core_idx) else 0
+        self.n_clusters = n_comp
         return self
 
     def scores(self, rows):
@@ -443,14 +472,7 @@ class Dbscan:
         q = _as_matrix(rows)
         if len(self.core_points) == 0:
             return np.full(len(q), np.inf)
-        out = np.empty(len(q))
-        for lo, hi in _chunks(len(q), len(self.core_points)):
-            d2 = _sq_dists(q[lo:hi], self.core_points)
-            out[lo:hi] = np.sqrt(d2.min(axis=1))
-        return out
-
-    def predict(self, rows):
-        return np.where(self.scores(rows) <= self.eps, 1, 0)
+        return np.sqrt(_nearest(q, self.core_points)[1])
 
     def to_json(self):
         return {
@@ -471,6 +493,8 @@ class Dbscan:
         if model.core_points.size == 0:
             model.core_points = model.core_points.reshape(0, 1)
         model.core_labels = np.asarray(obj["core_labels"], dtype=np.int64)
+        if len(model.core_labels) != len(model.core_points):
+            raise DataError("core_points and core_labels differ in length")
         model.n_clusters = obj["n_clusters"]
         return model
 
@@ -491,7 +515,13 @@ def save_model(model, path):
 def load_model(path):
     with open(path) as f:
         obj = json.load(f)
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind not in MODEL_KINDS:
         raise DataError("unknown model kind %r in %s" % (kind, path))
-    return MODEL_KINDS[kind].from_json(obj)
+    try:
+        return MODEL_KINDS[kind].from_json(obj)
+    except KeyError as e:
+        raise DataError("%s: %s model lacks key %s"
+                        % (path, kind, e)) from None
+    except DataError as e:
+        raise DataError("%s: %s" % (path, e)) from None

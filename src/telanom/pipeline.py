@@ -31,7 +31,7 @@ from .labelling import label_all, write_label_csv
 from .metrics import (confusion, compute_metrics, roc_auc, save_report,
                       write_summary_csv)
 from .resampling import collect_candidates, fixed_plan, plan_for, resample
-from .thresholding import build_table, select_threshold
+from .thresholding import build_table, flag, select_threshold
 
 # sub-seed tags so every seeded stage draws from its own stream
 _SEED_SPLIT = 1
@@ -39,6 +39,10 @@ _SEED_AE_SPLIT = 2
 _SEED_MODEL = 3
 
 MODEL_NAMES = ("autoencoder", "iforest", "lof", "dbscan")
+
+# boolean spellings a config file may use, matched case-insensitively
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 @dataclass
@@ -129,14 +133,14 @@ class RunConfig:
                 current = getattr(defaults, key)
                 try:
                     if isinstance(current, bool):
-                        values[key] = value.lower() in ("1", "true", "yes")
+                        values[key] = _BOOLEANS[value.lower()]
                     elif isinstance(current, int):
                         values[key] = int(value)
                     elif isinstance(current, float):
                         values[key] = float(value)
                     else:
                         values[key] = value
-                except ValueError:
+                except (KeyError, ValueError):
                     raise DataError("%s:%d: bad value %r for %s"
                                     % (path, lineno, value, key)) from None
         return cls(**values).validate()
@@ -358,10 +362,8 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
             table = build_table(errors, val_y)
             selected = select_threshold(table)
 
-            test_errors = model.scores(x_test)
-            predicted = np.where(test_errors > selected.threshold, 0, 1)
-            cm, m = _evaluate(predicted, test_errors, y_test)
-            result.models[name] = model
+            scores = model.scores(x_test)
+            threshold = selected.threshold
             result.threshold = selected
             result.loss_curve = loss_curve
             result.percentile_table = table
@@ -372,10 +374,10 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
                                scaler.transform(split.anomaly_val.values)])
             model = _build_classical(name, cfg, model_seed)
             model.fit(fit_x)
-            predicted = model.predict(x_test)
             scores = model.scores(x_test)
-            cm, m = _evaluate(predicted, scores, y_test)
-            result.models[name] = model
+            threshold = model.threshold
+        cm, m = _evaluate(flag(scores, threshold), scores, y_test)
+        result.models[name] = model
         runtime = timer() - t0
 
         entry = {
@@ -468,13 +470,11 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
             model = Autoencoder.load(path)
             with open(os.path.join(models_dir, "threshold.json")) as f:
                 thr = json.load(f)["threshold"]
-            scores = model.scores(x_test)
-            predicted = np.where(scores > thr, 0, 1)
         else:
             model = load_model(path)
-            predicted = model.predict(x_test)
-            scores = model.scores(x_test)
-        cm, m = _evaluate(predicted, scores, y_test)
+            thr = model.threshold
+        scores = model.scores(x_test)
+        cm, m = _evaluate(flag(scores, thr), scores, y_test)
         reports[name] = {
             "model": name,
             "resample_interval": cfg.interval_mode(),

@@ -37,6 +37,20 @@ def nearest_rank_percentile(values, p):
     return float(values[rank - 1])
 
 
+def contamination_threshold(train_scores, contamination):
+    """The threshold that budgets a ``contamination`` share of the training
+    rows as anomalous: the (1 - contamination) nearest-rank percentile of
+    their scores."""
+    return nearest_rank_percentile(train_scores,
+                                   (1.0 - contamination) * 100.0)
+
+
+def flag(scores, threshold):
+    """Predicted labels: 0 (anomalous) where a score is strictly greater
+    than the threshold, 1 (normal) elsewhere."""
+    return np.where(np.asarray(scores) > threshold, 0, 1)
+
+
 @dataclass
 class PercentileTable:
     percentiles: list            # ints, ascending
@@ -113,8 +127,8 @@ def build_table(errors, labels, percentiles=range(1, 101)):
     for p in percentiles:
         rank = max(1, math.ceil(p * n / 100.0))
         thr = float(sorted_errors[rank - 1])
-        predicted = np.where(errors > thr, 0, 1)
-        metric_rows.append(compute_metrics(confusion(predicted, labels)))
+        metric_rows.append(compute_metrics(confusion(flag(errors, thr),
+                                                     labels)))
         thresholds.append(thr)
         ps.append(int(p))
     return PercentileTable(ps, thresholds, metric_rows)

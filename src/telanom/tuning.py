@@ -25,7 +25,8 @@ from .autoencoder import Autoencoder, TrainConfig, train
 from .detectors import IsolationForest, LocalOutlierFactor, Dbscan
 from .errors import DataError
 from .metrics import confusion, compute_metrics
-from .thresholding import build_table, select_threshold
+from .thresholding import (build_table, contamination_threshold, flag,
+                           select_threshold)
 
 DEFAULT_GRIDS = {
     "iforest": {
@@ -82,24 +83,40 @@ def _nn(v):
     return -math.inf if v is None else v
 
 
-def _score_classical(kind, params, train_x, val_x, val_y, seed):
+def _classical_model(kind, params, seed):
     if kind == "iforest":
-        model = IsolationForest(
+        return IsolationForest(
             n_estimators=params.get("n_estimators", 100),
             contamination=params.get("contamination", 0.001),
             subsample=params.get("subsample", 256),
             seed=seed)
-    elif kind == "lof":
-        model = LocalOutlierFactor(
+    if kind == "lof":
+        return LocalOutlierFactor(
             k=params.get("k", 5),
             contamination=params.get("contamination", 0.01))
-    elif kind == "dbscan":
-        model = Dbscan(eps=params.get("eps", 0.5),
-                       min_pts=params.get("min_pts", 10))
+    if kind == "dbscan":
+        return Dbscan(eps=params.get("eps", 0.5),
+                      min_pts=params.get("min_pts", 10))
+    raise DataError("unknown model kind %r" % kind)
+
+
+def _score_classical(kind, params, train_x, val_x, val_y, seed, lof_fits):
+    """F1 outcome of one classical candidate. LOF's contamination only
+    sets the threshold over the training LOF values, so LOF candidates of
+    one k share the fit and validation scores kept in ``lof_fits``."""
+    model = _classical_model(kind, params, seed)
+    if kind != "lof":
+        model.fit(train_x)
+        threshold = model.threshold
+        val_scores = model.scores(val_x)
     else:
-        raise DataError("unknown model kind %r" % kind)
-    model.fit(train_x)
-    m = compute_metrics(confusion(model.predict(val_x), val_y))
+        if model.k not in lof_fits:
+            model.fit(train_x)
+            lof_fits[model.k] = (model, model.scores(val_x))
+        fitted, val_scores = lof_fits[model.k]
+        threshold = contamination_threshold(fitted.train_lof,
+                                            model.contamination)
+    m = compute_metrics(confusion(flag(val_scores, threshold), val_y))
     return (_nn(m["f1_score"]),), {"f1_score": m["f1_score"],
                                    "recall": m["recall"],
                                    "precision": m["precision"]}
@@ -139,13 +156,14 @@ def grid_search(model_kind, grid, train_x, val_x, val_y, seed=0):
 
     best = None
     rows = []
+    lof_fits = {}
     for params in _canonical_candidates(grid):
         if model_kind == "autoencoder":
             score, detail = _score_autoencoder(params, train_x, val_x,
                                                val_y, seed)
         else:
             score, detail = _score_classical(model_kind, params, train_x,
-                                             val_x, val_y, seed)
+                                             val_x, val_y, seed, lof_fits)
         rows.append({**params, **detail})
         if best is None or score > best[0]:
             best = (score, params)

@@ -86,6 +86,14 @@ def test_data_errors_exit_2(dataset, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_bad_config_boolean_exits_2(dataset, tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(RUN_CFG_TEXT + "dump_features = ture\n")
+    assert main(["run", "--config", str(cfg)]
+                + _data_args(dataset, str(tmp_path / "o"))) == 2
+    assert "typo.cfg:6: bad value 'ture'" in capsys.readouterr().err
+
+
 def test_internal_errors_exit_3(dataset, tmp_path, capsys):
     # a directory where a file is expected is not a modelled failure
     assert main(["label", "--input", dataset["dir"],

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_lof, reference_dbscan, same_partition
+from scipy.spatial.distance import cdist
+from telanom import detectors
 from telanom.detectors import (Dbscan, IsolationForest, LocalOutlierFactor,
                                expected_path_length, harmonic, load_model,
                                save_model, scores_from_mean_depths)
 from telanom.errors import DataError
+from telanom.thresholding import flag
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -320,3 +323,145 @@ def test_load_model_unknown_kind(tmp_path):
     path.write_text(json.dumps({"kind": "mystery"}) + "\n")
     with pytest.raises(DataError):
         load_model(str(path))
+
+
+# -- distance blocks ---------------------------------------------------------
+
+
+BLOCK = 8   # rows per distance block in the tests below
+
+
+def _grid_rows(rng, n, d=3):
+    """Integer points: squared distances are exact, so neighbourhood ties
+    are the same in the detectors and in the oracles. Rows BLOCK - 1 and
+    BLOCK are exact duplicates straddling the first block edge."""
+    x = rng.integers(0, 4, size=(n, d)).astype(float)
+    if n > BLOCK:
+        x[BLOCK] = x[BLOCK - 1]
+    return x
+
+
+def _block_height(monkeypatch, rows, width):
+    """Make the kernel stream ``rows`` rows at a time against a reference
+    set of ``width`` rows."""
+    monkeypatch.setattr(detectors, "_BLOCK_FLOATS", rows * width)
+    monkeypatch.setattr(detectors, "_MIN_BLOCK_ROWS", 1)
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_lof_block_edges_match_oracle(monkeypatch, n):
+    rng = np.random.default_rng(40 + n)
+    train = _grid_rows(rng, n)
+    _block_height(monkeypatch, BLOCK, n)
+    for k in (1, 3):
+        model = LocalOutlierFactor(k=k).fit(train)
+        assert np.allclose(model.train_lof, brute_force_lof(train, None, k),
+                           rtol=1e-12, atol=0)
+        for m in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+            q = _grid_rows(rng, m)
+            assert np.allclose(model.scores(q), brute_force_lof(train, q, k),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                               2 * BLOCK + 1])
+def test_dbscan_block_edges_match_reference(monkeypatch, n):
+    rng = np.random.default_rng(50 + n)
+    x = _grid_rows(rng, n)
+    _block_height(monkeypatch, BLOCK, n)
+    for eps, min_pts in ((1.0, 2), (1.5, 3), (2.0, 1)):
+        model = Dbscan(eps=eps, min_pts=min_pts).fit(x)
+        assert same_partition(model.labels_, reference_dbscan(x, eps, min_pts))
+        for m in (1, BLOCK + 1):
+            q = _grid_rows(rng, m) + 0.5
+            want = (cdist(q, model.core_points).min(axis=1)
+                    if len(model.core_points) else np.full(m, np.inf))
+            assert np.allclose(model.scores(q), want, rtol=1e-12, atol=0)
+
+
+def test_block_height_does_not_change_results(monkeypatch):
+    # BLAS may round a.b differently for one-row, few-row and whole-set
+    # products, so values agree to rounding and decisions exactly
+    rng = np.random.default_rng(60)
+    train = _blobs(rng, 300, d=11)
+    q = _blobs(rng, 50, d=11)
+    fits = []
+    for rows in (1, 7, 300):
+        _block_height(monkeypatch, rows, 300)
+        lof = LocalOutlierFactor(k=5).fit(train)
+        db = Dbscan(eps=2.0, min_pts=4).fit(train)
+        fits.append((lof.train_lof, lof.scores(q), db.labels_, db.scores(q)))
+    for lof_train, lof_q, db_labels, db_q in fits[1:]:
+        assert np.allclose(lof_train, fits[0][0], rtol=1e-12, atol=0)
+        assert np.allclose(lof_q, fits[0][1], rtol=1e-12, atol=0)
+        assert np.array_equal(db_labels, fits[0][2])
+        assert np.allclose(db_q, fits[0][3], rtol=1e-12, atol=0)
+
+
+def test_predict_derives_from_scores_and_threshold():
+    rng = np.random.default_rng(61)
+    train = _blobs(rng, 200, d=4, spread=0.6, box=3.0)
+    q = _blobs(np.random.default_rng(62), 60, d=4, spread=2.0, box=6.0)
+    for model in (IsolationForest(n_estimators=20, contamination=0.05,
+                                  seed=1),
+                  LocalOutlierFactor(k=5, contamination=0.05),
+                  Dbscan(eps=1.0, min_pts=4)):
+        model.fit(train)
+        want = np.where(model.scores(q) > model.threshold, 0, 1)
+        assert np.array_equal(model.predict(q), want)
+        assert np.array_equal(flag(model.scores(q), model.threshold), want)
+
+
+# -- model files -------------------------------------------------------------
+
+
+def _saved(tmp_path, model):
+    path = tmp_path / ("%s.json" % model.kind)
+    save_model(model, str(path))
+    return path, json.loads(path.read_text())
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj) + "\n")
+    return str(path)
+
+
+def test_load_model_rejects_missing_keys(tmp_path):
+    x = _blobs(np.random.default_rng(70), 40, d=3)
+    for model in (IsolationForest(n_estimators=3).fit(x),
+                  LocalOutlierFactor(k=3).fit(x),
+                  Dbscan(eps=2.0, min_pts=3).fit(x)):
+        path, obj = _saved(tmp_path, model)
+        for key in obj:
+            if key == "kind":
+                continue
+            cut = {k: v for k, v in obj.items() if k != key}
+            with pytest.raises(DataError, match=key):
+                load_model(_write(path, cut))
+
+
+def test_load_model_rejects_inconsistent_lof(tmp_path):
+    x = _blobs(np.random.default_rng(71), 40, d=3)
+    path, obj = _saved(tmp_path, LocalOutlierFactor(k=3).fit(x))
+    for key in ("x", "kdist", "lrd", "train_lof"):
+        cut = dict(obj, **{key: obj[key][:-1]})
+        with pytest.raises(DataError, match="differ in length"):
+            load_model(_write(path, cut))
+    few = dict(obj, **{key: obj[key][:3]
+                       for key in ("x", "kdist", "lrd", "train_lof")})
+    with pytest.raises(DataError, match="more than k=3"):
+        load_model(_write(path, few))
+
+
+def test_load_model_rejects_inconsistent_dbscan(tmp_path):
+    x = _blobs(np.random.default_rng(72), 40, d=3)
+    path, obj = _saved(tmp_path, Dbscan(eps=2.0, min_pts=3).fit(x))
+    assert len(obj["core_labels"]) > 1
+    cut = dict(obj, core_labels=obj["core_labels"][:-1])
+    with pytest.raises(DataError, match="differ in length"):
+        load_model(_write(path, cut))
+
+
+def test_load_model_rejects_non_object(tmp_path):
+    with pytest.raises(DataError):
+        load_model(_write(tmp_path / "list.json", [1, 2, 3]))

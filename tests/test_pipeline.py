@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from telanom.detectors import Dbscan, IsolationForest, LocalOutlierFactor
 from telanom.errors import DataError, LeakageError
 from telanom.features import engineer_tracks
 from telanom.ingest import deduplicate, group_tracks
@@ -86,6 +87,18 @@ def test_config_file_errors(tmp_path):
     bad_line.write_text("just some words\n")
     with pytest.raises(DataError):
         RunConfig.from_file(bad_line)
+
+
+def test_config_booleans(tmp_path):
+    path = tmp_path / "flag.cfg"
+    for text, want in (("1", True), ("TRUE", True), ("Yes", True),
+                       ("on", True), ("0", False), ("false", False),
+                       ("NO", False), ("Off", False)):
+        path.write_text("dump_features = %s\n" % text)
+        assert RunConfig.from_file(path).dump_features is want
+    path.write_text("seed = 3\ndump_features = ture\n")
+    with pytest.raises(DataError, match=r"flag\.cfg:2: bad value 'ture'"):
+        RunConfig.from_file(path)
 
 
 def test_config_validation():
@@ -229,6 +242,21 @@ def test_run_pipeline_resample_modes(tiny_labelled):
     assert off.plan is None
     assert np.array_equal(np.sort(off.train_pool.uid),
                           np.sort(off.split.normal_train.uid))
+
+
+def test_run_pipeline_scores_test_set_once(tiny_labelled, monkeypatch):
+    seen = {}
+    for cls in (IsolationForest, LocalOutlierFactor, Dbscan):
+        def counted(self, rows, _fn=cls.scores):
+            seen.setdefault(self.kind, []).append(np.array(rows))
+            return _fn(self, rows)
+        monkeypatch.setattr(cls, "scores", counted)
+    cfg = _fast_cfg(models="iforest,lof,dbscan")
+    result = run_pipeline(tiny_labelled, cfg, seed=5, timer=lambda: 0.0)
+    x_test = result.scaler.transform(result.split.test_table().values)
+    for kind in ("iforest", "lof", "dbscan"):
+        on_test = [x for x in seen[kind] if np.array_equal(x, x_test)]
+        assert len(on_test) == 1, kind
 
 
 # ------------------------------------------------- experiment + evaluation

@@ -4,7 +4,9 @@ tie handling, and scoring-path behaviour on a separable toy problem."""
 import numpy as np
 import pytest
 
+from telanom.detectors import LocalOutlierFactor
 from telanom.errors import DataError
+from telanom.metrics import compute_metrics, confusion
 from telanom.tuning import (DEFAULT_GRIDS, GridSearchResult,
                             _canonical_candidates, grid_search)
 
@@ -157,3 +159,28 @@ def test_grid_result_csv(tmp_path):
     with pytest.raises(DataError):
         GridSearchResult("dbscan", {}, (0.0,), []).save_csv(
             tmp_path / "empty.csv")
+
+
+def test_lof_grid_reuses_fits_without_changing_rows(monkeypatch):
+    # candidates of one k share a fit; each row must equal a fresh fit
+    train_x, val_x, val_y, _, _ = _toy_problem()
+    grid = DEFAULT_GRIDS["lof"]
+    calls = []
+    for name in ("fit", "scores"):
+        def counted(self, rows, _name=name,
+                    _fn=getattr(LocalOutlierFactor, name)):
+            calls.append(_name)
+            return _fn(self, rows)
+        monkeypatch.setattr(LocalOutlierFactor, name, counted)
+    result = grid_search("lof", grid, train_x, val_x, val_y)
+    assert sorted(calls) == ["fit"] * 3 + ["scores"] * 3
+    monkeypatch.undo()
+
+    want = []
+    for params in _canonical_candidates(grid):
+        model = LocalOutlierFactor(**params).fit(train_x)
+        m = compute_metrics(confusion(model.predict(val_x), val_y))
+        want.append({**params, "f1_score": m["f1_score"],
+                     "recall": m["recall"], "precision": m["precision"]})
+    assert result.rows == want
+    assert len({r["precision"] for r in want if r["k"] == 5}) > 1
