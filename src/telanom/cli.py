@@ -100,19 +100,20 @@ def cmd_synth(args):
 
 def cmd_ingest(args):
     from .ingest import (parse_csv, load_station_map, deduplicate,
-                         group_tracks, write_detections_csv)
+                         write_detections_csv)
 
     cfg = _load_config(args)
     _need(cfg, "input_csv", "station_csv")
     station_map = load_station_map(cfg.station_csv)
-    records, report = parse_csv(cfg.input_csv, station_map)
-    records, n_dups = deduplicate(records)
-    tracks = group_tracks(records)
+    detections, report = parse_csv(cfg.input_csv, station_map)
+    detections, n_dups = deduplicate(detections)
     out = _outdir(cfg)
-    write_detections_csv(records, os.path.join(out, "detections_clean.csv"))
+    write_detections_csv(detections,
+                         os.path.join(out, "detections_clean.csv"))
     _write_json({"rows_read": report.n_rows, "rows_parsed": report.n_parsed,
                  "rows_dropped": report.dropped,
-                 "duplicates_removed": n_dups, "n_fish": len(tracks)},
+                 "duplicates_removed": n_dups,
+                 "n_fish": len(set(detections.fish_id.tolist()))},
                 os.path.join(out, "ingest.json"))
     return 0
 
@@ -161,8 +162,8 @@ def cmd_resample(args):
             else fixed_plan(mode, cfg.max_points))
     resampled = resample(normals, plan)
     out = _outdir(cfg)
-    _, _, hist = collect_candidates(normals)
-    plan.save(os.path.join(out, "plan.json"), histogram=hist)
+    plan.save(os.path.join(out, "plan.json"),
+              histogram=plan.gap_histogram or collect_candidates(normals)[2])
     write_feature_csv(resampled, os.path.join(out, "resampled.csv"), full=True)
     print(os.path.join(out, "resampled.csv"))
     return 0

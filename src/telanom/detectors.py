@@ -387,6 +387,16 @@ class LocalOutlierFactor(_Detector):
 # density clustering
 
 
+def neighbour_counts(rows, eps):
+    """For each row: how many rows (itself included) lie within ``eps``."""
+    x = _as_matrix(rows)
+    eps2 = eps * eps
+    counts = np.empty(len(x), dtype=np.int64)
+    for lo, hi, d2 in _sq_dist_blocks(x, x):
+        counts[lo:hi] = np.count_nonzero(d2 <= eps2, axis=1)
+    return counts
+
+
 class Dbscan(_Detector):
     """Exact density clustering with Euclidean distances.
 
@@ -421,15 +431,14 @@ class Dbscan(_Detector):
         # scalar configuration constants: eps, min_pts
         return 2
 
-    def fit(self, rows):
+    def fit(self, rows, counts=None):
+        """``counts``: neighbour_counts(rows, self.eps), when known."""
         x = _as_matrix(rows)
         n = len(x)
         eps2 = self.eps * self.eps
-
-        core_mask = np.empty(n, dtype=bool)
-        for lo, hi, d2 in _sq_dist_blocks(x, x):
-            core_mask[lo:hi] = (np.count_nonzero(d2 <= eps2, axis=1)
-                                >= self.min_pts)
+        if counts is None:
+            counts = neighbour_counts(x, self.eps)
+        core_mask = counts >= self.min_pts
 
         core_idx = np.flatnonzero(core_mask)
         core_x = x[core_idx]

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import local_day, UTC_OFFSET_S
+from .ingest import (UTC_OFFSET_S, categorize, first_of_runs,
+                     format_distinct)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -74,29 +74,6 @@ def haversine_km(lat_a, lon_a, lat_b, lon_b, radius_km=EARTH_RADIUS_KM):
     return 2.0 * radius_km * math.asin(math.sqrt(a))
 
 
-def _day_of_year_norm(ts):
-    from datetime import date
-    d = date.fromordinal(local_day(ts) + date(1970, 1, 1).toordinal())
-    yday = d.timetuple().tm_yday
-    return (yday - 1) / 365.0
-
-
-def _hour_angle(ts):
-    sod = (int(ts) + UTC_OFFSET_S) % 86400
-    return 2.0 * math.pi * sod / 86400.0
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    uid: int
-    fish_id: str
-    station_id: str
-    timestamp: int
-    values: np.ndarray  # shape (11,)
-    label: int = 1       # 1 normal, 0 anomaly
-    criterion_mask: int = 0
-
-
 class FeatureTable:
     """Columnar store of feature rows.
 
@@ -131,18 +108,6 @@ class FeatureTable:
                    np.empty((0, N_FEATURES)))
 
     @classmethod
-    def from_rows(cls, rows):
-        if not rows:
-            return cls.empty()
-        return cls([r.uid for r in rows],
-                   [r.fish_id for r in rows],
-                   [r.station_id for r in rows],
-                   [r.timestamp for r in rows],
-                   np.stack([r.values for r in rows]),
-                   [r.label for r in rows],
-                   [r.criterion_mask for r in rows])
-
-    @classmethod
     def concat(cls, tables):
         tables = [t for t in tables if len(t)]
         if not tables:
@@ -165,98 +130,96 @@ class FeatureTable:
     def copy(self):
         return self.take(np.arange(len(self)))
 
-    def row(self, i):
-        return FeatureRow(int(self.uid[i]), self.fish_id[i], self.station_id[i],
-                          int(self.timestamp[i]), self.values[i].copy(),
-                          int(self.label[i]), int(self.criterion_mask[i]))
-
     def sorted_by_fish_time(self):
         order = np.lexsort((self.timestamp, self.fish_id.astype(str)))
         return self.take(order)
 
     def fish_groups(self):
-        """Yield (fish_id, index array) with indices time-sorted, fish in
-        sorted id order."""
-        by_fish = {}
-        for i, fid in enumerate(self.fish_id):
-            by_fish.setdefault(fid, []).append(i)
-        for fid in sorted(by_fish):
-            idx = np.asarray(by_fish[fid])
-            idx = idx[np.argsort(self.timestamp[idx], kind="stable")]
-            yield fid, idx
+        """Rows grouped per fish: (order, starts). ``order`` lists the row
+        indices by fish id, then timestamp, ties in row order; the rows of
+        each fish, in sorted id order, begin at the positions ``starts``."""
+        _, fish = categorize(self.fish_id)
+        order = np.lexsort((self.timestamp, fish))
+        return order, np.flatnonzero(first_of_runs(fish[order]))
 
 
-def engineer_track(track, station_map, uid_start=0):
-    """Engineer feature rows for one fish track (time-sorted detections)."""
-    dets = track.detections
-    n = len(dets)
-    if n == 0:
-        return []
-    ts = np.array([d.timestamp for d in dets], dtype=np.int64)
-    stations = [d.station_id for d in dets]
+def _distinct_per_fish(fish, codes):
+    """Number of distinct non-negative ``codes`` per fish code."""
+    width = int(codes.max()) + 1
+    pairs = np.unique(fish * width + codes)
+    return np.bincount(pairs // width, minlength=int(fish.max()) + 1)
 
-    num_detections = float(n)
-    num_days = float(len({local_day(t) for t in ts}))
-    num_unique = float(len(set(stations)))
 
-    # maximal runs of consecutive same-station detections
-    run_span = np.zeros(n)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and stations[j + 1] == stations[i]:
-            j += 1
-        run_span[i:j + 1] = float(ts[j] - ts[i])
-        i = j + 1
-
-    rows = []
-    prev = None
-    for i, d in enumerate(dets):
-        if prev is None:
-            dist = 0.0
-            missing = 0.0
-        else:
-            dist = haversine_km(prev.lat, prev.lon, d.lat, d.lon)
-            gap = abs(station_map.order_of(d.station_id)
-                      - station_map.order_of(prev.station_id))
-            missing = float(max(0, gap - 1))
-        vals = np.array([
-            d.lat,
-            d.lon,
-            dist,
-            run_span[i],
-            num_detections,
-            num_days,
-            num_unique,
-            missing,
-            math.sin(_hour_angle(d.timestamp)),
-            math.cos(_hour_angle(d.timestamp)),
-            _day_of_year_norm(d.timestamp),
-        ])
-        rows.append(FeatureRow(uid_start + i, track.fish_id, d.station_id,
-                               int(d.timestamp), vals))
-        prev = d
-    return rows
+def _step_km(lat, lon):
+    """haversine_km from each point to the next. The scalar function runs
+    once per distinct pair of points, keyed by the floats' bit patterns, so
+    every value is exactly its own."""
+    point = [np.unique(x.view(np.int64), return_inverse=True)[1]
+             for x in (lat, lon)]
+    point = point[0] * (int(point[1].max()) + 1) + point[1]
+    pair = point[:-1] * (int(point.max()) + 1) + point[1:]
+    _, first, inverse = np.unique(pair, return_index=True,
+                                  return_inverse=True)
+    km = [haversine_km(*p) for p in zip(lat[first].tolist(),
+                                        lon[first].tolist(),
+                                        lat[first + 1].tolist(),
+                                        lon[first + 1].tolist())]
+    return np.array(km, dtype=np.float64)[inverse]
 
 
 def engineer_tracks(tracks, station_map):
-    """Engineer all tracks into one FeatureTable with sequential uids."""
-    rows = []
-    uid = 0
-    for track in tracks:
-        track_rows = engineer_track(track, station_map, uid_start=uid)
-        uid += len(track_rows)
-        rows.extend(track_rows)
-    return FeatureTable.from_rows(rows)
+    """Engineer detections grouped as group_tracks returns them (each
+    fish's detections contiguous and time-sorted) into one FeatureTable
+    with sequential uids."""
+    n = len(tracks)
+    if n == 0:
+        return FeatureTable.empty()
+    ts = tracks.timestamp
+    _, fish = categorize(tracks.fish_id)
+    stations, station = categorize(tracks.station_id)
+    orders = np.array([station_map.order_of(s) for s in stations])[station]
+    new_fish = first_of_runs(fish)
+    day = (ts + UTC_OFFSET_S) // 86400
+
+    values = np.empty((n, N_FEATURES))
+    values[:, 0] = tracks.lat
+    values[:, 1] = tracks.lon
+    values[1:, F_DISTANCE] = _step_km(tracks.lat, tracks.lon)
+    # maximal runs of consecutive same-station detections
+    first = np.flatnonzero(first_of_runs(fish, station))
+    size = np.diff(first, append=n)
+    values[:, F_DURATION] = np.repeat(ts[first + size - 1] - ts[first], size)
+    values[:, 4] = np.bincount(fish)[fish]
+    values[:, 5] = _distinct_per_fish(fish, day - day.min())[fish]
+    values[:, F_UNIQUE_STATIONS] = _distinct_per_fish(fish, station)[fish]
+    values[1:, F_MISSING_STATIONS] = np.maximum(
+        np.abs(np.diff(orders)) - 1, 0)
+    values[new_fish, F_DISTANCE] = 0.0
+    values[new_fish, F_MISSING_STATIONS] = 0.0
+    recompute_time_features(values, ts)
+    return FeatureTable(np.arange(n), tracks.fish_id, tracks.station_id, ts,
+                        values)
 
 
 def recompute_time_features(values, timestamps):
-    """Fill the time-encoding dims of ``values`` in place from timestamps."""
-    for k, ts in enumerate(timestamps):
-        ang = _hour_angle(ts)
-        values[k, 8] = math.sin(ang)
-        values[k, 9] = math.cos(ang)
-        values[k, 10] = _day_of_year_norm(ts)
+    """Fill the time-encoding dims of ``values`` in place from timestamps.
+
+    hour_sin/hour_cos take math.sin/math.cos of each distinct second of
+    the day, so they do not depend on numpy's vectorised libm.
+    """
+    day, second = np.divmod(np.asarray(timestamps, dtype=np.int64)
+                            + UTC_OFFSET_S, 86400)
+    seen = np.zeros(86400, dtype=bool)
+    seen[second] = True
+    distinct = np.flatnonzero(seen)
+    angle = (2.0 * math.pi * distinct / 86400.0).tolist()
+    for dim, fn in ((8, math.sin), (9, math.cos)):
+        table = np.empty(86400)
+        table[distinct] = [fn(a) for a in angle]
+        values[:, dim] = table[second]
+    days = day.astype("datetime64[D]")
+    year_start = days.astype("datetime64[Y]").astype("datetime64[D]")
+    values[:, 10] = (days - year_start).astype(np.int64) / 365.0
     return values
 
 
@@ -311,20 +274,19 @@ def write_feature_csv(table, path, full=False):
     ``full=True`` prepends uid/station_id and appends criterion_mask so a
     table can be reloaded losslessly by read_feature_csv.
     """
+    head = ["fish_id", "timestamp"] + FEATURE_NAMES + ["label"]
+    columns = ([table.fish_id.tolist(), table.timestamp.tolist()]
+               + [format_distinct(repr, table.values[:, d])
+                  for d in range(N_FEATURES)]
+               + [table.label.tolist()])
+    if full:
+        head = ["uid", "station_id"] + head + ["criterion_mask"]
+        columns = ([table.uid.tolist(), table.station_id.tolist()] + columns
+                   + [table.criterion_mask.tolist()])
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        head = ["fish_id", "timestamp"] + FEATURE_NAMES + ["label"]
-        if full:
-            head = ["uid", "station_id"] + head + ["criterion_mask"]
         w.writerow(head)
-        for i in range(len(table)):
-            row = ([table.fish_id[i], int(table.timestamp[i])]
-                   + [repr(float(v)) for v in table.values[i]]
-                   + [int(table.label[i])])
-            if full:
-                row = [int(table.uid[i]), table.station_id[i]] + row \
-                    + [int(table.criterion_mask[i])]
-            w.writerow(row)
+        w.writerows(zip(*columns))
 
 
 def read_feature_csv(path):

@@ -13,6 +13,10 @@ Station map format:
 
 ``order`` is the station's 0-based position along the waterway; the set of
 orders must be exactly 0..S-1.
+
+Detections are held as columns (``Detections``), never as one object per
+row: every string field is parsed once per distinct value and gathered
+back by integer code.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from datetime import date, timezone, timedelta, datetime
+from itertools import islice
+
+import numpy as np
 
 from .errors import DataError
 
@@ -34,6 +41,13 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 DETECTION_COLUMNS = ["fishid", "receiver", "station", "lat", "lon", "date", "time_sa"]
 STATION_COLUMNS = ["station", "lat", "lon", "order"]
 
+# parse_csv's drop reasons, in the order a row is checked against them
+DROP_REASONS = ("missing_field", "bad_coordinate", "bad_timestamp",
+                "unknown_station")
+
+# rows read per block; bounds the raw strings held at once
+_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class DetectionRecord:
@@ -45,10 +59,39 @@ class DetectionRecord:
     timestamp: int  # epoch seconds, UTC
 
 
-@dataclass
-class FishTrack:
-    fish_id: str
-    detections: list  # of DetectionRecord, sorted by (timestamp, station_id)
+class Detections:
+    """Detection columns: fish, receiver and station ids (str, object
+    arrays), lat/lon (float64) and timestamp (int64 epoch seconds, UTC)."""
+
+    COLUMNS = ("fish_id", "receiver_id", "station_id", "lat", "lon",
+               "timestamp")
+
+    def __init__(self, fish_id, receiver_id, station_id, lat, lon, timestamp):
+        self.fish_id = np.asarray(fish_id, dtype=object)
+        self.receiver_id = np.asarray(receiver_id, dtype=object)
+        self.station_id = np.asarray(station_id, dtype=object)
+        self.lat = np.asarray(lat, dtype=np.float64)
+        self.lon = np.asarray(lon, dtype=np.float64)
+        self.timestamp = np.asarray(timestamp, dtype=np.int64)
+        if len({len(getattr(self, c)) for c in self.COLUMNS}) != 1:
+            raise ValueError("column length mismatch")
+
+    @classmethod
+    def from_records(cls, records):
+        """Columns of a DetectionRecord list, in list order."""
+        return cls(*([getattr(r, c) for r in records] for c in cls.COLUMNS))
+
+    def __len__(self):
+        return len(self.timestamp)
+
+    def __eq__(self, other):
+        if not isinstance(other, Detections):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, c), getattr(other, c))
+                   for c in self.COLUMNS)
+
+    def take(self, indices):
+        return Detections(*(getattr(self, c)[indices] for c in self.COLUMNS))
 
 
 class StationMap:
@@ -98,21 +141,32 @@ class ParseReport:
     n_parsed: int = 0
     dropped: dict = field(default_factory=dict)  # reason -> count
 
-    def drop(self, reason):
-        self.dropped[reason] = self.dropped.get(reason, 0) + 1
+    def drop(self, reason, n):
+        self.dropped[reason] = self.dropped.get(reason, 0) + n
+
+
+def _day_number(date_str):
+    """YYYY-MM-DD -> days since 1970-01-01; raises ValueError."""
+    y, mo, dy = (int(p) for p in date_str.strip().split("-"))
+    return date(y, mo, dy).toordinal() - _EPOCH_ORDINAL
+
+
+def _clock_seconds(time_str):
+    """HH:MM:SS -> seconds since midnight; raises ValueError."""
+    h, mi, s = (int(p) for p in time_str.strip().split(":"))
+    if not (0 <= h <= 23 and 0 <= mi <= 59 and 0 <= s <= 59):
+        raise ValueError("bad time %r" % time_str)
+    return h * 3600 + mi * 60 + s
 
 
 def parse_timestamp(date_str, time_str):
     """UTC+2 calendar date + wall time -> integer epoch seconds (UTC)."""
     try:
-        y, mo, dy = (int(p) for p in date_str.strip().split("-"))
-        h, mi, s = (int(p) for p in time_str.strip().split(":"))
+        days = _day_number(date_str)
+        seconds = _clock_seconds(time_str)
     except ValueError:
         raise ValueError("bad date/time %r %r" % (date_str, time_str)) from None
-    if not (0 <= h <= 23 and 0 <= mi <= 59 and 0 <= s <= 59):
-        raise ValueError("bad time %r" % time_str)
-    days = date(y, mo, dy).toordinal() - _EPOCH_ORDINAL  # raises on bad dates
-    return days * 86400 + h * 3600 + mi * 60 + s - UTC_OFFSET_S
+    return days * 86400 + seconds - UTC_OFFSET_S
 
 
 def format_timestamp(ts):
@@ -146,88 +200,171 @@ def load_station_map(path):
     return StationMap(rows)
 
 
+class _Codebook(dict):
+    """The distinct strings of one column, numbered in first-seen order."""
+
+    def __missing__(self, key):
+        code = self[key] = len(self)
+        return code
+
+
+def categorize(values):
+    """(sorted distinct values, int64 code of each entry into them) of a
+    column of strings; codes therefore order as the strings do."""
+    book = _Codebook()
+    codes = np.fromiter(map(book.__getitem__, np.asarray(values).tolist()),
+                        np.int64, len(values))
+    names = sorted(book)
+    rank = np.empty(len(names), np.int64)
+    rank[[book[n] for n in names]] = np.arange(len(names))
+    return names, rank[codes]
+
+
+def first_of_runs(*keys):
+    """True at row 0 and wherever any of the key columns differs from the
+    row before: the first row of each run of equal keys."""
+    flags = np.zeros(len(keys[0]), dtype=bool)
+    flags[:1] = True
+    for key in keys:
+        key = np.asarray(key)
+        flags[1:] |= key[1:] != key[:-1]
+    return flags
+
+
+def _decode(book, parse):
+    """(value, ok) arrays over a codebook's strings: parse(s) once per
+    distinct string, ok False where it raised."""
+    values, ok = [], []
+    for raw in book:
+        try:
+            values.append(parse(raw))
+            ok.append(True)
+        except (ValueError, OverflowError):
+            values.append(0)
+            ok.append(False)
+    return np.array(values), np.array(ok, dtype=bool)
+
+
 def parse_csv(path, station_map):
-    """Parse a detection CSV against a station map.
+    """Parse a detection CSV against a station map into Detections, in file
+    order.
 
     Malformed rows and rows whose station is not in the map are dropped and
-    counted in the returned ParseReport. A missing file or a missing required
-    column is an error.
+    counted in the returned ParseReport; a row is checked for each reason
+    of DROP_REASONS in turn, and a row too short to hold every required
+    column is a missing_field. A missing file or a missing required column
+    is an error.
     """
-    records = []
     report = ParseReport()
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        _check_header(reader.fieldnames, DETECTION_COLUMNS, path)
-        for row in reader:
-            report.n_rows += 1
-            try:
-                fish = row["fishid"].strip()
-                recv = row["receiver"].strip()
-                station = row["station"].strip()
-                if not fish or not station:
-                    report.drop("missing_field")
-                    continue
-                lat = float(row["lat"])
-                lon = float(row["lon"])
-            except (AttributeError, TypeError, ValueError):
-                report.drop("missing_field")
+        reader = csv.reader(f)
+        header = next(reader, None)
+        _check_header(header, DETECTION_COLUMNS, path)
+        where = {name: i for i, name in enumerate(header)}  # last one wins
+        columns = [where[c] for c in DETECTION_COLUMNS]
+        width = max(columns) + 1
+        books = [_Codebook() for _ in columns]
+        blocks = [[] for _ in columns]
+        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+            rows = [r for r in block if len(r) >= width]
+            n_rows = sum(map(bool, block))  # blank lines are not rows
+            report.n_rows += n_rows
+            if n_rows > len(rows):
+                report.drop("missing_field", n_rows - len(rows))
+            if not rows:
                 continue
-            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                report.drop("bad_coordinate")
-                continue
-            try:
-                ts = parse_timestamp(row["date"], row["time_sa"])
-            except (TypeError, ValueError):
-                report.drop("bad_timestamp")
-                continue
-            if station not in station_map:
-                report.drop("unknown_station")
-                continue
-            records.append(DetectionRecord(fish, recv, station, lat, lon, ts))
-            report.n_parsed += 1
+            fields = list(zip(*rows))
+            for book, col, out in zip(books, columns, blocks):
+                out.append(np.fromiter(map(book.__getitem__, fields[col]),
+                                       np.int64, len(rows)))
+    fish, recv, station, lat, lon, day, clock = (
+        np.concatenate(b) if b else np.empty(0, np.int64) for b in blocks)
+
+    fish_ids, recv_ids, station_ids = (
+        np.array([s.strip() for s in book], dtype=object)
+        for book in books[:3])
+    known = np.array([s in station_map for s in station_ids], dtype=bool)
+    lat_v, lat_ok = _decode(books[3], float)
+    lon_v, lon_ok = _decode(books[4], float)
+    day_v, day_ok = _decode(books[5], _day_number)
+    clock_v, clock_ok = _decode(books[6], _clock_seconds)
+
+    lat_deg, lon_deg = lat_v[lat], lon_v[lon]
+    checks = ((fish_ids != "")[fish] & (station_ids != "")[station]
+              & lat_ok[lat] & lon_ok[lon],
+              (-90.0 <= lat_deg) & (lat_deg <= 90.0)
+              & (-180.0 <= lon_deg) & (lon_deg <= 180.0),
+              day_ok[day] & clock_ok[clock],
+              known[station])
+    kept = np.ones(len(fish), dtype=bool)
+    for reason, ok in zip(DROP_REASONS, checks):
+        n_bad = int(np.count_nonzero(kept & ~ok))
+        if n_bad:
+            report.drop(reason, n_bad)
+        kept &= ok
+    idx = np.flatnonzero(kept)
+    report.n_parsed = len(idx)
+    detections = Detections(
+        fish_ids[fish[idx]], recv_ids[recv[idx]], station_ids[station[idx]],
+        lat_deg[idx], lon_deg[idx],
+        day_v[day[idx]] * 86400 + clock_v[clock[idx]] - UTC_OFFSET_S)
     for reason, n in sorted(report.dropped.items()):
         log.warning("%s: dropped %d row(s): %s", path, n, reason)
-    return records, report
+    return detections, report
 
 
-def write_detections_csv(records, path):
-    """Serialize records back to the input CSV format.
+def format_distinct(fmt, values):
+    """[fmt(v) for v in values.tolist()] for an int64 or float64 array,
+    calling fmt once per distinct value. Values are told apart by bit
+    pattern, so -0.0 and 0.0 stay apart."""
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    return np.array([fmt(v) for v in values[first].tolist()],
+                    dtype=object)[inverse].tolist()
+
+
+def write_detections_csv(detections, path):
+    """Serialize detections (Detections, or a DetectionRecord list) back to
+    the input CSV format.
 
     parse -> serialize -> parse round-trips valid rows exactly: floats are
     written with repr and timestamps re-expanded to the UTC+2 clock.
     """
+    if not isinstance(detections, Detections):
+        detections = Detections.from_records(detections)
+    day, clock = np.divmod(detections.timestamp + UTC_OFFSET_S, 86400)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(DETECTION_COLUMNS)
-        for r in records:
-            d, t = format_timestamp(r.timestamp)
-            w.writerow([r.fish_id, r.receiver_id, r.station_id,
-                        repr(r.lat), repr(r.lon), d, t])
+        w.writerows(zip(detections.fish_id.tolist(),
+                        detections.receiver_id.tolist(),
+                        detections.station_id.tolist(),
+                        map(repr, detections.lat.tolist()),
+                        map(repr, detections.lon.tolist()),
+                        format_distinct(lambda d: date.fromordinal(
+                            d + _EPOCH_ORDINAL).strftime("%Y-%m-%d"), day),
+                        format_distinct(lambda s: "%02d:%02d:%02d" % (
+                            s // 3600, s // 60 % 60, s % 60), clock)))
 
 
-def deduplicate(records):
+def deduplicate(detections):
     """Drop exact repeats of (fish_id, station_id, timestamp), keeping the
-    first occurrence. Returns (records, n_removed)."""
-    seen = set()
-    out = []
-    for r in records:
-        key = (r.fish_id, r.station_id, r.timestamp)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(r)
-    return out, len(records) - len(out)
+    first occurrence and file order. Returns (detections, n_removed)."""
+    _, fish = categorize(detections.fish_id)
+    _, station = categorize(detections.station_id)
+    ts = detections.timestamp
+    order = np.lexsort((station, ts, fish))  # stable: repeats in file order
+    first = first_of_runs(fish[order], ts[order], station[order])
+    kept = np.sort(order[first])
+    return detections.take(kept), len(detections) - len(kept)
 
 
-def group_tracks(records):
-    """Group records into one FishTrack per fish, detections sorted by
-    (timestamp, station_id). Output is sorted by fish_id, so downstream
-    results do not depend on input file order."""
-    by_fish = {}
-    for r in records:
-        by_fish.setdefault(r.fish_id, []).append(r)
-    tracks = []
-    for fid in sorted(by_fish):
-        dets = sorted(by_fish[fid], key=lambda r: (r.timestamp, r.station_id))
-        tracks.append(FishTrack(fid, dets))
-    return tracks
+def group_tracks(detections):
+    """Sort detections by fish_id, then timestamp, then station_id (exact
+    ties keep file order), so each fish's track is one contiguous,
+    time-sorted run and downstream results do not depend on input file
+    order."""
+    _, fish = categorize(detections.fish_id)
+    _, station = categorize(detections.station_id)
+    return detections.take(
+        np.lexsort((station, detections.timestamp, fish)))

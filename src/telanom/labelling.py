@@ -17,12 +17,14 @@ bit 2 = criterion 3).
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .features import F_UNIQUE_STATIONS, F_MISSING_STATIONS
+from .ingest import first_of_runs
 
 STATIONARY_SPAN_S = 120 * 86400
 
@@ -64,25 +66,24 @@ def criterion_single_station(values):
     return values[:, F_UNIQUE_STATIONS] == 1.0
 
 
-def criterion_stationary(station_ids, timestamps, span_s=STATIONARY_SPAN_S):
+def criterion_stationary(fish_ids, station_ids, timestamps,
+                         span_s=STATIONARY_SPAN_S):
     """Flag maximal same-station runs spanning strictly more than span_s.
 
-    Only meaningful for fish with at least two distinct stations; a
-    single-station fish is criterion 1's job and gets no flags here.
+    Rows are sorted by fish, then time; runs end where the fish changes.
+    Only meaningful for fish with at least two distinct stations, i.e.
+    with more than one run; a single-station fish is criterion 1's job and
+    gets no flags here.
     """
-    n = len(station_ids)
-    mask = np.zeros(n, dtype=bool)
-    if len(set(station_ids)) < 2:
-        return mask
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and station_ids[j + 1] == station_ids[i]:
-            j += 1
-        if timestamps[j] - timestamps[i] > span_s:
-            mask[i:j + 1] = True
-        i = j + 1
-    return mask
+    ts = np.asarray(timestamps)
+    new_fish = first_of_runs(fish_ids)
+    first = np.flatnonzero(first_of_runs(fish_ids, station_ids))
+    size = np.diff(first, append=len(ts))
+    long_run = ts[first + size - 1] - ts[first] > span_s
+    # a run shares its fish with a neighbouring run unless it starts a
+    # fish and the next run starts the next one
+    lone = new_fish[first] & np.append(new_fish[first[1:]], True)
+    return np.repeat(long_run & ~lone, size)
 
 
 def criterion_skipped(values):
@@ -97,39 +98,25 @@ def label_all(table):
     input row order: rows are examined per fish in time order and flags are
     written back through the original indices.
     """
+    order, starts = table.fish_groups()
+    m1 = criterion_single_station(table.values)
+    m2 = np.empty(len(table), dtype=bool)
+    m2[order] = criterion_stationary(table.fish_id[order],
+                                     table.station_id[order],
+                                     table.timestamp[order])
+    m3 = criterion_skipped(table.values)
+    mask = (m1 * CRIT_SINGLE_STATION | m2 * CRIT_STATIONARY
+            | m3 * CRIT_SKIPPED).astype(np.uint8)
+
     out = table.copy()
-    mask = np.zeros(len(table), dtype=np.uint8)
-
-    report = LabelReport(n_rows=len(table))
-    for fish_id, idx in table.fish_groups():
-        vals = table.values[idx]
-        stations = list(table.station_id[idx])
-        ts = table.timestamp[idx]
-
-        m1 = criterion_single_station(vals)
-        m2 = criterion_stationary(stations, ts)
-        m3 = criterion_skipped(vals)
-
-        fish_mask = np.zeros(len(idx), dtype=np.uint8)
-        fish_mask[m1] |= CRIT_SINGLE_STATION
-        fish_mask[m2] |= CRIT_STATIONARY
-        fish_mask[m3] |= CRIT_SKIPPED
-        mask[idx] = fish_mask
-
-        report.per_criterion[1] += int(m1.sum())
-        report.per_criterion[2] += int(m2.sum())
-        report.per_criterion[3] += int(m3.sum())
-        fish_bits = 0
-        if m1.any():
-            fish_bits |= CRIT_SINGLE_STATION
-        if m2.any():
-            fish_bits |= CRIT_STATIONARY
-        if m3.any():
-            fish_bits |= CRIT_SKIPPED
-        report.per_fish[fish_id] = fish_bits
-
     out.criterion_mask = mask
     out.label = np.where(mask > 0, 0, 1).astype(np.int8)
+    report = LabelReport(n_rows=len(table))
+    report.per_criterion = {1: int(m1.sum()), 2: int(m2.sum()),
+                            3: int(m3.sum())}
+    report.per_fish = dict(zip(
+        table.fish_id[order[starts]].tolist(),
+        np.bitwise_or.reduceat(mask[order], starts).tolist()))
     report.n_anomalous = int((out.label == 0).sum())
     report.n_normal = report.n_rows - report.n_anomalous
     return out, report
@@ -137,10 +124,8 @@ def label_all(table):
 
 def write_label_csv(table, path):
     """Dump per-detection labels: fish_id, timestamp, label, criterion_mask."""
-    import csv
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["fish_id", "timestamp", "label", "criterion_mask"])
-        for i in range(len(table)):
-            w.writerow([table.fish_id[i], int(table.timestamp[i]),
-                        int(table.label[i]), int(table.criterion_mask[i])])
+        w.writerows(zip(table.fish_id.tolist(), table.timestamp.tolist(),
+                        table.label.tolist(), table.criterion_mask.tolist()))

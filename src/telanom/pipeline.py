@@ -289,17 +289,16 @@ def prepare_table(cfg):
     """Stages ingest + engineer + label; returns (table, label_report,
     ingest summary)."""
     station_map = load_station_map(cfg.station_csv)
-    records, parse_report = parse_csv(cfg.input_csv, station_map)
-    records, n_dups = deduplicate(records)
-    tracks = group_tracks(records)
-    table = engineer_tracks(tracks, station_map)
+    detections, parse_report = parse_csv(cfg.input_csv, station_map)
+    detections, n_dups = deduplicate(detections)
+    table = engineer_tracks(group_tracks(detections), station_map)
     labelled, label_report = label_all(table)
     ingest_summary = {
         "rows_read": parse_report.n_rows,
         "rows_parsed": parse_report.n_parsed,
         "rows_dropped": parse_report.dropped,
         "duplicates_removed": n_dups,
-        "n_fish": len(tracks),
+        "n_fish": len(label_report.per_fish),
     }
     return labelled, label_report, ingest_summary
 
@@ -503,7 +502,8 @@ def _write_artifacts(cfg, result):
         f.write("\n")
 
     if result.plan is not None:
-        _, _, hist = collect_candidates(result.split.normal_train)
+        hist = (result.plan.gap_histogram
+                or collect_candidates(result.split.normal_train)[2])
         result.plan.save(os.path.join(out, "plan.json"), histogram=hist)
         write_feature_csv(result.train_pool,
                           os.path.join(out, "resampled.csv"), full=True)

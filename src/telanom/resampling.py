@@ -15,9 +15,9 @@ original irregular timestamps elsewhere in the pipeline.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DataError
 from .features import (FeatureTable, CONTINUOUS_DIMS, STEPWISE_DIMS,
                        recompute_time_features)
-from .ingest import local_day
+from .ingest import UTC_OFFSET_S, first_of_runs
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +36,8 @@ class ResamplePlan:
     candidate_gaps: tuple        # sorted distinct per-(fish, day) min gaps
     max_points: int
     budget_exceeded: bool = False  # no candidate fit the budget; largest used
+    # gap -> number of (fish, day) groups, when planned from the gaps
+    gap_histogram: dict = dataclasses.field(default=None, compare=False)
 
     @property
     def f_s(self):
@@ -57,19 +59,6 @@ class ResamplePlan:
         with open(path, "w") as f:
             json.dump(obj, f, indent=2, sort_keys=True)
             f.write("\n")
-
-
-def daily_min_gap(timestamps):
-    """Minimum positive gap between consecutive timestamps of one day,
-    or None when the day has no positive gap to measure."""
-    ts = np.asarray(timestamps)
-    if len(ts) < 2:
-        return None
-    gaps = np.diff(np.sort(ts))
-    gaps = gaps[gaps > 0]
-    if len(gaps) == 0:
-        return None
-    return int(gaps.min())
 
 
 def global_rate(day_gaps):
@@ -98,11 +87,13 @@ def tradeoff_search(candidate_gaps, max_points, span):
 
 
 def _day_groups(table):
-    """Yield (fish_id, day, time-sorted index array) for every (fish, day)."""
-    for fish_id, idx in table.fish_groups():
-        days = np.array([local_day(t) for t in table.timestamp[idx]])
-        for day in np.unique(days):
-            yield fish_id, int(day), idx[days == day]
+    """(order, starts): the row indices by fish id, then time (as
+    FeatureTable.fish_groups), and the positions in that order where each
+    (fish, local day) group begins."""
+    order, fish_starts = table.fish_groups()
+    new = first_of_runs((table.timestamp[order] + UTC_OFFSET_S) // 86400)
+    new[fish_starts] = True
+    return order, np.flatnonzero(new)
 
 
 def collect_candidates(table):
@@ -110,21 +101,30 @@ def collect_candidates(table):
 
     Returns (sorted distinct gaps, total span seconds, gap histogram).
     """
-    gaps = []
-    span = 0
-    for _fish, _day, idx in _day_groups(table):
-        ts = table.timestamp[idx]
-        span += int(ts.max() - ts.min())
-        g = daily_min_gap(ts)
-        if g is not None:
-            gaps.append(g)
-    return sorted(set(gaps)), span, Counter(gaps)
+    if len(table) == 0:
+        return [], 0, {}
+    order, starts = _day_groups(table)
+    ts = table.timestamp[order]
+    last = np.append(starts[1:], len(ts)) - 1
+    span = int((ts[last] - ts[starts]).sum())
+    # a group's minimum positive gap between consecutive detections; none
+    # stands in for the gap into a group's first row and for repeated times
+    none = np.iinfo(np.int64).max
+    gaps = np.diff(ts, prepend=ts[0])
+    gaps[starts] = none
+    gaps[gaps <= 0] = none
+    mins = np.minimum.reduceat(gaps, starts)
+    distinct, counts = np.unique(mins[mins != none], return_counts=True)
+    return (distinct.tolist(), span,
+            dict(zip(distinct.tolist(), counts.tolist())))
 
 
 def plan_for(table, max_points):
-    """Build the automatic resampling plan for a table of normal rows."""
-    cands, span, _hist = collect_candidates(table)
-    return tradeoff_search(cands, max_points, span)
+    """Build the automatic resampling plan for a table of normal rows; the
+    plan keeps the gap histogram it was derived from."""
+    cands, span, hist = collect_candidates(table)
+    return dataclasses.replace(tradeoff_search(cands, max_points, span),
+                               gap_histogram=hist)
 
 
 def fixed_plan(delta_t, max_points=0):
@@ -135,60 +135,52 @@ def fixed_plan(delta_t, max_points=0):
     return ResamplePlan(delta_t, (delta_t,), int(max_points))
 
 
-def _grid(t0, t1, delta_t):
-    """Regular timestamps t0, t0+dt, ... covering [t0, t1]; the final point
-    is t1 itself, so only the last gap may be shorter than delta_t."""
-    k = int((t1 - t0) // delta_t)
-    ts = t0 + delta_t * np.arange(k + 1, dtype=np.int64)
-    if ts[-1] < t1:
-        ts = np.append(ts, t1)
-    return ts
-
-
 def resample(table, plan):
     """Resample normal rows onto per-(fish, day) regular grids.
 
-    Grid rows carry uid -1 (synthetic). A (fish, day) group with a single
-    detection passes through unchanged. Raises DataError if any input row
-    is anomalous.
+    Each grid runs t0, t0+dt, ... from the group's first detection and ends
+    at its last one, so only the final gap may be shorter than dt. Grid rows
+    carry uid -1 (synthetic). A (fish, day) group with a single detection
+    passes through unchanged. Raises DataError if any input row is
+    anomalous.
+
+    All groups are interpolated by one np.interp call over keys
+    ``group * 86400 + (t - group t0)``: groups span less than a day, so keys
+    increase across groups, and keys and their differences are exact
+    integers, so every value equals that of a call per group.
     """
     if np.any(table.label == 0):
         raise DataError("resample: input contains anomalous rows")
-
-    uid, fish, station, ts_out, vals = [], [], [], [], []
-    for fish_id, _day, idx in _day_groups(table):
-        src_ts = table.timestamp[idx].astype(np.float64)
-        src_vals = table.values[idx]
-        if len(idx) == 1:
-            i = idx[0]
-            uid.append(int(table.uid[i]))
-            fish.append(fish_id)
-            station.append(table.station_id[i])
-            ts_out.append(int(table.timestamp[i]))
-            vals.append(table.values[i].copy())
-            continue
-
-        grid = _grid(int(src_ts[0]), int(src_ts[-1]), plan.delta_t)
-        out = np.empty((len(grid), table.values.shape[1]))
-        gridf = grid.astype(np.float64)
-        for d in CONTINUOUS_DIMS:
-            out[:, d] = np.interp(gridf, src_ts, src_vals[:, d])
-        hold = np.searchsorted(src_ts, gridf, side="right") - 1
-        hold = np.clip(hold, 0, len(idx) - 1)
-        for d in STEPWISE_DIMS:
-            out[:, d] = src_vals[hold, d]
-        recompute_time_features(out, grid)
-
-        stations_src = table.station_id[idx]
-        for k in range(len(grid)):
-            uid.append(-1)
-            fish.append(fish_id)
-            station.append(stations_src[hold[k]])
-            ts_out.append(int(grid[k]))
-        vals.append(out)
-
-    if not ts_out:
+    if len(table) == 0:
         return FeatureTable.empty()
-    values = np.vstack([v.reshape(-1, table.values.shape[1]) for v in vals])
-    out_table = FeatureTable(uid, fish, station, ts_out, values)
-    return out_table.sorted_by_fish_time()
+
+    order, starts = _day_groups(table)
+    src = table.take(order)
+    size = np.diff(starts, append=len(order))
+    t0 = src.timestamp[starts]
+    t1 = src.timestamp[starts + size - 1]
+    steps = (t1 - t0) // plan.delta_t
+    n_points = steps + 1 + (t0 + plan.delta_t * steps < t1)
+
+    group = np.repeat(np.arange(len(starts)), n_points)
+    k = np.arange(len(group)) - np.repeat(np.cumsum(n_points) - n_points,
+                                          n_points)
+    grid = np.minimum(t0[group] + plan.delta_t * k, t1[group])
+    src_key = (np.repeat(np.arange(len(starts)), size) * 86400
+               + (src.timestamp - np.repeat(t0, size))).astype(np.float64)
+    grid_key = (group * 86400 + (grid - t0[group])).astype(np.float64)
+
+    values = np.empty((len(grid), src.values.shape[1]))
+    for d in CONTINUOUS_DIMS:
+        values[:, d] = np.interp(grid_key, src_key, src.values[:, d])
+    hold = np.searchsorted(src_key, grid_key, side="right") - 1
+    values[:, STEPWISE_DIMS] = src.values[hold][:, STEPWISE_DIMS]
+    recompute_time_features(values, grid)
+    uid = np.full(len(grid), -1, dtype=np.int64)
+
+    single = np.flatnonzero(size == 1)
+    rows = np.cumsum(n_points)[single] - 1
+    uid[rows] = src.uid[starts[single]]
+    values[rows] = src.values[starts[single]]
+    return FeatureTable(uid, src.fish_id[hold], src.station_id[hold], grid,
+                        values)

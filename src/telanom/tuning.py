@@ -22,7 +22,8 @@ from itertools import product
 import numpy as np
 
 from .autoencoder import Autoencoder, TrainConfig, train
-from .detectors import IsolationForest, LocalOutlierFactor, Dbscan
+from .detectors import (IsolationForest, LocalOutlierFactor, Dbscan,
+                        neighbour_counts)
 from .errors import DataError
 from .metrics import confusion, compute_metrics
 from .thresholding import (build_table, contamination_threshold, flag,
@@ -100,22 +101,28 @@ def _classical_model(kind, params, seed):
     raise DataError("unknown model kind %r" % kind)
 
 
-def _score_classical(kind, params, train_x, val_x, val_y, seed, lof_fits):
+def _score_classical(kind, params, train_x, val_x, val_y, seed, shared):
     """F1 outcome of one classical candidate. LOF's contamination only
     sets the threshold over the training LOF values, so LOF candidates of
-    one k share the fit and validation scores kept in ``lof_fits``."""
+    one k share the fit and validation scores kept in ``shared``; DBSCAN
+    candidates of one eps share the training rows' neighbour counts."""
     model = _classical_model(kind, params, seed)
-    if kind != "lof":
-        model.fit(train_x)
-        threshold = model.threshold
-        val_scores = model.scores(val_x)
-    else:
-        if model.k not in lof_fits:
+    if kind == "lof":
+        if model.k not in shared:
             model.fit(train_x)
-            lof_fits[model.k] = (model, model.scores(val_x))
-        fitted, val_scores = lof_fits[model.k]
+            shared[model.k] = (model, model.scores(val_x))
+        fitted, val_scores = shared[model.k]
         threshold = contamination_threshold(fitted.train_lof,
                                             model.contamination)
+    else:
+        if kind == "dbscan":
+            if model.eps not in shared:
+                shared[model.eps] = neighbour_counts(train_x, model.eps)
+            model.fit(train_x, counts=shared[model.eps])
+        else:
+            model.fit(train_x)
+        threshold = model.threshold
+        val_scores = model.scores(val_x)
     m = compute_metrics(confusion(flag(val_scores, threshold), val_y))
     return (_nn(m["f1_score"]),), {"f1_score": m["f1_score"],
                                    "recall": m["recall"],
@@ -156,14 +163,14 @@ def grid_search(model_kind, grid, train_x, val_x, val_y, seed=0):
 
     best = None
     rows = []
-    lof_fits = {}
+    shared = {}
     for params in _canonical_candidates(grid):
         if model_kind == "autoencoder":
             score, detail = _score_autoencoder(params, train_x, val_x,
                                                val_y, seed)
         else:
             score, detail = _score_classical(model_kind, params, train_x,
-                                             val_x, val_y, seed, lof_fits)
+                                             val_x, val_y, seed, shared)
         rows.append({**params, **detail})
         if best is None or score > best[0]:
             best = (score, params)

@@ -5,7 +5,8 @@ import os
 import pytest
 
 from telanom.features import engineer_tracks
-from telanom.ingest import deduplicate, group_tracks, write_detections_csv
+from telanom.ingest import (Detections, deduplicate, group_tracks,
+                            write_detections_csv)
 from telanom.labelling import label_all
 from telanom.synthgen import SynthConfig, generate, write_station_csv
 
@@ -22,7 +23,7 @@ def small_synth():
 @pytest.fixture(scope="session")
 def small_table(small_synth):
     records, station_map, _gt = small_synth
-    records, _ = deduplicate(records)
+    records, _ = deduplicate(Detections.from_records(records))
     tracks = group_tracks(records)
     table = engineer_tracks(tracks, station_map)
     labelled, report = label_all(table)

@@ -1,15 +1,22 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written from the textbook definition, not
-from the production code, so the two can disagree. scipy/mpmath are test
-dependencies only and must never leak into src/.
+from the production code, so the two can disagree; the one exception is
+the row-at-a-time front end at the end, the scalar code the columnar one
+replaced. scipy/mpmath are test dependencies only and must never leak into
+src/.
 """
 
 import math
+from datetime import date
 
 import mpmath
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from telanom.features import (CONTINUOUS_DIMS, STEPWISE_DIMS, FeatureTable,
+                              haversine_km)
+from telanom.ingest import UTC_OFFSET_S, local_day
 
 
 def haversine_law_of_cosines(lat1, lon1, lat2, lon2, radius_km=6371.0):
@@ -208,3 +215,203 @@ def haversine_direct(lat1, lon1, lat2, lon2, radius_km=6371.0):
     a = (math.sin((p2 - p1) / 2.0) ** 2
          + math.cos(p1) * math.cos(p2) * math.sin((l2 - l1) / 2.0) ** 2)
     return 2.0 * radius_km * math.asin(min(1.0, math.sqrt(a)))
+
+
+# -- the row-at-a-time front end ----------------------------------------------
+#
+# The scalar ingest/feature/label/resample code that the columnar front end
+# replaced, kept as its reference: the columnar code must reproduce it
+# bit for bit. Inputs are DetectionRecord lists.
+
+
+def deduplicate_records(records):
+    """Exact repeats of (fish, station, timestamp) dropped, first kept."""
+    seen = set()
+    out = []
+    for r in records:
+        key = (r.fish_id, r.station_id, r.timestamp)
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out
+
+
+def group_records(records):
+    """[(fish_id, detections sorted by (timestamp, station_id))], fish in
+    sorted id order."""
+    by_fish = {}
+    for r in records:
+        by_fish.setdefault(r.fish_id, []).append(r)
+    return [(fid, sorted(by_fish[fid], key=lambda r: (r.timestamp,
+                                                      r.station_id)))
+            for fid in sorted(by_fish)]
+
+
+def _day_of_year_norm(ts):
+    d = date.fromordinal(local_day(ts) + date(1970, 1, 1).toordinal())
+    return (d.timetuple().tm_yday - 1) / 365.0
+
+
+def _hour_angle(ts):
+    sod = (int(ts) + UTC_OFFSET_S) % 86400
+    return 2.0 * math.pi * sod / 86400.0
+
+
+def time_features(values, timestamps):
+    """The time-encoding dims of ``values`` filled row by row."""
+    for k, ts in enumerate(timestamps):
+        ang = _hour_angle(ts)
+        values[k, 8] = math.sin(ang)
+        values[k, 9] = math.cos(ang)
+        values[k, 10] = _day_of_year_norm(ts)
+    return values
+
+
+def engineer_track(dets, station_map):
+    """11-dim feature rows of one time-sorted fish track."""
+    n = len(dets)
+    ts = [d.timestamp for d in dets]
+    stations = [d.station_id for d in dets]
+    num_days = float(len({local_day(t) for t in ts}))
+    num_unique = float(len(set(stations)))
+
+    run_span = np.zeros(n)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and stations[j + 1] == stations[i]:
+            j += 1
+        run_span[i:j + 1] = float(ts[j] - ts[i])
+        i = j + 1
+
+    rows = np.empty((n, 11))
+    for i, d in enumerate(dets):
+        if i == 0:
+            dist = missing = 0.0
+        else:
+            prev = dets[i - 1]
+            dist = haversine_km(prev.lat, prev.lon, d.lat, d.lon)
+            gap = abs(station_map.order_of(d.station_id)
+                      - station_map.order_of(prev.station_id))
+            missing = float(max(0, gap - 1))
+        rows[i, :8] = [d.lat, d.lon, dist, run_span[i], float(n), num_days,
+                       num_unique, missing]
+    return time_features(rows, ts)
+
+
+def engineer_records(records, station_map):
+    """Dedup, group and engineer a record list; uids run in track order."""
+    tracks = group_records(deduplicate_records(records))
+    dets = [d for _fid, track in tracks for d in track]
+    if not dets:
+        return FeatureTable.empty()
+    values = np.vstack([engineer_track(track, station_map)
+                        for _fid, track in tracks])
+    return FeatureTable(np.arange(len(dets)), [d.fish_id for d in dets],
+                        [d.station_id for d in dets],
+                        [d.timestamp for d in dets], values)
+
+
+def criterion_stationary(station_ids, timestamps, span_s=120 * 86400):
+    """One fish's maximal same-station runs longer than span_s, for a fish
+    with at least two distinct stations."""
+    n = len(station_ids)
+    mask = np.zeros(n, dtype=bool)
+    if len(set(station_ids)) < 2:
+        return mask
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and station_ids[j + 1] == station_ids[i]:
+            j += 1
+        if timestamps[j] - timestamps[i] > span_s:
+            mask[i:j + 1] = True
+        i = j + 1
+    return mask
+
+
+def fish_groups(table):
+    """[(fish_id, row indices in time order, ties in row order)]."""
+    by_fish = {}
+    for i, fid in enumerate(table.fish_id):
+        by_fish.setdefault(fid, []).append(i)
+    out = []
+    for fid in sorted(by_fish):
+        idx = np.asarray(by_fish[fid])
+        out.append((fid, idx[np.argsort(table.timestamp[idx],
+                                         kind="stable")]))
+    return out
+
+
+def criterion_masks(table):
+    """(3-bit criterion mask per row, {fish_id: OR of its rows' masks})."""
+    mask = np.zeros(len(table), dtype=np.uint8)
+    per_fish = {}
+    for fid, idx in fish_groups(table):
+        m = np.zeros(len(idx), dtype=np.uint8)
+        m[table.values[idx, 6] == 1.0] |= 1
+        m[criterion_stationary(list(table.station_id[idx]),
+                               table.timestamp[idx])] |= 2
+        m[table.values[idx, 7] > 1.0] |= 4
+        mask[idx] = m
+        per_fish[fid] = int(np.bitwise_or.reduce(m))
+    return mask, per_fish
+
+
+def day_groups(table):
+    """[(fish_id, row indices of one local day, in time order)]."""
+    for fid, idx in fish_groups(table):
+        days = np.array([local_day(t) for t in table.timestamp[idx]])
+        for day in np.unique(days):
+            yield fid, idx[days == day]
+
+
+def collect_candidates(table):
+    """(sorted distinct per-(fish, day) minimum positive gaps, total span,
+    {gap: number of groups})."""
+    gaps, span = [], 0
+    for _fid, idx in day_groups(table):
+        ts = table.timestamp[idx]
+        span += int(ts.max() - ts.min())
+        diffs = np.diff(np.sort(ts))
+        if np.any(diffs > 0):
+            gaps.append(int(diffs[diffs > 0].min()))
+    return sorted(set(gaps)), span, {g: gaps.count(g) for g in set(gaps)}
+
+
+def resample(table, delta_t):
+    """Per-(fish, day) grids from the first to the last detection, one
+    np.interp call per group and dimension."""
+    uid, fish, station, ts_out, vals = [], [], [], [], []
+    for fid, idx in day_groups(table):
+        src_ts = table.timestamp[idx].astype(np.float64)
+        if len(idx) == 1:
+            uid.append(int(table.uid[idx[0]]))
+            fish.append(fid)
+            station.append(table.station_id[idx[0]])
+            ts_out.append(int(table.timestamp[idx[0]]))
+            vals.append(table.values[idx[0]].reshape(1, -1))
+            continue
+        t0, t1 = int(src_ts[0]), int(src_ts[-1])
+        grid = t0 + delta_t * np.arange((t1 - t0) // delta_t + 1,
+                                        dtype=np.int64)
+        if grid[-1] < t1:
+            grid = np.append(grid, t1)
+        out = np.empty((len(grid), table.values.shape[1]))
+        for d in CONTINUOUS_DIMS:
+            out[:, d] = np.interp(grid.astype(np.float64), src_ts,
+                                  table.values[idx, d])
+        hold = np.clip(np.searchsorted(src_ts, grid.astype(np.float64),
+                                       side="right") - 1, 0, len(idx) - 1)
+        for d in STEPWISE_DIMS:
+            out[:, d] = table.values[idx[hold], d]
+        time_features(out, grid)
+        uid += [-1] * len(grid)
+        fish += [fid] * len(grid)
+        station += list(table.station_id[idx[hold]])
+        ts_out += grid.tolist()
+        vals.append(out)
+    if not ts_out:
+        return FeatureTable.empty()
+    return FeatureTable(uid, fish, station, ts_out,
+                        np.vstack(vals)).sorted_by_fish_time()

@@ -17,7 +17,7 @@ from telanom.autoencoder import Autoencoder
 from telanom.detectors import Dbscan, LocalOutlierFactor
 from telanom.errors import LeakageError
 from telanom.features import engineer_tracks, haversine_km
-from telanom.ingest import deduplicate, group_tracks, local_day
+from telanom.ingest import Detections, deduplicate, group_tracks, local_day
 from telanom.labelling import label_all
 from telanom.metrics import compute_metrics, confusion, roc_auc
 from telanom.pipeline import RunConfig, run_pipeline
@@ -56,7 +56,7 @@ def e2e():
     records, smap, gt = generate(SynthConfig(seed=0))
     n_fish = len({r.fish_id for r in records})
     n_detections = len(records)
-    records, _ = deduplicate(records)
+    records, _ = deduplicate(Detections.from_records(records))
     table = engineer_tracks(group_tracks(records), smap)
     labelled, _report = label_all(table)
     cfg = RunConfig(seed=0, resample_interval="auto", max_points=30000,
@@ -279,7 +279,7 @@ def test_criterion_11_leakage_guard_aborts():
         records, smap, _gt = generate(SynthConfig(
             n_fish=4, span_days=100.0, mean_gap_s=30000.0,
             fraction_single_station=0.26, seed=2))
-        records, _ = deduplicate(records)
+        records, _ = deduplicate(Detections.from_records(records))
         labelled, _report = label_all(
             engineer_tracks(group_tracks(records), smap))
         cfg = RunConfig(seed=1, resample_interval="none", models="iforest")

@@ -9,7 +9,7 @@ from telanom.features import (FEATURE_NAMES, FeatureTable, Scaler,
                               engineer_tracks, haversine_km,
                               read_feature_csv, recompute_time_features,
                               write_feature_csv)
-from telanom.ingest import (DetectionRecord, FishTrack, StationMap,
+from telanom.ingest import (DetectionRecord, Detections, StationMap,
                             deduplicate, group_tracks, local_day,
                             parse_timestamp)
 
@@ -74,13 +74,13 @@ def _det(fish, station, ts):
 
 def _track(fish, moves):
     dets = [_det(fish, st, ts) for st, ts in moves]
-    return FishTrack(fish, dets)
+    return group_tracks(Detections.from_records(dets))
 
 
 def test_feature_vector_layout_and_values():
     t0 = parse_timestamp("2017-06-15", "06:00:00")
     track = _track("F1", [("A", t0), ("A", t0 + 600), ("C", t0 + 7200)])
-    table = engineer_tracks([track], SM)
+    table = engineer_tracks(track, SM)
     assert table.values.shape == (3, 11)
     assert list(table.uid) == [0, 1, 2]
 
@@ -108,20 +108,22 @@ def test_feature_vector_layout_and_values():
 def test_missing_stations_is_order_gap_minus_one():
     t0 = parse_timestamp("2017-06-15", "12:00:00")
     track = _track("F1", [("D", t0), ("A", t0 + 100), ("B", t0 + 200)])
-    table = engineer_tracks([track], SM)
+    table = engineer_tracks(track, SM)
     miss = table.values[:, 7]
     assert list(miss) == [0.0, 2.0, 0.0]  # D->A skips C,B; A->B adjacent
 
 
 def test_per_fish_totals_match_naive_recount(small_synth):
     records, station_map, _ = small_synth
-    records, _ = deduplicate(records)
+    records, _ = deduplicate(Detections.from_records(records))
     tracks = group_tracks(records)
     table = engineer_tracks(tracks, station_map)
-    for fid, idx in table.fish_groups():
-        dets = [r for r in records if r.fish_id == fid]
-        days = {local_day(r.timestamp) for r in dets}
-        stations = {r.station_id for r in dets}
+    order, starts = table.fish_groups()
+    for idx in np.split(order, starts[1:]):
+        fid = table.fish_id[idx[0]]
+        dets = np.flatnonzero(records.fish_id == fid)
+        days = {local_day(t) for t in records.timestamp[dets]}
+        stations = set(records.station_id[dets])
         assert np.all(table.values[idx, 4] == float(len(dets)))
         assert np.all(table.values[idx, 5] == float(len(days)))
         assert np.all(table.values[idx, 6] == float(len(stations)))
@@ -135,7 +137,7 @@ def test_engineer_tracks_uids_sequential(small_table):
 def test_recompute_time_features_matches_engineering():
     t0 = parse_timestamp("2017-06-15", "06:00:00")
     track = _track("F1", [("A", t0), ("B", t0 + 3600)])
-    table = engineer_tracks([track], SM)
+    table = engineer_tracks(track, SM)
     blank = table.values.copy()
     blank[:, 8:] = -99.0
     out = recompute_time_features(blank, table.timestamp)
@@ -153,9 +155,8 @@ def test_table_concat_take_row_round_trip(small_table):
     back = FeatureTable.concat([a, b])
     assert np.array_equal(back.uid, table.uid)
     assert np.array_equal(back.values, table.values)
-    r = back.row(3)
-    assert r.uid == int(table.uid[3])
-    assert np.array_equal(r.values, table.values[3])
+    assert back.uid[3] == table.uid[3]
+    assert np.array_equal(back.values[3], table.values[3])
 
 
 def test_sorted_by_fish_time(small_table):

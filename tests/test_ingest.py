@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from telanom.errors import DataError
-from telanom.ingest import (DetectionRecord, StationMap, deduplicate,
+from telanom.ingest import (DetectionRecord, Detections, StationMap,
+                            deduplicate,
                             format_timestamp, group_tracks, load_station_map,
                             local_day, parse_csv, parse_timestamp,
                             write_detections_csv)
@@ -97,8 +98,9 @@ def test_parse_csv_good_rows(tmp_path, station_map):
     records, report = parse_csv(_write(tmp_path / "d.csv", GOOD), station_map)
     assert report.n_rows == 3 and report.n_parsed == 3
     assert report.dropped == {}
-    assert records[0] == DetectionRecord(
-        "F1", "R1", "A", -34.0, 21.0, parse_timestamp("2017-03-01", "10:00:00"))
+    assert records.take([0]) == Detections.from_records([DetectionRecord(
+        "F1", "R1", "A", -34.0, 21.0,
+        parse_timestamp("2017-03-01", "10:00:00"))])
 
 
 def test_parse_csv_drops_and_counts(tmp_path, station_map):
@@ -114,6 +116,35 @@ def test_parse_csv_drops_and_counts(tmp_path, station_map):
     assert report.n_rows == 6 and report.n_parsed == 1
     assert report.dropped == {"missing_field": 2, "bad_coordinate": 1,
                               "bad_timestamp": 1, "unknown_station": 1}
+
+
+def test_parse_csv_short_rows_are_missing_fields(tmp_path, station_map):
+    # rows too short to hold every column, or with empty date/time strings
+    text = ("fishid,receiver,station,lat,lon,date,time_sa\n"
+            "F1,R1,A,-34.0,21.0,2017-03-01,10:00:00\n"
+            "F1,R1,A,-34.0,21.0\n"                         # no date/time
+            "F1,R1,A,-34.0,21.0,2017-03-01\n"              # no time
+            "F1,R1\n"
+            "\n"                                            # blank: no row
+            "F1,R1,A,-34.0,21.0,,10:00:00\n"               # empty date
+            "F1,R1,A,-34.0,21.0,2017-03-01,\n")            # empty time
+    records, report = parse_csv(_write(tmp_path / "d.csv", text), station_map)
+    assert len(records) == 1
+    assert report.n_rows == 6 and report.n_parsed == 1
+    assert report.dropped == {"missing_field": 3, "bad_timestamp": 2}
+
+
+def test_cli_ingest_short_row_exits_cleanly(tmp_path, station_map):
+    from telanom.cli import main
+    det = _write(tmp_path / "d.csv",
+                 "fishid,receiver,station,lat,lon,date,time_sa\n"
+                 "F001,R00,A,-34.4,20.83\n"
+                 "F001,R00,A,-34.4,20.83,2017-03-01,10:00:00\n")
+    sta = _write(tmp_path / "s.csv", STATIONS)
+    out = tmp_path / "out"
+    assert main(["ingest", "--input", det, "--stations", sta,
+                 "--out", str(out)]) == 0
+    assert (out / "ingest.json").read_text().count('"missing_field": 1') == 1
 
 
 def test_parse_csv_missing_column_is_fatal(tmp_path, station_map):
@@ -143,9 +174,9 @@ def _rec(fish, station, ts, recv="R1"):
 def test_deduplicate_keeps_first_and_is_idempotent():
     records = [_rec("F1", "A", 10), _rec("F1", "A", 10, recv="R9"),
                _rec("F1", "B", 10), _rec("F1", "A", 11)]
-    out, n = deduplicate(records)
+    out, n = deduplicate(Detections.from_records(records))
     assert n == 1
-    assert out == [records[0], records[2], records[3]]
+    assert out == Detections.from_records([records[0], records[2], records[3]])
     again, n2 = deduplicate(out)
     assert n2 == 0 and again == out
 
@@ -153,20 +184,18 @@ def test_deduplicate_keeps_first_and_is_idempotent():
 def test_group_tracks_sorts_and_conserves():
     records = [_rec("F2", "A", 30), _rec("F1", "B", 20), _rec("F1", "A", 10),
                _rec("F1", "A", 20)]
-    tracks = group_tracks(records)
-    assert [t.fish_id for t in tracks] == ["F1", "F2"]
-    assert [r.timestamp for r in tracks[0].detections] == [10, 20, 20]
+    tracks = group_tracks(Detections.from_records(records))
+    assert list(tracks.fish_id) == ["F1", "F1", "F1", "F2"]
+    assert list(tracks.timestamp[:3]) == [10, 20, 20]
     # ties broken by station id
-    assert [r.station_id for r in tracks[0].detections] == ["A", "A", "B"]
-    assert sum(len(t.detections) for t in tracks) == len(records)
+    assert list(tracks.station_id[:3]) == ["A", "A", "B"]
+    assert len(tracks) == len(records)
 
 
 def test_group_tracks_independent_of_input_order(small_synth):
     records, _, _ = small_synth
     shuffled = list(records)
     np.random.default_rng(3).shuffle(shuffled)
-    a = group_tracks(records)
-    b = group_tracks(shuffled)
-    assert [t.fish_id for t in a] == [t.fish_id for t in b]
-    for ta, tb in zip(a, b):
-        assert ta.detections == tb.detections
+    a = group_tracks(Detections.from_records(records))
+    b = group_tracks(Detections.from_records(shuffled))
+    assert a == b

@@ -3,7 +3,8 @@ import csv
 import numpy as np
 
 from telanom.features import engineer_tracks
-from telanom.ingest import DetectionRecord, FishTrack, StationMap
+from telanom.ingest import (DetectionRecord, Detections, StationMap,
+                            group_tracks)
 from telanom.labelling import (CRIT_SINGLE_STATION, CRIT_SKIPPED,
                                CRIT_STATIONARY, STATIONARY_SPAN_S,
                                criterion_stationary, label_all,
@@ -18,12 +19,9 @@ DAY = 86400
 
 def _table(*fish_moves):
     """fish_moves: (fish_id, [(station, ts), ...]) tuples."""
-    tracks = []
-    for fish, moves in fish_moves:
-        dets = [DetectionRecord(fish, "R", st, *SM.coords(st), int(ts))
-                for st, ts in moves]
-        tracks.append(FishTrack(fish, dets))
-    return engineer_tracks(tracks, SM)
+    dets = [DetectionRecord(fish, "R", st, *SM.coords(st), int(ts))
+            for fish, moves in fish_moves for st, ts in moves]
+    return engineer_tracks(group_tracks(Detections.from_records(dets)), SM)
 
 
 def test_single_station_fish_fully_flagged():
@@ -53,13 +51,14 @@ def test_stationary_run_boundary_is_strict():
 
 
 def test_stationary_needs_two_distinct_stations():
+    fish = ["F1"] * 4
     stations = ["S0"] * 4
     ts = np.array([0, DAY, 2 * DAY, 200 * DAY])
-    assert not criterion_stationary(stations, ts).any()
+    assert not criterion_stationary(fish, stations, ts).any()
     # same span with a second station present fires
     stations2 = ["S1", "S0", "S0", "S0"]
     ts2 = np.array([0, DAY, 2 * DAY, 200 * DAY])
-    got = criterion_stationary(stations2, ts2)
+    got = criterion_stationary(fish, stations2, ts2)
     assert list(got) == [False, True, True, True]
 
 

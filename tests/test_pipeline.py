@@ -10,7 +10,7 @@ import pytest
 from telanom.detectors import Dbscan, IsolationForest, LocalOutlierFactor
 from telanom.errors import DataError, LeakageError
 from telanom.features import engineer_tracks
-from telanom.ingest import deduplicate, group_tracks
+from telanom.ingest import Detections, deduplicate, group_tracks
 from telanom.labelling import label_all
 from telanom.pipeline import (LeakageGuard, RunConfig, evaluate_saved,
                               run_experiment, run_pipeline, split_rows,
@@ -26,7 +26,7 @@ TINY_CFG = SynthConfig(n_fish=4, span_days=100.0, mean_gap_s=30000.0,
 @pytest.fixture(scope="module")
 def tiny_labelled():
     records, smap, _gt = generate(TINY_CFG)
-    records, _ = deduplicate(records)
+    records, _ = deduplicate(Detections.from_records(records))
     table = engineer_tracks(group_tracks(records), smap)
     labelled, _report = label_all(table)
     return labelled

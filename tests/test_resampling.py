@@ -4,9 +4,10 @@ import pytest
 from telanom.errors import DataError
 from telanom.features import (CONTINUOUS_DIMS, STEPWISE_DIMS, FeatureTable,
                               engineer_tracks, recompute_time_features)
-from telanom.ingest import DetectionRecord, FishTrack, StationMap, local_day
+from telanom.ingest import (DetectionRecord, Detections, StationMap,
+                            group_tracks, local_day)
 from telanom.resampling import (ResamplePlan, collect_candidates,
-                                daily_min_gap, fixed_plan, global_rate,
+                                fixed_plan, global_rate,
                                 plan_for, resample, tradeoff_search)
 
 
@@ -17,17 +18,20 @@ SM = StationMap([("S0", -34.0, 21.0, 0), ("S1", -34.0, 21.05, 1),
 def _table(moves, fish="F1"):
     dets = [DetectionRecord(fish, "R", st, *SM.coords(st), int(ts))
             for st, ts in moves]
-    return engineer_tracks([FishTrack(fish, dets)], SM)
+    return engineer_tracks(group_tracks(Detections.from_records(dets)), SM)
 
 
 # -- interval derivation -----------------------------------------------------
 
 
 def test_daily_min_gap():
-    assert daily_min_gap([100]) is None
-    assert daily_min_gap([100, 100]) is None          # no positive gap
-    assert daily_min_gap([100, 350, 400]) == 50
-    assert daily_min_gap([400, 100, 350]) == 50       # unsorted input
+    def gaps(offsets):  # one fish, one day, rows in reverse time order
+        table = _table([("S0", DAY0 + t) for t in offsets])
+        return collect_candidates(table.take(np.arange(len(table))[::-1]))[0]
+    assert gaps([100]) == []
+    assert gaps([100, 100]) == []                     # no positive gap
+    assert gaps([100, 350, 400]) == [50]
+    assert gaps([400, 100, 350]) == [50]              # unsorted input
 
 
 def test_global_rate():
@@ -195,7 +199,8 @@ def test_resample_gap_regularity_property(small_table):
     normals = table.take(np.flatnonzero(table.label == 1))
     plan = plan_for(normals, max_points=20_000)
     out = resample(normals, plan)
-    for fid, idx in out.fish_groups():
+    order, starts = out.fish_groups()
+    for idx in np.split(order, starts[1:]):
         ts = out.timestamp[idx]
         days = np.array([local_day(t) for t in ts])
         for day in np.unique(days):

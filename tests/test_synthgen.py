@@ -6,7 +6,7 @@ import pytest
 
 from telanom.errors import DataError
 from telanom.features import engineer_tracks, haversine_km
-from telanom.ingest import deduplicate, group_tracks
+from telanom.ingest import Detections, deduplicate, group_tracks
 from telanom.labelling import label_all
 from telanom.synthgen import (GroundTruth, SynthConfig, config_json,
                               generate, make_station_map)
@@ -119,7 +119,7 @@ def test_ground_truth_matches_rule_labeller():
     cfg = SynthConfig(n_fish=8, span_days=220.0, fraction_single_station=0.25,
                       fraction_stationary=0.125, skip_rate=0.1, seed=9)
     records, smap, gt = generate(cfg)
-    records, n_dupes = deduplicate(records)
+    records, n_dupes = deduplicate(Detections.from_records(records))
     assert n_dupes == 0
     table = engineer_tracks(group_tracks(records), smap)
     labelled, _report = label_all(table)

@@ -4,7 +4,8 @@ tie handling, and scoring-path behaviour on a separable toy problem."""
 import numpy as np
 import pytest
 
-from telanom.detectors import LocalOutlierFactor
+from telanom import tuning
+from telanom.detectors import Dbscan, LocalOutlierFactor
 from telanom.errors import DataError
 from telanom.metrics import compute_metrics, confusion
 from telanom.tuning import (DEFAULT_GRIDS, GridSearchResult,
@@ -184,3 +185,28 @@ def test_lof_grid_reuses_fits_without_changing_rows(monkeypatch):
                      "recall": m["recall"], "precision": m["precision"]})
     assert result.rows == want
     assert len({r["precision"] for r in want if r["k"] == 5}) > 1
+
+
+def test_dbscan_grid_counts_once_per_eps_without_changing_rows(monkeypatch):
+    # candidates of one eps share the neighbour-count pass; each row must
+    # equal a fresh fit
+    train_x, val_x, val_y, _, _ = _toy_problem()
+    grid = DEFAULT_GRIDS["dbscan"]
+    passes = []
+
+    def counted(rows, eps, _fn=tuning.neighbour_counts):
+        passes.append(eps)
+        return _fn(rows, eps)
+    monkeypatch.setattr(tuning, "neighbour_counts", counted)
+    result = grid_search("dbscan", grid, train_x, val_x, val_y)
+    assert sorted(passes) == sorted(grid["eps"])
+    monkeypatch.undo()
+
+    want = []
+    for params in _canonical_candidates(grid):
+        model = Dbscan(**params).fit(train_x)
+        m = compute_metrics(confusion(model.predict(val_x), val_y))
+        want.append({**params, "f1_score": m["f1_score"],
+                     "recall": m["recall"], "precision": m["precision"]})
+    assert result.rows == want
+    assert len({r["f1_score"] for r in want}) > 1
