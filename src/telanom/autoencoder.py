@@ -155,7 +155,7 @@ class Autoencoder:
 
     def save(self, path):
         with open(path, "w") as f:
-            json.dump(self.to_json(), f)
+            f.write(json.dumps(self.to_json()))
             f.write("\n")
 
     @classmethod

@@ -170,19 +170,14 @@ def cmd_resample(args):
 
 
 def cmd_split(args):
-    from .pipeline import prepare_table, split_rows
+    from .pipeline import prepare_table, split_rows, write_split_csv
 
     cfg = _load_config(args)
     _need(cfg, "input_csv", "station_csv")
     table, _report, _ingest = prepare_table(cfg)
     split = split_rows(table, cfg, cfg.seed)
     out = _outdir(cfg)
-    with open(os.path.join(out, "split.csv"), "w") as f:
-        f.write("uid,partition\n")
-        for part in ("normal_test", "normal_train", "anomaly_test",
-                     "anomaly_val"):
-            for u in getattr(split, part).uid:
-                f.write("%d,%s\n" % (u, part))
+    write_split_csv(split, os.path.join(out, "split.csv"))
     _write_json(split.counts(), os.path.join(out, "split.json"))
     return 0
 

@@ -124,6 +124,121 @@ class _Detector:
 # ---------------------------------------------------------------------------
 # isolation forest
 
+_TREE_KEYS = ("feature", "threshold", "left", "right", "size")
+
+# Rows per block of the packed forest walk. Its buffers take about 33 bytes
+# per tree and row, 845 KB for 100 trees, so they stay in a core's L2 cache
+# whatever the number of rows scored.
+_FOREST_BLOCK_ROWS = 256
+
+
+class _PackedForest:
+    """The trees of an isolation forest packed into flat arrays over all
+    their nodes, and walked for every tree at once.
+
+    Node i of tree t is node ``roots[t] + i``. A row at node j moves on to
+    ``children[2*j + 1 - (x[feature[j]] < threshold[j])]``: the left child
+    only when ``x[f] < v`` holds, so NaN goes right. A leaf is both its own
+    children and has threshold +inf, so a row that reaches one stays there
+    for the remaining levels; its ``value`` is its depth + c(size). Packing
+    checks the trees: lists of unequal length, a child that is not after its
+    parent in its own tree, a node with two parents and a negative size are
+    DataErrors.
+    """
+
+    def __init__(self, trees):
+        if not isinstance(trees, list) or not trees:
+            raise DataError("trees must be a non-empty list")
+        try:
+            lengths = np.array([[len(tree[k]) for k in _TREE_KEYS]
+                                for tree in trees], dtype=np.intp)
+            feature, threshold, left, right, size = (
+                np.array([v for tree in trees for v in tree[k]], dtype=dtype)
+                for k, dtype in zip(_TREE_KEYS, (np.intp, np.float64, np.intp,
+                                                 np.intp, np.int64)))
+        except (TypeError, ValueError, OverflowError):
+            raise DataError("trees must be objects of number lists") from None
+        n = lengths[:, 0]
+        bad = np.flatnonzero((lengths != n[:, None]).any(axis=1) | (n < 1))
+        if len(bad):
+            raise DataError("tree %d: %s are empty or differ in length"
+                            % (bad[0], ", ".join(_TREE_KEYS)))
+        self.roots = np.cumsum(n) - n
+        node = np.arange(len(feature))
+        own_root = np.repeat(self.roots, n)
+        own_end = own_root + np.repeat(n, n)
+        split = feature >= 0
+        left += own_root
+        right += own_root
+        for child in (left, right):
+            if (split & ((child <= node) | (child >= own_end))).any():
+                raise DataError("a tree node's child is out of range or not "
+                                "after its parent")
+        if np.bincount(np.concatenate([left[split], right[split]]),
+                       minlength=len(node)).max(initial=0) > 1:
+            raise DataError("a tree node is the child of two nodes")
+        if (size < 0).any():
+            raise DataError("negative node size")
+        self.width = int(feature.max(initial=-1)) + 1
+
+        depth = np.zeros(len(node), dtype=np.int64)
+        frontier = self.roots[split[self.roots]]
+        self.max_depth = 0
+        while len(frontier):
+            self.max_depth += 1
+            kids = np.concatenate([left[frontier], right[frontier]])
+            depth[kids] = self.max_depth
+            frontier = kids[split[kids]]
+        sizes, size_of = np.unique(size, return_inverse=True)
+        self.value = depth + np.array(
+            [expected_path_length(int(s)) for s in sizes])[size_of]
+
+        leaf = ~split
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.where(leaf, np.inf, threshold)
+        self.children = np.column_stack([np.where(leaf, node, left),
+                                         np.where(leaf, node, right)]).ravel()
+
+    def mean_depths(self, x):
+        """Each row's path length averaged over the trees. The leaf values
+        are summed tree by tree in tree order, so the means are
+        bit-identical to walking the trees one at a time."""
+        n, width = x.shape
+        if width < self.width:
+            raise DataError("the forest splits on feature %d; rows have %d"
+                            % (self.width - 1, width))
+        n_trees = len(self.roots)
+        rows = max(1, min(n, _FOREST_BLOCK_ROWS))
+        buffers = (np.empty(n_trees * rows, np.intp),
+                   np.empty(n_trees * rows, np.intp),
+                   np.empty(n_trees * rows), np.empty(n_trees * rows),
+                   np.empty(n_trees * rows, bool))
+        total = np.empty(n)
+        # mode="clip": every index is in range by construction, and the
+        # default mode="raise" copies through a buffer when given out=
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            node, at, xv, v, go_left = (
+                b[:n_trees * (hi - lo)].reshape(n_trees, hi - lo)
+                for b in buffers)
+            block = x[lo:hi].ravel()
+            offsets = np.arange(hi - lo) * width
+            node[...] = self.roots[:, None]
+            for _ in range(self.max_depth):
+                np.take(self.feature, node, out=at, mode="clip")
+                at += offsets
+                np.take(block, at, out=xv, mode="clip")
+                np.take(self.threshold, node, out=v, mode="clip")
+                np.less(xv, v, out=go_left)
+                node *= 2
+                node += 1
+                node -= go_left
+                np.take(self.children, node, out=node, mode="clip")
+            np.take(self.value, node, out=v, mode="clip")
+            np.cumsum(v, axis=0, out=v)
+            total[lo:hi] = v[-1]
+        return total / n_trees
+
 
 class IsolationForest(_Detector):
     """Isolation forest with random axis-aligned splits.
@@ -133,7 +248,8 @@ class IsolationForest(_Detector):
     training points contributes h + c(s) to the path length. The decision
     threshold is the (1 - contamination) nearest-rank quantile of the
     training scores and a row is anomalous when its score is strictly above
-    the threshold.
+    the threshold. Scoring walks the trees as one ``_PackedForest``, packed
+    whenever ``trees`` is set: once per fit or load.
     """
 
     kind = "iforest"
@@ -157,6 +273,17 @@ class IsolationForest(_Detector):
         # scalar configuration constants: estimators, contamination,
         # subsample, seed, fitted threshold
         return 5
+
+    @property
+    def trees(self):
+        """The trees as parallel node lists, the model file's form."""
+        return self._trees
+
+    @trees.setter
+    def trees(self, trees):
+        # scoring walks the packed form, which packing checks
+        self._forest = None if trees is None else _PackedForest(trees)
+        self._trees = trees
 
     def _build_tree(self, x, rng, height_limit):
         # nodes as parallel lists; feature -1 marks a leaf
@@ -198,43 +325,19 @@ class IsolationForest(_Detector):
         rng = np.random.default_rng(self.seed)
         self.sample_size = min(self.subsample, n)
         height_limit = math.ceil(math.log2(self.sample_size))
-        self.trees = []
+        trees = []
         for _ in range(self.n_estimators):
             idx = rng.choice(n, size=self.sample_size, replace=False)
-            self.trees.append(self._build_tree(x[idx], rng, height_limit))
+            trees.append(self._build_tree(x[idx], rng, height_limit))
+        self.trees = trees
         self.threshold = contamination_threshold(self.scores(x),
                                                  self.contamination)
         return self
 
-    def _tree_depths(self, tree, x):
-        depths = np.empty(len(x))
-        feature = tree["feature"]
-        threshold = tree["threshold"]
-        left = tree["left"]
-        right = tree["right"]
-        size = tree["size"]
-        stack = [(0, np.arange(len(x)), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            if len(idx) == 0:
-                continue
-            f = feature[node]
-            if f < 0:
-                depths[idx] = depth + expected_path_length(size[node])
-                continue
-            go_left = x[idx, f] < threshold[node]
-            stack.append((left[node], idx[go_left], depth + 1))
-            stack.append((right[node], idx[~go_left], depth + 1))
-        return depths
-
     def mean_depths(self, rows):
-        if self.trees is None:
+        if self._forest is None:
             raise DataError("model is not fitted")
-        x = _as_matrix(rows)
-        total = np.zeros(len(x))
-        for tree in self.trees:
-            total += self._tree_depths(tree, x)
-        return total / len(self.trees)
+        return self._forest.mean_depths(_as_matrix(rows))
 
     def scores(self, rows):
         return scores_from_mean_depths(self.mean_depths(rows), self.sample_size)
@@ -256,6 +359,10 @@ class IsolationForest(_Detector):
         model = cls(obj["n_estimators"], obj["contamination"],
                     obj["subsample"], obj["seed"])
         model.sample_size = obj["sample_size"]
+        if (not isinstance(model.sample_size, int)
+                or model.sample_size < 1):
+            raise DataError("sample_size must be an integer >= 1, got %r"
+                            % (model.sample_size,))
         model.threshold = obj["threshold"]
         model.trees = obj["trees"]
         return model
@@ -516,14 +623,20 @@ MODEL_KINDS = {
 
 
 def save_model(model, path):
+    # json.dumps takes the C encoder; json.dump streams through the Python
+    # one and writes the same bytes about three times slower
     with open(path, "w") as f:
-        json.dump(model.to_json(), f)
+        f.write(json.dumps(model.to_json()))
         f.write("\n")
 
 
 def load_model(path):
     with open(path) as f:
-        obj = json.load(f)
+        try:
+            obj = json.load(f)
+        except ValueError as e:
+            raise DataError("%s: not a JSON model file: %s"
+                            % (path, e)) from None
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind not in MODEL_KINDS:
         raise DataError("unknown model kind %r in %s" % (kind, path))

@@ -245,6 +245,33 @@ def _decode(book, parse):
     return np.array(values), np.array(ok, dtype=bool)
 
 
+def _decode_clocks(book):
+    """_decode(book, _clock_seconds), with the canonical strings (exactly
+    eight ASCII characters, ``HH:MM:SS``) parsed as one array; every other
+    string goes through _clock_seconds."""
+    strings = list(book)
+    values = np.zeros(len(strings), dtype=np.int64)
+    ok = np.zeros(len(strings), dtype=bool)
+    eight = np.flatnonzero(np.fromiter(map(len, strings), np.int64,
+                                       len(strings)) == 8)
+    chars = np.array([strings[i] for i in eight], dtype="U8").view(
+        np.uint32).reshape(-1, 8)
+    digits = chars - ord("0")  # unsigned: past 9 for every non-digit
+    canonical = ((chars[:, [2, 5]] == ord(":")).all(axis=1)
+                 & (digits[:, [0, 1, 3, 4, 6, 7]] <= 9).all(axis=1))
+    fast = eight[canonical]
+    h, mi, s = (10 * digits[canonical, i] + digits[canonical, i + 1]
+                for i in (0, 3, 6))
+    ok[fast] = (h <= 23) & (mi <= 59) & (s <= 59)
+    values[fast] = np.where(ok[fast], h * 3600 + mi * 60 + s, 0)
+    slow = np.ones(len(strings), dtype=bool)
+    slow[fast] = False
+    slow = np.flatnonzero(slow)
+    values[slow], ok[slow] = _decode([strings[i] for i in slow],
+                                     _clock_seconds)
+    return values, ok
+
+
 def parse_csv(path, station_map):
     """Parse a detection CSV against a station map into Detections, in file
     order.
@@ -287,7 +314,7 @@ def parse_csv(path, station_map):
     lat_v, lat_ok = _decode(books[3], float)
     lon_v, lon_ok = _decode(books[4], float)
     day_v, day_ok = _decode(books[5], _day_number)
-    clock_v, clock_ok = _decode(books[6], _clock_seconds)
+    clock_v, clock_ok = _decode_clocks(books[6])
 
     lat_deg, lon_deg = lat_v[lat], lon_v[lon]
     checks = ((fish_ids != "")[fish] & (station_ids != "")[station]

@@ -165,12 +165,24 @@ class DatasetSplit:
         return FeatureTable.concat([self.normal_test, self.anomaly_test])
 
 
+def write_split_csv(split, path):
+    """split.csv: a ``uid,partition`` line for every row of the split,
+    partition by partition in field order."""
+    with open(path, "w") as f:
+        f.write("uid,partition\n")
+        for part in dataclasses.fields(split):
+            uids = getattr(split, part.name).uid.tolist()
+            if uids:
+                end = ",%s\n" % part.name
+                f.write(end.join(map(str, uids)) + end)
+
+
 class LeakageGuard:
     """Remembers the held-out test uids; any training-side stage that sees
     one aborts the run."""
 
     def __init__(self, test_uids):
-        self.test_uids = frozenset(int(u) for u in test_uids)
+        self.test_uids = np.unique(np.asarray(test_uids, dtype=np.int64))
 
     @classmethod
     def from_split(cls, split):
@@ -178,9 +190,10 @@ class LeakageGuard:
                                    split.anomaly_test.uid]))
 
     def check(self, table, stage):
-        leaked = self.test_uids.intersection(int(u) for u in table.uid)
-        if leaked:
-            raise LeakageError(stage, leaked)
+        uids = np.asarray(table.uid, dtype=np.int64)
+        leaked = np.unique(uids[np.isin(uids, self.test_uids)])
+        if len(leaked):
+            raise LeakageError(stage, leaked.tolist())
         return table
 
 
@@ -498,7 +511,7 @@ def _write_artifacts(cfg, result):
         write_feature_csv(result.table, os.path.join(out, "features.csv"),
                           full=True)
     with open(os.path.join(out, "scaler.json"), "w") as f:
-        json.dump(result.scaler.to_json(), f)
+        f.write(json.dumps(result.scaler.to_json()))
         f.write("\n")
 
     if result.plan is not None:
@@ -508,12 +521,7 @@ def _write_artifacts(cfg, result):
         write_feature_csv(result.train_pool,
                           os.path.join(out, "resampled.csv"), full=True)
 
-    with open(os.path.join(out, "split.csv"), "w") as f:
-        f.write("uid,partition\n")
-        for part in ("normal_test", "normal_train", "anomaly_test",
-                     "anomaly_val"):
-            for u in getattr(result.split, part).uid:
-                f.write("%d,%s\n" % (u, part))
+    write_split_csv(result.split, os.path.join(out, "split.csv"))
 
     for name, model in result.models.items():
         path = os.path.join(out, "models", "%s.json" % name)

@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from telanom.detectors import expected_path_length
 from telanom.features import (CONTINUOUS_DIMS, STEPWISE_DIMS, FeatureTable,
                               haversine_km)
 from telanom.ingest import UTC_OFFSET_S, local_day
@@ -108,6 +109,27 @@ def reference_dbscan(x, eps, min_pts):
         if dists[j] <= eps:
             labels[i] = labels[core_idx[j]]
     return labels
+
+
+def isolation_mean_depths(trees, x):
+    """Mean isolation-forest path length of each row of ``x``, walking every
+    tree node by node for one row at a time.
+
+    A row goes left only when x[feature] < threshold (so NaN goes right);
+    a leaf at depth h holding s points gives h + c(s). Path lengths are
+    summed tree by tree in tree order, then divided by the tree count.
+    """
+    x = np.asarray(x, dtype=float)
+    total = np.zeros(len(x))
+    for tree in trees:
+        for i, row in enumerate(x):
+            node, depth = 0, 0
+            while tree["feature"][node] >= 0:
+                go_left = row[tree["feature"][node]] < tree["threshold"][node]
+                node = tree["left" if go_left else "right"][node]
+                depth += 1
+            total[i] += depth + expected_path_length(tree["size"][node])
+    return total / len(trees)
 
 
 def same_partition(a, b):

@@ -145,6 +145,20 @@ def test_split_subcommand(dataset, tmp_path):
     assert len(lines) - 1 == sum(counts.values())
 
 
+def test_split_and_run_write_the_same_split_csv(dataset, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG_TEXT)
+    texts = []
+    for command in ("split", "run"):
+        out = str(tmp_path / command)
+        assert main([command, "--config", str(cfg), "--seed", "4"]
+                    + _data_args(dataset, out)) == 0
+        with open(os.path.join(out, "split.csv")) as f:
+            texts.append(f.read())
+    assert texts[0].startswith("uid,partition\n")
+    assert texts[0] == texts[1]
+
+
 def test_run_subcommand(dataset, tmp_path, capsys):
     out = str(tmp_path / "run")
     cfg = tmp_path / "run.cfg"

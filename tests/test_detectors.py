@@ -1,10 +1,12 @@
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from oracles import brute_force_lof, reference_dbscan, same_partition
+from oracles import (brute_force_lof, isolation_mean_depths, reference_dbscan,
+                     same_partition)
 from scipy.spatial.distance import cdist
 from telanom import detectors
 from telanom.detectors import (Dbscan, IsolationForest, LocalOutlierFactor,
@@ -147,6 +149,79 @@ def test_iforest_validation():
         IsolationForest().fit(np.zeros((1, 3)))
     with pytest.raises(DataError):
         IsolationForest().predict(np.zeros((2, 3)))
+
+
+def _on_thresholds(model, x):
+    """Rows of ``x`` with one feature set exactly to a split threshold, one
+    row for every internal node of the first trees."""
+    rows = []
+    for tree in model.trees[:3]:
+        for node, f in enumerate(tree["feature"]):
+            if f >= 0:
+                row = x[node % len(x)].copy()
+                row[f] = tree["threshold"][node]
+                rows.append(row)
+    return np.array(rows)
+
+
+def _forest_cases():
+    rng = np.random.default_rng(40)
+    x = _blobs(rng, 150, d=4, spread=0.6, box=3.0)
+    q = _blobs(np.random.default_rng(41), 60, d=4, spread=2.0, box=6.0)
+    odd = np.array([[np.nan] * 4, [np.nan, 0.0, 0.0, 0.0],
+                    [np.inf, -np.inf, 0.0, 0.0], [1e300, -1e300, 0.0, 0.0]])
+    yield "default", IsolationForest(n_estimators=30, seed=2).fit(x), q
+    model = IsolationForest(n_estimators=30, seed=3).fit(x)
+    yield "on thresholds", model, _on_thresholds(model, x)
+    yield "nan and inf", model, odd
+    yield "one estimator", IsolationForest(n_estimators=1, seed=4).fit(x), q
+    yield "subsample 2", IsolationForest(n_estimators=20, subsample=2,
+                                         seed=5).fit(x), q
+    yield "constant data", IsolationForest(n_estimators=5, seed=6).fit(
+        np.ones((20, 3))), np.vstack([np.ones((2, 3)), q[:3, :3]])
+    yield "no rows", model, np.empty((0, 4))
+    yield "one row", model, q[:1]
+
+
+@pytest.mark.parametrize("case", list(_forest_cases()), ids=lambda c: c[0])
+def test_iforest_mean_depths_match_oracle(case):
+    _, model, q = case
+    assert np.array_equal(model.mean_depths(q),
+                          isolation_mean_depths(model.trees, q))
+
+
+def test_iforest_constant_data_trees_are_root_leaves():
+    model = IsolationForest(n_estimators=5, seed=6).fit(np.ones((20, 3)))
+    assert all(t["feature"] == [-1] for t in model.trees)
+    assert np.all(model.mean_depths(np.zeros((4, 3)))
+                  == expected_path_length(20))
+
+
+def test_iforest_loaded_model_matches_oracle(tmp_path):
+    rng = np.random.default_rng(42)
+    x = _blobs(rng, 200, d=5)
+    q = np.vstack([_blobs(rng, 40, d=5, box=15.0), [[np.nan] * 5]])
+    path = str(tmp_path / "if.json")
+    save_model(IsolationForest(n_estimators=15, seed=7).fit(x), path)
+    back = load_model(path)
+    assert np.array_equal(back.mean_depths(q),
+                          isolation_mean_depths(back.trees, q))
+
+
+def test_iforest_scores_do_not_depend_on_batching(monkeypatch):
+    # every row takes the same path and sums its trees in the same order,
+    # whatever block it is scored in
+    rng = np.random.default_rng(43)
+    x = _blobs(rng, 300, d=6)
+    q = np.vstack([_blobs(rng, 50, d=6, box=15.0), x[:20]])
+    model = IsolationForest(n_estimators=40, seed=8).fit(x)
+    whole = model.scores(q)
+    one_by_one = np.concatenate([model.scores(q[i:i + 1])
+                                 for i in range(len(q))])
+    assert np.array_equal(whole, one_by_one)
+    for rows in (1, 7):
+        monkeypatch.setattr(detectors, "_FOREST_BLOCK_ROWS", rows)
+        assert np.array_equal(model.scores(q), whole)
 
 
 # -- local outlier factor ----------------------------------------------------
@@ -465,3 +540,81 @@ def test_load_model_rejects_inconsistent_dbscan(tmp_path):
 def test_load_model_rejects_non_object(tmp_path):
     with pytest.raises(DataError):
         load_model(_write(tmp_path / "list.json", [1, 2, 3]))
+
+
+def _corrupt_tree(obj, tree=0, **lists):
+    trees = [dict(t) for t in obj["trees"]]
+    trees[tree].update(lists)
+    return dict(obj, trees=trees)
+
+
+def test_load_model_rejects_corrupt_iforest(tmp_path):
+    x = _blobs(np.random.default_rng(73), 60, d=3)
+    path, obj = _saved(tmp_path, IsolationForest(n_estimators=3,
+                                                 seed=1).fit(x))
+    tree = obj["trees"][1]
+    assert tree["feature"][0] >= 0          # the root splits
+    n = len(tree["feature"])
+    bad = {
+        "differ in length": [_corrupt_tree(obj, 1, **{k: tree[k][:-1]})
+                             for k in tree],
+        "not after its parent": [
+            _corrupt_tree(obj, 1, left=[0] + tree["left"][1:]),
+            _corrupt_tree(obj, 1, right=[n] + tree["right"][1:]),
+            _corrupt_tree(obj, 1, left=[-1] + tree["left"][1:])],
+        "two nodes": [_corrupt_tree(obj, 1, right=[tree["left"][0]]
+                                    + tree["right"][1:])],
+        "negative": [_corrupt_tree(obj, 1, size=[-1] + tree["size"][1:])],
+        "sample_size": [dict(obj, sample_size=0),
+                        dict(obj, sample_size=2.5)],
+        "non-empty list": [dict(obj, trees=[]), dict(obj, trees={})],
+        "number lists": [_corrupt_tree(obj, 1, threshold="abc"),
+                         dict(obj, trees=[[1, 2]])],
+    }
+    for message, objs in bad.items():
+        for cut in objs:
+            with pytest.raises(DataError, match=message):
+                load_model(_write(path, cut))
+
+
+def test_load_model_rejects_truncated_file(tmp_path):
+    x = _blobs(np.random.default_rng(74), 60, d=3)
+    for model in (IsolationForest(n_estimators=3).fit(x),
+                  LocalOutlierFactor(k=3).fit(x),
+                  Dbscan(eps=2.0, min_pts=3).fit(x)):
+        path, _ = _saved(tmp_path, model)
+        text = path.read_text()
+        for cut in (len(text) // 2, len(text) - 3, 1):
+            path.write_text(text[:cut])
+            with pytest.raises(DataError, match="JSON"):
+                load_model(str(path))
+
+
+def test_iforest_rejects_rows_narrower_than_its_splits(tmp_path):
+    x = _blobs(np.random.default_rng(75), 80, d=4)
+    path, obj = _saved(tmp_path, IsolationForest(n_estimators=5,
+                                                 seed=2).fit(x))
+    widest = max(f for t in obj["trees"] for f in t["feature"])
+    model = load_model(str(path))
+    model.scores(x[:, :widest + 1])
+    with pytest.raises(DataError, match="feature %d" % widest):
+        model.scores(x[:, :widest])
+
+
+def test_model_files_are_json_dump_bytes(tmp_path):
+    # save_model and Autoencoder.save write json.dumps(obj) + "\n": the
+    # bytes json.dump writes, from the C encoder
+    from telanom.autoencoder import Autoencoder
+    x = _blobs(np.random.default_rng(76), 60, d=3)
+    for model in (IsolationForest(n_estimators=4).fit(x),
+                  LocalOutlierFactor(k=3).fit(x),
+                  Dbscan(eps=2.0, min_pts=3).fit(x),
+                  Autoencoder(3, 4, 2, seed=1)):
+        path = tmp_path / "model.json"
+        if isinstance(model, Autoencoder):
+            model.save(str(path))
+        else:
+            save_model(model, str(path))
+        want = io.StringIO()
+        json.dump(model.to_json(), want)
+        assert path.read_text() == want.getvalue() + "\n"

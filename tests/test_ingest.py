@@ -3,6 +3,7 @@ import pytest
 
 from telanom.errors import DataError
 from telanom.ingest import (DetectionRecord, Detections, StationMap,
+                            _clock_seconds, _Codebook, _decode_clocks,
                             deduplicate,
                             format_timestamp, group_tracks, load_station_map,
                             local_day, parse_csv, parse_timestamp,
@@ -145,6 +146,51 @@ def test_cli_ingest_short_row_exits_cleanly(tmp_path, station_map):
     assert main(["ingest", "--input", det, "--stations", sta,
                  "--out", str(out)]) == 0
     assert (out / "ingest.json").read_text().count('"missing_field": 1') == 1
+
+
+# clock strings next to the canonical HH:MM:SS form, which parse_csv reads
+# as arrays; every other string goes through _clock_seconds
+CLOCK_EDGES = ["00:00:00", "23:59:59", "09:05:07", "24:00:00", "23:60:00",
+               "23:59:60", "99:99:99", " 1:02:03", "1:2:3", "+1:02:03",
+               "-1:02:03", "\uff11\uff12:\uff10\uff10:\uff10\uff10",
+               "\u0660\u0669:\u0660\u0660:\u0660\u0660", "12:00:00 ",
+               " 12:00:00", "", "12:3a:00", "12-00-00", "12:00",
+               "12:00:00:00", "1_:00:00", "12:00:0\x00", "12:00:00\n"]
+
+
+def _clock_oracle(s):
+    try:
+        return _clock_seconds(s), True
+    except ValueError:
+        return 0, False
+
+
+def test_clock_fast_path_matches_clock_seconds():
+    every = ["%02d:%02d:%02d" % (h, m, s) for h in range(24)
+             for m in range(60) for s in range(60)]
+    wrong = ["%02d:%02d:%02d" % (h, m, s) for h in range(20, 100)
+             for m in (0, 59, 60, 99) for s in (0, 59, 60, 99)]
+    for strings in (CLOCK_EDGES, every + wrong + CLOCK_EDGES, [],
+                    ["1:2:3"], ["12:00:00"]):
+        book = _Codebook()
+        for s in strings:
+            book[s]
+        values, ok = _decode_clocks(book)
+        want = [_clock_oracle(s) for s in book]
+        assert values.tolist() == [v for v, _ in want]
+        assert ok.tolist() == [k for _, k in want]
+
+
+def test_parse_csv_clock_edges(tmp_path, station_map):
+    clocks = [c for c in CLOCK_EDGES if "\x00" not in c and "\n" not in c]
+    text = "fishid,receiver,station,lat,lon,date,time_sa\n" + "".join(
+        "F1,R1,A,-34.0,21.0,2017-03-01,%s\n" % c for c in clocks)
+    records, report = parse_csv(_write(tmp_path / "d.csv", text),
+                                station_map)
+    good = [c for c in clocks if _clock_oracle(c)[1]]
+    assert records.timestamp.tolist() == [
+        parse_timestamp("2017-03-01", c) for c in good]
+    assert report.dropped == {"bad_timestamp": len(clocks) - len(good)}
 
 
 def test_parse_csv_missing_column_is_fatal(tmp_path, station_map):

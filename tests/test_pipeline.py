@@ -9,12 +9,12 @@ import pytest
 
 from telanom.detectors import Dbscan, IsolationForest, LocalOutlierFactor
 from telanom.errors import DataError, LeakageError
-from telanom.features import engineer_tracks
+from telanom.features import FeatureTable, engineer_tracks
 from telanom.ingest import Detections, deduplicate, group_tracks
 from telanom.labelling import label_all
 from telanom.pipeline import (LeakageGuard, RunConfig, evaluate_saved,
                               run_experiment, run_pipeline, split_rows,
-                              train_val_split)
+                              train_val_split, write_split_csv)
 from telanom.synthgen import (SynthConfig, generate, write_station_csv)
 from telanom.ingest import write_detections_csv
 
@@ -188,6 +188,37 @@ def test_leakage_guard_catches_test_rows(tiny_labelled):
     assert err.value.stage == "fit"
     assert err.value.uids == [int(split.normal_test.uid[0])]
     assert "fit" in str(err.value)
+    # several test rows, from both test partitions, each listed once
+    leaked = np.concatenate([split.anomaly_test.uid[:3],
+                             split.normal_test.uid[:4]])
+    rows = tiny_labelled.take(np.flatnonzero(np.isin(
+        tiny_labelled.uid, np.concatenate([leaked,
+                                           split.normal_train.uid[:2]]))))
+    with pytest.raises(LeakageError) as err:
+        guard.check(FeatureTable.concat([rows, rows]), "threshold")
+    want = sorted(int(u) for u in leaked)
+    assert err.value.uids == want
+    assert str(err.value) == (
+        "leakage: 7 test row(s) reached stage 'threshold' (uids %s...)"
+        % want[:5])
+
+
+def test_write_split_csv_lines_per_uid(tiny_labelled, tmp_path):
+    split = split_rows(tiny_labelled, _fast_cfg(), seed=3)
+    path = tmp_path / "split.csv"
+    write_split_csv(split, str(path))
+    want = "uid,partition\n"
+    for part in ("normal_test", "normal_train", "anomaly_test",
+                 "anomaly_val"):
+        for u in getattr(split, part).uid:
+            want += "%d,%s\n" % (u, part)
+    assert path.read_text() == want
+    # an empty partition writes no line
+    split.anomaly_val = split.anomaly_val.take(np.empty(0, np.int64))
+    write_split_csv(split, str(path))
+    assert path.read_text() == "".join(
+        line for line in want.splitlines(True)
+        if not line.endswith(",anomaly_val\n"))
 
 
 # ------------------------------------------------------------ run_pipeline
@@ -285,6 +316,9 @@ def test_run_experiment_writes_artifacts(tiny_csvs, tmp_path):
     # split.csv covers every labelled row exactly once
     lines = (out / "split.csv").read_text().strip().splitlines()[1:]
     assert len(lines) == len(result.table)
+    # scaler.json holds the bytes json.dump writes
+    assert (out / "scaler.json").read_text() == json.dumps(
+        result.scaler.to_json()) + "\n"
 
 
 def test_evaluate_saved_matches_original_run(tiny_csvs, tmp_path):
