@@ -494,13 +494,15 @@ class LocalOutlierFactor(_Detector):
 # density clustering
 
 
-def neighbour_counts(rows, eps):
-    """For each row: how many rows (itself included) lie within ``eps``."""
+def neighbour_counts(rows, radii):
+    """``counts[j, i]``: how many rows (row i included) lie within
+    ``radii[j]`` of row i, all radii counted in one distance sweep."""
     x = _as_matrix(rows)
-    eps2 = eps * eps
-    counts = np.empty(len(x), dtype=np.int64)
+    radii2 = [r * r for r in radii]
+    counts = np.empty((len(radii2), len(x)), dtype=np.int64)
     for lo, hi, d2 in _sq_dist_blocks(x, x):
-        counts[lo:hi] = np.count_nonzero(d2 <= eps2, axis=1)
+        for j, r2 in enumerate(radii2):
+            counts[j, lo:hi] = np.count_nonzero(d2 <= r2, axis=1)
     return counts
 
 
@@ -539,12 +541,12 @@ class Dbscan(_Detector):
         return 2
 
     def fit(self, rows, counts=None):
-        """``counts``: neighbour_counts(rows, self.eps), when known."""
+        """``counts``: neighbour_counts(rows, [self.eps])[0], when known."""
         x = _as_matrix(rows)
         n = len(x)
         eps2 = self.eps * self.eps
         if counts is None:
-            counts = neighbour_counts(x, self.eps)
+            counts = neighbour_counts(x, [self.eps])[0]
         core_mask = counts >= self.min_pts
 
         core_idx = np.flatnonzero(core_mask)

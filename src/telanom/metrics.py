@@ -74,18 +74,19 @@ def compute_metrics(cm):
 
 
 def _average_ranks(x):
-    """1-based ranks with ties sharing their average rank."""
+    """1-based ranks with ties sharing their average rank: the equal
+    values at sorted positions i..j all get 0.5 * (i + j) + 1. NaNs sort
+    last and tie with nothing; -0.0 ties with 0.0."""
     x = np.asarray(x, dtype=np.float64)
+    n = len(x)
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x))
     sx = x[order]
-    i = 0
-    while i < len(sx):
-        j = i
-        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.ones(n, dtype=bool)          # a run of equal values starts
+    np.not_equal(sx[1:], sx[:-1], out=starts[1:])
+    bounds = np.append(np.flatnonzero(starts), n)
+    i, j = bounds[:-1], bounds[1:] - 1
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (i + j) + 1.0, j - i + 1)
     return ranks
 
 

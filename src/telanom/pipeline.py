@@ -354,6 +354,14 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
     interval_desc = (interval if interval == "none"
                      else (plan.delta_t if plan else None))
 
+    fit_x = None
+    if any(name != "autoencoder" for name in cfg.model_list):
+        # the classical detectors all fit on the same rows
+        guard.check(train_pool, "fit")
+        guard.check(split.anomaly_val, "fit")
+        fit_x = np.vstack([scaler.transform(train_pool.values),
+                           scaler.transform(split.anomaly_val.values)])
+
     model_reports = {}
     for name in cfg.model_list:
         t0 = timer()
@@ -380,10 +388,6 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
             result.loss_curve = loss_curve
             result.percentile_table = table
         else:
-            guard.check(train_pool, "fit")
-            guard.check(split.anomaly_val, "fit")
-            fit_x = np.vstack([scaler.transform(train_pool.values),
-                               scaler.transform(split.anomaly_val.values)])
             model = _build_classical(name, cfg, model_seed)
             model.fit(fit_x)
             scores = model.scores(x_test)

@@ -105,7 +105,8 @@ def _score_classical(kind, params, train_x, val_x, val_y, seed, shared):
     """F1 outcome of one classical candidate. LOF's contamination only
     sets the threshold over the training LOF values, so LOF candidates of
     one k share the fit and validation scores kept in ``shared``; DBSCAN
-    candidates of one eps share the training rows' neighbour counts."""
+    candidates take the training rows' neighbour counts for their eps from
+    ``shared``."""
     model = _classical_model(kind, params, seed)
     if kind == "lof":
         if model.k not in shared:
@@ -116,8 +117,6 @@ def _score_classical(kind, params, train_x, val_x, val_y, seed, shared):
                                             model.contamination)
     else:
         if kind == "dbscan":
-            if model.eps not in shared:
-                shared[model.eps] = neighbour_counts(train_x, model.eps)
             model.fit(train_x, counts=shared[model.eps])
         else:
             model.fit(train_x)
@@ -161,10 +160,16 @@ def grid_search(model_kind, grid, train_x, val_x, val_y, seed=0):
     if model_kind not in DEFAULT_GRIDS:
         raise DataError("unknown model kind %r" % model_kind)
 
+    candidates = list(_canonical_candidates(grid))
+    shared = {}
+    if model_kind == "dbscan" and candidates:
+        # one neighbour-count sweep covers every eps of the grid
+        radii = sorted({_classical_model(model_kind, p, seed).eps
+                        for p in candidates})
+        shared = dict(zip(radii, neighbour_counts(train_x, radii)))
     best = None
     rows = []
-    shared = {}
-    for params in _canonical_candidates(grid):
+    for params in candidates:
         if model_kind == "autoencoder":
             score, detail = _score_autoencoder(params, train_x, val_x,
                                                val_y, seed)

@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written from the textbook definition, not
-from the production code, so the two can disagree; the one exception is
-the row-at-a-time front end at the end, the scalar code the columnar one
-replaced. scipy/mpmath are test dependencies only and must never leak into
-src/.
+from the production code, so the two can disagree; the exceptions are the
+row-at-a-time front end, the scalar code the columnar one replaced, and at
+the end the allocating autoencoder training loop and the rank loop that
+buffered and array code replaced. scipy/mpmath are test dependencies only
+and must never leak into src/.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from telanom.detectors import expected_path_length
+from telanom.errors import TrainingError
 from telanom.features import (CONTINUOUS_DIMS, STEPWISE_DIMS, FeatureTable,
                               haversine_km)
 from telanom.ingest import UTC_OFFSET_S, local_day
@@ -437,3 +439,122 @@ def resample(table, delta_t):
         return FeatureTable.empty()
     return FeatureTable(uid, fish, station, ts_out,
                         np.vstack(vals)).sorted_by_fish_time()
+
+
+# ---------------------------------------------------------------------------
+# autoencoder training: the allocating loop the workspace one replaced
+
+
+def _reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_forward(p, x):
+    """Forward pass with the parameter dict ``p``; every activation by
+    name."""
+    z1 = x @ p["w1"] + p["b1"]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ p["w2"] + p["b2"]
+    z3 = z2 @ p["w3"] + p["b3"]
+    a3 = np.maximum(z3, 0.0)
+    y = _reference_sigmoid(a3 @ p["w4"] + p["b4"])
+    return dict(x=x, z1=z1, a1=a1, z2=z2, z3=z3, a3=a3, y=y)
+
+
+def _reference_backward(p, cache):
+    x, y = cache["x"], cache["y"]
+    n = x.size
+    dz4 = (2.0 / n) * (y - x) * y * (1.0 - y)
+    grads = {"w4": cache["a3"].T @ dz4, "b4": dz4.sum(axis=0)}
+    da3 = dz4 @ p["w4"].T
+    dz3 = da3 * (cache["z3"] > 0.0)
+    grads["w3"] = cache["z2"].T @ dz3
+    grads["b3"] = dz3.sum(axis=0)
+    dz2 = dz3 @ p["w3"].T
+    grads["w2"] = cache["a1"].T @ dz2
+    grads["b2"] = dz2.sum(axis=0)
+    da1 = dz2 @ p["w2"].T
+    dz1 = da1 * (cache["z1"] > 0.0)
+    grads["w1"] = x.T @ dz1
+    grads["b1"] = dz1.sum(axis=0)
+    return grads
+
+
+def reference_scores(params, rows):
+    """Per-row mean squared reconstruction error through the allocating
+    forward pass."""
+    x = np.asarray(rows, dtype=np.float64)
+    return np.mean((reference_forward(params, x)["y"] - x) ** 2, axis=1)
+
+
+def reference_train(params, rows, cfg, val_rows=None):
+    """Train the parameter dict ``params`` in place with fresh temporaries
+    per step and Adam applied array by array; returns (train_losses,
+    val_losses). Raises TrainingError with the message of
+    ``autoencoder.train`` at the first non-finite batch loss."""
+    x = np.asarray(rows, dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    if val_rows is None:
+        perm = rng.permutation(len(x))
+        n_val = int(round(cfg.val_fraction * len(x)))
+        val = x[perm[:n_val]]
+        x = x[perm[n_val:]]
+    else:
+        val = np.asarray(val_rows, dtype=np.float64)
+
+    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
+    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    step = 0
+    train_losses, val_losses = [], []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(x))
+        epoch_loss = 0.0
+        for lo in range(0, len(x), cfg.batch_size):
+            batch = x[order[lo:lo + cfg.batch_size]]
+            cache = reference_forward(params, batch)
+            batch_loss = float(np.mean((cache["y"] - batch) ** 2))
+            if not math.isfinite(batch_loss):
+                raise TrainingError(
+                    "non-finite loss at epoch %d, batch starting %d"
+                    % (epoch + 1, lo))
+            epoch_loss += batch_loss * len(batch)
+            grads = _reference_backward(params, cache)
+            step += 1
+            bc1 = 1.0 - cfg.beta1 ** step
+            bc2 = 1.0 - cfg.beta2 ** step
+            for k, g in grads.items():
+                adam_m[k] = cfg.beta1 * adam_m[k] + (1.0 - cfg.beta1) * g
+                adam_v[k] = cfg.beta2 * adam_v[k] + (1.0 - cfg.beta2) * g * g
+                m_hat = adam_m[k] / bc1
+                v_hat = adam_v[k] / bc2
+                params[k] -= (cfg.learning_rate * m_hat
+                              / (np.sqrt(v_hat) + cfg.adam_eps))
+        train_losses.append(epoch_loss / len(x))
+        if len(val):
+            y = reference_forward(params, val)["y"]
+            val_losses.append(float(np.mean((y - val) ** 2)))
+        else:
+            val_losses.append(None)
+    return train_losses, val_losses
+
+
+def average_ranks_loop(x):
+    """The per-row tie scan `metrics._average_ranks` replaced: 1-based
+    ranks, each run of equal sorted values sharing its average rank."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(len(x))
+    sx = x[order]
+    i = 0
+    while i < len(sx):
+        j = i
+        while j + 1 < len(sx) and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

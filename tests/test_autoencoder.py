@@ -1,10 +1,15 @@
 """Autoencoder unit tests: parameter accounting, forward/backward math,
 gradient correctness against finite differences, and reproducible training."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import finite_difference_gradients
+from oracles import (finite_difference_gradients, reference_forward,
+                     reference_scores, reference_train)
+from telanom import autoencoder
 from telanom.autoencoder import (Autoencoder, TrainConfig, train,
                                  PARAM_NAMES)
 from telanom.errors import DataError, TrainingError
@@ -233,3 +238,174 @@ def test_train_result_csv(tmp_path):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert float(first[1]) == result.train_losses[0]
+
+
+# -- training against the allocating reference loop -------------------------
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("n,d,units,batch_size,val", [
+    (100, 5, 12, 32, "rows"),        # ragged last batch of 4 rows
+    (40, 5, 12, 64, "rows"),         # batch_size > n: one batch per epoch
+    (65, 5, 12, 32, "rows"),         # one-row last batch
+    (80, 5, 12, 16, "empty"),        # no validation rows
+    (90, 5, 12, 16, None),           # the implicit 80/20 split
+    (120, 6, 4, 32, "rows"),
+    (600, 11, 128, 128, "rows"),
+], ids=["ragged", "batch-over-n", "one-row-batch", "empty-val",
+        "implicit-split", "units-4", "units-128"])
+def test_training_equals_reference_loop_bit_for_bit(n, d, units, batch_size,
+                                                    val):
+    rng = np.random.default_rng(n + units)
+    rows = rng.uniform(0.0, 1.0, size=(n, d))
+    val_rows = {"rows": rng.uniform(0.0, 1.0, size=(23, d)),
+                "empty": rows[:0], None: None}[val]
+    cfg = TrainConfig(learning_rate=0.01, batch_size=batch_size, epochs=4,
+                      seed=7)
+    model = Autoencoder(d, units=units, bottleneck=2, seed=3)
+    ref = {k: v.copy() for k, v in model.params.items()}
+    result = train(model, rows, cfg, val_rows=val_rows)
+    train_losses, val_losses = reference_train(ref, rows, cfg, val_rows)
+    for name in PARAM_NAMES:
+        assert _same_bits(model.params[name], ref[name]), name
+    assert result.train_losses == train_losses
+    assert result.val_losses == val_losses
+    q = rng.uniform(-0.5, 1.5, size=(31, d))
+    assert _same_bits(model.scores(q), reference_scores(ref, q))
+    # some ReLU units were off, so the masked branches were exercised
+    cache = {}
+    model.forward(q, cache)
+    assert np.any(cache["z1"] < 0) and np.any(cache["z3"] < 0)
+
+
+def test_sigmoid_matches_reference_on_extreme_logits():
+    model = Autoencoder(11, units=4, bottleneck=2, seed=0)
+    model.params["w4"][:] = 0.0
+    model.params["b4"][:] = [np.inf, -np.inf, np.nan, 800.0, -800.0, 0.0,
+                             1e-300, -1e-300, 36.7, -36.7, -745.2]
+    x = np.full((3, 11), 0.5)
+    with np.errstate(all="ignore"):
+        got = model.forward(x)
+        want = reference_forward(model.params, x)["y"]
+    # a NaN logit gives NaN either way, only its sign bit may differ; it
+    # ends training with a non-finite loss before any update
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert _same_bits(got[~nan], want[~nan])
+    assert np.array_equal(got[0, :6], [1.0, 0.0, np.nan, 1.0, 0.0, 0.5],
+                          equal_nan=True)
+
+
+def test_training_params_are_views_of_one_vector():
+    model = Autoencoder(5, units=12, bottleneck=2, seed=13)
+    train(model, _toy_rows(), TrainConfig(batch_size=32, epochs=1, seed=1))
+    flat = model.params["w1"].base
+    assert flat is not None and flat.size == model.n_parameters
+    assert all(model.params[k].base is flat for k in PARAM_NAMES)
+
+
+def test_non_finite_loss_stops_where_the_reference_loop_stops():
+    rows = _toy_rows(n=100)
+    cfg = TrainConfig(learning_rate=1e140, batch_size=32, epochs=3, seed=4)
+    model = Autoencoder(5, units=12, bottleneck=2, seed=13)
+    ref = {k: v.copy() for k, v in model.params.items()}
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingError) as got:
+            train(model, rows, cfg, val_rows=rows[:0])
+        with pytest.raises(TrainingError) as want:
+            reference_train(ref, rows, cfg, rows[:0])
+    assert str(got.value) == str(want.value)
+    assert "batch starting 0" not in str(got.value)
+    for name in PARAM_NAMES:
+        assert _same_bits(model.params[name], ref[name]), name
+
+
+def test_training_steps_allocate_no_activation_temporaries():
+    # beside the workspaces, a call holds about 310 KB: six flat
+    # parameter-sized vectors, the batch, the shuffle order and the input
+    # check; any per-step (512 x 128) float64 temporary would add 512 KB
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(0.0, 1.0, size=(2048, 11))
+    val = rng.uniform(0.0, 1.0, size=(64, 11))
+    model = Autoencoder(11, units=128, bottleneck=2, seed=1)
+    buffers = sum(a.nbytes for ws in (
+        autoencoder._Workspace(model, 512, backward=True),
+        autoencoder._Workspace(model, len(val))) for a in vars(ws).values())
+    tracemalloc.start()
+    try:
+        train(model, rows, TrainConfig(batch_size=512, epochs=2, seed=2),
+              val_rows=val)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + 384 * 1024
+
+
+# -- model files ---------------------------------------------------------------
+
+
+def _saved_model(tmp_path):
+    model = Autoencoder(4, units=6, bottleneck=2, seed=19)
+    path = tmp_path / "autoencoder.json"
+    model.save(path)
+    return path, json.loads(path.read_text())
+
+
+def test_load_rejects_truncated_and_non_json_files(tmp_path):
+    path, _ = _saved_model(tmp_path)
+    text = path.read_text()
+    for cut in ("", text[:1], text[:len(text) // 2], text[:-3], "not json"):
+        path.write_text(cut)
+        with pytest.raises(DataError, match="JSON"):
+            Autoencoder.load(path)
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(DataError, match="JSON"):
+        Autoencoder.load(path)
+
+
+def test_load_rejects_non_objects_and_missing_keys(tmp_path):
+    path, obj = _saved_model(tmp_path)
+    for bad in ([1, 2], "autoencoder", 3, None):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(DataError, match="JSON object"):
+            Autoencoder.load(path)
+    for key in obj:
+        path.write_text(json.dumps({k: v for k, v in obj.items()
+                                    if k != key}))
+        with pytest.raises(DataError, match=key):
+            Autoencoder.load(path)
+    for name in PARAM_NAMES:
+        params = {k: v for k, v in obj["params"].items() if k != name}
+        path.write_text(json.dumps(dict(obj, params=params)))
+        with pytest.raises(DataError, match=name):
+            Autoencoder.load(path)
+    for bad in (dict(obj, kind="iforest"), dict(obj, params=[1]),
+                dict(obj, units="many"), dict(obj, units=0)):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(DataError):
+            Autoencoder.load(path)
+
+
+def test_load_rejects_parameters_of_the_wrong_shape(tmp_path):
+    path, obj = _saved_model(tmp_path)
+    w1 = obj["params"]["w1"]
+    bad = {
+        "w1": [w1[:-1], [row[:-1] for row in w1], w1[0], [w1]],
+        "b4": [obj["params"]["b4"] + [0.0], 0.5],
+        "w2": [[["x", 1.0]] * 6, [[1.0, [2.0]]] * 6],
+    }
+    for name, values in bad.items():
+        for value in values:
+            params = dict(obj["params"], **{name: value})
+            path.write_text(json.dumps(dict(obj, params=params)))
+            with pytest.raises(DataError, match=name):
+                Autoencoder.load(path)
+    # layer sizes that disagree with the stored arrays
+    for key, value in (("n_inputs", 5), ("units", 7), ("bottleneck", 3)):
+        path.write_text(json.dumps(dict(obj, **{key: value})))
+        with pytest.raises(DataError, match="shape"):
+            Autoencoder.load(path)

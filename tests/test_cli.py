@@ -199,6 +199,39 @@ def test_train_threshold_evaluate_roundtrip(dataset, tmp_path, capsys):
                 == trained["models"][name]["confusion"])
 
 
+def test_evaluate_rejects_broken_autoencoder_files(dataset, tmp_path, capsys):
+    out = str(tmp_path / "trained")
+    cfg = tmp_path / "ae.cfg"
+    cfg.write_text(RUN_CFG_TEXT.replace("iforest,dbscan", "autoencoder"))
+    assert main(["train", "--config", str(cfg), "--seed", "5"]
+                + _data_args(dataset, out)) == 0
+    path = os.path.join(out, "models", "autoencoder.json")
+    with open(path) as f:
+        text = f.read()
+    obj = json.loads(text)
+    params = obj["params"]
+    broken = {
+        "truncated": text[:len(text) // 2],
+        "not JSON": "autoencoder\n",
+        "non-object": json.dumps([obj]),
+        "missing key": json.dumps({k: v for k, v in obj.items()
+                                   if k != "params"}),
+        "missing parameter": json.dumps(dict(obj, params={
+            k: v for k, v in params.items() if k != "b3"})),
+        "wrong shape": json.dumps(dict(obj, params=dict(
+            params, w1=params["w1"][:-1]))),
+    }
+    for what, content in broken.items():
+        with open(path, "w") as f:
+            f.write(content)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--seed", "5",
+                     "--models-dir", out]
+                    + _data_args(dataset, str(tmp_path / "eval"))) == 2, what
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "autoencoder.json" in err, what
+
+
 def test_tune_subcommand(dataset, tmp_path):
     out = str(tmp_path / "tune")
     grid = tmp_path / "grid.json"

@@ -454,6 +454,21 @@ def test_dbscan_block_edges_match_reference(monkeypatch, n):
             assert np.allclose(model.scores(q), want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n", [1, BLOCK + 1, 2 * BLOCK + 1])
+def test_neighbour_counts_covers_every_radius_in_one_sweep(monkeypatch, n):
+    rng = np.random.default_rng(70 + n)
+    x = _grid_rows(rng, n)
+    _block_height(monkeypatch, BLOCK, n)
+    radii = [3.0, 1.0, math.sqrt(2.0), 2.0, 0.5]   # unsorted, 2 on ties
+    counts = detectors.neighbour_counts(x, radii)
+    d2 = cdist(x, x, "sqeuclidean")
+    assert counts.shape == (len(radii), n)
+    for j, r in enumerate(radii):
+        assert np.array_equal(counts[j], (d2 <= r * r).sum(axis=1))
+        assert np.array_equal(counts[j], detectors.neighbour_counts(x, [r])[0])
+    assert detectors.neighbour_counts(x, []).shape == (0, n)
+
+
 def test_block_height_does_not_change_results(monkeypatch):
     # BLAS may round a.b differently for one-row, few-row and whole-set
     # products, so values agree to rounding and decisions exactly

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import pair_count_auc, recount_metrics
-from telanom.metrics import (ConfusionMatrix, compute_metrics, confusion,
-                             reshuffle_ci, roc_auc, write_summary_csv,
-                             SUMMARY_COLUMNS)
+from oracles import average_ranks_loop, pair_count_auc, recount_metrics
+from telanom.metrics import (ConfusionMatrix, _average_ranks, compute_metrics,
+                             confusion, reshuffle_ci, roc_auc,
+                             write_summary_csv, SUMMARY_COLUMNS)
 
 
 def test_confusion_cells():
@@ -110,6 +110,32 @@ def test_auc_single_class_is_none():
 
 
 # -- reshuffle CI ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", [
+    [3.0, 1.0, 3.0, 2.0, 1.0, 3.0],                  # ties
+    [0.5] * 7,                                       # all equal
+    [np.nan, 1.0, np.nan, 0.0, 1.0, np.nan],         # NaNs tie nothing
+    [0.0, -0.0, 1.0, -0.0, -1.0, 0.0],               # -0.0 ties 0.0
+    [np.inf, -np.inf, np.inf, 5e-324, -5e-324, 0.0],
+    [4.2],                                           # single row
+    [],                                              # empty
+], ids=["ties", "all-equal", "nan", "signed-zero", "extremes", "one",
+        "empty"])
+def test_average_ranks_match_loop_oracle(x):
+    got = _average_ranks(x)
+    want = average_ranks_loop(x)
+    assert got.shape == want.shape == (len(x),)
+    assert np.array_equal(got, want)
+
+
+def test_average_ranks_match_loop_oracle_on_random_ties():
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 17, 500):
+        for levels in (1, 2, 5, n):
+            x = rng.integers(0, levels, size=n) / 4.0
+            x[rng.random(n) < 0.1] = np.nan
+            assert np.array_equal(_average_ranks(x), average_ranks_loop(x))
 
 
 def test_reshuffle_ci_seeds_and_aggregation():

@@ -239,6 +239,30 @@ def test_run_pipeline_report_shape(tiny_labelled):
     assert report["resample_plan"] is None
 
 
+@pytest.mark.parametrize("models,fit_checks", [
+    ("iforest,lof,dbscan", 2), ("autoencoder", 0), ("dbscan,autoencoder", 2)])
+def test_run_pipeline_builds_classical_fit_rows_once(tiny_labelled,
+                                                     monkeypatch, models,
+                                                     fit_checks):
+    stages, fit_rows = [], []
+    check = LeakageGuard.check
+
+    def checked(self, table, stage):
+        stages.append(stage)
+        return check(self, table, stage)
+    monkeypatch.setattr(LeakageGuard, "check", checked)
+    for cls in (IsolationForest, LocalOutlierFactor, Dbscan):
+        def fitted(self, rows, _fit=cls.fit):
+            fit_rows.append(rows)
+            return _fit(self, rows)
+        monkeypatch.setattr(cls, "fit", fitted)
+    run_pipeline(tiny_labelled, _fast_cfg(models=models), seed=5,
+                 timer=lambda: 0.0)
+    assert stages.count("fit") == fit_checks
+    assert len(fit_rows) == len(models.split(",")) - ("autoencoder" in models)
+    assert all(rows is fit_rows[0] for rows in fit_rows)
+
+
 def test_run_pipeline_is_deterministic(tiny_labelled):
     cfg = _fast_cfg(models="autoencoder,iforest,lof,dbscan",
                     resample_interval="auto", max_points=3000)

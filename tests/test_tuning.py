@@ -188,18 +188,18 @@ def test_lof_grid_reuses_fits_without_changing_rows(monkeypatch):
 
 
 def test_dbscan_grid_counts_once_per_eps_without_changing_rows(monkeypatch):
-    # candidates of one eps share the neighbour-count pass; each row must
+    # one neighbour-count pass covers every eps of the grid; each row must
     # equal a fresh fit
     train_x, val_x, val_y, _, _ = _toy_problem()
     grid = DEFAULT_GRIDS["dbscan"]
     passes = []
 
-    def counted(rows, eps, _fn=tuning.neighbour_counts):
-        passes.append(eps)
-        return _fn(rows, eps)
+    def counted(rows, radii, _fn=tuning.neighbour_counts):
+        passes.append(list(radii))
+        return _fn(rows, radii)
     monkeypatch.setattr(tuning, "neighbour_counts", counted)
     result = grid_search("dbscan", grid, train_x, val_x, val_y)
-    assert sorted(passes) == sorted(grid["eps"])
+    assert passes == [sorted(grid["eps"])]
     monkeypatch.undo()
 
     want = []
