@@ -1,8 +1,11 @@
 """Command line interface.
 
-Every subcommand is a stage of the pipeline (plus ``synth`` and ``run``);
-stage artifacts land as CSV/JSON under --out so any stage can be rerun and
-inspected in isolation.
+Every subcommand is a stage of the pipeline (plus ``synth``); stage
+artifacts land as CSV/JSON under --out so any stage can be rerun and
+inspected in isolation. ``train``, ``threshold`` and ``run`` are one path
+that prints different files. ``resample`` and ``tune`` read the training
+side that ``run`` builds (pipeline.prepare_training), so they see the same
+leakage-guarded pool and never a held-out test row.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -18,37 +21,29 @@ import sys
 
 from .errors import DataError
 
-log = logging.getLogger("telanom")
+
+# command-line flag (argparse dest) -> the RunConfig field it sets
+_FLAG_FIELDS = {"input": "input_csv", "stations": "station_csv",
+                "out": "out_dir", "seed": "seed",
+                "resample_interval": "resample_interval",
+                "max_points": "max_points", "models": "models",
+                "ci_repeats": "ci_repeats"}
 
 
 def _load_config(args):
+    """RunConfig from the flags, then the --config file, then defaults.
+    Every subcommand that reads one needs both input CSVs."""
     from .pipeline import RunConfig
 
-    cfg = (RunConfig.from_file(args.config) if getattr(args, "config", None)
-           else RunConfig())
-    for key in ("input_csv", "station_csv", "out_dir", "seed"):
-        flag = {"input_csv": "input", "station_csv": "stations",
-                "out_dir": "out", "seed": "seed"}[key]
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg = dataclasses.replace(cfg, **{key: value})
-    if getattr(args, "resample_interval", None) is not None:
-        cfg = dataclasses.replace(cfg,
-                                  resample_interval=args.resample_interval)
-    if getattr(args, "max_points", None) is not None:
-        cfg = dataclasses.replace(cfg, max_points=args.max_points)
-    if getattr(args, "models", None) is not None:
-        cfg = dataclasses.replace(cfg, models=args.models)
-    if getattr(args, "ci_repeats", None) is not None:
-        cfg = dataclasses.replace(cfg, ci_repeats=args.ci_repeats)
-    return cfg.validate()
-
-
-def _need(cfg, *attrs):
-    for attr in attrs:
-        if not getattr(cfg, attr):
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    flags = {name: getattr(args, flag) for flag, name in _FLAG_FIELDS.items()
+             if getattr(args, flag) is not None}
+    cfg = dataclasses.replace(cfg, **flags).validate()
+    for name in ("input_csv", "station_csv"):
+        if not getattr(cfg, name):
             raise DataError("missing required setting %r "
-                            "(flag or config file)" % attr)
+                            "(flag or config file)" % name)
+    return cfg
 
 
 def _outdir(cfg):
@@ -79,11 +74,9 @@ def cmd_synth(args):
             scfg = SynthConfig(**raw)
         except TypeError as e:
             raise DataError("bad generator config: %s" % e)
-    overrides = {"n_fish": args.fish, "span_days": args.days,
-                 "seed": args.seed}
-    for key, val in overrides.items():
-        if val is not None:
-            scfg = dataclasses.replace(scfg, **{key: val})
+    flags = {"n_fish": args.fish, "span_days": args.days, "seed": args.seed}
+    scfg = dataclasses.replace(scfg, **{key: val for key, val in flags.items()
+                                        if val is not None})
     records, station_map, gt = generate(scfg)
 
     out = args.out or "out"
@@ -103,7 +96,6 @@ def cmd_ingest(args):
                          write_detections_csv)
 
     cfg = _load_config(args)
-    _need(cfg, "input_csv", "station_csv")
     station_map = load_station_map(cfg.station_csv)
     detections, report = parse_csv(cfg.input_csv, station_map)
     detections, n_dups = deduplicate(detections)
@@ -118,53 +110,39 @@ def cmd_ingest(args):
     return 0
 
 
-def cmd_features(args):
-    from .features import write_feature_csv
-    from .pipeline import prepare_table
-
-    cfg = _load_config(args)
-    _need(cfg, "input_csv", "station_csv")
-    table, _report, _ingest = prepare_table(cfg)
-    out = _outdir(cfg)
-    write_feature_csv(table, os.path.join(out, "features.csv"), full=True)
-    print(os.path.join(out, "features.csv"))
-    return 0
-
-
 def cmd_label(args):
+    """``features`` and ``label``: the labelled feature table, written as
+    features.csv or as labels.csv and label_report.json."""
+    from .features import write_feature_csv
     from .labelling import write_label_csv
     from .pipeline import prepare_table
 
     cfg = _load_config(args)
-    _need(cfg, "input_csv", "station_csv")
     table, report, _ingest = prepare_table(cfg)
     out = _outdir(cfg)
-    write_label_csv(table, os.path.join(out, "labels.csv"))
-    report.save(os.path.join(out, "label_report.json"))
-    print(os.path.join(out, "labels.csv"))
+    if args.command == "features":
+        path = os.path.join(out, "features.csv")
+        write_feature_csv(table, path, full=True)
+    else:
+        path = os.path.join(out, "labels.csv")
+        write_label_csv(table, path)
+        report.save(os.path.join(out, "label_report.json"))
+    print(path)
     return 0
 
 
 def cmd_resample(args):
-    import numpy as np
     from .features import write_feature_csv
-    from .pipeline import prepare_table
-    from .resampling import collect_candidates, fixed_plan, plan_for, resample
+    from .pipeline import prepare_table, prepare_training, save_plan
 
     cfg = _load_config(args)
-    _need(cfg, "input_csv", "station_csv")
-    table, _report, _ingest = prepare_table(cfg)
-    normals = table.take(np.flatnonzero(table.label == 1))
-    mode = cfg.interval_mode()
-    if mode == "none":
+    if cfg.interval_mode() == "none":
         raise DataError("resample_interval is 'none'; nothing to do")
-    plan = (plan_for(normals, cfg.max_points) if mode == "auto"
-            else fixed_plan(mode, cfg.max_points))
-    resampled = resample(normals, plan)
+    data = prepare_training(prepare_table(cfg)[0], cfg, cfg.seed)
     out = _outdir(cfg)
-    plan.save(os.path.join(out, "plan.json"),
-              histogram=plan.gap_histogram or collect_candidates(normals)[2])
-    write_feature_csv(resampled, os.path.join(out, "resampled.csv"), full=True)
+    save_plan(data.plan, data.split.normal_train,
+              os.path.join(out, "plan.json"))
+    write_feature_csv(data.pool, os.path.join(out, "resampled.csv"), full=True)
     print(os.path.join(out, "resampled.csv"))
     return 0
 
@@ -173,7 +151,6 @@ def cmd_split(args):
     from .pipeline import prepare_table, split_rows, write_split_csv
 
     cfg = _load_config(args)
-    _need(cfg, "input_csv", "station_csv")
     table, _report, _ingest = prepare_table(cfg)
     split = split_rows(table, cfg, cfg.seed)
     out = _outdir(cfg)
@@ -182,57 +159,21 @@ def cmd_split(args):
     return 0
 
 
-def cmd_train(args):
-    from .pipeline import run_experiment
-
-    cfg = _load_config(args)
-    _need(cfg, "input_csv", "station_csv")
-    result = run_experiment(cfg)
-    print(os.path.join(cfg.out_dir, "report.json"))
-    for name in result.models:
-        print(os.path.join(cfg.out_dir, "models", "%s.json" % name))
-    return 0
-
-
 def cmd_tune(args):
-    import numpy as np
-    from .features import Scaler
-    from .pipeline import prepare_table, split_rows, train_val_split
-    from .resampling import fixed_plan, plan_for, resample
+    from .pipeline import prepare_table, prepare_training
     from .tuning import DEFAULT_GRIDS, grid_search
 
     cfg = _load_config(args)
-    _need(cfg, "input_csv", "station_csv")
     grid = DEFAULT_GRIDS[args.model]
     if args.grid:
         with open(args.grid) as f:
             grid = json.load(f)
 
-    table, _report, _ingest = prepare_table(cfg)
-    split = split_rows(table, cfg, cfg.seed)
-    mode = cfg.interval_mode()
-    pool = split.normal_train
-    if mode != "none":
-        plan = (plan_for(pool, cfg.max_points) if mode == "auto"
-                else fixed_plan(mode, cfg.max_points))
-        pool = resample(pool, plan)
-    scaler = Scaler().fit(pool.values)
-
-    # candidates are scored on the labelled validation split (held-out
-    # normal rows + the anomalous validation half); the test rows stay out
-    ae_train_t, ae_val_t = train_val_split(pool, cfg.ae_val_fraction,
-                                           cfg.seed)
-    val_x = np.vstack([scaler.transform(ae_val_t.values),
-                       scaler.transform(split.anomaly_val.values)])
-    val_y = np.concatenate([np.ones(len(ae_val_t), dtype=int),
-                            np.zeros(len(split.anomaly_val), dtype=int)])
-    if args.model == "autoencoder":
-        train_x = scaler.transform(ae_train_t.values)
-    else:
-        train_x = np.vstack([scaler.transform(pool.values),
-                             scaler.transform(split.anomaly_val.values)])
-
-    result = grid_search(args.model, grid, train_x, val_x, val_y,
+    # candidates fit on run's training rows and are scored on its labelled
+    # validation rows; the test rows stay out
+    data = prepare_training(prepare_table(cfg)[0], cfg, cfg.seed)
+    train_x = data.ae_train if args.model == "autoencoder" else data.fit_x
+    result = grid_search(args.model, grid, train_x, data.val_x, data.val_y,
                          seed=cfg.seed)
     out = _outdir(cfg)
     path = os.path.join(out, "tune_%s.csv" % args.model)
@@ -244,24 +185,11 @@ def cmd_tune(args):
     return 0
 
 
-def cmd_threshold(args):
-    from .pipeline import run_experiment
-
-    cfg = _load_config(args)
-    cfg = dataclasses.replace(cfg, models="autoencoder").validate()
-    _need(cfg, "input_csv", "station_csv")
-    run_experiment(cfg)
-    print(os.path.join(cfg.out_dir, "percentile_table.csv"))
-    print(os.path.join(cfg.out_dir, "threshold.json"))
-    return 0
-
-
 def cmd_evaluate(args):
     from .pipeline import evaluate_saved
     from .metrics import save_report
 
     cfg = _load_config(args)
-    _need(cfg, "input_csv", "station_csv")
     report = evaluate_saved(cfg, args.models_dir)
     out = _outdir(cfg)
     save_report(report, os.path.join(out, "evaluation.json"))
@@ -270,17 +198,28 @@ def cmd_evaluate(args):
 
 
 def cmd_run(args):
+    """``run``, ``train`` and ``threshold``: the full pipeline (the
+    autoencoder alone for ``threshold``); they differ in what they print."""
     from .pipeline import run_experiment
 
     cfg = _load_config(args)
-    _need(cfg, "input_csv", "station_csv")
+    if args.command == "threshold":
+        cfg = dataclasses.replace(cfg, models="autoencoder").validate()
     result = run_experiment(cfg)
-    for name, entry in sorted(result.report["models"].items()):
-        m = entry["metrics"]
-        print("%-12s recall=%s precision=%s fn_fraction=%s fa_fraction=%s"
-              % (name, m["recall"], m["precision"], m["fn_fraction"],
-                 m["fa_fraction"]))
-    print(os.path.join(cfg.out_dir, "report.json"))
+    if args.command == "threshold":
+        printed = ["percentile_table.csv", "threshold.json"]
+    elif args.command == "train":
+        printed = ["report.json"] + [os.path.join("models", "%s.json" % name)
+                                     for name in result.models]
+    else:
+        for name, entry in sorted(result.report["models"].items()):
+            m = entry["metrics"]
+            print("%-12s recall=%s precision=%s fn_fraction=%s "
+                  "fa_fraction=%s" % (name, m["recall"], m["precision"],
+                                      m["fn_fraction"], m["fa_fraction"]))
+        printed = ["report.json"]
+    for name in printed:
+        print(os.path.join(cfg.out_dir, name))
     return 0
 
 
@@ -301,20 +240,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(1, message)
 
 
-def _add_common(p, need_data=True):
+def _add_common(p):
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--seed", type=int, help="global random seed")
     p.add_argument("--out", help="output directory")
-    if need_data:
-        p.add_argument("--input", help="detections CSV")
-        p.add_argument("--stations", help="station map CSV")
-        p.add_argument("--resample-interval", dest="resample_interval",
-                       help="'auto', 'none' or seconds")
-        p.add_argument("--max-points", dest="max_points", type=int,
-                       help="row budget for the resampled table")
-        p.add_argument("--models", help="comma separated model names")
-        p.add_argument("--ci-repeats", dest="ci_repeats", type=int,
-                       help="reshuffle repeats for confidence intervals")
+    p.add_argument("--input", help="detections CSV")
+    p.add_argument("--stations", help="station map CSV")
+    p.add_argument("--resample-interval", dest="resample_interval",
+                   help="'auto', 'none' or seconds")
+    p.add_argument("--max-points", dest="max_points", type=int,
+                   help="row budget for the resampled table")
+    p.add_argument("--models", help="comma separated model names")
+    p.add_argument("--ci-repeats", dest="ci_repeats", type=int,
+                   help="reshuffle repeats for confidence intervals")
 
 
 def build_parser():
@@ -331,15 +269,15 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(fn=cmd_synth)
 
-    for name, fn, extra in (
-            ("ingest", cmd_ingest, None),
-            ("features", cmd_features, None),
-            ("label", cmd_label, None),
-            ("resample", cmd_resample, None),
-            ("split", cmd_split, None),
-            ("train", cmd_train, None),
-            ("threshold", cmd_threshold, None),
-            ("run", cmd_run, None)):
+    for name, fn in (
+            ("ingest", cmd_ingest),
+            ("features", cmd_label),
+            ("label", cmd_label),
+            ("resample", cmd_resample),
+            ("split", cmd_split),
+            ("train", cmd_run),
+            ("threshold", cmd_run),
+            ("run", cmd_run)):
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(fn=fn)

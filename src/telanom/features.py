@@ -130,10 +130,6 @@ class FeatureTable:
     def copy(self):
         return self.take(np.arange(len(self)))
 
-    def sorted_by_fish_time(self):
-        order = np.lexsort((self.timestamp, self.fish_id.astype(str)))
-        return self.take(order)
-
     def fish_groups(self):
         """Rows grouped per fish: (order, starts). ``order`` lists the row
         indices by fish id, then timestamp, ties in row order; the rows of
@@ -253,11 +249,6 @@ class Scaler:
             raise DataError("scaler is not fitted")
         return (np.asarray(values, dtype=np.float64) - self.mins) / self._denom()
 
-    def apply(self, table):
-        out = table.copy()
-        out.values = self.transform(table.values)
-        return out
-
     def to_json(self):
         return {"mins": self.mins.tolist(), "maxs": self.maxs.tolist()}
 
@@ -271,8 +262,8 @@ def write_feature_csv(table, path, full=False):
     """Dump a FeatureTable to CSV.
 
     Default layout: fish_id, timestamp, the 11 named dims, label.
-    ``full=True`` prepends uid/station_id and appends criterion_mask so a
-    table can be reloaded losslessly by read_feature_csv.
+    ``full=True`` prepends uid/station_id and appends criterion_mask so
+    every column of the table is written.
     """
     head = ["fish_id", "timestamp"] + FEATURE_NAMES + ["label"]
     columns = ([table.fish_id.tolist(), table.timestamp.tolist()]
@@ -287,26 +278,3 @@ def write_feature_csv(table, path, full=False):
         w = csv.writer(f)
         w.writerow(head)
         w.writerows(zip(*columns))
-
-
-def read_feature_csv(path):
-    """Reload a table written by write_feature_csv(full=True)."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        needed = ["uid", "station_id", "fish_id", "timestamp", "label",
-                  "criterion_mask"] + FEATURE_NAMES
-        missing = [c for c in needed if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError("%s: missing column(s) %s" % (path, missing))
-        uid, fish, station, ts, vals, label, mask = [], [], [], [], [], [], []
-        for row in reader:
-            uid.append(int(row["uid"]))
-            fish.append(row["fish_id"])
-            station.append(row["station_id"])
-            ts.append(int(row["timestamp"]))
-            vals.append([float(row[name]) for name in FEATURE_NAMES])
-            label.append(int(row["label"]))
-            mask.append(int(row["criterion_mask"]))
-    if not uid:
-        return FeatureTable.empty()
-    return FeatureTable(uid, fish, station, ts, np.asarray(vals), label, mask)

@@ -5,7 +5,9 @@ training rows only) -> scale -> fit -> threshold -> evaluate -> report.
 
 The held-out test rows are tracked by uid in a LeakageGuard; every
 training-side stage asserts none of them slipped in and aborts the run with
-LeakageError if one did. Test rows are never resampled.
+LeakageError if one did. Test rows are never resampled. prepare_training
+builds that training side once, through the guard, for run, tune, resample
+and the confidence-interval repeats alike.
 
 Reruns with the same seed and an injected deterministic timer produce
 byte-identical reports; with the default wall clock only the runtime_s
@@ -15,6 +17,7 @@ fields differ.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import time
@@ -23,13 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autoencoder import Autoencoder, TrainConfig, train
-from .detectors import IsolationForest, LocalOutlierFactor, Dbscan, save_model
+from .detectors import (IsolationForest, LocalOutlierFactor, Dbscan,
+                        load_model, save_model)
 from .errors import DataError, LeakageError
 from .features import FeatureTable, Scaler, engineer_tracks, write_feature_csv
 from .ingest import parse_csv, load_station_map, deduplicate, group_tracks
 from .labelling import label_all, write_label_csv
-from .metrics import (confusion, compute_metrics, roc_auc, save_report,
-                      write_summary_csv)
+from .metrics import (confusion, compute_metrics, reshuffle_ci, roc_auc,
+                      save_report, write_summary_csv)
 from .resampling import collect_candidates, fixed_plan, plan_for, resample
 from .thresholding import build_table, flag, select_threshold
 
@@ -251,16 +255,6 @@ def _model_seed(seed):
     return int(np.random.default_rng((seed, _SEED_MODEL)).integers(2 ** 31))
 
 
-def _fit_autoencoder(cfg, x_train, x_val, seed):
-    model = Autoencoder(x_train.shape[1], units=cfg.ae_units,
-                        bottleneck=cfg.ae_bottleneck, seed=seed)
-    tcfg = TrainConfig(learning_rate=cfg.ae_learning_rate,
-                       batch_size=cfg.ae_batch_size,
-                       epochs=cfg.ae_epochs, seed=seed)
-    result = train(model, x_train, tcfg, val_rows=x_val)
-    return model, result
-
-
 def _build_classical(name, cfg, seed):
     if name == "iforest":
         return IsolationForest(n_estimators=cfg.if_n_estimators,
@@ -316,105 +310,143 @@ def prepare_table(cfg):
     return labelled, label_report, ingest_summary
 
 
+@dataclass
+class TrainingData:
+    """The training side of one split, built through the leakage guard.
+
+    ``pool`` is the resampled normal training rows (the raw ones with
+    interval "none") and ``scaler`` is fitted on it. Each model matrix is
+    built on first read, after the guard has checked its source rows under
+    the stage that uses them, so no caller can build one unchecked.
+    """
+
+    split: DatasetSplit
+    guard: LeakageGuard
+    plan: object
+    pool: FeatureTable
+    scaler: Scaler
+    val_fraction: float
+    seed: int
+
+    def _scaled(self, stage, *tables):
+        for table in tables:
+            self.guard.check(table, stage)
+        x = [self.scaler.transform(table.values) for table in tables]
+        return x[0] if len(x) == 1 else np.vstack(x)
+
+    @functools.cached_property
+    def _ae_tables(self):
+        return train_val_split(self.pool, self.val_fraction, self.seed)
+
+    @functools.cached_property
+    def fit_x(self):
+        """Pool + anomaly_val: the rows every classical detector fits on."""
+        return self._scaled("fit", self.pool, self.split.anomaly_val)
+
+    @functools.cached_property
+    def ae_train(self):
+        """The pool rows the autoencoder trains on."""
+        return self._scaled("ae_fit", self._ae_tables[0])
+
+    @functools.cached_property
+    def ae_val(self):
+        """The pool rows held out of autoencoder training."""
+        return self._scaled("ae_fit", self._ae_tables[1])
+
+    @functools.cached_property
+    def val_x(self):
+        """ae_val + anomaly_val: the labelled rows thresholds and grid
+        candidates are chosen on."""
+        anomalies = self.split.anomaly_val
+        self.guard.check(self._ae_tables[1], "threshold")
+        self.guard.check(anomalies, "threshold")
+        return np.vstack([self.ae_val, self.scaler.transform(anomalies.values)])
+
+    @functools.cached_property
+    def val_y(self):
+        """Labels of val_x: 1 for the normal rows, 0 for the anomalies."""
+        return np.concatenate([np.ones(len(self._ae_tables[1]), dtype=int),
+                               np.zeros(len(self.split.anomaly_val), dtype=int)])
+
+
+def prepare_training(labelled, cfg, seed):
+    """Split, guard, resample and scale: the training side shared by every
+    caller. Only the normal training rows are resampled."""
+    interval = cfg.interval_mode()
+    split = split_rows(labelled, cfg, seed)
+    guard = LeakageGuard.from_split(split)
+    plan = None
+    pool = split.normal_train
+    if interval != "none":
+        guard.check(pool, "resample")
+        plan = (plan_for(pool, cfg.max_points) if interval == "auto"
+                else fixed_plan(interval, cfg.max_points))
+        pool = resample(pool, plan)
+    if len(pool) == 0:
+        raise DataError("empty training pool after resampling")
+    guard.check(pool, "scaler_fit")
+    scaler = Scaler().fit(pool.values)
+    return TrainingData(split, guard, plan, pool, scaler, cfg.ae_val_fraction,
+                        seed)
+
+
+def _model_entry(name, model, threshold, x_test, y_test, interval):
+    """Score the test rows once; the model's report entry, less its
+    runtime_s."""
+    scores = model.scores(x_test)
+    cm, m = _evaluate(flag(scores, threshold), scores, y_test)
+    return {"model": name, "resample_interval": interval,
+            "confusion": cm.to_json(), "metrics": m, "ci": None,
+            "n_parameters": model.n_parameters}
+
+
 def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
     """Split/resample/fit/threshold/evaluate on an already labelled table.
 
     Returns an ExperimentResult whose report carries one entry per model.
     """
-    interval = cfg.interval_mode()
-    split = split_rows(labelled, cfg, seed)
-    guard = LeakageGuard.from_split(split)
-
-    # resampling consumes only the normal training pool
-    plan = None
-    if interval == "none":
-        train_pool = split.normal_train
-    else:
-        guard.check(split.normal_train, "resample")
-        if interval == "auto":
-            plan = plan_for(split.normal_train, cfg.max_points)
-        else:
-            plan = fixed_plan(interval, cfg.max_points)
-        train_pool = resample(split.normal_train, plan)
-    if len(train_pool) == 0:
-        raise DataError("empty training pool after resampling")
-
-    guard.check(train_pool, "scaler_fit")
-    scaler = Scaler().fit(train_pool.values)
-
-    ae_train_t, ae_val_t = train_val_split(train_pool, cfg.ae_val_fraction,
-                                           seed)
-    test = split.test_table()
-    x_test = scaler.transform(test.values)
-    y_test = test.label
-
+    data = prepare_training(labelled, cfg, seed)
+    interval = data.plan.delta_t if data.plan else "none"
+    test = data.split.test_table()
+    x_test = data.scaler.transform(test.values)
     model_seed = _model_seed(seed)
-    result = ExperimentResult(report={}, split=split, train_pool=train_pool,
-                              scaler=scaler, plan=plan)
-    interval_desc = (interval if interval == "none"
-                     else (plan.delta_t if plan else None))
-
-    fit_x = None
-    if any(name != "autoencoder" for name in cfg.model_list):
-        # the classical detectors all fit on the same rows
-        guard.check(train_pool, "fit")
-        guard.check(split.anomaly_val, "fit")
-        fit_x = np.vstack([scaler.transform(train_pool.values),
-                           scaler.transform(split.anomaly_val.values)])
+    result = ExperimentResult(report={}, split=data.split,
+                              train_pool=data.pool, scaler=data.scaler,
+                              plan=data.plan)
 
     model_reports = {}
     for name in cfg.model_list:
         t0 = timer()
         if name == "autoencoder":
-            guard.check(ae_train_t, "ae_fit")
-            guard.check(ae_val_t, "ae_fit")
-            x_tr = scaler.transform(ae_train_t.values)
-            x_val = scaler.transform(ae_val_t.values)
-            model, loss_curve = _fit_autoencoder(cfg, x_tr, x_val, model_seed)
-
-            guard.check(ae_val_t, "threshold")
-            guard.check(split.anomaly_val, "threshold")
-            val_x = np.vstack([x_val,
-                               scaler.transform(split.anomaly_val.values)])
-            val_y = np.concatenate([np.ones(len(x_val), dtype=int),
-                                    np.zeros(len(split.anomaly_val), dtype=int)])
-            errors = model.scores(val_x)
-            table = build_table(errors, val_y)
-            selected = select_threshold(table)
-
-            scores = model.scores(x_test)
-            threshold = selected.threshold
-            result.threshold = selected
-            result.loss_curve = loss_curve
-            result.percentile_table = table
+            model = Autoencoder(data.ae_train.shape[1], units=cfg.ae_units,
+                                bottleneck=cfg.ae_bottleneck, seed=model_seed)
+            tcfg = TrainConfig(learning_rate=cfg.ae_learning_rate,
+                               batch_size=cfg.ae_batch_size,
+                               epochs=cfg.ae_epochs, seed=model_seed)
+            result.loss_curve = train(model, data.ae_train, tcfg,
+                                      val_rows=data.ae_val)
+            result.percentile_table = build_table(model.scores(data.val_x),
+                                                  data.val_y)
+            result.threshold = select_threshold(result.percentile_table)
+            threshold = result.threshold.threshold
         else:
             model = _build_classical(name, cfg, model_seed)
-            model.fit(fit_x)
-            scores = model.scores(x_test)
+            model.fit(data.fit_x)
             threshold = model.threshold
-        cm, m = _evaluate(flag(scores, threshold), scores, y_test)
         result.models[name] = model
-        runtime = timer() - t0
-
-        entry = {
-            "model": name,
-            "resample_interval": interval_desc,
-            "confusion": cm.to_json(),
-            "metrics": m,
-            "ci": None,
-            "runtime_s": runtime,
-            "n_parameters": result.models[name].n_parameters,
-        }
+        entry = _model_entry(name, model, threshold, x_test, test.label,
+                             interval)
+        entry["runtime_s"] = timer() - t0
         if name == "autoencoder":
             entry["threshold"] = result.threshold.to_json()
         model_reports[name] = entry
 
     result.report = {
         "seed": seed,
-        "resample_interval": interval_desc,
-        "split": split.counts(),
-        "resample_plan": plan.to_json() if plan else None,
-        "n_train_pool": len(train_pool),
+        "resample_interval": interval,
+        "split": data.split.counts(),
+        "resample_plan": data.plan.to_json() if data.plan else None,
+        "n_train_pool": len(data.pool),
         "models": model_reports,
     }
     return result
@@ -441,18 +473,17 @@ def run_experiment(cfg, timer=time.perf_counter):
 
 
 def _reshuffle_report(labelled, cfg):
-    """Split-reshuffle confidence intervals per model (mean, half-width)."""
-    from .metrics import reshuffle_ci
+    """Split-reshuffle confidence intervals per model (mean, half-width);
+    every repeat runs all the models once."""
+    def run_once(data, run_seed):
+        models = run_pipeline(data, cfg, run_seed).report["models"]
+        return {(name, metric): value for name, entry in models.items()
+                for metric, value in entry["metrics"].items()}
 
-    out = {}
-    for name in cfg.model_list:
-        one = dataclasses.replace(cfg, models=name)
-
-        def run_once(data, run_seed, _cfg=one):
-            res = run_pipeline(data, _cfg, run_seed)
-            return res.report["models"][_cfg.models]["metrics"]
-
-        out[name] = reshuffle_ci(run_once, labelled, cfg.ci_repeats, cfg.seed)
+    out = {name: {} for name in cfg.model_list}
+    cis = reshuffle_ci(run_once, labelled, cfg.ci_repeats, cfg.seed)
+    for (name, metric), ci in cis.items():
+        out[name][metric] = ci
     return out
 
 
@@ -464,8 +495,6 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
     hold scaler.json, models/*.json and (for the autoencoder)
     threshold.json.
     """
-    from .detectors import load_model
-
     cfg.validate()
     labelled, _label_report, _ingest = prepare_table(cfg)
     split = split_rows(labelled, cfg, cfg.seed)
@@ -474,7 +503,6 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
         scaler = Scaler.from_json(json.load(f))
     test = split.test_table()
     x_test = scaler.transform(test.values)
-    y_test = test.label
 
     reports = {}
     for name in cfg.model_list:
@@ -489,23 +517,21 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
         else:
             model = load_model(path)
             thr = model.threshold
-        scores = model.scores(x_test)
-        cm, m = _evaluate(flag(scores, thr), scores, y_test)
-        reports[name] = {
-            "model": name,
-            "resample_interval": cfg.interval_mode(),
-            "confusion": cm.to_json(),
-            "metrics": m,
-            "ci": None,
-            "runtime_s": timer() - t0,
-            "n_parameters": model.n_parameters,
-        }
+        reports[name] = _model_entry(name, model, thr, x_test, test.label,
+                                     cfg.interval_mode())
+        reports[name]["runtime_s"] = timer() - t0
     return {"seed": cfg.seed, "split": split.counts(), "models": reports}
+
+
+def save_plan(plan, normals, path):
+    """plan.json, with the gap histogram of the normal training rows the
+    plan was made for."""
+    plan.save(path, histogram=plan.gap_histogram
+              or collect_candidates(normals)[2])
 
 
 def _write_artifacts(cfg, result):
     out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     os.makedirs(os.path.join(out, "models"), exist_ok=True)
 
     save_report(result.report, os.path.join(out, "report.json"))
@@ -519,9 +545,8 @@ def _write_artifacts(cfg, result):
         f.write("\n")
 
     if result.plan is not None:
-        hist = (result.plan.gap_histogram
-                or collect_candidates(result.split.normal_train)[2])
-        result.plan.save(os.path.join(out, "plan.json"), histogram=hist)
+        save_plan(result.plan, result.split.normal_train,
+                  os.path.join(out, "plan.json"))
         write_feature_csv(result.train_pool,
                           os.path.join(out, "resampled.csv"), full=True)
 

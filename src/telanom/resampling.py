@@ -61,15 +61,6 @@ class ResamplePlan:
             f.write("\n")
 
 
-def global_rate(day_gaps):
-    """Global sampling interval and rate from per-day minimum gaps."""
-    gaps = [g for g in day_gaps if g is not None]
-    if not gaps:
-        raise DataError("no measurable inter-detection gaps")
-    delta_t = int(min(gaps))
-    return delta_t, 1.0 / delta_t
-
-
 def tradeoff_search(candidate_gaps, max_points, span):
     """Pick the smallest candidate gap whose projected point count
     span/gap fits the budget. When none fits, fall back to the largest

@@ -4,10 +4,14 @@ Everything here is deliberately written from the textbook definition, not
 from the production code, so the two can disagree; the exceptions are the
 row-at-a-time front end, the scalar code the columnar one replaced, and at
 the end the allocating autoencoder training loop and the rank loop that
-buffered and array code replaced. scipy/mpmath are test dependencies only
-and must never leak into src/.
+buffered and array code replaced, the per-model confidence-interval repeats
+the all-models-per-repeat ones replaced, and the two table helpers only
+tests use. scipy/mpmath are test dependencies only and must never leak into
+src/.
 """
 
+import csv
+import dataclasses
 import math
 from datetime import date
 
@@ -17,9 +21,11 @@ from scipy.spatial.distance import cdist
 
 from telanom.detectors import expected_path_length
 from telanom.errors import TrainingError
-from telanom.features import (CONTINUOUS_DIMS, STEPWISE_DIMS, FeatureTable,
-                              haversine_km)
+from telanom.features import (CONTINUOUS_DIMS, FEATURE_NAMES, STEPWISE_DIMS,
+                              FeatureTable, haversine_km)
 from telanom.ingest import UTC_OFFSET_S, local_day
+from telanom.metrics import reshuffle_ci
+from telanom.pipeline import run_pipeline
 
 
 def haversine_law_of_cosines(lat1, lon1, lat2, lon2, radius_km=6371.0):
@@ -403,6 +409,11 @@ def collect_candidates(table):
     return sorted(set(gaps)), span, {g: gaps.count(g) for g in set(gaps)}
 
 
+def sorted_by_fish_time(table):
+    """The rows ordered by fish id (as text), then timestamp."""
+    return table.take(np.lexsort((table.timestamp, table.fish_id.astype(str))))
+
+
 def resample(table, delta_t):
     """Per-(fish, day) grids from the first to the last detection, one
     np.interp call per group and dimension."""
@@ -437,8 +448,8 @@ def resample(table, delta_t):
         vals.append(out)
     if not ts_out:
         return FeatureTable.empty()
-    return FeatureTable(uid, fish, station, ts_out,
-                        np.vstack(vals)).sorted_by_fish_time()
+    return sorted_by_fish_time(FeatureTable(uid, fish, station, ts_out,
+                                            np.vstack(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -558,3 +569,44 @@ def average_ranks_loop(x):
         ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+# ---------------------------------------------------------------------------
+# confidence-interval repeats: one pipeline run per model and repeat
+
+
+def reshuffle_report(labelled, cfg):
+    """Split-reshuffle confidence intervals per model (mean, half-width),
+    each model run on its own in every repeat."""
+    out = {}
+    for name in cfg.model_list:
+        one = dataclasses.replace(cfg, models=name)
+
+        def run_once(data, run_seed, _cfg=one):
+            res = run_pipeline(data, _cfg, run_seed)
+            return res.report["models"][_cfg.models]["metrics"]
+
+        out[name] = reshuffle_ci(run_once, labelled, cfg.ci_repeats, cfg.seed)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# feature CSV reader: the inverse of write_feature_csv(full=True)
+
+
+def read_feature_csv(path):
+    """Reload a table written by write_feature_csv(full=True)."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        uid, fish, station, ts, vals, label, mask = [], [], [], [], [], [], []
+        for row in reader:
+            uid.append(int(row["uid"]))
+            fish.append(row["fish_id"])
+            station.append(row["station_id"])
+            ts.append(int(row["timestamp"]))
+            vals.append([float(row[name]) for name in FEATURE_NAMES])
+            label.append(int(row["label"]))
+            mask.append(int(row["criterion_mask"]))
+    if not uid:
+        return FeatureTable.empty()
+    return FeatureTable(uid, fish, station, ts, np.asarray(vals), label, mask)

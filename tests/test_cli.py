@@ -1,12 +1,15 @@
 """CLI tests: exit codes, artifact layout, and stage subcommands, all run
 in-process through main(argv)."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
-from telanom.cli import main
+from telanom.cli import _load_config, build_parser, main
+from telanom.errors import DataError
+from telanom.pipeline import RunConfig
 
 
 SYNTH_CFG = {"n_fish": 4, "span_days": 100.0, "mean_gap_s": 30000.0,
@@ -157,6 +160,59 @@ def test_split_and_run_write_the_same_split_csv(dataset, tmp_path):
             texts.append(f.read())
     assert texts[0].startswith("uid,partition\n")
     assert texts[0] == texts[1]
+
+
+def test_resample_and_run_write_the_same_pool(dataset, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG_TEXT)
+    texts = []
+    for command in ("resample", "run"):
+        out = str(tmp_path / command)
+        assert main([command, "--config", str(cfg), "--seed", "4",
+                      "--resample-interval", "600"]
+                     + _data_args(dataset, out)) == 0
+        texts.append([open(os.path.join(out, name)).read()
+                      for name in ("plan.json", "resampled.csv")])
+    assert texts[0][1].startswith("uid,")
+    assert texts[0] == texts[1]
+
+
+def test_each_flag_overrides_the_config_file(tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("input_csv = file.csv\n"
+                   "station_csv = file_stations.csv\n"
+                   "out_dir = file_out\n"
+                   "seed = 1\n"
+                   "resample_interval = 600\n"
+                   "max_points = 100\n"
+                   "models = lof\n"
+                   "ci_repeats = 2\n")
+    flags = {"--input": ("input_csv", "flag.csv"),
+             "--stations": ("station_csv", "flag_stations.csv"),
+             "--out": ("out_dir", "flag_out"),
+             "--seed": ("seed", 7),
+             "--resample-interval": ("resample_interval", "auto"),
+             "--max-points": ("max_points", 5000),
+             "--models": ("models", "iforest,dbscan"),
+             "--ci-repeats": ("ci_repeats", 3)}
+
+    def load(*argv):
+        return _load_config(build_parser().parse_args(["run"] + list(argv)))
+    from_file = load("--config", str(cfg))
+    assert from_file == dataclasses.replace(
+        RunConfig(), input_csv="file.csv", station_csv="file_stations.csv",
+        out_dir="file_out", seed=1, resample_interval="600", max_points=100,
+        models="lof", ci_repeats=2)
+    for flag, (name, value) in flags.items():
+        assert load("--config", str(cfg), flag, str(value)) == (
+            dataclasses.replace(from_file, **{name: value})), flag
+    # with no config file the flags land on the defaults
+    assert load("--input", "a.csv", "--stations", "b.csv") == (
+        dataclasses.replace(RunConfig(), input_csv="a.csv",
+                            station_csv="b.csv"))
+    with pytest.raises(DataError, match="missing required setting "
+                                        "'station_csv'"):
+        load("--input", "a.csv")
 
 
 def test_run_subcommand(dataset, tmp_path, capsys):

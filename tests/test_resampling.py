@@ -7,8 +7,8 @@ from telanom.features import (CONTINUOUS_DIMS, STEPWISE_DIMS, FeatureTable,
 from telanom.ingest import (DetectionRecord, Detections, StationMap,
                             group_tracks, local_day)
 from telanom.resampling import (ResamplePlan, collect_candidates,
-                                fixed_plan, global_rate,
-                                plan_for, resample, tradeoff_search)
+                                fixed_plan, plan_for, resample,
+                                tradeoff_search)
 
 
 SM = StationMap([("S0", -34.0, 21.0, 0), ("S1", -34.0, 21.05, 1),
@@ -32,14 +32,6 @@ def test_daily_min_gap():
     assert gaps([100, 100]) == []                     # no positive gap
     assert gaps([100, 350, 400]) == [50]
     assert gaps([400, 100, 350]) == [50]              # unsorted input
-
-
-def test_global_rate():
-    dt, fs = global_rate([90, None, 65, 120])
-    assert dt == 65
-    assert fs == 1.0 / 65
-    with pytest.raises(DataError):
-        global_rate([None, None])
 
 
 def test_tradeoff_search_picks_smallest_fitting():
