@@ -59,6 +59,13 @@ def _as_matrix(rows):
     return x
 
 
+def _check_width(x, width):
+    if x.shape[1] != width:
+        raise DataError("rows have %d features; the model was fitted on %d"
+                        % (x.shape[1], width))
+    return x
+
+
 # Floats in each of the kernel's two distance buffers (512 KB): both stay in
 # a core's L2 cache up to 8,192 reference rows. Past that, blocks keep at
 # least _MIN_BLOCK_ROWS rows: BLAS multiplies a single row by a separate
@@ -90,6 +97,91 @@ def _sq_dist_blocks(a, b):
         yield lo, hi, d2
 
 
+# Scales a squared k-distance past every double whose square root rounds to
+# the k-distance: at most three adjacent doubles share a root, so those lie
+# within 2^-50 relative above it. Entries under the scaled bound are candidates, and the exact test
+# sqrt(d2) <= kdist picks the neighbours among them.
+_ROOT_SLACK = 1.0 + 2.0 ** -44
+
+
+class NeighbourPass:
+    """Everything LOF and DBSCAN read off the distances from the rows of
+    ``q`` to the rows of ``x``, for every k in ``ks`` and every radius in
+    ``radii``, from one sweep of ``_sq_dist_blocks(q, x)``.
+
+    The sweep runs on the first read, so its time falls in whichever fit or
+    scoring call needs it first. Per block it counts the rows within each
+    radius, then takes every k-th smallest squared distance with one
+    ``np.partition``; square roots are taken only of the selected entries.
+    With ``self_excluded`` the rows of ``q`` are the rows of ``x`` and row i
+    is not its own k-neighbour (it still counts within every radius).
+    """
+
+    def __init__(self, q, x, ks=(), radii=(), self_excluded=False):
+        self.q = q
+        self.x = x
+        self.ks = sorted({int(k) for k in ks})
+        self.radii = list(radii)
+        self.self_excluded = self_excluded
+        self._counts = None
+        self._hoods = None
+
+    def counts(self, radius):
+        """How many rows of ``x`` lie within ``radius`` of each row of
+        ``q``."""
+        if radius not in self.radii:
+            raise ValueError("the pass does not cover radius %r" % radius)
+        self._sweep()
+        return self._counts[self.radii.index(radius)]
+
+    def neighbourhood(self, k):
+        """k-distances of the rows of ``q`` and their tie-inclusive
+        k-neighbourhoods, as (kdist, ids, dists, sizes): the neighbours of
+        row i are the i-th run of ``sizes[i]`` entries of ``ids`` and
+        ``dists``, in ascending id order."""
+        if k not in self.ks:
+            raise ValueError("the pass does not cover k=%r" % k)
+        self._sweep()
+        return self._hoods[k]
+
+    def _sweep(self):
+        if self._counts is not None:
+            return
+        q, x, ks = self.q, self.x, self.ks
+        radii2 = [r * r for r in self.radii]
+        counts = np.empty((len(radii2), len(q)), dtype=np.int64)
+        kdist = np.empty((len(q), len(ks)))
+        parts = {k: ([], [], []) for k in ks}
+        for lo, hi, d2 in _sq_dist_blocks(q, x):
+            for j, r2 in enumerate(radii2):
+                counts[j, lo:hi] = np.count_nonzero(d2 <= r2, axis=1)
+            if not ks:
+                continue
+            if self.self_excluded:
+                r = np.arange(hi - lo)
+                d2[r, lo + r] = np.inf
+            # the largest k's smallest entries, sorted, hold every k-th one
+            smallest = np.partition(d2, ks[-1] - 1, axis=1)[:, :ks[-1]]
+            smallest.sort(axis=1)
+            kd2 = smallest[:, [k - 1 for k in ks]]
+            kd = kdist[lo:hi]
+            np.sqrt(kd2, out=kd)
+            # flatnonzero scans the block ten times faster than nonzero
+            r, c = np.divmod(
+                np.flatnonzero(d2 <= kd2[:, -1:] * _ROOT_SLACK), d2.shape[1])
+            d = np.sqrt(d2[r, c])
+            for j, k in enumerate(ks):
+                near = d <= kd[r, j]
+                ids, dists, sizes = parts[k]
+                ids.append(c[near])
+                dists.append(d[near])
+                sizes.append(np.bincount(r[near], minlength=hi - lo))
+        self._counts = counts
+        self._hoods = {k: (kdist[:, j].copy(),) + tuple(
+            np.concatenate(p) if p else np.empty(0, np.intp)
+            for p in parts[k]) for j, k in enumerate(ks)}
+
+
 def _run_means(values, sizes):
     """Mean of each consecutive run of ``values``, run i being ``sizes[i]``
     long. Runs of one length are averaged as the rows of one gathered
@@ -111,6 +203,31 @@ def _nearest(a, b):
         idx[lo:hi] = np.argmin(d2, axis=1)
         d2_min[lo:hi] = d2[np.arange(hi - lo), idx[lo:hi]]
     return idx, d2_min
+
+
+def _number(obj, key, integer=False):
+    """Model file field ``key``: a JSON number, or an integer when
+    ``integer``; DataError otherwise."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(
+            value, int if integer else (int, float)):
+        raise DataError("%s must be %s, got %r"
+                        % (key, "an integer" if integer else "a number",
+                           value))
+    return value
+
+
+def _array(obj, key, ndim, dtype=np.float64):
+    """Model file field ``key``: a ``ndim``-d array of numbers; DataError
+    otherwise."""
+    try:
+        value = np.asarray(obj[key], dtype=dtype)
+    except (TypeError, ValueError):
+        raise DataError("%s must be an array of numbers" % key) from None
+    if value.ndim != ndim:
+        raise DataError("%s must be %d-d, got shape %s"
+                        % (key, ndim, value.shape))
+    return value
 
 
 class _Detector:
@@ -356,14 +473,15 @@ class IsolationForest(_Detector):
 
     @classmethod
     def from_json(cls, obj):
-        model = cls(obj["n_estimators"], obj["contamination"],
-                    obj["subsample"], obj["seed"])
-        model.sample_size = obj["sample_size"]
-        if (not isinstance(model.sample_size, int)
-                or model.sample_size < 1):
-            raise DataError("sample_size must be an integer >= 1, got %r"
+        model = cls(_number(obj, "n_estimators", integer=True),
+                    _number(obj, "contamination"),
+                    _number(obj, "subsample", integer=True),
+                    _number(obj, "seed", integer=True))
+        model.sample_size = _number(obj, "sample_size", integer=True)
+        if model.sample_size < 1:
+            raise DataError("sample_size must be >= 1, got %r"
                             % (model.sample_size,))
-        model.threshold = obj["threshold"]
+        model.threshold = _number(obj, "threshold")
         model.trees = obj["trees"]
         return model
 
@@ -404,29 +522,6 @@ class LocalOutlierFactor(_Detector):
         # scalar configuration constants: k, contamination, cap, threshold
         return 4
 
-    def _neighbourhoods(self, q, self_excluded):
-        """k-distances of the rows of ``q`` against the training rows and
-        their tie-inclusive k-neighbourhoods, as (kdist, ids, dists, sizes):
-        the neighbours of row i are the i-th run of ``sizes[i]`` entries of
-        ``ids`` and ``dists``, in ascending id order. With ``self_excluded``
-        row i of ``q`` is training row i and not its own neighbour."""
-        kdist = np.empty(len(q))
-        ids, dists, sizes = [], [], []
-        for lo, hi, d in _sq_dist_blocks(q, self.x):
-            np.sqrt(d, out=d)
-            if self_excluded:
-                r = np.arange(hi - lo)
-                d[r, lo + r] = np.inf
-            kd = np.partition(d, self.k - 1, axis=1)[:, self.k - 1]
-            kdist[lo:hi] = kd
-            # flatnonzero scans the block ten times faster than nonzero
-            r, c = np.divmod(np.flatnonzero(d <= kd[:, None]), d.shape[1])
-            ids.append(c)
-            dists.append(d[r, c])
-            sizes.append(np.bincount(r, minlength=hi - lo))
-        return (kdist, np.concatenate(ids), np.concatenate(dists),
-                np.concatenate(sizes))
-
     def _lrd(self, ids, dists, sizes):
         """Capped local reachability densities of the rows whose
         neighbourhoods are given; a zero mean reach distance gives the
@@ -435,13 +530,17 @@ class LocalOutlierFactor(_Detector):
         with np.errstate(divide="ignore"):
             return np.minimum(self.lrd_cap, 1.0 / _run_means(reach, sizes))
 
-    def fit(self, rows):
+    def fit(self, rows, neighbours=None):
+        """``neighbours``: a NeighbourPass of the rows against themselves,
+        self excluded, that covers this k; one is made when not given."""
         x = _as_matrix(rows)
         n = len(x)
         if n <= self.k:
             raise DataError("need more than k=%d rows to fit" % self.k)
         self.x = x
-        self.kdist, ids, _, sizes = self._neighbourhoods(x, self_excluded=True)
+        if neighbours is None:
+            neighbours = NeighbourPass(x, x, ks=[self.k], self_excluded=True)
+        self.kdist, ids, _, sizes = neighbours.neighbourhood(self.k)
         # training reach distances come from coordinate differences
         own = np.repeat(np.arange(n), sizes)
         dists = np.sqrt(((x[ids] - x[own]) ** 2).sum(axis=1))
@@ -451,12 +550,16 @@ class LocalOutlierFactor(_Detector):
                                                  self.contamination)
         return self
 
-    def scores(self, rows):
-        """LOF of new rows against the training set (novelty scoring)."""
+    def scores(self, rows, neighbours=None):
+        """LOF of new rows against the training set (novelty scoring).
+        ``neighbours``: a NeighbourPass of the rows against the training
+        rows that covers this k; one is made when not given."""
         if self.x is None:
             raise DataError("model is not fitted")
-        q = _as_matrix(rows)
-        _, ids, dists, sizes = self._neighbourhoods(q, self_excluded=False)
+        q = _check_width(_as_matrix(rows), self.x.shape[1])
+        if neighbours is None:
+            neighbours = NeighbourPass(q, self.x, ks=[self.k])
+        _, ids, dists, sizes = neighbours.neighbourhood(self.k)
         return _run_means(self.lrd[ids], sizes) / self._lrd(ids, dists, sizes)
 
     def to_json(self):
@@ -474,12 +577,13 @@ class LocalOutlierFactor(_Detector):
 
     @classmethod
     def from_json(cls, obj):
-        model = cls(obj["k"], obj["contamination"], obj["lrd_cap"])
-        model.threshold = obj["threshold"]
-        model.x = _as_matrix(obj["x"])
-        model.kdist = np.asarray(obj["kdist"], dtype=np.float64)
-        model.lrd = np.asarray(obj["lrd"], dtype=np.float64)
-        model.train_lof = np.asarray(obj["train_lof"], dtype=np.float64)
+        model = cls(_number(obj, "k", integer=True),
+                    _number(obj, "contamination"), _number(obj, "lrd_cap"))
+        model.threshold = _number(obj, "threshold")
+        model.x = _array(obj, "x", 2)
+        model.kdist = _array(obj, "kdist", 1)
+        model.lrd = _array(obj, "lrd", 1)
+        model.train_lof = _array(obj, "train_lof", 1)
         # scoring indexes kdist and lrd by training row
         n = len(model.x)
         if any(len(a) != n for a in (model.kdist, model.lrd, model.train_lof)):
@@ -498,12 +602,9 @@ def neighbour_counts(rows, radii):
     """``counts[j, i]``: how many rows (row i included) lie within
     ``radii[j]`` of row i, all radii counted in one distance sweep."""
     x = _as_matrix(rows)
-    radii2 = [r * r for r in radii]
-    counts = np.empty((len(radii2), len(x)), dtype=np.int64)
-    for lo, hi, d2 in _sq_dist_blocks(x, x):
-        for j, r2 in enumerate(radii2):
-            counts[j, lo:hi] = np.count_nonzero(d2 <= r2, axis=1)
-    return counts
+    hood = NeighbourPass(x, x, radii=radii)
+    return np.array([hood.counts(r) for r in radii],
+                    dtype=np.int64).reshape(len(radii), len(x))
 
 
 class Dbscan(_Detector):
@@ -540,14 +641,15 @@ class Dbscan(_Detector):
         # scalar configuration constants: eps, min_pts
         return 2
 
-    def fit(self, rows, counts=None):
-        """``counts``: neighbour_counts(rows, [self.eps])[0], when known."""
+    def fit(self, rows, neighbours=None):
+        """``neighbours``: a NeighbourPass of the rows against themselves
+        that covers this eps; one is made when not given."""
         x = _as_matrix(rows)
         n = len(x)
         eps2 = self.eps * self.eps
-        if counts is None:
-            counts = neighbour_counts(x, [self.eps])[0]
-        core_mask = counts >= self.min_pts
+        if neighbours is None:
+            neighbours = NeighbourPass(x, x, radii=[self.eps])
+        core_mask = neighbours.counts(self.eps) >= self.min_pts
 
         core_idx = np.flatnonzero(core_mask)
         core_x = x[core_idx]
@@ -590,6 +692,7 @@ class Dbscan(_Detector):
         q = _as_matrix(rows)
         if len(self.core_points) == 0:
             return np.full(len(q), np.inf)
+        _check_width(q, self.core_points.shape[1])
         return np.sqrt(_nearest(q, self.core_points)[1])
 
     def to_json(self):
@@ -606,14 +709,16 @@ class Dbscan(_Detector):
 
     @classmethod
     def from_json(cls, obj):
-        model = cls(obj["eps"], obj["min_pts"])
-        model.core_points = np.asarray(obj["core_points"], dtype=np.float64)
-        if model.core_points.size == 0:
-            model.core_points = model.core_points.reshape(0, 1)
-        model.core_labels = np.asarray(obj["core_labels"], dtype=np.int64)
+        model = cls(_number(obj, "eps"), _number(obj, "min_pts", integer=True))
+        # a model without core points is saved with an empty list
+        if obj["core_points"] == []:
+            model.core_points = np.empty((0, 1))
+        else:
+            model.core_points = _array(obj, "core_points", 2)
+        model.core_labels = _array(obj, "core_labels", 1, dtype=np.int64)
         if len(model.core_labels) != len(model.core_points):
             raise DataError("core_points and core_labels differ in length")
-        model.n_clusters = obj["n_clusters"]
+        model.n_clusters = _number(obj, "n_clusters", integer=True)
         return model
 
 

@@ -247,15 +247,30 @@ class Scaler:
     def transform(self, values):
         if self.mins is None:
             raise DataError("scaler is not fitted")
-        return (np.asarray(values, dtype=np.float64) - self.mins) / self._denom()
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != len(self.mins):
+            raise DataError("expected rows of %d features, got shape %s"
+                            % (len(self.mins), values.shape))
+        return (values - self.mins) / self._denom()
 
     def to_json(self):
         return {"mins": self.mins.tolist(), "maxs": self.maxs.tolist()}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(np.asarray(obj["mins"], dtype=np.float64),
-                   np.asarray(obj["maxs"], dtype=np.float64))
+        """The scaler ``to_json`` described; DataError unless ``mins`` and
+        ``maxs`` are number lists of one length."""
+        try:
+            mins, maxs = (np.asarray(obj[key], dtype=np.float64)
+                          for key in ("mins", "maxs"))
+        except (KeyError, TypeError, ValueError):
+            raise DataError("a scaler must be an object with number lists "
+                            "mins and maxs") from None
+        if mins.ndim != 1 or mins.shape != maxs.shape:
+            raise DataError("scaler mins and maxs must be number lists of one "
+                            "length, got shapes %s and %s"
+                            % (mins.shape, maxs.shape))
+        return cls(mins, maxs)
 
 
 def write_feature_csv(table, path, full=False):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .autoencoder import Autoencoder, TrainConfig, train
 from .detectors import (IsolationForest, LocalOutlierFactor, Dbscan,
-                        load_model, save_model)
+                        NeighbourPass, load_model, save_model)
 from .errors import DataError, LeakageError
 from .features import FeatureTable, Scaler, engineer_tracks, write_feature_csv
 from .ingest import parse_csv, load_station_map, deduplicate, group_tracks
@@ -414,8 +414,12 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
                               train_pool=data.pool, scaler=data.scaler,
                               plan=data.plan)
 
+    # LOF's k-neighbourhoods and DBSCAN's eps-counts over fit_x come from
+    # one neighbour pass, made by whichever of the two fits first
+    names = cfg.model_list
+    neighbours = None
     model_reports = {}
-    for name in cfg.model_list:
+    for name in names:
         t0 = timer()
         if name == "autoencoder":
             model = Autoencoder(data.ae_train.shape[1], units=cfg.ae_units,
@@ -431,7 +435,15 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
             threshold = result.threshold.threshold
         else:
             model = _build_classical(name, cfg, model_seed)
-            model.fit(data.fit_x)
+            if name == "iforest":
+                model.fit(data.fit_x)
+            else:
+                if neighbours is None:
+                    neighbours = NeighbourPass(
+                        data.fit_x, data.fit_x, self_excluded=True,
+                        ks=[cfg.lof_k] if "lof" in names else [],
+                        radii=[cfg.dbscan_eps] if "dbscan" in names else [])
+                model.fit(data.fit_x, neighbours=neighbours)
             threshold = model.threshold
         result.models[name] = model
         entry = _model_entry(name, model, threshold, x_test, test.label,
@@ -499,10 +511,13 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
     labelled, _label_report, _ingest = prepare_table(cfg)
     split = split_rows(labelled, cfg, cfg.seed)
 
-    with open(os.path.join(models_dir, "scaler.json")) as f:
-        scaler = Scaler.from_json(json.load(f))
     test = split.test_table()
-    x_test = scaler.transform(test.values)
+    path = os.path.join(models_dir, "scaler.json")
+    try:
+        with open(path) as f:
+            x_test = Scaler.from_json(json.load(f)).transform(test.values)
+    except DataError as e:
+        raise DataError("%s: %s" % (path, e)) from None
 
     reports = {}
     for name in cfg.model_list:
@@ -517,8 +532,11 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
         else:
             model = load_model(path)
             thr = model.threshold
-        reports[name] = _model_entry(name, model, thr, x_test, test.label,
-                                     cfg.interval_mode())
+        try:
+            reports[name] = _model_entry(name, model, thr, x_test,
+                                         test.label, cfg.interval_mode())
+        except DataError as e:
+            raise DataError("%s: %s" % (path, e)) from None
         reports[name]["runtime_s"] = timer() - t0
     return {"seed": cfg.seed, "split": split.counts(), "models": reports}
 

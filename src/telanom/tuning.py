@@ -23,7 +23,7 @@ import numpy as np
 
 from .autoencoder import Autoencoder, TrainConfig, train
 from .detectors import (IsolationForest, LocalOutlierFactor, Dbscan,
-                        neighbour_counts)
+                        NeighbourPass)
 from .errors import DataError
 from .metrics import confusion, compute_metrics
 from .thresholding import (build_table, contamination_threshold, flag,
@@ -101,25 +101,51 @@ def _classical_model(kind, params, seed):
     raise DataError("unknown model kind %r" % kind)
 
 
-def _score_classical(kind, params, train_x, val_x, val_y, seed, shared):
-    """F1 outcome of one classical candidate. LOF's contamination only
-    sets the threshold over the training LOF values, so LOF candidates of
-    one k share the fit and validation scores kept in ``shared``; DBSCAN
-    candidates take the training rows' neighbour counts for their eps from
-    ``shared``."""
-    model = _classical_model(kind, params, seed)
+def _shared_state(kind, candidates, train_x, val_x, seed):
+    """What the LOF or DBSCAN candidates of a grid share: one neighbour pass
+    of the training rows for every k and eps, for LOF one of the validation
+    rows against them, and the results candidates reuse."""
+    shared = {"reused": {}}
     if kind == "lof":
-        if model.k not in shared:
-            model.fit(train_x)
-            shared[model.k] = (model, model.scores(val_x))
-        fitted, val_scores = shared[model.k]
-        threshold = contamination_threshold(fitted.train_lof,
-                                            model.contamination)
+        ks = [_classical_model(kind, p, seed).k for p in candidates]
+        shared["fit"] = NeighbourPass(train_x, train_x, ks=ks,
+                                      self_excluded=True)
+        shared["val"] = NeighbourPass(val_x, train_x, ks=ks)
+    elif kind == "dbscan":
+        radii = sorted({_classical_model(kind, p, seed).eps
+                        for p in candidates})
+        shared["fit"] = NeighbourPass(train_x, train_x, radii=radii)
+    return shared
+
+
+def _score_classical(kind, params, train_x, val_x, val_y, seed, shared):
+    """F1 outcome of one classical candidate.
+
+    LOF's contamination only sets the threshold over the training LOF
+    values, so LOF candidates of one k share a fit and its validation
+    scores. A DBSCAN candidate's threshold is its eps and its scores are
+    the distances to its core points, the training rows with
+    ``counts[eps] >= min_pts``, so candidates with one core mask share a
+    fit and its validation scores.
+    """
+    model = _classical_model(kind, params, seed)
+    reused = shared["reused"]
+    if kind == "lof":
+        if model.k not in reused:
+            model.fit(train_x, neighbours=shared["fit"])
+            reused[model.k] = (model.train_lof, model.scores(
+                val_x, neighbours=shared["val"]))
+        train_lof, val_scores = reused[model.k]
+        threshold = contamination_threshold(train_lof, model.contamination)
+    elif kind == "dbscan":
+        core = (shared["fit"].counts(model.eps) >= model.min_pts).tobytes()
+        if core not in reused:
+            model.fit(train_x, neighbours=shared["fit"])
+            reused[core] = model.scores(val_x)
+        threshold = model.threshold
+        val_scores = reused[core]
     else:
-        if kind == "dbscan":
-            model.fit(train_x, counts=shared[model.eps])
-        else:
-            model.fit(train_x)
+        model.fit(train_x)
         threshold = model.threshold
         val_scores = model.scores(val_x)
     m = compute_metrics(confusion(flag(val_scores, threshold), val_y))
@@ -161,12 +187,7 @@ def grid_search(model_kind, grid, train_x, val_x, val_y, seed=0):
         raise DataError("unknown model kind %r" % model_kind)
 
     candidates = list(_canonical_candidates(grid))
-    shared = {}
-    if model_kind == "dbscan" and candidates:
-        # one neighbour-count sweep covers every eps of the grid
-        radii = sorted({_classical_model(model_kind, p, seed).eps
-                        for p in candidates})
-        shared = dict(zip(radii, neighbour_counts(train_x, radii)))
+    shared = _shared_state(model_kind, candidates, train_x, val_x, seed)
     best = None
     rows = []
     for params in candidates:

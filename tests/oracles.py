@@ -5,8 +5,9 @@ from the production code, so the two can disagree; the exceptions are the
 row-at-a-time front end, the scalar code the columnar one replaced, and at
 the end the allocating autoencoder training loop and the rank loop that
 buffered and array code replaced, the per-model confidence-interval repeats
-the all-models-per-repeat ones replaced, and the two table helpers only
-tests use. scipy/mpmath are test dependencies only and must never leak into
+the all-models-per-repeat ones replaced, the two table helpers only tests
+use and the per-model LOF neighbourhood sweep the shared neighbour pass
+replaced. scipy/mpmath are test dependencies only and must never leak into
 src/.
 """
 
@@ -19,7 +20,7 @@ import mpmath
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from telanom.detectors import expected_path_length
+from telanom.detectors import _sq_dist_blocks, expected_path_length
 from telanom.errors import TrainingError
 from telanom.features import (CONTINUOUS_DIMS, FEATURE_NAMES, STEPWISE_DIMS,
                               FeatureTable, haversine_km)
@@ -610,3 +611,31 @@ def read_feature_csv(path):
     if not uid:
         return FeatureTable.empty()
     return FeatureTable(uid, fish, station, ts, np.asarray(vals), label, mask)
+
+
+# ---------------------------------------------------------------------------
+# LOF neighbourhoods: one sweep per k, selected on square roots
+
+
+def lof_neighbourhoods(q, x, k, self_excluded):
+    """k-distances of the rows of ``q`` against the rows of ``x`` and their
+    tie-inclusive k-neighbourhoods, as (kdist, ids, dists, sizes): the
+    neighbours of row i are the i-th run of ``sizes[i]`` entries of ``ids``
+    and ``dists``, in ascending id order. With ``self_excluded`` row i of
+    ``q`` is row i of ``x`` and not its own neighbour. Every block takes the
+    square root of all its entries before it selects."""
+    kdist = np.empty(len(q))
+    ids, dists, sizes = [], [], []
+    for lo, hi, d in _sq_dist_blocks(q, x):
+        np.sqrt(d, out=d)
+        if self_excluded:
+            r = np.arange(hi - lo)
+            d[r, lo + r] = np.inf
+        kd = np.partition(d, k - 1, axis=1)[:, k - 1]
+        kdist[lo:hi] = kd
+        r, c = np.divmod(np.flatnonzero(d <= kd[:, None]), d.shape[1])
+        ids.append(c)
+        dists.append(d[r, c])
+        sizes.append(np.bincount(r, minlength=hi - lo))
+    return (kdist, np.concatenate(ids), np.concatenate(dists),
+            np.concatenate(sizes))

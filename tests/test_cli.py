@@ -288,6 +288,47 @@ def test_evaluate_rejects_broken_autoencoder_files(dataset, tmp_path, capsys):
         assert err.startswith("data error") and "autoencoder.json" in err, what
 
 
+def test_evaluate_rejects_broken_classical_and_scaler_files(dataset, tmp_path,
+                                                            capsys):
+    out = str(tmp_path / "trained")
+    cfg = tmp_path / "nn.cfg"
+    cfg.write_text(RUN_CFG_TEXT.replace("iforest,dbscan", "lof,dbscan"))
+    assert main(["train", "--config", str(cfg), "--seed", "5"]
+                + _data_args(dataset, out)) == 0
+    broken = [
+        ("models/dbscan.json", lambda o: dict(o, core_points=[1.0, 2.0],
+                                              core_labels=[0, 0])),
+        ("models/dbscan.json", lambda o: dict(o, eps="0.5")),
+        ("models/dbscan.json", lambda o: dict(
+            o, core_points=[row[:5] for row in o["core_points"]])),
+        ("scaler.json", lambda o: dict(o, mins=o["mins"][:5])),
+        ("scaler.json", lambda o: {k: v[:5] for k, v in o.items()}),
+        ("scaler.json", lambda o: dict(o, maxs="wide")),
+        ("models/lof.json", lambda o: dict(o, k="5")),
+        ("models/lof.json", lambda o: dict(o, k=True)),
+        ("models/lof.json", lambda o: dict(o, x=[row[:5] for row in o["x"]])),
+    ]
+    for name, change in broken:
+        path = os.path.join(out, name)
+        with open(path) as f:
+            text = f.read()
+        with open(path, "w") as f:
+            f.write(json.dumps(change(json.loads(text))))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(cfg), "--seed", "5",
+                     "--models-dir", out]
+                    + _data_args(dataset, str(tmp_path / "eval")))
+        err = capsys.readouterr().err
+        with open(path, "w") as f:
+            f.write(text)
+        assert code == 2, (name, err)
+        assert err.startswith("data error"), (name, err)
+        assert os.path.basename(name) in err, (name, err)
+    assert main(["evaluate", "--config", str(cfg), "--seed", "5",
+                 "--models-dir", out]
+                + _data_args(dataset, str(tmp_path / "eval"))) == 0
+
+
 def test_tune_subcommand(dataset, tmp_path):
     out = str(tmp_path / "tune")
     grid = tmp_path / "grid.json"

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (brute_force_lof, isolation_mean_depths, reference_dbscan,
-                     same_partition)
+import oracles
+from oracles import (brute_force_lof, isolation_mean_depths,
+                     lof_neighbourhoods, reference_dbscan, same_partition)
 from scipy.spatial.distance import cdist
 from telanom import detectors
 from telanom.detectors import (Dbscan, IsolationForest, LocalOutlierFactor,
-                               expected_path_length, harmonic, load_model,
-                               save_model, scores_from_mean_depths)
+                               NeighbourPass, expected_path_length, harmonic,
+                               load_model, save_model,
+                               scores_from_mean_depths)
 from telanom.errors import DataError
 from telanom.thresholding import flag
 
@@ -467,6 +469,111 @@ def test_neighbour_counts_covers_every_radius_in_one_sweep(monkeypatch, n):
         assert np.array_equal(counts[j], (d2 <= r * r).sum(axis=1))
         assert np.array_equal(counts[j], detectors.neighbour_counts(x, [r])[0])
     assert detectors.neighbour_counts(x, []).shape == (0, n)
+
+
+# -- the shared neighbour pass ------------------------------------------------
+
+
+def _same_hoods(got, want):
+    return all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def _duplicated_blobs(rng, n, d):
+    """Float rows with exact duplicates, some straddling block edges."""
+    x = _blobs(rng, n, d=d, spread=0.3, box=2.0)
+    x[1::5] = x[0:n - 1:5][:len(x[1::5])]
+    x[BLOCK] = x[BLOCK - 1]
+    return x
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK + 1, 40, 300])
+@pytest.mark.parametrize("rows", [1, BLOCK, 64])
+def test_neighbour_pass_equals_per_k_oracle(monkeypatch, n, rows):
+    # every k and every radius of one pass, bit for bit against one sweep
+    # per k that takes roots before selecting, at several block heights
+    rng = np.random.default_rng(90 + n)
+    ks, radii = [1, 3, 5, 8], [0.25, 1.0]
+    _block_height(monkeypatch, rows, n)
+    for x in (_grid_rows(rng, n), _duplicated_blobs(rng, n, d=3)):
+        q = np.vstack([x[::3], _grid_rows(rng, 7) / 2.0])
+        fit = NeighbourPass(x, x, ks=ks, radii=radii, self_excluded=True)
+        query = NeighbourPass(q, x, ks=ks)
+        for k in ks:
+            assert _same_hoods(fit.neighbourhood(k),
+                               lof_neighbourhoods(x, x, k, True))
+            assert _same_hoods(query.neighbourhood(k),
+                               lof_neighbourhoods(q, x, k, False))
+        counts = detectors.neighbour_counts(x, radii)
+        for j, r in enumerate(radii):
+            assert np.array_equal(fit.counts(r), counts[j])
+
+
+def _same_root_pair():
+    """Doubles a < b, b the next one up, with one rounded square root."""
+    a = 2.0
+    while math.sqrt(np.nextafter(a, np.inf)) != math.sqrt(a):
+        a = np.nextafter(a, np.inf)
+    return a, np.nextafter(a, np.inf)
+
+
+def test_neighbour_pass_keeps_entries_one_ulp_above_the_k_distance(
+        monkeypatch):
+    # a d2 one double above the k-th smallest has the same root, so it is
+    # in the tie-inclusive neighbourhood; a test on d2 <= kd2 would drop it
+    a, b = _same_root_pair()
+    c = np.nextafter(b, np.inf)
+    while math.sqrt(c) == math.sqrt(b):
+        c = np.nextafter(c, np.inf)
+    block = np.array([[0.5, a, b, c, 9.0],
+                      [b, a, 9.0, c, a]])
+
+    def fixed_blocks(q, x):
+        yield 0, len(q), block.copy()
+    monkeypatch.setattr(detectors, "_sq_dist_blocks", fixed_blocks)
+    monkeypatch.setattr(oracles, "_sq_dist_blocks", fixed_blocks)
+    q, x = np.zeros((2, 1)), np.zeros((5, 1))
+    got = NeighbourPass(q, x, ks=[2]).neighbourhood(2)
+    assert _same_hoods(got, lof_neighbourhoods(q, x, 2, False))
+    kdist, ids, dists, sizes = got
+    assert kdist.tolist() == [math.sqrt(a)] * 2
+    assert sizes.tolist() == [3, 3]
+    assert ids.tolist() == [0, 1, 2, 0, 1, 4]
+    assert dists[2] == math.sqrt(b)
+
+
+def test_lof_takes_precomputed_neighbourhoods():
+    rng = np.random.default_rng(93)
+    train = _duplicated_blobs(rng, 120, d=5)
+    q = _blobs(rng, 30, d=5)
+    shared = NeighbourPass(train, train, ks=[3, 7], radii=[1.0],
+                           self_excluded=True)
+    queries = NeighbourPass(q, train, ks=[3, 7])
+    for k in (3, 7):
+        alone = LocalOutlierFactor(k=k).fit(train)
+        model = LocalOutlierFactor(k=k).fit(train, neighbours=shared)
+        for a, b in ((model.kdist, alone.kdist), (model.lrd, alone.lrd),
+                     (model.train_lof, alone.train_lof)):
+            assert np.array_equal(a, b)
+        assert model.threshold == alone.threshold
+        assert np.array_equal(model.scores(q, neighbours=queries),
+                              alone.scores(q))
+    db = Dbscan(eps=1.0, min_pts=3)
+    assert np.array_equal(db.fit(train, neighbours=shared).labels_,
+                          Dbscan(eps=1.0, min_pts=3).fit(train).labels_)
+    with pytest.raises(ValueError, match="k=5"):
+        LocalOutlierFactor(k=5).fit(train, neighbours=shared)
+    with pytest.raises(ValueError, match="radius"):
+        Dbscan(eps=2.0).fit(train, neighbours=shared)
+
+
+def test_scores_reject_rows_of_another_width():
+    rng = np.random.default_rng(94)
+    train = _blobs(rng, 60, d=4)
+    for model in (LocalOutlierFactor(k=3).fit(train),
+                  Dbscan(eps=3.0, min_pts=3).fit(train)):
+        for width in (3, 5):
+            with pytest.raises(DataError, match="features"):
+                model.scores(_blobs(rng, 5, d=width))
 
 
 def test_block_height_does_not_change_results(monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import reshuffle_report
-from telanom import pipeline
+from telanom import detectors, pipeline
 from telanom.cli import build_parser, cmd_tune, main
 from telanom.detectors import Dbscan, IsolationForest, LocalOutlierFactor
 from telanom.errors import DataError, LeakageError
@@ -263,9 +263,9 @@ def test_run_pipeline_builds_classical_fit_rows_once(tiny_labelled,
     fit_rows = []
     stages = _record_stages(monkeypatch)
     for cls in (IsolationForest, LocalOutlierFactor, Dbscan):
-        def fitted(self, rows, _fit=cls.fit):
+        def fitted(self, rows, *args, _fit=cls.fit, **kwargs):
             fit_rows.append(rows)
-            return _fit(self, rows)
+            return _fit(self, rows, *args, **kwargs)
         monkeypatch.setattr(cls, "fit", fitted)
     run_pipeline(tiny_labelled,
                  _fast_cfg(models=models, resample_interval="600"), seed=5,
@@ -277,6 +277,38 @@ def test_run_pipeline_builds_classical_fit_rows_once(tiny_labelled,
         resample=1, scaler_fit=1, fit=fit_checks, ae_fit=ae, threshold=ae)
     assert len(fit_rows) == len(models.split(",")) - ("autoencoder" in models)
     assert all(rows is fit_rows[0] for rows in fit_rows)
+
+
+@pytest.mark.parametrize("models", ["lof,dbscan", "dbscan,iforest,lof",
+                                    "lof", "dbscan"])
+def test_lof_and_dbscan_fits_share_one_sweep(tiny_labelled, monkeypatch,
+                                              models):
+    # one sweep of the fit rows against themselves serves LOF's
+    # k-neighbourhoods and DBSCAN's eps-counts, made by the first fit; the
+    # models match the ones fitted on their own
+    sweeps, fits = [], []
+
+    def blocks(a, b, _fn=detectors._sq_dist_blocks):
+        if a is b:
+            sweeps.append((len(fits), a))
+        return _fn(a, b)
+    for cls in (LocalOutlierFactor, Dbscan):
+        def fitted(self, rows, *args, _fit=cls.fit, **kwargs):
+            fits.append(self.kind)
+            return _fit(self, rows, *args, **kwargs)
+        monkeypatch.setattr(cls, "fit", fitted)
+    monkeypatch.setattr(detectors, "_sq_dist_blocks", blocks)
+    cfg = _fast_cfg(models=models, resample_interval="600")
+    result = run_pipeline(tiny_labelled, cfg, seed=5, timer=lambda: 0.0)
+    monkeypatch.undo()
+    assert [at for at, _ in sweeps] == [1]
+    fit_x = sweeps[0][1]
+    if "lof" in models:
+        alone = LocalOutlierFactor(k=cfg.lof_k).fit(fit_x)
+        assert np.array_equal(result.models["lof"].train_lof, alone.train_lof)
+    if "dbscan" in models:
+        alone = Dbscan(cfg.dbscan_eps, cfg.dbscan_min_pts).fit(fit_x)
+        assert np.array_equal(result.models["dbscan"].labels_, alone.labels_)
 
 
 def _cli_args(tiny_csvs, out, *argv):

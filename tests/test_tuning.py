@@ -4,8 +4,8 @@ tie handling, and scoring-path behaviour on a separable toy problem."""
 import numpy as np
 import pytest
 
-from telanom import tuning
-from telanom.detectors import Dbscan, LocalOutlierFactor
+from telanom import detectors, tuning
+from telanom.detectors import Dbscan, LocalOutlierFactor, NeighbourPass
 from telanom.errors import DataError
 from telanom.metrics import compute_metrics, confusion
 from telanom.tuning import (DEFAULT_GRIDS, GridSearchResult,
@@ -162,19 +162,36 @@ def test_grid_result_csv(tmp_path):
             tmp_path / "empty.csv")
 
 
+def _sweeps_against(monkeypatch, ref):
+    """The query rows of every distance sweep made against ``ref``."""
+    sweeps = []
+
+    def counted(a, b, _fn=detectors._sq_dist_blocks):
+        if b is ref:
+            sweeps.append(a)
+        return _fn(a, b)
+    monkeypatch.setattr(detectors, "_sq_dist_blocks", counted)
+    return sweeps
+
+
 def test_lof_grid_reuses_fits_without_changing_rows(monkeypatch):
-    # candidates of one k share a fit; each row must equal a fresh fit
+    # candidates of one k share a fit; every k comes from one sweep of the
+    # training rows and one of the validation rows; each row must equal a
+    # fresh fit
     train_x, val_x, val_y, _, _ = _toy_problem()
     grid = DEFAULT_GRIDS["lof"]
     calls = []
     for name in ("fit", "scores"):
-        def counted(self, rows, _name=name,
-                    _fn=getattr(LocalOutlierFactor, name)):
+        def counted(self, rows, *args, _name=name,
+                    _fn=getattr(LocalOutlierFactor, name), **kwargs):
             calls.append(_name)
-            return _fn(self, rows)
+            return _fn(self, rows, *args, **kwargs)
         monkeypatch.setattr(LocalOutlierFactor, name, counted)
+    sweeps = _sweeps_against(monkeypatch, train_x)
     result = grid_search("lof", grid, train_x, val_x, val_y)
     assert sorted(calls) == ["fit"] * 3 + ["scores"] * 3
+    assert [a is train_x for a in sweeps] == [True, False]
+    assert sweeps[1] is val_x
     monkeypatch.undo()
 
     want = []
@@ -194,12 +211,14 @@ def test_dbscan_grid_counts_once_per_eps_without_changing_rows(monkeypatch):
     grid = DEFAULT_GRIDS["dbscan"]
     passes = []
 
-    def counted(rows, radii, _fn=tuning.neighbour_counts):
-        passes.append(list(radii))
-        return _fn(rows, radii)
-    monkeypatch.setattr(tuning, "neighbour_counts", counted)
+    def counted(self, *args, _fn=NeighbourPass.__init__, **kwargs):
+        _fn(self, *args, **kwargs)
+        passes.append(self.radii)
+    monkeypatch.setattr(tuning.NeighbourPass, "__init__", counted)
+    sweeps = _sweeps_against(monkeypatch, train_x)
     result = grid_search("dbscan", grid, train_x, val_x, val_y)
     assert passes == [sorted(grid["eps"])]
+    assert len(sweeps) == 1
     monkeypatch.undo()
 
     want = []
@@ -210,3 +229,35 @@ def test_dbscan_grid_counts_once_per_eps_without_changing_rows(monkeypatch):
                      "recall": m["recall"], "precision": m["precision"]})
     assert result.rows == want
     assert len({r["f1_score"] for r in want}) > 1
+
+
+def test_dbscan_grid_shares_fits_and_scores_by_core_mask(monkeypatch):
+    # candidates with one core mask share a fit and its validation scores
+    train_x, val_x, val_y, _, _ = _toy_problem()
+    grid = {"eps": [0.05, 0.5, 1.5, 2.0, 3.5], "min_pts": [1, 2, 4, 10]}
+    calls = []
+    for name in ("fit", "scores"):
+        def counted(self, rows, *args, _name=name, _fn=getattr(Dbscan, name),
+                    **kwargs):
+            calls.append((_name, self.eps, self.min_pts))
+            return _fn(self, rows, *args, **kwargs)
+        monkeypatch.setattr(Dbscan, name, counted)
+    result = grid_search("dbscan", grid, train_x, val_x, val_y)
+    monkeypatch.undo()
+
+    counts = detectors.neighbour_counts(train_x, grid["eps"])
+    masks = {(eps, m): (counts[j] >= m).tobytes()
+             for j, eps in enumerate(grid["eps"]) for m in grid["min_pts"]}
+    first = list(dict.fromkeys(masks[p["eps"], p["min_pts"]]
+                               for p in _canonical_candidates(grid)))
+    assert len(first) < len(masks)
+    for name in ("fit", "scores"):
+        assert [masks[c[1:]] for c in calls if c[0] == name] == first
+
+    want = []
+    for params in _canonical_candidates(grid):
+        model = Dbscan(**params).fit(train_x)
+        m = compute_metrics(confusion(model.predict(val_x), val_y))
+        want.append({**params, "f1_score": m["f1_score"],
+                     "recall": m["recall"], "precision": m["precision"]})
+    assert result.rows == want
