@@ -16,13 +16,13 @@ array and one Adam update is fourteen ufunc calls over all parameters.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, TrainingError
+from .thresholding import _Detector, _as_matrix, _check_width
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
 
@@ -36,7 +36,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    val_fraction: float = 0.2
 
 
 @dataclass
@@ -85,8 +84,14 @@ def _param_views(flat, shapes):
     return views
 
 
-class Autoencoder:
-    """Symmetric four-layer autoencoder with a linear bottleneck."""
+class Autoencoder(_Detector):
+    """Symmetric four-layer autoencoder with a linear bottleneck.
+
+    Its ``threshold`` is not learnt by ``train``: it is chosen on labelled
+    validation rows (thresholding.select_threshold) and kept in its own
+    file, not in the model file."""
+
+    kind = "autoencoder"
 
     def __init__(self, n_inputs, units=128, bottleneck=2, seed=0):
         if n_inputs < 1 or units < 1 or bottleneck < 1:
@@ -103,6 +108,7 @@ class Autoencoder:
                 self.params[k] = rng.uniform(-bound, bound, size=shape)
             else:
                 self.params[k] = np.zeros(shape)
+        self.threshold = None
 
     @property
     def param_shapes(self):
@@ -212,13 +218,13 @@ class Autoencoder:
 
     def scores(self, rows):
         """Per-row mean squared reconstruction error."""
-        x = np.asarray(rows, dtype=np.float64)
+        x = _check_width(_as_matrix(rows), self.n_inputs)
         return np.mean(self._squared_errors(x, _Workspace(self, len(x))),
                        axis=1)
 
     def to_json(self):
         return {
-            "kind": "autoencoder",
+            "kind": self.kind,
             "n_inputs": self.n_inputs,
             "units": self.units,
             "bottleneck": self.bottleneck,
@@ -266,31 +272,14 @@ class Autoencoder:
             model.params[k] = value
         return model
 
-    def save(self, path):
-        with open(path, "w") as f:
-            f.write(json.dumps(self.to_json()))
-            f.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            try:
-                obj = json.load(f)
-            except ValueError as e:
-                raise DataError("%s: not a JSON model file: %s"
-                                % (path, e)) from None
-        try:
-            return cls.from_json(obj)
-        except DataError as e:
-            raise DataError("%s: %s" % (path, e)) from None
-
 
 def train(model, rows, cfg, val_rows=None):
     """Train in place; returns a TrainResult with per-epoch losses.
 
-    ``rows`` must be the scaled normal training matrix. When ``val_rows``
-    is None a seeded 80/20 split is carved out of ``rows`` first. Training
-    aborts with TrainingError the moment a batch loss stops being finite.
+    ``rows`` must be the scaled normal training matrix; every row is
+    trained on. ``val_rows`` are the rows whose loss is recorded after each
+    epoch; without them there are no validation losses. Training aborts
+    with TrainingError the moment a batch loss stops being finite.
     Afterwards ``model.params`` are views of one flat parameter vector.
     """
     x = np.asarray(rows, dtype=np.float64)
@@ -300,15 +289,8 @@ def train(model, rows, cfg, val_rows=None):
         raise DataError("training data contains non-finite values")
 
     rng = np.random.default_rng(cfg.seed)
-    if val_rows is None:
-        perm = rng.permutation(len(x))
-        n_val = int(round(cfg.val_fraction * len(x)))
-        val = x[perm[:n_val]]
-        x = x[perm[n_val:]]
-    else:
-        val = np.asarray(val_rows, dtype=np.float64)
-    if len(x) == 0:
-        raise DataError("validation split consumed all training rows")
+    val = np.empty((0, x.shape[1])) if val_rows is None else np.asarray(
+        val_rows, dtype=np.float64)
 
     shapes = model.param_shapes
     theta = np.concatenate([np.asarray(model.params[k], dtype=np.float64)

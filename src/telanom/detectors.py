@@ -1,5 +1,5 @@
 """From-scratch unsupervised detectors: isolation forest, local outlier
-factor and density clustering.
+factor and density clustering, and the model files of all four models.
 
 All three share the conventions of the rest of the package: rows are float
 matrices of shape (n, d), anomaly scores are "higher means more anomalous",
@@ -15,7 +15,9 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .thresholding import contamination_threshold, flag
+from .autoencoder import Autoencoder, TrainConfig
+from .thresholding import (_Detector, _as_matrix, _check_width,
+                           contamination_threshold)
 
 EULER_GAMMA = 0.5772156649
 _HARMONIC_EXACT_LIMIT = 10 ** 6
@@ -50,20 +52,6 @@ def scores_from_mean_depths(mean_depths, sample_size):
     if c <= 0.0:
         return np.ones_like(np.asarray(mean_depths, dtype=np.float64))
     return np.power(2.0, -np.asarray(mean_depths, dtype=np.float64) / c)
-
-
-def _as_matrix(rows):
-    x = np.asarray(rows, dtype=np.float64)
-    if x.ndim != 2:
-        raise DataError("expected a 2-d row matrix, got shape %s" % (x.shape,))
-    return x
-
-
-def _check_width(x, width):
-    if x.shape[1] != width:
-        raise DataError("rows have %d features; the model was fitted on %d"
-                        % (x.shape[1], width))
-    return x
 
 
 # Floats in each of the kernel's two distance buffers (512 KB): both stay in
@@ -206,8 +194,8 @@ def _nearest(a, b):
 
 
 def _number(obj, key, integer=False):
-    """Model file field ``key``: a JSON number, or an integer when
-    ``integer``; DataError otherwise."""
+    """Field ``key`` of a model file or of grid parameters: a JSON number,
+    or an integer when ``integer``; DataError otherwise."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(
             value, int if integer else (int, float)):
@@ -228,14 +216,6 @@ def _array(obj, key, ndim, dtype=np.float64):
         raise DataError("%s must be %d-d, got shape %s"
                         % (key, ndim, value.shape))
     return value
-
-
-class _Detector:
-    """The protocol the three detectors share: ``fit``, ``scores`` and a
-    ``threshold``, from which ``predict`` is derived."""
-
-    def predict(self, rows):
-        return flag(self.scores(rows), self.threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +578,6 @@ class LocalOutlierFactor(_Detector):
 # density clustering
 
 
-def neighbour_counts(rows, radii):
-    """``counts[j, i]``: how many rows (row i included) lie within
-    ``radii[j]`` of row i, all radii counted in one distance sweep."""
-    x = _as_matrix(rows)
-    hood = NeighbourPass(x, x, radii=radii)
-    return np.array([hood.counts(r) for r in radii],
-                    dtype=np.int64).reshape(len(radii), len(x))
-
-
 class Dbscan(_Detector):
     """Exact density clustering with Euclidean distances.
 
@@ -722,11 +693,46 @@ class Dbscan(_Detector):
         return model
 
 
-MODEL_KINDS = {
-    IsolationForest.kind: IsolationForest,
-    LocalOutlierFactor.kind: LocalOutlierFactor,
-    Dbscan.kind: Dbscan,
+MODEL_KINDS = {cls.kind: cls for cls in (Autoencoder, IsolationForest,
+                                         LocalOutlierFactor, Dbscan)}
+
+# Each model's grid parameters, True for those that take an integer. The
+# autoencoder's units and bottleneck shape the model, the rest configure
+# its training.
+MODEL_PARAMS = {
+    "autoencoder": {"units": True, "bottleneck": True,
+                    "learning_rate": False, "batch_size": True,
+                    "epochs": True},
+    "iforest": {"n_estimators": True, "contamination": False,
+                "subsample": True},
+    "lof": {"k": True, "contamination": False},
+    "dbscan": {"eps": False, "min_pts": True},
 }
+
+
+def build_model(kind, params, width, seed):
+    """The unfitted model ``kind`` for rows of ``width`` features, with the
+    grid parameters ``params``; a parameter they leave out takes its
+    class's default (RunConfig's default too). Returns (model, the
+    TrainConfig that trains it) for the autoencoder and (model, None) for
+    the others. An unknown model or parameter and a value of the wrong
+    type are DataErrors that name it."""
+    if kind not in MODEL_PARAMS:
+        raise DataError("unknown model kind %r" % (kind,))
+    integer = MODEL_PARAMS[kind]
+    unknown = sorted(set(params) - set(integer))
+    if unknown:
+        raise DataError("%s has no parameter %r; its parameters are %s"
+                        % (kind, unknown[0], ", ".join(integer)))
+    p = {key: _number(params, key, integer=integer[key]) for key in params}
+    if kind == "autoencoder":
+        shape = {key: p.pop(key) for key in ("units", "bottleneck")
+                 if key in p}
+        return (Autoencoder(width, seed=seed, **shape),
+                TrainConfig(seed=seed, **p))
+    if kind == "iforest":
+        p["seed"] = seed
+    return MODEL_KINDS[kind](**p), None
 
 
 def save_model(model, path):
@@ -737,20 +743,33 @@ def save_model(model, path):
         f.write("\n")
 
 
-def load_model(path):
+def load_json(path, read):
+    """``read(obj)`` of the JSON object ``obj`` in the file at ``path``. A
+    file that holds no JSON object, a key ``read`` misses and a DataError
+    of ``read`` are DataErrors that name the file."""
     with open(path) as f:
         try:
             obj = json.load(f)
         except ValueError as e:
-            raise DataError("%s: not a JSON model file: %s"
-                            % (path, e)) from None
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind not in MODEL_KINDS:
-        raise DataError("unknown model kind %r in %s" % (kind, path))
+            raise DataError("%s: not a JSON file: %s" % (path, e)) from None
+    if not isinstance(obj, dict):
+        raise DataError("%s: expected a JSON object" % path)
     try:
-        return MODEL_KINDS[kind].from_json(obj)
+        return read(obj)
     except KeyError as e:
-        raise DataError("%s: %s model lacks key %s"
-                        % (path, kind, e)) from None
+        raise DataError("%s: lacks key %s" % (path, e)) from None
     except DataError as e:
         raise DataError("%s: %s" % (path, e)) from None
+
+
+def _from_json(obj):
+    kind = obj.get("kind")
+    if kind not in MODEL_KINDS:
+        raise DataError("unknown model kind %r" % (kind,))
+    return MODEL_KINDS[kind].from_json(obj)
+
+
+def load_model(path):
+    """The model of any kind that ``save_model`` wrote to ``path``, checked
+    by its ``from_json``."""
+    return load_json(path, _from_json)

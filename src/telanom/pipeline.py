@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autoencoder import Autoencoder, TrainConfig, train
-from .detectors import (IsolationForest, LocalOutlierFactor, Dbscan,
-                        NeighbourPass, load_model, save_model)
+from .autoencoder import train
+from .detectors import (MODEL_PARAMS, NeighbourPass, _number, build_model,
+                        load_json, load_model, save_model)
 from .errors import DataError, LeakageError
 from .features import FeatureTable, Scaler, engineer_tracks, write_feature_csv
 from .ingest import parse_csv, load_station_map, deduplicate, group_tracks
@@ -42,7 +42,11 @@ _SEED_SPLIT = 1
 _SEED_AE_SPLIT = 2
 _SEED_MODEL = 3
 
-MODEL_NAMES = ("autoencoder", "iforest", "lof", "dbscan")
+MODEL_NAMES = tuple(MODEL_PARAMS)
+# run reads grid parameter p of model m from the RunConfig field
+# _CONFIG_PREFIX[m] + p
+_CONFIG_PREFIX = {"autoencoder": "ae_", "iforest": "if_", "lof": "lof_",
+                  "dbscan": "dbscan_"}
 
 # boolean spellings a config file may use, matched case-insensitively
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -88,6 +92,11 @@ class RunConfig:
             raise DataError("unknown model(s) %s; choose from %s"
                             % (bad, ", ".join(MODEL_NAMES)))
         return names
+
+    def model_params(self, name):
+        """Model ``name``'s grid parameters as this config sets them."""
+        return {p: getattr(self, _CONFIG_PREFIX[name] + p)
+                for p in MODEL_PARAMS[name]}
 
     def interval_mode(self):
         """Returns "none", "auto" or an integer number of seconds."""
@@ -255,19 +264,6 @@ def _model_seed(seed):
     return int(np.random.default_rng((seed, _SEED_MODEL)).integers(2 ** 31))
 
 
-def _build_classical(name, cfg, seed):
-    if name == "iforest":
-        return IsolationForest(n_estimators=cfg.if_n_estimators,
-                               contamination=cfg.if_contamination,
-                               subsample=cfg.if_subsample, seed=seed)
-    if name == "lof":
-        return LocalOutlierFactor(k=cfg.lof_k,
-                                  contamination=cfg.lof_contamination)
-    if name == "dbscan":
-        return Dbscan(eps=cfg.dbscan_eps, min_pts=cfg.dbscan_min_pts)
-    raise DataError("unknown classical model %r" % name)
-
-
 def _evaluate(predicted, scores, actual):
     cm = confusion(predicted, actual)
     m = compute_metrics(cm)
@@ -390,11 +386,11 @@ def prepare_training(labelled, cfg, seed):
                         seed)
 
 
-def _model_entry(name, model, threshold, x_test, y_test, interval):
+def _model_entry(name, model, x_test, y_test, interval):
     """Score the test rows once; the model's report entry, less its
     runtime_s."""
     scores = model.scores(x_test)
-    cm, m = _evaluate(flag(scores, threshold), scores, y_test)
+    cm, m = _evaluate(flag(scores, model.threshold), scores, y_test)
     return {"model": name, "resample_interval": interval,
             "confusion": cm.to_json(), "metrics": m, "ci": None,
             "n_parameters": model.n_parameters}
@@ -421,33 +417,27 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
     model_reports = {}
     for name in names:
         t0 = timer()
+        model, train_cfg = build_model(name, cfg.model_params(name),
+                                       x_test.shape[1], model_seed)
         if name == "autoencoder":
-            model = Autoencoder(data.ae_train.shape[1], units=cfg.ae_units,
-                                bottleneck=cfg.ae_bottleneck, seed=model_seed)
-            tcfg = TrainConfig(learning_rate=cfg.ae_learning_rate,
-                               batch_size=cfg.ae_batch_size,
-                               epochs=cfg.ae_epochs, seed=model_seed)
-            result.loss_curve = train(model, data.ae_train, tcfg,
+            # trained on normal rows, thresholded on labelled ones
+            result.loss_curve = train(model, data.ae_train, train_cfg,
                                       val_rows=data.ae_val)
             result.percentile_table = build_table(model.scores(data.val_x),
                                                   data.val_y)
             result.threshold = select_threshold(result.percentile_table)
-            threshold = result.threshold.threshold
+            model.threshold = result.threshold.threshold
+        elif name == "iforest":
+            model.fit(data.fit_x)
         else:
-            model = _build_classical(name, cfg, model_seed)
-            if name == "iforest":
-                model.fit(data.fit_x)
-            else:
-                if neighbours is None:
-                    neighbours = NeighbourPass(
-                        data.fit_x, data.fit_x, self_excluded=True,
-                        ks=[cfg.lof_k] if "lof" in names else [],
-                        radii=[cfg.dbscan_eps] if "dbscan" in names else [])
-                model.fit(data.fit_x, neighbours=neighbours)
-            threshold = model.threshold
+            if neighbours is None:
+                neighbours = NeighbourPass(
+                    data.fit_x, data.fit_x, self_excluded=True,
+                    ks=[cfg.lof_k] if "lof" in names else [],
+                    radii=[cfg.dbscan_eps] if "dbscan" in names else [])
+            model.fit(data.fit_x, neighbours=neighbours)
         result.models[name] = model
-        entry = _model_entry(name, model, threshold, x_test, test.label,
-                             interval)
+        entry = _model_entry(name, model, x_test, test.label, interval)
         entry["runtime_s"] = timer() - t0
         if name == "autoencoder":
             entry["threshold"] = result.threshold.to_json()
@@ -504,20 +494,17 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
     from the same config and seed.
 
     ``models_dir`` is the output directory of an earlier run/train: it must
-    hold scaler.json, models/*.json and (for the autoencoder)
-    threshold.json.
+    hold scaler.json, models/*.json and (for the autoencoder, whose model
+    file holds no threshold) threshold.json.
     """
     cfg.validate()
     labelled, _label_report, _ingest = prepare_table(cfg)
     split = split_rows(labelled, cfg, cfg.seed)
 
     test = split.test_table()
-    path = os.path.join(models_dir, "scaler.json")
-    try:
-        with open(path) as f:
-            x_test = Scaler.from_json(json.load(f)).transform(test.values)
-    except DataError as e:
-        raise DataError("%s: %s" % (path, e)) from None
+    x_test = load_json(os.path.join(models_dir, "scaler.json"),
+                       lambda obj: Scaler.from_json(obj).transform(
+                           test.values))
 
     reports = {}
     for name in cfg.model_list:
@@ -525,16 +512,16 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
         if not os.path.exists(path):
             raise DataError("no saved model %r under %s" % (name, models_dir))
         t0 = timer()
+        model = load_model(path)
+        if model.kind != name:
+            raise DataError("%s: holds a %s model" % (path, model.kind))
         if name == "autoencoder":
-            model = Autoencoder.load(path)
-            with open(os.path.join(models_dir, "threshold.json")) as f:
-                thr = json.load(f)["threshold"]
-        else:
-            model = load_model(path)
-            thr = model.threshold
+            model.threshold = load_json(
+                os.path.join(models_dir, "threshold.json"),
+                lambda obj: _number(obj, "threshold"))
         try:
-            reports[name] = _model_entry(name, model, thr, x_test,
-                                         test.label, cfg.interval_mode())
+            reports[name] = _model_entry(name, model, x_test, test.label,
+                                         cfg.interval_mode())
         except DataError as e:
             raise DataError("%s: %s" % (path, e)) from None
         reports[name]["runtime_s"] = timer() - t0
@@ -571,11 +558,7 @@ def _write_artifacts(cfg, result):
     write_split_csv(result.split, os.path.join(out, "split.csv"))
 
     for name, model in result.models.items():
-        path = os.path.join(out, "models", "%s.json" % name)
-        if name == "autoencoder":
-            model.save(path)
-        else:
-            save_model(model, path)
+        save_model(model, os.path.join(out, "models", "%s.json" % name))
     if result.threshold is not None:
         result.threshold.save(os.path.join(out, "threshold.json"))
         result.percentile_table.save_csv(

@@ -51,6 +51,29 @@ def flag(scores, threshold):
     return np.where(np.asarray(scores) > threshold, 0, 1)
 
 
+def _as_matrix(rows):
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2:
+        raise DataError("expected a 2-d row matrix, got shape %s" % (x.shape,))
+    return x
+
+
+def _check_width(x, width):
+    if x.shape[1] != width:
+        raise DataError("rows have %d features; the model was fitted on %d"
+                        % (x.shape[1], width))
+    return x
+
+
+class _Detector:
+    """The protocol every model shares: ``scores`` and a ``threshold``,
+    from which ``predict`` is derived. A row is anomalous when its score is
+    strictly above the threshold."""
+
+    def predict(self, rows):
+        return flag(self.scores(rows), self.threshold)
+
+
 @dataclass
 class PercentileTable:
     percentiles: list            # ints, ascending

@@ -5,11 +5,16 @@ in canonical order (parameter names sorted, candidate values sorted), so the
 result never depends on how the caller happened to order the lists; ties
 keep the first candidate in canonical order.
 
+Every candidate is built by detectors.build_model, as run builds its
+models, so a parameter the grid leaves out takes run's default and an
+unknown parameter or a bad value is a DataError that names it.
+
 Scoring: the classical detectors fit on the training rows (labels unused)
-and are scored by F1 on the labelled validation rows. The autoencoder fits
-on normal training rows only and is scored by the lexicographic
-(recall, precision, specificity) outcome of its selected percentile
-threshold on the validation rows. Absent metrics compare as -inf.
+and are scored by F1 on the labelled validation rows. The autoencoder
+trains on all of the normal training rows it is given and is scored by the
+lexicographic (recall, precision, specificity) outcome of its selected
+percentile threshold on the validation rows. Absent metrics compare as
+-inf.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ from itertools import product
 
 import numpy as np
 
-from .autoencoder import Autoencoder, TrainConfig, train
-from .detectors import (IsolationForest, LocalOutlierFactor, Dbscan,
-                        NeighbourPass)
+from .autoencoder import train
+from .detectors import NeighbourPass, build_model
 from .errors import DataError
 from .metrics import confusion, compute_metrics
 from .thresholding import (build_table, contamination_threshold, flag,
@@ -74,8 +78,16 @@ class GridSearchResult:
 
 
 def _canonical_candidates(grid):
+    if not isinstance(grid, dict):
+        raise DataError("a grid must map parameter names to value lists")
     names = sorted(grid)
-    lists = [sorted(grid[name]) for name in names]
+    lists = []
+    for name in names:
+        try:
+            lists.append(sorted(grid[name]))
+        except TypeError:
+            raise DataError("grid parameter %r needs a list of numbers, got "
+                            "%r" % (name, grid[name])) from None
     for combo in product(*lists):
         yield dict(zip(names, combo))
 
@@ -84,41 +96,23 @@ def _nn(v):
     return -math.inf if v is None else v
 
 
-def _classical_model(kind, params, seed):
-    if kind == "iforest":
-        return IsolationForest(
-            n_estimators=params.get("n_estimators", 100),
-            contamination=params.get("contamination", 0.001),
-            subsample=params.get("subsample", 256),
-            seed=seed)
-    if kind == "lof":
-        return LocalOutlierFactor(
-            k=params.get("k", 5),
-            contamination=params.get("contamination", 0.01))
-    if kind == "dbscan":
-        return Dbscan(eps=params.get("eps", 0.5),
-                      min_pts=params.get("min_pts", 10))
-    raise DataError("unknown model kind %r" % kind)
-
-
-def _shared_state(kind, candidates, train_x, val_x, seed):
+def _shared_state(kind, models, train_x, val_x):
     """What the LOF or DBSCAN candidates of a grid share: one neighbour pass
     of the training rows for every k and eps, for LOF one of the validation
     rows against them, and the results candidates reuse."""
     shared = {"reused": {}}
     if kind == "lof":
-        ks = [_classical_model(kind, p, seed).k for p in candidates]
+        ks = [model.k for model in models]
         shared["fit"] = NeighbourPass(train_x, train_x, ks=ks,
                                       self_excluded=True)
         shared["val"] = NeighbourPass(val_x, train_x, ks=ks)
     elif kind == "dbscan":
-        radii = sorted({_classical_model(kind, p, seed).eps
-                        for p in candidates})
+        radii = sorted({model.eps for model in models})
         shared["fit"] = NeighbourPass(train_x, train_x, radii=radii)
     return shared
 
 
-def _score_classical(kind, params, train_x, val_x, val_y, seed, shared):
+def _score_classical(model, train_x, val_x, val_y, shared):
     """F1 outcome of one classical candidate.
 
     LOF's contamination only sets the threshold over the training LOF
@@ -128,16 +122,15 @@ def _score_classical(kind, params, train_x, val_x, val_y, seed, shared):
     ``counts[eps] >= min_pts``, so candidates with one core mask share a
     fit and its validation scores.
     """
-    model = _classical_model(kind, params, seed)
     reused = shared["reused"]
-    if kind == "lof":
+    if model.kind == "lof":
         if model.k not in reused:
             model.fit(train_x, neighbours=shared["fit"])
             reused[model.k] = (model.train_lof, model.scores(
                 val_x, neighbours=shared["val"]))
         train_lof, val_scores = reused[model.k]
         threshold = contamination_threshold(train_lof, model.contamination)
-    elif kind == "dbscan":
+    elif model.kind == "dbscan":
         core = (shared["fit"].counts(model.eps) >= model.min_pts).tobytes()
         if core not in reused:
             model.fit(train_x, neighbours=shared["fit"])
@@ -154,19 +147,9 @@ def _score_classical(kind, params, train_x, val_x, val_y, seed, shared):
                                    "precision": m["precision"]}
 
 
-def _score_autoencoder(params, train_x, val_x, val_y, seed):
-    model = Autoencoder(train_x.shape[1],
-                        units=params.get("units", 128),
-                        bottleneck=params.get("bottleneck", 2),
-                        seed=seed)
-    cfg = TrainConfig(learning_rate=params.get("learning_rate", 0.001),
-                      batch_size=params.get("batch_size", 512),
-                      epochs=params.get("epochs", 50),
-                      seed=seed)
-    train(model, train_x, cfg)
-    errors = model.scores(val_x)
-    table = build_table(errors, val_y)
-    sel = select_threshold(table)
+def _score_autoencoder(model, train_cfg, train_x, val_x, val_y):
+    train(model, train_x, train_cfg)
+    sel = select_threshold(build_table(model.scores(val_x), val_y))
     m = sel.metrics
     return ((_nn(m["recall"]), _nn(m["precision"]), _nn(m["specificity"])),
             {"recall": m["recall"], "precision": m["precision"],
@@ -178,25 +161,27 @@ def grid_search(model_kind, grid, train_x, val_x, val_y, seed=0):
 
     ``train_x``: training matrix (normal rows only for the autoencoder).
     ``val_x``/``val_y``: labelled validation rows, both classes present for
-    the autoencoder path.
+    the autoencoder path. Every candidate is built, and so checked, before
+    any is fitted.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
     val_y = np.asarray(val_y)
-    if model_kind not in DEFAULT_GRIDS:
-        raise DataError("unknown model kind %r" % model_kind)
 
-    candidates = list(_canonical_candidates(grid))
-    shared = _shared_state(model_kind, candidates, train_x, val_x, seed)
+    candidates = [(params,) + build_model(model_kind, params,
+                                          train_x.shape[1], seed)
+                  for params in _canonical_candidates(grid)]
+    shared = _shared_state(model_kind, [model for _, model, _ in candidates],
+                           train_x, val_x)
     best = None
     rows = []
-    for params in candidates:
+    for params, model, train_cfg in candidates:
         if model_kind == "autoencoder":
-            score, detail = _score_autoencoder(params, train_x, val_x,
-                                               val_y, seed)
+            score, detail = _score_autoencoder(model, train_cfg, train_x,
+                                               val_x, val_y)
         else:
-            score, detail = _score_classical(model_kind, params, train_x,
-                                             val_x, val_y, seed, shared)
+            score, detail = _score_classical(model, train_x, val_x, val_y,
+                                             shared)
         rows.append({**params, **detail})
         if best is None or score > best[0]:
             best = (score, params)

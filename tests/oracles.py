@@ -511,13 +511,8 @@ def reference_train(params, rows, cfg, val_rows=None):
     ``autoencoder.train`` at the first non-finite batch loss."""
     x = np.asarray(rows, dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)
-    if val_rows is None:
-        perm = rng.permutation(len(x))
-        n_val = int(round(cfg.val_fraction * len(x)))
-        val = x[perm[:n_val]]
-        x = x[perm[n_val:]]
-    else:
-        val = np.asarray(val_rows, dtype=np.float64)
+    val = x[:0] if val_rows is None else np.asarray(val_rows,
+                                                    dtype=np.float64)
 
     adam_m = {k: np.zeros_like(v) for k, v in params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in params.items()}

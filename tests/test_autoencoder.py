@@ -12,6 +12,7 @@ from oracles import (finite_difference_gradients, reference_forward,
 from telanom import autoencoder
 from telanom.autoencoder import (Autoencoder, TrainConfig, train,
                                  PARAM_NAMES)
+from telanom.detectors import load_model, save_model
 from telanom.errors import DataError, TrainingError
 
 
@@ -156,7 +157,8 @@ def test_training_seed_changes_outcome():
 def test_training_reduces_loss_and_records_epochs():
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, epochs=30, seed=3)
     model = Autoencoder(5, units=12, bottleneck=2, seed=13)
-    result = train(model, _toy_rows(), cfg)
+    rows = _toy_rows()
+    result = train(model, rows[32:], cfg, val_rows=rows[:32])
     assert len(result.train_losses) == cfg.epochs
     assert len(result.val_losses) == cfg.epochs
     assert result.train_losses[-1] < result.train_losses[0]
@@ -192,10 +194,6 @@ def test_training_input_validation():
     bad[2, 1] = np.nan
     with pytest.raises(DataError):
         train(model, bad, cfg)
-    with pytest.raises(DataError):
-        # split consumes every row
-        train(model, np.ones((4, 3)) * 0.5,
-              TrainConfig(epochs=1, val_fraction=1.0))
 
 
 def test_training_aborts_on_non_finite_loss():
@@ -219,12 +217,24 @@ def test_save_load_round_trip(tmp_path):
     train(model, _toy_rows(n=80, d=4, seed=9),
           TrainConfig(batch_size=16, epochs=2, seed=5))
     path = tmp_path / "model.json"
-    model.save(path)
-    clone = Autoencoder.load(path)
+    save_model(model, path)
+    clone = load_model(path)
     x = rng.uniform(0.0, 1.0, size=(6, 4))
     assert np.array_equal(model.scores(x), clone.scores(x))
     for name in PARAM_NAMES:
         assert np.array_equal(model.params[name], clone.params[name])
+
+
+def test_scores_check_rows_and_predict_reads_the_threshold():
+    model = Autoencoder(4, units=6, bottleneck=2, seed=19)
+    x = np.random.default_rng(8).uniform(0.0, 1.0, size=(9, 4))
+    for bad in (x[:, :3], np.hstack([x, x]), x[0]):
+        with pytest.raises(DataError):
+            model.scores(bad)
+    scores = model.scores(x)
+    model.threshold = float(np.median(scores))
+    assert np.array_equal(model.predict(x),
+                          np.where(scores > model.threshold, 0, 1))
 
 
 def test_train_result_csv(tmp_path):
@@ -252,12 +262,12 @@ def _same_bits(a, b):
     (100, 5, 12, 32, "rows"),        # ragged last batch of 4 rows
     (40, 5, 12, 64, "rows"),         # batch_size > n: one batch per epoch
     (65, 5, 12, 32, "rows"),         # one-row last batch
-    (80, 5, 12, 16, "empty"),        # no validation rows
-    (90, 5, 12, 16, None),           # the implicit 80/20 split
+    (80, 5, 12, 16, "empty"),        # an empty validation matrix
+    (90, 5, 12, 16, None),           # val_rows=None: no losses, no split
     (120, 6, 4, 32, "rows"),
     (600, 11, 128, 128, "rows"),
 ], ids=["ragged", "batch-over-n", "one-row-batch", "empty-val",
-        "implicit-split", "units-4", "units-128"])
+        "no-val-rows", "units-4", "units-128"])
 def test_training_equals_reference_loop_bit_for_bit(n, d, units, batch_size,
                                                     val):
     rng = np.random.default_rng(n + units)
@@ -351,7 +361,7 @@ def test_training_steps_allocate_no_activation_temporaries():
 def _saved_model(tmp_path):
     model = Autoencoder(4, units=6, bottleneck=2, seed=19)
     path = tmp_path / "autoencoder.json"
-    model.save(path)
+    save_model(model, path)
     return path, json.loads(path.read_text())
 
 
@@ -361,10 +371,10 @@ def test_load_rejects_truncated_and_non_json_files(tmp_path):
     for cut in ("", text[:1], text[:len(text) // 2], text[:-3], "not json"):
         path.write_text(cut)
         with pytest.raises(DataError, match="JSON"):
-            Autoencoder.load(path)
+            load_model(path)
     path.write_bytes(b"\xff\xfe{")
     with pytest.raises(DataError, match="JSON"):
-        Autoencoder.load(path)
+        load_model(path)
 
 
 def test_load_rejects_non_objects_and_missing_keys(tmp_path):
@@ -372,22 +382,22 @@ def test_load_rejects_non_objects_and_missing_keys(tmp_path):
     for bad in ([1, 2], "autoencoder", 3, None):
         path.write_text(json.dumps(bad))
         with pytest.raises(DataError, match="JSON object"):
-            Autoencoder.load(path)
+            load_model(path)
     for key in obj:
         path.write_text(json.dumps({k: v for k, v in obj.items()
                                     if k != key}))
         with pytest.raises(DataError, match=key):
-            Autoencoder.load(path)
+            load_model(path)
     for name in PARAM_NAMES:
         params = {k: v for k, v in obj["params"].items() if k != name}
         path.write_text(json.dumps(dict(obj, params=params)))
         with pytest.raises(DataError, match=name):
-            Autoencoder.load(path)
+            load_model(path)
     for bad in (dict(obj, kind="iforest"), dict(obj, params=[1]),
                 dict(obj, units="many"), dict(obj, units=0)):
         path.write_text(json.dumps(bad))
         with pytest.raises(DataError):
-            Autoencoder.load(path)
+            load_model(path)
 
 
 def test_load_rejects_parameters_of_the_wrong_shape(tmp_path):
@@ -403,9 +413,9 @@ def test_load_rejects_parameters_of_the_wrong_shape(tmp_path):
             params = dict(obj["params"], **{name: value})
             path.write_text(json.dumps(dict(obj, params=params)))
             with pytest.raises(DataError, match=name):
-                Autoencoder.load(path)
+                load_model(path)
     # layer sizes that disagree with the stored arrays
     for key, value in (("n_inputs", 5), ("units", 7), ("bottleneck", 3)):
         path.write_text(json.dumps(dict(obj, **{key: value})))
         with pytest.raises(DataError, match="shape"):
-            Autoencoder.load(path)
+            load_model(path)

@@ -258,34 +258,57 @@ def test_train_threshold_evaluate_roundtrip(dataset, tmp_path, capsys):
 def test_evaluate_rejects_broken_autoencoder_files(dataset, tmp_path, capsys):
     out = str(tmp_path / "trained")
     cfg = tmp_path / "ae.cfg"
-    cfg.write_text(RUN_CFG_TEXT.replace("iforest,dbscan", "autoencoder"))
+    cfg.write_text(RUN_CFG_TEXT.replace("iforest,dbscan",
+                                        "autoencoder,iforest"))
     assert main(["train", "--config", str(cfg), "--seed", "5"]
                 + _data_args(dataset, out)) == 0
-    path = os.path.join(out, "models", "autoencoder.json")
-    with open(path) as f:
-        text = f.read()
+    texts = {}
+    for name in ("models/autoencoder.json", "models/iforest.json",
+                 "threshold.json"):
+        with open(os.path.join(out, name)) as f:
+            texts[name] = f.read()
+    text = texts["models/autoencoder.json"]
     obj = json.loads(text)
     params = obj["params"]
+    # a valid model of 5 inputs, scored against the 11 features of scaler.json
+    narrow = dict(obj, n_inputs=5, params=dict(
+        params, w1=params["w1"][:5], b4=params["b4"][:5],
+        w4=[row[:5] for row in params["w4"]]))
     broken = {
-        "truncated": text[:len(text) // 2],
-        "not JSON": "autoencoder\n",
-        "non-object": json.dumps([obj]),
-        "missing key": json.dumps({k: v for k, v in obj.items()
-                                   if k != "params"}),
-        "missing parameter": json.dumps(dict(obj, params={
-            k: v for k, v in params.items() if k != "b3"})),
-        "wrong shape": json.dumps(dict(obj, params=dict(
-            params, w1=params["w1"][:-1]))),
+        "truncated": ("models/autoencoder.json", text[:len(text) // 2]),
+        "not JSON": ("models/autoencoder.json", "autoencoder\n"),
+        "non-object": ("models/autoencoder.json", json.dumps([obj])),
+        "missing key": ("models/autoencoder.json", json.dumps(
+            {k: v for k, v in obj.items() if k != "params"})),
+        "missing parameter": ("models/autoencoder.json", json.dumps(dict(
+            obj, params={k: v for k, v in params.items() if k != "b3"}))),
+        "wrong shape": ("models/autoencoder.json", json.dumps(dict(
+            obj, params=dict(params, w1=params["w1"][:-1])))),
+        "another kind": ("models/autoencoder.json", json.dumps(dict(
+            obj, kind="iforest"))),
+        "another model": ("models/autoencoder.json", texts[
+            "models/iforest.json"]),
+        "narrower model": ("models/autoencoder.json", json.dumps(narrow)),
+        "text threshold": ("threshold.json", json.dumps({"threshold": "x"})),
+        "no threshold": ("threshold.json", json.dumps({"percentile": 5})),
+        "non-object threshold": ("threshold.json", json.dumps([1])),
     }
-    for what, content in broken.items():
-        with open(path, "w") as f:
+    for what, (name, content) in broken.items():
+        with open(os.path.join(out, name), "w") as f:
             f.write(content)
         capsys.readouterr()
-        assert main(["evaluate", "--config", str(cfg), "--seed", "5",
+        code = main(["evaluate", "--config", str(cfg), "--seed", "5",
                      "--models-dir", out]
-                    + _data_args(dataset, str(tmp_path / "eval"))) == 2, what
+                    + _data_args(dataset, str(tmp_path / "eval")))
         err = capsys.readouterr().err
-        assert err.startswith("data error") and "autoencoder.json" in err, what
+        with open(os.path.join(out, name), "w") as f:
+            f.write(texts[name])
+        assert code == 2, (what, err)
+        assert err.startswith("data error"), (what, err)
+        assert os.path.basename(name) in err, (what, err)
+    assert main(["evaluate", "--config", str(cfg), "--seed", "5",
+                 "--models-dir", out]
+                + _data_args(dataset, str(tmp_path / "eval"))) == 0
 
 
 def test_evaluate_rejects_broken_classical_and_scaler_files(dataset, tmp_path,
@@ -327,6 +350,22 @@ def test_evaluate_rejects_broken_classical_and_scaler_files(dataset, tmp_path,
     assert main(["evaluate", "--config", str(cfg), "--seed", "5",
                  "--models-dir", out]
                 + _data_args(dataset, str(tmp_path / "eval"))) == 0
+
+
+def test_tune_rejects_unknown_and_bad_grid_parameters(dataset, tmp_path,
+                                                     capsys):
+    grid = tmp_path / "grid.json"
+    for model, content, key in (("lof", {"kk": [5, 50]}, "'kk'"),
+                                ("lof", {"k": ["5"]}, "k must be"),
+                                ("dbscan", [0.5], "grid must map")):
+        grid.write_text(json.dumps(content))
+        capsys.readouterr()
+        code = main(["tune", "--model", model, "--grid", str(grid),
+                     "--resample-interval", "none", "--seed", "5"]
+                    + _data_args(dataset, str(tmp_path / "tune")))
+        err = capsys.readouterr().err
+        assert code == 2, (content, err)
+        assert err.startswith("data error") and key in err, (content, err)
 
 
 def test_tune_subcommand(dataset, tmp_path):

@@ -10,10 +10,10 @@ from oracles import (brute_force_lof, isolation_mean_depths,
                      lof_neighbourhoods, reference_dbscan, same_partition)
 from scipy.spatial.distance import cdist
 from telanom import detectors
-from telanom.detectors import (Dbscan, IsolationForest, LocalOutlierFactor,
-                               NeighbourPass, expected_path_length, harmonic,
-                               load_model, save_model,
-                               scores_from_mean_depths)
+from telanom.detectors import (MODEL_KINDS, Dbscan, IsolationForest,
+                               LocalOutlierFactor, NeighbourPass,
+                               expected_path_length, harmonic, load_model,
+                               save_model, scores_from_mean_depths)
 from telanom.errors import DataError
 from telanom.thresholding import flag
 
@@ -462,13 +462,21 @@ def test_neighbour_counts_covers_every_radius_in_one_sweep(monkeypatch, n):
     x = _grid_rows(rng, n)
     _block_height(monkeypatch, BLOCK, n)
     radii = [3.0, 1.0, math.sqrt(2.0), 2.0, 0.5]   # unsorted, 2 on ties
-    counts = detectors.neighbour_counts(x, radii)
+    sweeps = []
+
+    def counted(a, b, _fn=detectors._sq_dist_blocks):
+        sweeps.append(a)
+        return _fn(a, b)
+    monkeypatch.setattr(detectors, "_sq_dist_blocks", counted)
+    hood = NeighbourPass(x, x, radii=radii)
     d2 = cdist(x, x, "sqeuclidean")
-    assert counts.shape == (len(radii), n)
-    for j, r in enumerate(radii):
-        assert np.array_equal(counts[j], (d2 <= r * r).sum(axis=1))
-        assert np.array_equal(counts[j], detectors.neighbour_counts(x, [r])[0])
-    assert detectors.neighbour_counts(x, []).shape == (0, n)
+    for r in radii:
+        assert hood.counts(r).shape == (n,)
+        assert np.array_equal(hood.counts(r), (d2 <= r * r).sum(axis=1))
+    assert len(sweeps) == 1
+    for r in radii:
+        assert np.array_equal(hood.counts(r),
+                              NeighbourPass(x, x, radii=[r]).counts(r))
 
 
 # -- the shared neighbour pass ------------------------------------------------
@@ -503,9 +511,9 @@ def test_neighbour_pass_equals_per_k_oracle(monkeypatch, n, rows):
                                lof_neighbourhoods(x, x, k, True))
             assert _same_hoods(query.neighbourhood(k),
                                lof_neighbourhoods(q, x, k, False))
-        counts = detectors.neighbour_counts(x, radii)
-        for j, r in enumerate(radii):
-            assert np.array_equal(fit.counts(r), counts[j])
+        counts = NeighbourPass(x, x, radii=radii)
+        for r in radii:
+            assert np.array_equal(fit.counts(r), counts.counts(r))
 
 
 def _same_root_pair():
@@ -724,19 +732,18 @@ def test_iforest_rejects_rows_narrower_than_its_splits(tmp_path):
 
 
 def test_model_files_are_json_dump_bytes(tmp_path):
-    # save_model and Autoencoder.save write json.dumps(obj) + "\n": the
-    # bytes json.dump writes, from the C encoder
+    # save_model writes json.dumps(obj) + "\n" for every kind: the bytes
+    # json.dump writes, from the C encoder
     from telanom.autoencoder import Autoencoder
     x = _blobs(np.random.default_rng(76), 60, d=3)
-    for model in (IsolationForest(n_estimators=4).fit(x),
-                  LocalOutlierFactor(k=3).fit(x),
-                  Dbscan(eps=2.0, min_pts=3).fit(x),
-                  Autoencoder(3, 4, 2, seed=1)):
+    models = (IsolationForest(n_estimators=4).fit(x),
+              LocalOutlierFactor(k=3).fit(x),
+              Dbscan(eps=2.0, min_pts=3).fit(x),
+              Autoencoder(3, 4, 2, seed=1))
+    assert {model.kind for model in models} == set(MODEL_KINDS)
+    for model in models:
         path = tmp_path / "model.json"
-        if isinstance(model, Autoencoder):
-            model.save(str(path))
-        else:
-            save_model(model, str(path))
+        save_model(model, str(path))
         want = io.StringIO()
         json.dump(model.to_json(), want)
         assert path.read_text() == want.getvalue() + "\n"

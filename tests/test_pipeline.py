@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import reshuffle_report
-from telanom import detectors, pipeline
+from telanom import detectors, pipeline, tuning
 from telanom.cli import build_parser, cmd_tune, main
 from telanom.detectors import Dbscan, IsolationForest, LocalOutlierFactor
 from telanom.errors import DataError, LeakageError
@@ -279,6 +279,44 @@ def test_run_pipeline_builds_classical_fit_rows_once(tiny_labelled,
     assert all(rows is fit_rows[0] for rows in fit_rows)
 
 
+def test_grid_defaults_are_run_defaults():
+    # a grid parameter left out takes its class's default, which RunConfig
+    # repeats
+    def state(pair):
+        return json.dumps([vars(pair[0]), pair[1] and vars(pair[1])],
+                          default=lambda a: a.tolist(), sort_keys=True)
+    for name in pipeline.MODEL_NAMES:
+        assert state(detectors.build_model(name, {}, 11, 3)) == state(
+            detectors.build_model(name, RunConfig().model_params(name), 11,
+                                  3)), name
+
+
+def test_grid_candidate_with_run_params_builds_run_models(tiny_labelled,
+                                                         monkeypatch):
+    # run and tune build through one table: a candidate with run's
+    # parameters and model seed, fitted on run's rows, is run's model
+    cfg = _fast_cfg(models="iforest,lof,dbscan", resample_interval="600")
+    result = run_pipeline(tiny_labelled, cfg, seed=5, timer=lambda: 0.0)
+    data = pipeline.prepare_training(tiny_labelled, cfg, 5)
+    x_test = result.scaler.transform(result.split.test_table().values)
+    built = []
+
+    def recorded(*args):
+        model, train_cfg = detectors.build_model(*args)
+        built.append(model)
+        return model, train_cfg
+    monkeypatch.setattr(tuning, "build_model", recorded)
+    for name in ("iforest", "lof", "dbscan"):
+        grid = {key: [value] for key, value in cfg.model_params(name).items()}
+        built.clear()
+        tuning.grid_search(name, grid, data.fit_x, data.val_x, data.val_y,
+                           seed=pipeline._model_seed(5))
+        (model,) = built
+        want = result.models[name]
+        assert model.threshold == want.threshold, name
+        assert np.array_equal(model.scores(x_test), want.scores(x_test)), name
+
+
 @pytest.mark.parametrize("models", ["lof,dbscan", "dbscan,iforest,lof",
                                     "lof", "dbscan"])
 def test_lof_and_dbscan_fits_share_one_sweep(tiny_labelled, monkeypatch,
@@ -464,16 +502,20 @@ def test_evaluate_saved_matches_original_run(tiny_csvs, tmp_path):
     out = tmp_path / "orig"
     cfg = RunConfig(input_csv=det, station_csv=sta, out_dir=str(out),
                     seed=7, resample_interval="none",
-                    models="autoencoder,iforest,dbscan", ae_units=8,
+                    models="autoencoder,iforest,lof,dbscan", ae_units=8,
                     ae_epochs=2, ae_batch_size=64)
     original = run_experiment(cfg, timer=lambda: 0.0)
     replay = evaluate_saved(cfg, str(out), timer=lambda: 0.0)
     assert replay["split"] == original.report["split"]
-    for name in ("autoencoder", "iforest", "dbscan"):
-        assert (replay["models"][name]["confusion"]
-                == original.report["models"][name]["confusion"])
-        assert (replay["models"][name]["metrics"]["recall"]
-                == original.report["models"][name]["metrics"]["recall"])
+    assert list(replay["models"]) == list(pipeline.MODEL_NAMES)
+    for name, entry in replay["models"].items():
+        want = dict(original.report["models"][name])
+        # run's report also carries the autoencoder's percentile search
+        if name == "autoencoder":
+            assert want.pop("threshold")["threshold"] == (
+                original.models[name].threshold)
+        want.pop("runtime_s")
+        assert {k: v for k, v in entry.items() if k != "runtime_s"} == want
 
 
 def test_evaluate_saved_missing_model(tiny_csvs, tmp_path):

@@ -113,8 +113,14 @@ def _nn(v):
     return float("-inf") if v is None else v
 
 
-def test_autoencoder_path_scores_lexicographically():
+def test_autoencoder_path_scores_lexicographically(monkeypatch):
     _, _, _, train_n, val_n = _toy_problem()
+    trained_on = []
+
+    def recorded(model, rows, cfg, *args, _fn=tuning.train, **kwargs):
+        trained_on.append(rows)
+        return _fn(model, rows, cfg, *args, **kwargs)
+    monkeypatch.setattr(tuning, "train", recorded)
     rng = np.random.default_rng(5)
     val_a = rng.normal(7.0, 0.4, size=(10, 3))
     # squeeze into the unit box the way the pipeline scaler would
@@ -132,6 +138,26 @@ def test_autoencoder_path_scores_lexicographically():
     row = result.rows[0]
     assert {"recall", "precision", "specificity", "percentile"} <= set(row)
     assert result.best_score[0] == _nn(row["recall"])
+    # the candidate trains on every training row it is given
+    (rows,) = trained_on
+    assert np.array_equal(rows, sq(train_n))
+
+
+@pytest.mark.parametrize("kind,grid,message", [
+    ("lof", {"kk": [5, 50]}, "no parameter 'kk'"),
+    ("iforest", {"seed": [1]}, "no parameter 'seed'"),
+    ("lof", {"k": ["5"]}, "k must be an integer, got '5'"),
+    ("lof", {"k": [5.0]}, "k must be an integer, got 5.0"),
+    ("lof", {"k": [5, "5"]}, "parameter 'k' needs a list of numbers"),
+    ("dbscan", {"eps": 0.5}, "parameter 'eps' needs a list of numbers"),
+    ("dbscan", {"min_pts": [True]}, "min_pts must be an integer"),
+    ("autoencoder", {"learning_rate": [None]}, "learning_rate must be a "
+                                               "number"),
+])
+def test_grid_rejects_unknown_parameters_and_bad_values(kind, grid, message):
+    train_x, val_x, val_y, _, _ = _toy_problem()
+    with pytest.raises(DataError, match=message):
+        grid_search(kind, grid, train_x, val_x, val_y)
 
 
 def test_unknown_model_kind_rejected():
@@ -245,9 +271,9 @@ def test_dbscan_grid_shares_fits_and_scores_by_core_mask(monkeypatch):
     result = grid_search("dbscan", grid, train_x, val_x, val_y)
     monkeypatch.undo()
 
-    counts = detectors.neighbour_counts(train_x, grid["eps"])
-    masks = {(eps, m): (counts[j] >= m).tobytes()
-             for j, eps in enumerate(grid["eps"]) for m in grid["min_pts"]}
+    counts = NeighbourPass(train_x, train_x, radii=grid["eps"])
+    masks = {(eps, m): (counts.counts(eps) >= m).tobytes()
+             for eps in grid["eps"] for m in grid["min_pts"]}
     first = list(dict.fromkeys(masks[p["eps"], p["min_pts"]]
                                for p in _canonical_candidates(grid)))
     assert len(first) < len(masks)
