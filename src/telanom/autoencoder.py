@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TrainingError
+from .errors import DataError, TrainingError, _array, _number
 from .thresholding import _Detector, _as_matrix, _check_width
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
@@ -94,8 +94,9 @@ class Autoencoder(_Detector):
     kind = "autoencoder"
 
     def __init__(self, n_inputs, units=128, bottleneck=2, seed=0):
-        if n_inputs < 1 or units < 1 or bottleneck < 1:
-            raise DataError("layer sizes must be positive")
+        if min(n_inputs, units, bottleneck) < 1 or seed < 0:
+            raise DataError("layer sizes must be positive and the seed "
+                            "non-negative")
         self.n_inputs = int(n_inputs)
         self.units = int(units)
         self.bottleneck = int(bottleneck)
@@ -234,35 +235,12 @@ class Autoencoder(_Detector):
 
     @classmethod
     def from_json(cls, obj):
-        """The model ``to_json`` described; DataError when ``obj`` is not
-        such an object or a parameter's shape does not fit the layer
-        sizes."""
-        if not isinstance(obj, dict):
-            raise DataError("an autoencoder model must be a JSON object")
-        for key in ("kind", "n_inputs", "units", "bottleneck", "seed",
-                    "params"):
-            if key not in obj:
-                raise DataError("autoencoder model lacks key %r" % key)
-        if obj["kind"] != "autoencoder":
-            raise DataError("model kind %r is not 'autoencoder'"
-                            % (obj["kind"],))
-        try:
-            model = cls(obj["n_inputs"], obj["units"], obj["bottleneck"],
-                        obj["seed"])
-        except (TypeError, ValueError) as e:
-            raise DataError("bad autoencoder layer sizes or seed: %s"
-                            % e) from None
-        params = obj["params"]
-        if not isinstance(params, dict):
-            raise DataError("autoencoder params must be a JSON object")
+        """The model ``to_json`` described; DataError when a parameter's
+        shape does not fit the layer sizes."""
+        model = cls(*(_number(obj, key, integer=True)
+                      for key in ("n_inputs", "units", "bottleneck", "seed")))
         for k, shape in model.param_shapes.items():
-            if k not in params:
-                raise DataError("autoencoder params lack key %r" % k)
-            try:
-                value = np.asarray(params[k], dtype=np.float64)
-            except (TypeError, ValueError):
-                raise DataError("autoencoder parameter %s is not an array "
-                                "of numbers" % k) from None
+            value = _array(obj["params"], k, len(shape))
             if value.shape != shape:
                 raise DataError(
                     "autoencoder parameter %s has shape %s, expected %s for "

@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 
-from .errors import DataError
+from .errors import DataError, load_json
 
 
 # command-line flag (argparse dest) -> the RunConfig field it sets
@@ -52,9 +52,9 @@ def _outdir(cfg):
 
 
 def _write_json(obj, path):
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    from .metrics import save_report
+
+    save_report(obj, path)
     print(path)
 
 
@@ -68,8 +68,7 @@ def cmd_synth(args):
 
     scfg = SynthConfig()
     if args.config:
-        with open(args.config) as f:
-            raw = json.load(f)
+        raw = load_json(args.config, dict)
         try:
             scfg = SynthConfig(**raw)
         except TypeError as e:
@@ -92,21 +91,15 @@ def cmd_synth(args):
 
 
 def cmd_ingest(args):
-    from .ingest import (parse_csv, load_station_map, deduplicate,
-                         write_detections_csv)
+    from .ingest import write_detections_csv
+    from .pipeline import ingest_detections
 
     cfg = _load_config(args)
-    station_map = load_station_map(cfg.station_csv)
-    detections, report = parse_csv(cfg.input_csv, station_map)
-    detections, n_dups = deduplicate(detections)
+    _station_map, detections, summary = ingest_detections(cfg)
     out = _outdir(cfg)
     write_detections_csv(detections,
                          os.path.join(out, "detections_clean.csv"))
-    _write_json({"rows_read": report.n_rows, "rows_parsed": report.n_parsed,
-                 "rows_dropped": report.dropped,
-                 "duplicates_removed": n_dups,
-                 "n_fish": len(set(detections.fish_id.tolist()))},
-                os.path.join(out, "ingest.json"))
+    _write_json(summary, os.path.join(out, "ingest.json"))
     return 0
 
 
@@ -114,25 +107,22 @@ def cmd_label(args):
     """``features`` and ``label``: the labelled feature table, written as
     features.csv or as labels.csv and label_report.json."""
     from .features import write_feature_csv
-    from .labelling import write_label_csv
-    from .pipeline import prepare_table
+    from .pipeline import prepare_table, save_labels
 
     cfg = _load_config(args)
     table, report, _ingest = prepare_table(cfg)
     out = _outdir(cfg)
     if args.command == "features":
         path = os.path.join(out, "features.csv")
-        write_feature_csv(table, path, full=True)
+        write_feature_csv(table, path)
     else:
         path = os.path.join(out, "labels.csv")
-        write_label_csv(table, path)
-        report.save(os.path.join(out, "label_report.json"))
+        save_labels(table, report, out)
     print(path)
     return 0
 
 
 def cmd_resample(args):
-    from .features import write_feature_csv
     from .pipeline import prepare_table, prepare_training, save_plan
 
     cfg = _load_config(args)
@@ -140,9 +130,7 @@ def cmd_resample(args):
         raise DataError("resample_interval is 'none'; nothing to do")
     data = prepare_training(prepare_table(cfg)[0], cfg, cfg.seed)
     out = _outdir(cfg)
-    save_plan(data.plan, data.split.normal_train,
-              os.path.join(out, "plan.json"))
-    write_feature_csv(data.pool, os.path.join(out, "resampled.csv"), full=True)
+    save_plan(data.plan, data.split.normal_train, data.pool, out)
     print(os.path.join(out, "resampled.csv"))
     return 0
 
@@ -187,13 +175,10 @@ def cmd_tune(args):
 
 def cmd_evaluate(args):
     from .pipeline import evaluate_saved
-    from .metrics import save_report
 
     cfg = _load_config(args)
     report = evaluate_saved(cfg, args.models_dir)
-    out = _outdir(cfg)
-    save_report(report, os.path.join(out, "evaluation.json"))
-    print(os.path.join(out, "evaluation.json"))
+    _write_json(report, os.path.join(_outdir(cfg), "evaluation.json"))
     return 0
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _array, _number, load_json
 from .autoencoder import Autoencoder, TrainConfig
 from .thresholding import (_Detector, _as_matrix, _check_width,
                            contamination_threshold)
@@ -191,31 +191,6 @@ def _nearest(a, b):
         idx[lo:hi] = np.argmin(d2, axis=1)
         d2_min[lo:hi] = d2[np.arange(hi - lo), idx[lo:hi]]
     return idx, d2_min
-
-
-def _number(obj, key, integer=False):
-    """Field ``key`` of a model file or of grid parameters: a JSON number,
-    or an integer when ``integer``; DataError otherwise."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(
-            value, int if integer else (int, float)):
-        raise DataError("%s must be %s, got %r"
-                        % (key, "an integer" if integer else "a number",
-                           value))
-    return value
-
-
-def _array(obj, key, ndim, dtype=np.float64):
-    """Model file field ``key``: a ``ndim``-d array of numbers; DataError
-    otherwise."""
-    try:
-        value = np.asarray(obj[key], dtype=dtype)
-    except (TypeError, ValueError):
-        raise DataError("%s must be an array of numbers" % key) from None
-    if value.ndim != ndim:
-        raise DataError("%s must be %d-d, got shape %s"
-                        % (key, ndim, value.shape))
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -736,30 +711,13 @@ def build_model(kind, params, width, seed):
 
 
 def save_model(model, path):
+    """Compact JSON of ``model.to_json()``: the writer of every model file
+    and of scaler.json."""
     # json.dumps takes the C encoder; json.dump streams through the Python
     # one and writes the same bytes about three times slower
     with open(path, "w") as f:
         f.write(json.dumps(model.to_json()))
         f.write("\n")
-
-
-def load_json(path, read):
-    """``read(obj)`` of the JSON object ``obj`` in the file at ``path``. A
-    file that holds no JSON object, a key ``read`` misses and a DataError
-    of ``read`` are DataErrors that name the file."""
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except ValueError as e:
-            raise DataError("%s: not a JSON file: %s" % (path, e)) from None
-    if not isinstance(obj, dict):
-        raise DataError("%s: expected a JSON object" % path)
-    try:
-        return read(obj)
-    except KeyError as e:
-        raise DataError("%s: lacks key %s" % (path, e)) from None
-    except DataError as e:
-        raise DataError("%s: %s" % (path, e)) from None
 
 
 def _from_json(obj):

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _array
 from .ingest import (UTC_OFFSET_S, categorize, first_of_runs,
                      format_distinct)
 
@@ -260,35 +260,22 @@ class Scaler:
     def from_json(cls, obj):
         """The scaler ``to_json`` described; DataError unless ``mins`` and
         ``maxs`` are number lists of one length."""
-        try:
-            mins, maxs = (np.asarray(obj[key], dtype=np.float64)
-                          for key in ("mins", "maxs"))
-        except (KeyError, TypeError, ValueError):
-            raise DataError("a scaler must be an object with number lists "
-                            "mins and maxs") from None
-        if mins.ndim != 1 or mins.shape != maxs.shape:
-            raise DataError("scaler mins and maxs must be number lists of one "
-                            "length, got shapes %s and %s"
-                            % (mins.shape, maxs.shape))
+        mins, maxs = (_array(obj, key, 1) for key in ("mins", "maxs"))
+        if mins.shape != maxs.shape:
+            raise DataError("scaler mins and maxs differ in length")
         return cls(mins, maxs)
 
 
-def write_feature_csv(table, path, full=False):
-    """Dump a FeatureTable to CSV.
-
-    Default layout: fish_id, timestamp, the 11 named dims, label.
-    ``full=True`` prepends uid/station_id and appends criterion_mask so
-    every column of the table is written.
-    """
-    head = ["fish_id", "timestamp"] + FEATURE_NAMES + ["label"]
-    columns = ([table.fish_id.tolist(), table.timestamp.tolist()]
+def write_feature_csv(table, path):
+    """Dump every column of a FeatureTable to CSV: uid, station_id,
+    fish_id, timestamp, the 11 named dims, label and criterion_mask."""
+    head = (["uid", "station_id", "fish_id", "timestamp"] + FEATURE_NAMES
+            + ["label", "criterion_mask"])
+    columns = ([table.uid.tolist(), table.station_id.tolist(),
+                table.fish_id.tolist(), table.timestamp.tolist()]
                + [format_distinct(repr, table.values[:, d])
                   for d in range(N_FEATURES)]
-               + [table.label.tolist()])
-    if full:
-        head = ["uid", "station_id"] + head + ["criterion_mask"]
-        columns = ([table.uid.tolist(), table.station_id.tolist()] + columns
-                   + [table.criterion_mask.tolist()])
+               + [table.label.tolist(), table.criterion_mask.tolist()])
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(head)

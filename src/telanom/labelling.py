@@ -18,7 +18,6 @@ bit 2 = criterion 3).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +53,6 @@ class LabelReport:
             "per_criterion": {str(k): v for k, v in self.per_criterion.items()},
             "per_fish": dict(sorted(self.per_fish.items())),
         }
-
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def criterion_single_station(values):

@@ -158,6 +158,7 @@ def write_summary_csv(rows, path):
 
 
 def save_report(report, path):
+    """Indented, key-sorted JSON: the writer of every report-like file."""
     with open(path, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")

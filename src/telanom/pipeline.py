@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autoencoder import train
-from .detectors import (MODEL_PARAMS, NeighbourPass, _number, build_model,
-                        load_json, load_model, save_model)
-from .errors import DataError, LeakageError
+from .detectors import (MODEL_PARAMS, NeighbourPass, build_model, load_model,
+                        save_model)
+from .errors import DataError, LeakageError, _number, load_json
 from .features import FeatureTable, Scaler, engineer_tracks, write_feature_csv
 from .ingest import parse_csv, load_station_map, deduplicate, group_tracks
 from .labelling import label_all, write_label_csv
@@ -288,21 +287,27 @@ class ExperimentResult:
     label_report: object = None
 
 
-def prepare_table(cfg):
-    """Stages ingest + engineer + label; returns (table, label_report,
-    ingest summary)."""
+def ingest_detections(cfg):
+    """Stage ingest: returns (station map, parsed and deduplicated
+    detections, ingest summary)."""
     station_map = load_station_map(cfg.station_csv)
     detections, parse_report = parse_csv(cfg.input_csv, station_map)
     detections, n_dups = deduplicate(detections)
-    table = engineer_tracks(group_tracks(detections), station_map)
-    labelled, label_report = label_all(table)
-    ingest_summary = {
+    return station_map, detections, {
         "rows_read": parse_report.n_rows,
         "rows_parsed": parse_report.n_parsed,
         "rows_dropped": parse_report.dropped,
         "duplicates_removed": n_dups,
-        "n_fish": len(label_report.per_fish),
+        "n_fish": len(set(detections.fish_id.tolist())),
     }
+
+
+def prepare_table(cfg):
+    """Stages ingest + engineer + label; returns (table, label_report,
+    ingest summary)."""
+    station_map, detections, ingest_summary = ingest_detections(cfg)
+    table = engineer_tracks(group_tracks(detections), station_map)
+    labelled, label_report = label_all(table)
     return labelled, label_report, ingest_summary
 
 
@@ -489,16 +494,33 @@ def _reshuffle_report(labelled, cfg):
     return out
 
 
+def _run_interval(report, cfg, ingest_summary):
+    """The resample interval of the run that wrote ``report``; DataError
+    naming the field when ``cfg`` or the inputs would rebuild another test
+    split than that run held out."""
+    for name in ("seed", "normal_test_fraction", "anomaly_test_fraction",
+                 "split_unit"):
+        if report["config"][name] != getattr(cfg, name):
+            raise DataError("%s is %r, the run's was %r" % (
+                name, getattr(cfg, name), report["config"][name]))
+    if report["ingest"] != ingest_summary:
+        raise DataError("ingest summary differs: not the run's input CSVs")
+    return report["resample_interval"]
+
+
 def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
     """Evaluate previously trained model files on the test split rebuilt
-    from the same config and seed.
+    from the same inputs, config and seed.
 
     ``models_dir`` is the output directory of an earlier run/train: it must
-    hold scaler.json, models/*.json and (for the autoencoder, whose model
-    file holds no threshold) threshold.json.
+    hold report.json, scaler.json, models/*.json and (for the autoencoder,
+    whose model file holds no threshold) threshold.json.
     """
     cfg.validate()
-    labelled, _label_report, _ingest = prepare_table(cfg)
+    labelled, _label_report, ingest_summary = prepare_table(cfg)
+    interval = load_json(os.path.join(models_dir, "report.json"),
+                         lambda report: _run_interval(report, cfg,
+                                                      ingest_summary))
     split = split_rows(labelled, cfg, cfg.seed)
 
     test = split.test_table()
@@ -521,18 +543,28 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
                 lambda obj: _number(obj, "threshold"))
         try:
             reports[name] = _model_entry(name, model, x_test, test.label,
-                                         cfg.interval_mode())
+                                         interval)
         except DataError as e:
             raise DataError("%s: %s" % (path, e)) from None
         reports[name]["runtime_s"] = timer() - t0
     return {"seed": cfg.seed, "split": split.counts(), "models": reports}
 
 
-def save_plan(plan, normals, path):
-    """plan.json, with the gap histogram of the normal training rows the
-    plan was made for."""
-    plan.save(path, histogram=plan.gap_histogram
-              or collect_candidates(normals)[2])
+def save_labels(table, label_report, out):
+    """The labelling stage's files: labels.csv and label_report.json."""
+    write_label_csv(table, os.path.join(out, "labels.csv"))
+    save_report(label_report.to_json(), os.path.join(out, "label_report.json"))
+
+
+def save_plan(plan, normals, pool, out):
+    """The resampling stage's files: plan.json, with the gap histogram of
+    the normal training rows the plan was made for, and resampled.csv, the
+    pool it made of them."""
+    histogram = plan.gap_histogram or collect_candidates(normals)[2]
+    save_report(dict(plan.to_json(), gap_histogram={
+        str(gap): n for gap, n in histogram.items()}),
+        os.path.join(out, "plan.json"))
+    write_feature_csv(pool, os.path.join(out, "resampled.csv"))
 
 
 def _write_artifacts(cfg, result):
@@ -540,27 +572,22 @@ def _write_artifacts(cfg, result):
     os.makedirs(os.path.join(out, "models"), exist_ok=True)
 
     save_report(result.report, os.path.join(out, "report.json"))
-    result.label_report.save(os.path.join(out, "label_report.json"))
-    write_label_csv(result.table, os.path.join(out, "labels.csv"))
+    save_labels(result.table, result.label_report, out)
     if cfg.dump_features:
-        write_feature_csv(result.table, os.path.join(out, "features.csv"),
-                          full=True)
-    with open(os.path.join(out, "scaler.json"), "w") as f:
-        f.write(json.dumps(result.scaler.to_json()))
-        f.write("\n")
+        write_feature_csv(result.table, os.path.join(out, "features.csv"))
+    save_model(result.scaler, os.path.join(out, "scaler.json"))
 
     if result.plan is not None:
-        save_plan(result.plan, result.split.normal_train,
-                  os.path.join(out, "plan.json"))
-        write_feature_csv(result.train_pool,
-                          os.path.join(out, "resampled.csv"), full=True)
+        save_plan(result.plan, result.split.normal_train, result.train_pool,
+                  out)
 
     write_split_csv(result.split, os.path.join(out, "split.csv"))
 
     for name, model in result.models.items():
         save_model(model, os.path.join(out, "models", "%s.json" % name))
     if result.threshold is not None:
-        result.threshold.save(os.path.join(out, "threshold.json"))
+        save_report(result.threshold.to_json(),
+                    os.path.join(out, "threshold.json"))
         result.percentile_table.save_csv(
             os.path.join(out, "percentile_table.csv"))
     if result.loss_curve is not None:

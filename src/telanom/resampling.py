@@ -16,7 +16,6 @@ original irregular timestamps elsewhere in the pipeline.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 from dataclasses import dataclass
 
@@ -51,14 +50,6 @@ class ResamplePlan:
             "max_points": self.max_points,
             "budget_exceeded": self.budget_exceeded,
         }
-
-    def save(self, path, histogram=None):
-        obj = self.to_json()
-        if histogram is not None:
-            obj["gap_histogram"] = {str(k): v for k, v in sorted(histogram.items())}
-        with open(path, "w") as f:
-            json.dump(obj, f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def tradeoff_search(candidate_gaps, max_points, span):

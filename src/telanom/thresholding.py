@@ -11,7 +11,6 @@ smallest percentile and the full tie set is reported.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -123,13 +122,8 @@ class ThresholdResult:
                 "metrics": self.metrics,
                 "tie_set": list(self.tie_set)}
 
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
-
-def build_table(errors, labels, percentiles=range(1, 101)):
+def build_table(errors, labels):
     """Score every candidate percentile threshold on validation data.
 
     ``errors`` are reconstruction errors of the combined validation set and
@@ -147,13 +141,13 @@ def build_table(errors, labels, percentiles=range(1, 101)):
     sorted_errors = np.sort(errors)
     n = len(sorted_errors)
     ps, thresholds, metric_rows = [], [], []
-    for p in percentiles:
+    for p in range(1, 101):
         rank = max(1, math.ceil(p * n / 100.0))
         thr = float(sorted_errors[rank - 1])
         metric_rows.append(compute_metrics(confusion(flag(errors, thr),
                                                      labels)))
         thresholds.append(thr)
-        ps.append(int(p))
+        ps.append(p)
     return PercentileTable(ps, thresholds, metric_rows)
 
 

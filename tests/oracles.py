@@ -587,11 +587,11 @@ def reshuffle_report(labelled, cfg):
 
 
 # ---------------------------------------------------------------------------
-# feature CSV reader: the inverse of write_feature_csv(full=True)
+# feature CSV reader: the inverse of write_feature_csv
 
 
 def read_feature_csv(path):
-    """Reload a table written by write_feature_csv(full=True)."""
+    """Reload a table written by write_feature_csv."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         uid, fish, station, ts, vals, label, mask = [], [], [], [], [], [], []

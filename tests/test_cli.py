@@ -177,6 +177,44 @@ def test_resample_and_run_write_the_same_pool(dataset, tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_label_and_features_write_the_same_files_as_run(dataset, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG_TEXT + "dump_features = true\n")
+    files = {"label": ("labels.csv", "label_report.json"),
+             "features": ("features.csv",)}
+    run_out = str(tmp_path / "run")
+    assert main(["run", "--config", str(cfg), "--seed", "4"]
+                + _data_args(dataset, run_out)) == 0
+    for command, names in files.items():
+        out = str(tmp_path / command)
+        assert main([command, "--config", str(cfg), "--seed", "4"]
+                    + _data_args(dataset, out)) == 0
+        for name in names:
+            with open(os.path.join(out, name), "rb") as f:
+                text = f.read()
+            with open(os.path.join(run_out, name), "rb") as f:
+                assert text == f.read(), name
+    with open(os.path.join(run_out, "features.csv")) as f:
+        assert f.readline().startswith("uid,station_id,fish_id,timestamp,")
+
+
+def test_evaluate_at_another_seed_exits_2(dataset, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG_TEXT.replace("iforest,dbscan", "iforest"))
+    out = str(tmp_path / "run")
+    assert main(["run", "--config", str(cfg), "--seed", "0"]
+                + _data_args(dataset, out)) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--seed", "1",
+                 "--models-dir", out]
+                + _data_args(dataset, str(tmp_path / "eval"))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error")
+    assert "report.json: seed is 1, the run's was 0" in err
+    assert not os.path.exists(os.path.join(tmp_path, "eval",
+                                           "evaluation.json"))
+
+
 def test_each_flag_overrides_the_config_file(tmp_path):
     cfg = tmp_path / "all.cfg"
     cfg.write_text("input_csv = file.csv\n"

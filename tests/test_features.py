@@ -6,9 +6,9 @@ import pytest
 from oracles import (haversine_law_of_cosines, read_feature_csv,
                      sorted_by_fish_time)
 from telanom.errors import DataError
-from telanom.features import (FEATURE_NAMES, FeatureTable, Scaler,
-                              engineer_tracks, haversine_km,
-                              recompute_time_features, write_feature_csv)
+from telanom.features import (FeatureTable, Scaler, engineer_tracks,
+                              haversine_km, recompute_time_features,
+                              write_feature_csv)
 from telanom.ingest import (DetectionRecord, Detections, StationMap,
                             deduplicate, group_tracks, local_day,
                             parse_timestamp)
@@ -172,7 +172,7 @@ def test_feature_csv_full_round_trip(tmp_path, small_table):
     table, _ = small_table
     sub = table.take(np.arange(0, len(table), 37))
     path = str(tmp_path / "f.csv")
-    write_feature_csv(sub, path, full=True)
+    write_feature_csv(sub, path)
     back = read_feature_csv(path)
     assert np.array_equal(back.uid, sub.uid)
     assert list(back.fish_id) == list(sub.fish_id)
@@ -180,14 +180,6 @@ def test_feature_csv_full_round_trip(tmp_path, small_table):
     assert np.array_equal(back.values, sub.values)      # repr round-trips
     assert np.array_equal(back.label, sub.label)
     assert np.array_equal(back.criterion_mask, sub.criterion_mask)
-
-
-def test_feature_csv_default_header(tmp_path, small_table):
-    table, _ = small_table
-    path = str(tmp_path / "f.csv")
-    write_feature_csv(table.take([0]), path)
-    header = open(path).readline().strip().split(",")
-    assert header == ["fish_id", "timestamp"] + FEATURE_NAMES + ["label"]
 
 
 # -- scaler ------------------------------------------------------------------

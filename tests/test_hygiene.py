@@ -1,6 +1,7 @@
 """Static checks over src/telanom with the stdlib ast module: no unused
-import, and no module-level private function that nothing in the package
-references (a retired helper must go with its last caller)."""
+import, no module-level private function that nothing in the package
+references (a retired helper must go with its last caller), and no JSON
+written outside the package's two JSON writers."""
 
 import ast
 import pathlib
@@ -64,3 +65,33 @@ def test_every_private_function_is_referenced():
         and node.name.startswith("_") and not node.name.startswith("__")
         and node.name not in referenced]
     assert unreferenced == []
+
+
+# the JSON writers: indented report files and compact model files
+JSON_WRITERS = {("metrics.py", "save_report"), ("detectors.py", "save_model")}
+
+
+def _json_writes(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("dump", "dumps")
+            and isinstance(node.value, ast.Name) and node.value.id == "json"]
+
+
+def test_json_is_written_only_by_the_two_writers():
+    stray, writers = [], set()
+    for name, tree in _modules().items():
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (
+                    name, node.name) in JSON_WRITERS:
+                writes = _json_writes(node)
+                inside.update(writes)
+                if writes:
+                    writers.add((name, node.name))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                stray.append("%s:%d from json import" % (name, node.lineno))
+        stray += ["%s:%d json.%s" % (name, node.lineno, node.attr)
+                  for node in _json_writes(tree) if node not in inside]
+    assert stray == []
+    assert writers == JSON_WRITERS

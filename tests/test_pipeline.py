@@ -2,6 +2,7 @@
 leakage guard, deterministic end-to-end runs, and artifact round-trips."""
 
 import collections
+import dataclasses
 import json
 import os
 
@@ -501,7 +502,7 @@ def test_evaluate_saved_matches_original_run(tiny_csvs, tmp_path):
     det, sta = tiny_csvs
     out = tmp_path / "orig"
     cfg = RunConfig(input_csv=det, station_csv=sta, out_dir=str(out),
-                    seed=7, resample_interval="none",
+                    seed=7, resample_interval="auto", max_points=2500,
                     models="autoencoder,iforest,lof,dbscan", ae_units=8,
                     ae_epochs=2, ae_batch_size=64)
     original = run_experiment(cfg, timer=lambda: 0.0)
@@ -514,8 +515,42 @@ def test_evaluate_saved_matches_original_run(tiny_csvs, tmp_path):
         if name == "autoencoder":
             assert want.pop("threshold")["threshold"] == (
                 original.models[name].threshold)
-        want.pop("runtime_s")
-        assert {k: v for k, v in entry.items() if k != "runtime_s"} == want
+        # the interval the plan chose, not the "auto" that asked for it
+        assert entry["resample_interval"] == original.plan.delta_t
+        assert entry == dict(want, runtime_s=0.0)
+
+
+@pytest.fixture(scope="module")
+def iforest_run(tiny_csvs, tmp_path_factory):
+    """The output directory of a seed-7 iforest run on tiny_csvs and the
+    config it ran with."""
+    det, sta = tiny_csvs
+    cfg = RunConfig(input_csv=det, station_csv=sta, seed=7,
+                    out_dir=str(tmp_path_factory.mktemp("iforest_run")),
+                    resample_interval="none", models="iforest")
+    run_experiment(cfg, timer=lambda: 0.0)
+    return cfg.out_dir, cfg
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=8), dict(normal_test_fraction=0.2),
+    dict(anomaly_test_fraction=0.4), dict(split_unit="fish"),
+], ids=lambda change: next(iter(change)))
+def test_evaluate_saved_rejects_another_split(iforest_run, change):
+    out, cfg = iforest_run
+    assert evaluate_saved(cfg, out)["models"]["iforest"]["confusion"]
+    with pytest.raises(DataError, match="report.json: %s is" % next(
+            iter(change))):
+        evaluate_saved(dataclasses.replace(cfg, **change), out)
+
+
+def test_evaluate_saved_rejects_other_inputs(iforest_run, tmp_path):
+    out, cfg = iforest_run
+    lines = open(cfg.input_csv).read().splitlines(keepends=True)
+    fewer = tmp_path / "fewer.csv"
+    fewer.write_text("".join(lines[:-1]))
+    with pytest.raises(DataError, match="report.json: ingest summary"):
+        evaluate_saved(dataclasses.replace(cfg, input_csv=str(fewer)), out)
 
 
 def test_evaluate_saved_missing_model(tiny_csvs, tmp_path):

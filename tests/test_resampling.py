@@ -69,13 +69,15 @@ def test_fixed_plan_operating_points():
 
 def test_plan_json_round_trip(tmp_path):
     import json
-    plan = ResamplePlan(90, (65, 90, 300), 1000)
-    path = str(tmp_path / "plan.json")
-    plan.save(path, histogram={65: 2, 90: 5})
-    obj = json.loads(open(path).read())
+    from telanom.pipeline import save_plan
+    plan = ResamplePlan(90, (65, 90, 300), 1000,
+                        gap_histogram={65: 2, 90: 5})
+    save_plan(plan, None, FeatureTable.empty(), str(tmp_path))
+    obj = json.loads((tmp_path / "plan.json").read_text())
+    assert obj == dict(plan.to_json(), gap_histogram={"65": 2, "90": 5})
     assert obj["delta_t"] == 90
     assert obj["f_s"] == 1.0 / 90
-    assert obj["gap_histogram"] == {"65": 2, "90": 5}
+    assert (tmp_path / "resampled.csv").read_text().startswith("uid,")
 
 
 # -- grid construction -------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from telanom.errors import DataError
-from telanom.metrics import compute_metrics, confusion
+from telanom.metrics import compute_metrics, confusion, save_report
 from telanom.thresholding import (METRIC_COLUMNS, PercentileTable,
                                   ThresholdResult, build_table,
                                   nearest_rank_percentile, select_threshold)
@@ -157,7 +157,7 @@ def test_threshold_result_json(tmp_path):
     import json
     res = ThresholdResult(65, 0.25, {"recall": 1.0}, [65, 66])
     path = str(tmp_path / "thr.json")
-    res.save(path)
+    save_report(res.to_json(), path)
     obj = json.loads(open(path).read())
     assert obj == {"percentile": 65, "threshold": 0.25,
                    "metrics": {"recall": 1.0}, "tie_set": [65, 66]}
