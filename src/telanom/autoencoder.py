@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, TrainingError, _array, _number
+from .ingest import write_csv
 from .thresholding import _Detector, _as_matrix, _check_width
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
@@ -44,13 +45,9 @@ class TrainResult:
     val_losses: list
 
     def save_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["epoch", "train_loss", "val_loss"])
-            for e, (tr, vl) in enumerate(zip(self.train_losses,
-                                             self.val_losses), start=1):
-                w.writerow([e, repr(tr), "" if vl is None else repr(vl)])
+        write_csv(path, ["epoch", "train_loss", "val_loss"],
+                  [range(1, len(self.train_losses) + 1), self.train_losses,
+                   self.val_losses])
 
 
 class _Workspace:

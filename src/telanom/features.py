@@ -20,14 +20,12 @@ along as row metadata only.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 
 from .errors import DataError, _array
-from .ingest import (UTC_OFFSET_S, categorize, first_of_runs,
-                     format_distinct)
+from .ingest import UTC_OFFSET_S, categorize, first_of_runs, write_csv
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -271,12 +269,7 @@ def write_feature_csv(table, path):
     fish_id, timestamp, the 11 named dims, label and criterion_mask."""
     head = (["uid", "station_id", "fish_id", "timestamp"] + FEATURE_NAMES
             + ["label", "criterion_mask"])
-    columns = ([table.uid.tolist(), table.station_id.tolist(),
-                table.fish_id.tolist(), table.timestamp.tolist()]
-               + [format_distinct(repr, table.values[:, d])
-                  for d in range(N_FEATURES)]
-               + [table.label.tolist(), table.criterion_mask.tolist()])
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(head)
-        w.writerows(zip(*columns))
+    write_csv(path, head,
+              [table.uid, table.station_id, table.fish_id, table.timestamp]
+              + [table.values[:, d] for d in range(N_FEATURES)]
+              + [table.label, table.criterion_mask])

@@ -22,10 +22,12 @@ back by integer code.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass, field
 from datetime import date, timezone, timedelta, datetime
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +50,12 @@ DROP_REASONS = ("missing_field", "bad_coordinate", "bad_timestamp",
 # rows read per block; bounds the raw strings held at once
 _BLOCK_ROWS = 4096
 
+# rows written per block; bounds the formatted text held at once (at 16,384
+# rows, resampled.csv's blocks raised the peak RSS of a survey run)
+_WRITE_ROWS = 4096
 
-@dataclass(frozen=True)
-class DetectionRecord:
+
+class DetectionRecord(NamedTuple):
     fish_id: str
     receiver_id: str
     station_id: str
@@ -79,7 +84,7 @@ class Detections:
     @classmethod
     def from_records(cls, records):
         """Columns of a DetectionRecord list, in list order."""
-        return cls(*([getattr(r, c) for r in records] for c in cls.COLUMNS))
+        return cls(*(list(zip(*records)) or [()] * len(cls.COLUMNS)))
 
     def __len__(self):
         return len(self.timestamp)
@@ -272,6 +277,18 @@ def _decode_clocks(book):
     return values, ok
 
 
+def _clock_texts(seconds):
+    """The ``HH:MM:SS`` string of each second of the day in an int64
+    array, made as one array of ASCII digits: the inverse of
+    _decode_clocks."""
+    chars = np.full((len(seconds), 8), ord(":"), dtype=np.uint8)
+    for col, value in ((0, seconds // 3600), (3, seconds // 60 % 60),
+                       (6, seconds % 60)):
+        chars[:, col] = value // 10 + ord("0")
+        chars[:, col + 1] = value % 10 + ord("0")
+    return chars.view("S8").ravel().astype("U8").tolist()
+
+
 def parse_csv(path, station_map):
     """Parse a detection CSV against a station map into Detections, in file
     order.
@@ -350,6 +367,61 @@ def format_distinct(fmt, values):
                     dtype=object)[inverse].tolist()
 
 
+def write_csv(path, header, columns):
+    """Write a CSV file of the ``header`` row and the rows of equal-length
+    ``columns``, byte for byte as ``csv.writer`` writes them: None as the
+    empty string, every other value as its str (repr for floats), fields
+    quoted where the excel dialect needs it and lines ended by CRLF.
+
+    A column is a sequence of values or a numpy array. A float64 array's
+    text is made once per distinct bit pattern; strings are quoted by the
+    csv module once per distinct string. Rows are joined in blocks of
+    _WRITE_ROWS, so the text held at once is bounded.
+    """
+    buf = io.StringIO()
+    quoter = csv.writer(buf)
+    # a lone empty field is quoted, an empty field beside another is not
+    pad = ("",) if len(header) > 1 else ()
+
+    def written(row):
+        buf.seek(0)
+        buf.truncate()
+        quoter.writerow(row)
+        return buf.getvalue()
+
+    def fields(texts):
+        """csv.writer's field for each text: asked once for the distinct
+        texts together and, if it quotes any of them, once per text."""
+        distinct = list(dict.fromkeys(texts))
+        if pad and written(distinct) == ",".join(distinct) + "\r\n":
+            return texts
+        quoted = {t: written((t,) + pad)[:-len(pad) - 2] for t in distinct}
+        return list(map(quoted.__getitem__, texts))
+
+    def column_fields(values):
+        # the text of a number holds only digits, ".", "+", "-", "e",
+        # "inf" and "nan": nothing the excel dialect quotes
+        if isinstance(values, np.ndarray) and values.dtype == np.float64:
+            return format_distinct(repr, values)
+        if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+            return list(map(str, values.tolist()))
+        values = (values.tolist() if isinstance(values, np.ndarray)
+                  else list(values))
+        if not set(map(type, values)) <= {str}:
+            values = ["" if v is None else str(v) for v in values]
+        return fields(values)
+
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns) or len(columns) != len(header):
+        raise ValueError("header and columns differ in shape")
+    with open(path, "w", newline="") as f:
+        f.write(",".join(fields([str(h) for h in header])) + "\r\n")
+        for start in range(0, n_rows, _WRITE_ROWS):
+            rows = zip(*(column_fields(c[start:start + _WRITE_ROWS])
+                         for c in columns))
+            f.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
 def write_detections_csv(detections, path):
     """Serialize detections (Detections, or a DetectionRecord list) back to
     the input CSV format.
@@ -360,18 +432,12 @@ def write_detections_csv(detections, path):
     if not isinstance(detections, Detections):
         detections = Detections.from_records(detections)
     day, clock = np.divmod(detections.timestamp + UTC_OFFSET_S, 86400)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(DETECTION_COLUMNS)
-        w.writerows(zip(detections.fish_id.tolist(),
-                        detections.receiver_id.tolist(),
-                        detections.station_id.tolist(),
-                        map(repr, detections.lat.tolist()),
-                        map(repr, detections.lon.tolist()),
-                        format_distinct(lambda d: date.fromordinal(
-                            d + _EPOCH_ORDINAL).strftime("%Y-%m-%d"), day),
-                        format_distinct(lambda s: "%02d:%02d:%02d" % (
-                            s // 3600, s // 60 % 60, s % 60), clock)))
+    write_csv(path, DETECTION_COLUMNS, [
+        detections.fish_id, detections.receiver_id, detections.station_id,
+        detections.lat, detections.lon,
+        format_distinct(lambda d: date.fromordinal(
+            d + _EPOCH_ORDINAL).strftime("%Y-%m-%d"), day),
+        _clock_texts(clock)])
 
 
 def deduplicate(detections):

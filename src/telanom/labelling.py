@@ -17,13 +17,12 @@ bit 2 = criterion 3).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .features import F_UNIQUE_STATIONS, F_MISSING_STATIONS
-from .ingest import first_of_runs
+from .ingest import first_of_runs, write_csv
 
 STATIONARY_SPAN_S = 120 * 86400
 
@@ -118,8 +117,6 @@ def label_all(table):
 
 def write_label_csv(table, path):
     """Dump per-detection labels: fish_id, timestamp, label, criterion_mask."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["fish_id", "timestamp", "label", "criterion_mask"])
-        w.writerows(zip(table.fish_id.tolist(), table.timestamp.tolist(),
-                        table.label.tolist(), table.criterion_mask.tolist()))
+    write_csv(path, ["fish_id", "timestamp", "label", "criterion_mask"],
+              [table.fish_id, table.timestamp, table.label,
+               table.criterion_mask])

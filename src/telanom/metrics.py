@@ -12,12 +12,13 @@ Ratios with a zero denominator are reported as absent (None), never as 0.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ingest import write_csv
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,8 @@ SUMMARY_COLUMNS = ["model", "resampling", "accuracy", "recall", "specificity",
 
 def write_summary_csv(rows, path):
     """One row per (model, resampling mode) with headline metrics."""
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=SUMMARY_COLUMNS)
-        w.writeheader()
-        for row in rows:
-            w.writerow({k: ("" if row.get(k) is None else row.get(k))
-                        for k in SUMMARY_COLUMNS})
+    write_csv(path, SUMMARY_COLUMNS,
+              [[row.get(k) for row in rows] for k in SUMMARY_COLUMNS])
 
 
 def save_report(report, path):

@@ -23,14 +23,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, asdict
+from itertools import repeat
 
 import numpy as np
 
-from .errors import DataError
-from .ingest import DetectionRecord, StationMap, parse_timestamp
+from .errors import DataError, _number
+from .ingest import (STATION_COLUMNS, DetectionRecord, StationMap,
+                     format_timestamp, parse_timestamp, write_csv)
 
 KM_PER_DEG_LAT = 110.574
 KM_PER_DEG_LON_EQ = 111.320
+
+# most gap draws made at once; bounds a dwell's batch arrays
+_MAX_BATCH = 1 << 16
 
 
 @dataclass
@@ -53,16 +58,39 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self):
-        if self.n_fish < 1 or self.n_stations < 4:
-            raise DataError("need at least 1 fish and 4 stations")
+        """DataError unless every setting is a value generate can use."""
+        fields = vars(self)
+        for key, least in (("n_fish", 1), ("n_stations", 4), ("seed", 0)):
+            if _number(fields, key, integer=True) < least:
+                raise DataError("%s must be at least %d" % (key, least))
+        for key in ("span_days", "waterway_km", "mean_dwell_days",
+                    "max_dwell_days", "mean_gap_s", "stationary_gap_s",
+                    "normal_phase_days"):
+            if not 0.0 < _number(fields, key) < math.inf:
+                raise DataError("%s must be finite and positive" % key)
+        for key in ("fraction_single_station", "fraction_stationary"):
+            if not 0.0 <= _number(fields, key) <= 1.0:
+                raise DataError("%s must be in [0, 1]" % key)
+        if not 0.0 <= _number(fields, "skip_rate") < 1.0:
+            raise DataError("skip_rate must be in [0, 1)")
+        if not (-90.0 <= _number(fields, "origin_lat") <= 90.0
+                and -180.0 <= _number(fields, "origin_lon") <= 180.0):
+            raise DataError("origin_lat/origin_lon must be a coordinate")
+        try:
+            if not isinstance(self.start_date, str):
+                raise ValueError
+            format_timestamp(parse_timestamp(self.start_date, "00:00:00")
+                             + self.span_days * 86400)
+        except (ValueError, OverflowError, OSError):
+            raise DataError("start_date must be a YYYY-MM-DD date and the "
+                            "study must end by 9999-12-31, got %r"
+                            % self.start_date) from None
         if self.span_days * 86400 < 4 * self.max_dwell_days * 86400:
             raise DataError("study span too short for the dwell cap")
         n_c2 = round(self.fraction_stationary * self.n_fish)
         if n_c2 and self.span_days - self.normal_phase_days < 135:
             raise DataError("stationary fish need > 120 days after the "
                             "normal phase; increase span_days")
-        if not 0.0 <= self.skip_rate < 1.0:
-            raise DataError("skip_rate must be in [0, 1)")
 
 
 @dataclass
@@ -79,11 +107,10 @@ class GroundTruth:
         return sum(1 for v in self.criterion.values() if v)
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["fishid", "timestamp", "criterion"])
-            for (fid, ts), crit in sorted(self.criterion.items()):
-                w.writerow([fid, ts, crit])
+        rows = sorted(self.criterion.items())
+        write_csv(path, ["fishid", "timestamp", "criterion"],
+                  [[fid for (fid, _), _ in rows], [ts for (_, ts), _ in rows],
+                   [crit for _, crit in rows]])
 
     @classmethod
     def load_csv(cls, path):
@@ -109,48 +136,93 @@ def make_station_map(cfg):
     return StationMap(rows)
 
 
-def _station_coords(station_map):
-    coords = {}
-    for sid in station_map.ids():
-        coords[station_map.order_of(sid)] = (sid,) + station_map.coords(sid)
-    return coords
-
-
 class _FishEmitter:
-    """Accumulates one fish's detections with strictly increasing integer
-    timestamps, so (fish, station, timestamp) keys are unique by
-    construction and ground truth stays aligned through deduplication."""
+    """Accumulates one fish's detections, dwell by dwell, as station-order
+    and timestamp arrays with strictly increasing integer timestamps, so
+    (fish, station, timestamp) keys are unique by construction and ground
+    truth stays aligned through deduplication."""
 
-    def __init__(self, fish_id, coords, gt):
+    def __init__(self, fish_id, gt):
         self.fish_id = fish_id
-        self.coords = coords
         self.gt = gt
-        self.records = []
+        self.orders = []      # one int64 array per dwell
+        self.stamps = []      # one int64 array per dwell
         self.last_ts = None
         self.last_marker = False
 
-    def emit(self, order, ts, criterion):
-        ts = int(ts)
-        if self.last_ts is not None and ts <= self.last_ts:
-            ts = self.last_ts + 1
-        self.last_ts = ts
-        sid, lat, lon = self.coords[order]
-        self.records.append(DetectionRecord(
-            self.fish_id, "R%02d" % order, sid, lat, lon, ts))
-        if criterion:
-            self.gt.criterion[(self.fish_id, ts)] = criterion
+    def emit(self, order, times, arrival_criterion):
+        """Detections at station ``order`` at float epoch ``times``: each
+        timestamp truncated, then raised to one past the one before where
+        it would not increase; the first is an arrival with its
+        criterion."""
+        stamps = times.astype(np.int64)
+        step = np.arange(1, len(stamps) + 1)
+        floor = stamps[0] - 1 if self.last_ts is None else self.last_ts
+        stamps = np.maximum(np.maximum.accumulate(stamps - step), floor) + step
+        self.last_ts = int(stamps[-1])
+        self.orders.append(np.full(len(stamps), order, dtype=np.int64))
+        self.stamps.append(stamps)
+        if arrival_criterion:
+            self.gt.criterion[(self.fish_id, int(stamps[0]))] = \
+                arrival_criterion
+
+    def mark(self, stamps, criterion):
+        """Ground truth ``criterion`` for each of the fish's ``stamps``."""
+        self.gt.criterion.update(
+            zip(zip(repeat(self.fish_id), stamps.tolist()),
+                repeat(criterion)))
+
+    def records(self, stations):
+        """The fish's DetectionRecords in time order; ``stations`` holds
+        the receiver id, station id, lat and lon of each station order."""
+        orders = np.concatenate(self.orders)
+        return list(map(DetectionRecord._make, zip(
+            repeat(self.fish_id),
+            *(column[orders].tolist() for column in stations),
+            np.concatenate(self.stamps).tolist())))
+
+
+def _station_columns(station_map):
+    """Receiver id, station id, lat and lon arrays indexed by station
+    order; each receiver id is formatted once."""
+    ids = sorted(station_map.ids(), key=station_map.order_of)
+    lat, lon = (np.array(c) for c in zip(*map(station_map.coords, ids)))
+    return (np.array(["R%02d" % order for order in range(len(ids))],
+                     dtype=object), np.array(ids, dtype=object), lat, lon)
 
 
 def _emit_dwell(emitter, rng, order, t_start, t_end, mean_gap_s,
                 arrival_criterion=0):
-    """Arrival detection at t_start, then a Poisson stream until t_end."""
-    emitter.emit(order, t_start, arrival_criterion)
+    """Arrival detection at t_start, then a Poisson stream until t_end.
+
+    Each gap is max(1 s, an exponential draw) added to the time before,
+    and the stream ends at the first time at or past t_end. The draws come
+    in batches: a Generator fills an array with the draws that as many
+    scalar calls would make, cumsum adds in sequence as the scalar loop
+    did, and a batch that overshoots is drawn again up to the ending draw,
+    so times and generator state are the scalar loop's.
+    """
+    times = [np.array([t_start], dtype=np.float64)]
     t = t_start
     while True:
-        t += max(1.0, rng.exponential(mean_gap_s))
-        if t >= t_end:
-            return
-        emitter.emit(order, t, 0)
+        # mean gaps below 1 s still advance by at least 1 s
+        size = min(int(max(t_end - t, 0.0) / max(mean_gap_s, 1.0) * 1.1)
+                   + 16, _MAX_BATCH)
+        state = rng.bit_generator.state
+        steps = np.maximum(1.0, rng.exponential(mean_gap_s, size))
+        steps[0] += t
+        run = np.cumsum(steps)
+        end = int(np.searchsorted(run, t_end))
+        if end == size:
+            times.append(run)
+            t = float(run[-1])
+            continue
+        times.append(run[:end])
+        if end + 1 < size:
+            rng.bit_generator.state = state
+            rng.exponential(mean_gap_s, end + 1)
+        emitter.emit(order, np.concatenate(times), arrival_criterion)
+        return
 
 
 def _walk_fish(emitter, rng, cfg, t0, t_end, allow_jumps):
@@ -166,7 +238,7 @@ def _walk_fish(emitter, rng, cfg, t0, t_end, allow_jumps):
                     cfg.max_dwell_days) * 86400.0
         dwell = max(dwell, 3600.0)
         stop = min(t + dwell, t_end)
-        criterion = 3 if (emitter.records and emitter.last_marker) else 0
+        criterion = 3 if (emitter.stamps and emitter.last_marker) else 0
         _emit_dwell(emitter, rng, order, t, stop, cfg.mean_gap_s, criterion)
         emitter.last_marker = False
         last_emitted = order
@@ -197,7 +269,7 @@ def generate(cfg):
     """
     cfg.validate()
     station_map = make_station_map(cfg)
-    coords = _station_coords(station_map)
+    stations = _station_columns(station_map)
     gt = GroundTruth()
 
     t0 = parse_timestamp(cfg.start_date, "00:00:00")
@@ -213,16 +285,14 @@ def generate(cfg):
     for i in range(cfg.n_fish):
         fish_id = "F%03d" % i
         rng = np.random.default_rng((cfg.seed, i))
-        emitter = _FishEmitter(fish_id, coords, gt)
-        emitter.last_marker = False
+        emitter = _FishEmitter(fish_id, gt)
 
         if i < n_c1:
             # criterion 1: one station for the whole study
             order = int(rng.integers(0, s_max + 1))
             start = t0 + rng.uniform(0, 86400.0)
             _emit_dwell(emitter, rng, order, start, t_end, cfg.mean_gap_s)
-            for rec in emitter.records:
-                gt.criterion[(fish_id, rec.timestamp)] = 1
+            emitter.mark(emitter.stamps[0], 1)
         elif i < n_c1 + n_c2:
             # criterion 2: normal walk, then one > 120 day same-station run
             t_still = t0 + cfg.normal_phase_days * 86400.0
@@ -230,32 +300,26 @@ def generate(cfg):
                                allow_jumps=False)
             still_order = _adjacent_step(order, s_max, rng)
             run_start = emitter.last_ts + max(1.0, rng.uniform(60.0, 600.0))
-            n_before = len(emitter.records)
             _emit_dwell(emitter, rng, still_order, run_start, t_end,
                         cfg.stationary_gap_s)
-            # slice by index: emit() truncates timestamps, so a float
-            # run_start filter would drop the arrival row from the truth
-            run = emitter.records[n_before:]
-            if run[-1].timestamp - run[0].timestamp <= 120 * 86400:
+            run = emitter.stamps[-1]  # the last dwell
+            if run[-1] - run[0] <= 120 * 86400:
                 raise DataError("stationary run too short; lengthen span_days")
-            for rec in run:
-                gt.criterion[(fish_id, rec.timestamp)] = 2
+            emitter.mark(run, 2)
         else:
             _walk_fish(emitter, rng, cfg, t0, t_end,
                        allow_jumps=cfg.skip_rate > 0)
 
-        all_records.extend(emitter.records)
+        all_records += emitter.records(stations)
 
     return all_records, station_map, gt
 
 
 def write_station_csv(station_map, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["station", "lat", "lon", "order"])
-        for sid in station_map.ids():
-            lat, lon = station_map.coords(sid)
-            w.writerow([sid, repr(lat), repr(lon), station_map.order_of(sid)])
+    ids = station_map.ids()
+    lat, lon = zip(*map(station_map.coords, ids))
+    write_csv(path, STATION_COLUMNS,
+              [ids, lat, lon, list(map(station_map.order_of, ids))])
 
 
 def config_json(cfg):

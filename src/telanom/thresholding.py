@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .ingest import write_csv
 from .metrics import confusion, compute_metrics
 
 METRIC_COLUMNS = ["precision", "recall", "f1_score", "specificity", "accuracy"]
@@ -84,13 +85,9 @@ class PercentileTable:
         return self.thresholds[i], self.metrics[i]
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["percentile", "optimal_threshold"] + METRIC_COLUMNS)
-            for p, thr, m in zip(self.percentiles, self.thresholds, self.metrics):
-                w.writerow([p, repr(thr)]
-                           + ["" if m[k] is None else repr(m[k])
-                              for k in METRIC_COLUMNS])
+        write_csv(path, ["percentile", "optimal_threshold"] + METRIC_COLUMNS,
+                  [self.percentiles, self.thresholds]
+                  + [[m[k] for m in self.metrics] for k in METRIC_COLUMNS])
 
     @classmethod
     def load_csv(cls, path):

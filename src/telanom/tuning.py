@@ -19,7 +19,6 @@ percentile threshold on the validation rows. Absent metrics compare as
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -29,6 +28,7 @@ import numpy as np
 from .autoencoder import train
 from .detectors import NeighbourPass, build_model
 from .errors import DataError
+from .ingest import write_csv
 from .metrics import confusion, compute_metrics
 from .thresholding import (build_table, contamination_threshold, flag,
                            select_threshold)
@@ -68,13 +68,8 @@ class GridSearchResult:
             raise DataError("empty grid result")
         names = sorted(self.best_params)
         score_cols = [k for k in self.rows[0] if k not in names]
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(names + score_cols)
-            for row in self.rows:
-                w.writerow([row[k] for k in names]
-                           + ["" if row[k] is None else row[k]
-                              for k in score_cols])
+        write_csv(path, names + score_cols,
+                  [[row[k] for row in self.rows] for k in names + score_cols])
 
 
 def _canonical_candidates(grid):

@@ -6,9 +6,10 @@ row-at-a-time front end, the scalar code the columnar one replaced, and at
 the end the allocating autoencoder training loop and the rank loop that
 buffered and array code replaced, the per-model confidence-interval repeats
 the all-models-per-repeat ones replaced, the two table helpers only tests
-use and the per-model LOF neighbourhood sweep the shared neighbour pass
-replaced. scipy/mpmath are test dependencies only and must never leak into
-src/.
+use, the per-model LOF neighbourhood sweep the shared neighbour pass
+replaced, and the scalar generator and csv.writer writers that the batched
+generator and the columnar CSV writer replaced. scipy/mpmath are test
+dependencies only and must never leak into src/.
 """
 
 import csv
@@ -24,9 +25,12 @@ from telanom.detectors import _sq_dist_blocks, expected_path_length
 from telanom.errors import TrainingError
 from telanom.features import (CONTINUOUS_DIMS, FEATURE_NAMES, STEPWISE_DIMS,
                               FeatureTable, haversine_km)
-from telanom.ingest import UTC_OFFSET_S, local_day
-from telanom.metrics import reshuffle_ci
+from telanom.ingest import (DETECTION_COLUMNS, UTC_OFFSET_S, DetectionRecord,
+                            format_timestamp, local_day, parse_timestamp)
+from telanom.metrics import SUMMARY_COLUMNS, reshuffle_ci
 from telanom.pipeline import run_pipeline
+from telanom.synthgen import GroundTruth, _adjacent_step, make_station_map
+from telanom.thresholding import METRIC_COLUMNS
 
 
 def haversine_law_of_cosines(lat1, lon1, lat2, lon2, radius_km=6371.0):
@@ -634,3 +638,195 @@ def lof_neighbourhoods(q, x, k, self_excluded):
         sizes.append(np.bincount(r, minlength=hi - lo))
     return (kdist, np.concatenate(ids), np.concatenate(dists),
             np.concatenate(sizes))
+
+
+# ---------------------------------------------------------------------------
+# the scalar generator and the csv.writer writers
+#
+# synthgen's detection loop as it was before its gaps were drawn in batches:
+# one scalar exponential draw and one emit per detection. The batched
+# generator must return equal records and ground truth, in equal order, and
+# leave the rng after each dwell where this one does. The csv_* writers are
+# telanom's CSV writers as they were before ingest.write_csv, one csv.writer
+# row per table row; write_csv must write their bytes.
+
+
+class _ScalarEmitter:
+    def __init__(self, fish_id, coords, gt):
+        self.fish_id = fish_id
+        self.coords = coords
+        self.gt = gt
+        self.records = []
+        self.last_ts = None
+        self.last_marker = False
+
+    def emit(self, order, ts, criterion):
+        ts = int(ts)
+        if self.last_ts is not None and ts <= self.last_ts:
+            ts = self.last_ts + 1
+        self.last_ts = ts
+        sid, lat, lon = self.coords[order]
+        self.records.append(DetectionRecord(
+            self.fish_id, "R%02d" % order, sid, lat, lon, ts))
+        if criterion:
+            self.gt.criterion[(self.fish_id, ts)] = criterion
+
+
+def _scalar_dwell(emitter, rng, order, t_start, t_end, mean_gap_s,
+                  arrival_criterion=0):
+    emitter.emit(order, t_start, arrival_criterion)
+    t = t_start
+    while True:
+        t += max(1.0, rng.exponential(mean_gap_s))
+        if t >= t_end:
+            return
+        emitter.emit(order, t, 0)
+
+
+def _scalar_walk(emitter, rng, cfg, t0, t_end, allow_jumps):
+    s_max = cfg.n_stations - 1
+    order = int(rng.integers(0, s_max + 1))
+    last_emitted = order
+    t = t0 + rng.uniform(0, 86400.0)
+    while t < t_end:
+        dwell = min(rng.exponential(cfg.mean_dwell_days),
+                    cfg.max_dwell_days) * 86400.0
+        dwell = max(dwell, 3600.0)
+        stop = min(t + dwell, t_end)
+        criterion = 3 if (emitter.records and emitter.last_marker) else 0
+        _scalar_dwell(emitter, rng, order, t, stop, cfg.mean_gap_s, criterion)
+        emitter.last_marker = False
+        last_emitted = order
+        t = stop + rng.uniform(60.0, 600.0)
+        if allow_jumps and rng.random() < cfg.skip_rate:
+            targets = [o for o in range(0, s_max + 1) if abs(o - order) >= 3]
+            if targets:
+                order = int(targets[rng.integers(len(targets))])
+                emitter.last_marker = True
+                continue
+        order = _adjacent_step(order, s_max, rng)
+    return last_emitted
+
+
+def scalar_generate(cfg):
+    """(records, station map, ground truth) of the scalar generator."""
+    cfg.validate()
+    station_map = make_station_map(cfg)
+    coords = {station_map.order_of(sid): (sid,) + station_map.coords(sid)
+              for sid in station_map.ids()}
+    gt = GroundTruth()
+    t0 = parse_timestamp(cfg.start_date, "00:00:00")
+    t_end = t0 + cfg.span_days * 86400.0
+    n_c1 = round(cfg.fraction_single_station * cfg.n_fish)
+    n_c2 = round(cfg.fraction_stationary * cfg.n_fish)
+    all_records = []
+    s_max = cfg.n_stations - 1
+    for i in range(cfg.n_fish):
+        fish_id = "F%03d" % i
+        rng = np.random.default_rng((cfg.seed, i))
+        emitter = _ScalarEmitter(fish_id, coords, gt)
+        if i < n_c1:
+            order = int(rng.integers(0, s_max + 1))
+            start = t0 + rng.uniform(0, 86400.0)
+            _scalar_dwell(emitter, rng, order, start, t_end, cfg.mean_gap_s)
+            for rec in emitter.records:
+                gt.criterion[(fish_id, rec.timestamp)] = 1
+        elif i < n_c1 + n_c2:
+            t_still = t0 + cfg.normal_phase_days * 86400.0
+            order = _scalar_walk(emitter, rng, cfg, t0, t_still,
+                                 allow_jumps=False)
+            still_order = _adjacent_step(order, s_max, rng)
+            run_start = emitter.last_ts + max(1.0, rng.uniform(60.0, 600.0))
+            n_before = len(emitter.records)
+            _scalar_dwell(emitter, rng, still_order, run_start, t_end,
+                          cfg.stationary_gap_s)
+            for rec in emitter.records[n_before:]:
+                gt.criterion[(fish_id, rec.timestamp)] = 2
+        else:
+            _scalar_walk(emitter, rng, cfg, t0, t_end,
+                         allow_jumps=cfg.skip_rate > 0)
+        all_records.extend(emitter.records)
+    return all_records, station_map, gt
+
+
+def _csv_rows(path, header, rows):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def csv_detections(detections, path):
+    """write_detections_csv as csv.writer rows; takes Detections."""
+    days, clocks = [], []
+    for ts in detections.timestamp.tolist():
+        day, clock = format_timestamp(ts)
+        days.append(day)
+        clocks.append(clock)
+    _csv_rows(path, DETECTION_COLUMNS, zip(
+        detections.fish_id.tolist(), detections.receiver_id.tolist(),
+        detections.station_id.tolist(), map(repr, detections.lat.tolist()),
+        map(repr, detections.lon.tolist()), days, clocks))
+
+
+def csv_stations(station_map, path):
+    _csv_rows(path, ["station", "lat", "lon", "order"],
+              ([sid, repr(station_map.coords(sid)[0]),
+                repr(station_map.coords(sid)[1]), station_map.order_of(sid)]
+               for sid in station_map.ids()))
+
+
+def csv_ground_truth(gt, path):
+    _csv_rows(path, ["fishid", "timestamp", "criterion"],
+              ([fid, ts, crit]
+               for (fid, ts), crit in sorted(gt.criterion.items())))
+
+
+def csv_labels(table, path):
+    _csv_rows(path, ["fish_id", "timestamp", "label", "criterion_mask"],
+              zip(table.fish_id.tolist(), table.timestamp.tolist(),
+                  table.label.tolist(), table.criterion_mask.tolist()))
+
+
+def csv_features(table, path):
+    _csv_rows(path, (["uid", "station_id", "fish_id", "timestamp"]
+                     + FEATURE_NAMES + ["label", "criterion_mask"]),
+              ([u, s, f, t] + list(map(repr, v)) + [lab, m]
+               for u, s, f, t, v, lab, m in zip(
+                   table.uid.tolist(), table.station_id.tolist(),
+                   table.fish_id.tolist(), table.timestamp.tolist(),
+                   table.values.tolist(), table.label.tolist(),
+                   table.criterion_mask.tolist())))
+
+
+def csv_percentile_table(table, path):
+    _csv_rows(path, ["percentile", "optimal_threshold"] + METRIC_COLUMNS,
+              ([p, repr(thr)] + ["" if m[k] is None else repr(m[k])
+                                 for k in METRIC_COLUMNS]
+               for p, thr, m in zip(table.percentiles, table.thresholds,
+                                    table.metrics)))
+
+
+def csv_loss_curve(result, path):
+    _csv_rows(path, ["epoch", "train_loss", "val_loss"],
+              ([e, repr(tr), "" if vl is None else repr(vl)]
+               for e, (tr, vl) in enumerate(zip(result.train_losses,
+                                                result.val_losses), start=1)))
+
+
+def csv_tune_rows(result, path):
+    names = sorted(result.best_params)
+    score_cols = [k for k in result.rows[0] if k not in names]
+    _csv_rows(path, names + score_cols,
+              ([row[k] for k in names]
+               + ["" if row[k] is None else row[k] for k in score_cols]
+               for row in result.rows))
+
+
+def csv_summary(rows, path):
+    with open(path, "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=SUMMARY_COLUMNS)
+        w.writeheader()
+        for row in rows:
+            w.writerow({k: ("" if row.get(k) is None else row.get(k))
+                        for k in SUMMARY_COLUMNS})

@@ -4,9 +4,12 @@ in-process through main(argv)."""
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import telanom
 from telanom.cli import _load_config, build_parser, main
 from telanom.errors import DataError
 from telanom.pipeline import RunConfig
@@ -87,6 +90,28 @@ def test_data_errors_exit_2(dataset, tmp_path, capsys):
     assert main(["synth", "--config", str(bad_json),
                  "--out", str(tmp_path / "o3")]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings, flags", [
+    ({"n_fish": "3"}, []), ({"n_fish": 2.5}, []), ({"n_fish": True}, []),
+    ({"seed": -1}, []), ({"origin_lat": "x"}, []),
+    ({"start_date": "2017-13-01"}, []), ({"start_date": "9999-12-01"}, []),
+    ({"mean_gap_s": 0}, []),
+    ({}, ["--days", "nan"]), ({}, ["--days", "inf"])])
+def test_bad_generator_settings_exit_2(settings, flags, tmp_path):
+    """Each ends in a data error, in a fresh process given a time limit:
+    the zero gap and the non-finite spans once never finished."""
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(dict({"n_fish": 2}, **settings)))
+    src = os.path.dirname(os.path.dirname(telanom.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "telanom.cli", "synth", "--config", str(cfg),
+         "--out", str(tmp_path / "out")] + flags,
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "data error" in proc.stderr
 
 
 def test_bad_config_boolean_exits_2(dataset, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Static checks over src/telanom with the stdlib ast module: no unused
 import, no module-level private function that nothing in the package
-references (a retired helper must go with its last caller), and no JSON
-written outside the package's two JSON writers."""
+references (a retired helper must go with its last caller), no JSON
+written outside the package's two JSON writers and no CSV written outside
+its one CSV writer."""
 
 import ast
 import pathlib
@@ -95,3 +96,24 @@ def test_json_is_written_only_by_the_two_writers():
                   for node in _json_writes(tree) if node not in inside]
     assert stray == []
     assert writers == JSON_WRITERS
+
+
+def test_csv_is_written_only_by_write_csv():
+    """csv.writer and csv.DictWriter appear only inside ingest.write_csv."""
+    stray = []
+    for name, tree in _modules().items():
+        inside = set()
+        for node in ast.walk(tree):
+            if (name, getattr(node, "name", None)) == ("ingest.py",
+                                                       "write_csv"):
+                inside.update(ast.walk(node))
+        stray += ["%s:%d csv.%s" % (name, node.lineno, node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("writer", "DictWriter")
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "csv" and node not in inside]
+        stray += ["%s:%d from csv import" % (name, node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "csv"]
+    assert stray == []
