@@ -16,9 +16,12 @@ fields differ.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field
 
@@ -401,10 +404,93 @@ def _model_entry(name, model, x_test, y_test, interval):
             "n_parameters": model.n_parameters}
 
 
+@contextlib.contextmanager
+def _in_child(fn):
+    """Yields a zero-argument callable that returns ``fn()`` or raises what
+    it raised.
+
+    Where fork exists and this process may run on more than one CPU, ``fn``
+    starts at once in a forked child, alongside the caller's own work; the
+    callable waits for the child's pickled outcome. Elsewhere the callable
+    is ``fn`` itself. A child still running when the block exits is killed
+    and reaped, so none outlives the caller.
+
+    The package starts no thread of its own (tests/test_hygiene.py), and
+    OpenBLAS stops its thread pool before a fork and restarts it on its
+    next call, so the child holds no lock another thread owned.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        yield fn
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child: send the outcome and exit without returning into the
+        # caller's code, its cleanups or its atexit handlers; an outcome
+        # that cannot be pickled reaches the parent as no result
+        try:
+            os.close(read_end)
+            try:
+                outcome = (True, fn())
+            except BaseException as e:  # noqa: BLE001 - sent to the parent
+                outcome = (False, e)
+            outcome = pickle.dumps(outcome)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(outcome)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        outcome = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        if not outcome:
+            raise RuntimeError("child process %d ended with wait status %d "
+                               "and no result" % (pid, status))
+        ok, value = pickle.loads(outcome)
+        if ok:
+            return value
+        raise value
+
+    with os.fdopen(read_end, "rb") as pipe:
+        try:
+            yield result
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _autoencoder_job(data, cfg, x_test, y_test, interval, model_seed, timer):
+    """The autoencoder's part of a run, which shares nothing with the
+    classical models': trained on normal rows, thresholded on labelled
+    ones, then scored on the test rows. Returns (model, loss curve,
+    percentile table, threshold, report entry)."""
+    t0 = timer()
+    model, train_cfg = build_model("autoencoder",
+                                   cfg.model_params("autoencoder"),
+                                   x_test.shape[1], model_seed)
+    loss_curve = train(model, data.ae_train, train_cfg, val_rows=data.ae_val)
+    table = build_table(model.scores(data.val_x), data.val_y)
+    threshold = select_threshold(table)
+    model.threshold = threshold.threshold
+    entry = _model_entry("autoencoder", model, x_test, y_test, interval)
+    entry["runtime_s"] = timer() - t0
+    entry["threshold"] = threshold.to_json()
+    return model, loss_curve, table, threshold, entry
+
+
 def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
     """Split/resample/fit/threshold/evaluate on an already labelled table.
 
     Returns an ExperimentResult whose report carries one entry per model.
+    The autoencoder's job runs in a child process (see _in_child) while
+    this one fits the classical models; every result is the same as when
+    they run one after another.
     """
     data = prepare_training(labelled, cfg, seed)
     interval = data.plan.delta_t if data.plan else "none"
@@ -415,38 +501,58 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
                               train_pool=data.pool, scaler=data.scaler,
                               plan=data.plan)
 
+    names = cfg.model_list
+    classical = [name for name in names if name != "autoencoder"]
+    # every matrix is built through the guard in this process, in the order
+    # the models read them
+    for name in names:
+        if name == "autoencoder":
+            data.ae_train, data.val_x, data.val_y
+        else:
+            data.fit_x
+    job = None
+    if "autoencoder" in names:
+        job = functools.partial(_autoencoder_job, data, cfg, x_test,
+                                test.label, interval, model_seed, timer)
+
     # LOF's k-neighbourhoods and DBSCAN's eps-counts over fit_x come from
     # one neighbour pass, made by whichever of the two fits first
-    names = cfg.model_list
     neighbours = None
     model_reports = {}
-    for name in names:
-        t0 = timer()
-        model, train_cfg = build_model(name, cfg.model_params(name),
+    with (_in_child(job) if job and classical
+          else contextlib.nullcontext(job)) as autoencoder:
+        try:
+            for name in classical:
+                t0 = timer()
+                model, _ = build_model(name, cfg.model_params(name),
                                        x_test.shape[1], model_seed)
-        if name == "autoencoder":
-            # trained on normal rows, thresholded on labelled ones
-            result.loss_curve = train(model, data.ae_train, train_cfg,
-                                      val_rows=data.ae_val)
-            result.percentile_table = build_table(model.scores(data.val_x),
-                                                  data.val_y)
-            result.threshold = select_threshold(result.percentile_table)
-            model.threshold = result.threshold.threshold
-        elif name == "iforest":
-            model.fit(data.fit_x)
-        else:
-            if neighbours is None:
-                neighbours = NeighbourPass(
-                    data.fit_x, data.fit_x, self_excluded=True,
-                    ks=[cfg.lof_k] if "lof" in names else [],
-                    radii=[cfg.dbscan_eps] if "dbscan" in names else [])
-            model.fit(data.fit_x, neighbours=neighbours)
-        result.models[name] = model
-        entry = _model_entry(name, model, x_test, test.label, interval)
-        entry["runtime_s"] = timer() - t0
-        if name == "autoencoder":
-            entry["threshold"] = result.threshold.to_json()
-        model_reports[name] = entry
+                if name == "iforest":
+                    model.fit(data.fit_x)
+                else:
+                    if neighbours is None:
+                        neighbours = NeighbourPass(
+                            data.fit_x, data.fit_x, self_excluded=True,
+                            ks=[cfg.lof_k] if "lof" in names else [],
+                            radii=[cfg.dbscan_eps] if "dbscan" in names
+                            else [])
+                    model.fit(data.fit_x, neighbours=neighbours)
+                result.models[name] = model
+                entry = _model_entry(name, model, x_test, test.label,
+                                     interval)
+                entry["runtime_s"] = timer() - t0
+                model_reports[name] = entry
+        except Exception:
+            # run one after another, the models before the failing one
+            # would have raised first
+            if job and names.index("autoencoder") < names.index(name):
+                autoencoder()
+            raise
+        if job:
+            (result.models["autoencoder"], result.loss_curve,
+             result.percentile_table, result.threshold,
+             model_reports["autoencoder"]) = autoencoder()
+    result.models = {name: result.models[name] for name in names}
+    model_reports = {name: model_reports[name] for name in names}
 
     result.report = {
         "seed": seed,

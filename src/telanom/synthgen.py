@@ -91,6 +91,14 @@ class SynthConfig:
         if n_c2 and self.span_days - self.normal_phase_days < 135:
             raise DataError("stationary fish need > 120 days after the "
                             "normal phase; increase span_days")
+        # ingest drops the detections at a station off the globe
+        stations = make_station_map(self)
+        for sid in stations.ids():
+            lat, lon = stations.coords(sid)
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                raise DataError("station %s falls at (%r, %r), off the "
+                                "globe; move origin_lat/origin_lon or "
+                                "shorten waterway_km" % (sid, lat, lon))
 
 
 @dataclass

@@ -97,10 +97,12 @@ def test_data_errors_exit_2(dataset, tmp_path, capsys):
     ({"seed": -1}, []), ({"origin_lat": "x"}, []),
     ({"start_date": "2017-13-01"}, []), ({"start_date": "9999-12-01"}, []),
     ({"mean_gap_s": 0}, []),
-    ({}, ["--days", "nan"]), ({}, ["--days", "inf"])])
+    ({}, ["--days", "nan"]), ({}, ["--days", "inf"]),
+    ({"origin_lat": 89.99, "waterway_km": 500}, [])])
 def test_bad_generator_settings_exit_2(settings, flags, tmp_path):
     """Each ends in a data error, in a fresh process given a time limit:
-    the zero gap and the non-finite spans once never finished."""
+    the zero gap and the non-finite spans once never finished, and the
+    polar origin once placed stations off the globe."""
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps(dict({"n_fish": 2}, **settings)))
     src = os.path.dirname(os.path.dirname(telanom.__file__))

@@ -1,8 +1,9 @@
 """Static checks over src/telanom with the stdlib ast module: no unused
 import, no module-level private function that nothing in the package
 references (a retired helper must go with its last caller), no JSON
-written outside the package's two JSON writers and no CSV written outside
-its one CSV writer."""
+written outside the package's two JSON writers, no CSV written outside
+its one CSV writer, and no process forked or thread started outside the
+one function that runs the autoencoder in a child."""
 
 import ast
 import pathlib
@@ -116,4 +117,34 @@ def test_csv_is_written_only_by_write_csv():
         stray += ["%s:%d from csv import" % (name, node.lineno)
                   for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) and node.module == "csv"]
+    assert stray == []
+
+
+def test_fork_is_called_only_by_in_child():
+    """os.fork appears only inside pipeline._in_child, and no module
+    imports multiprocessing, threading or concurrent.futures."""
+    stray = []
+    for name, tree in _modules().items():
+        inside = set()
+        for node in ast.walk(tree):
+            if (name, getattr(node, "name", None)) == ("pipeline.py",
+                                                       "_in_child"):
+                inside.update(ast.walk(node))
+        stray += ["%s:%d os.%s" % (name, node.lineno, node.attr)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("fork", "forkpty")
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "os" and node not in inside]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            stray += ["%s:%d import %s" % (name, node.lineno, module)
+                      for module in modules
+                      if module.split(".")[0] in ("multiprocessing",
+                                                  "threading", "concurrent")]
     assert stray == []

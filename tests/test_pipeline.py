@@ -5,6 +5,8 @@ import collections
 import dataclasses
 import json
 import os
+import shutil
+import time
 
 import numpy as np
 import pytest
@@ -450,6 +452,121 @@ def test_run_pipeline_scores_test_set_once(tiny_labelled, monkeypatch):
     for kind in ("iforest", "lof", "dbscan"):
         on_test = [x for x in seen[kind] if np.array_equal(x, x_test)]
         assert len(on_test) == 1, kind
+
+
+# ------------------------------------------ the autoencoder's child process
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork")
+                                or not hasattr(os, "sched_getaffinity"),
+                                reason="the child process needs fork")
+
+
+def _cpus(monkeypatch, n):
+    """Make _in_child see ``n`` CPUs; returns the list the pid of every
+    fork it makes is appended to."""
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+    forks = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(pipeline.os, "fork", recorded)
+    return forks
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_forked_and_inline_runs_are_identical(tiny_labelled, tiny_csvs,
+                                              tmp_path, monkeypatch):
+    det, sta = tiny_csvs
+    cfg = _fast_cfg(models="autoencoder,iforest,lof,dbscan",
+                    resample_interval="auto", max_points=2500,
+                    input_csv=det, station_csv=sta, dump_features=True)
+    reports, files = [], []
+    for n_cpus in (2, 1):
+        forks = _cpus(monkeypatch, n_cpus)
+        result = run_pipeline(tiny_labelled, cfg, seed=5, timer=lambda: 0.0)
+        reports.append(json.dumps(result.report))
+        # one out_dir for both, since report.json holds it
+        out = tmp_path / "out"
+        run_experiment(dataclasses.replace(cfg, out_dir=str(out)),
+                       timer=lambda: 0.0)
+        files.append({str(path.relative_to(out)): path.read_bytes()
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+        shutil.rmtree(out)
+        assert len(forks) == (2 if n_cpus > 1 else 0)
+        _assert_no_child()
+    assert reports[0] == reports[1]
+    assert files[0] == files[1]
+    assert "models/autoencoder.json" in files[0]
+
+
+@needs_fork
+def test_child_data_error_is_the_parents(tiny_labelled, tiny_csvs, tmp_path,
+                                         monkeypatch, capsys):
+    forks = _cpus(monkeypatch, 2)
+
+    def bad_rows(*args, **kwargs):
+        raise DataError("no usable training rows")
+    monkeypatch.setattr(pipeline, "train", bad_rows)
+    with pytest.raises(DataError, match="^no usable training rows$"):
+        run_pipeline(tiny_labelled, _fast_cfg(models="autoencoder,iforest"),
+                     seed=5)
+    det, sta = tiny_csvs
+    assert main(["run", "--input", det, "--stations", sta,
+                 "--resample-interval", "none",
+                 "--models", "iforest,autoencoder",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "data error: no usable training rows" in capsys.readouterr().err
+    assert len(forks) == 2
+    _assert_no_child()
+
+
+@needs_fork
+@pytest.mark.parametrize("models,raised", [
+    ("lof,autoencoder", "lof"), ("autoencoder,lof", "autoencoder")])
+def test_parent_error_leaves_no_child(tiny_labelled, monkeypatch, models,
+                                      raised):
+    """The parent's error kills a child whose result the serial order
+    would not reach; with the autoencoder first, the child's error is the
+    one raised, as when the models run one after another."""
+    forks = _cpus(monkeypatch, 2)
+
+    def lof_fails(self, *args, **kwargs):
+        raise RuntimeError("lof")
+
+    def autoencoder_fails(*args, **kwargs):
+        if raised == "lof":
+            time.sleep(60)
+        raise RuntimeError("autoencoder")
+    monkeypatch.setattr(LocalOutlierFactor, "fit", lof_fails)
+    monkeypatch.setattr(pipeline, "train", autoencoder_fails)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="^%s$" % raised):
+        run_pipeline(tiny_labelled, _fast_cfg(models=models), seed=5)
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+@needs_fork
+def test_child_without_a_result_is_an_error(tiny_labelled, monkeypatch):
+    forks = _cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "train",
+                        lambda *args, **kwargs: os._exit(1))
+    with pytest.raises(RuntimeError, match="no result"):
+        run_pipeline(tiny_labelled, _fast_cfg(models="autoencoder,iforest"),
+                     seed=5)
+    assert len(forks) == 1
+    _assert_no_child()
 
 
 # ------------------------------------------------- experiment + evaluation
