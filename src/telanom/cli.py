@@ -234,7 +234,8 @@ def _add_common(p):
     p.add_argument("--resample-interval", dest="resample_interval",
                    help="'auto', 'none' or seconds")
     p.add_argument("--max-points", dest="max_points", type=int,
-                   help="row budget for the resampled table")
+                   help="budget on the automatic plan's projected grid "
+                   "count; the resampled pool can exceed it")
     p.add_argument("--models", help="comma separated model names")
     p.add_argument("--ci-repeats", dest="ci_repeats", type=int,
                    help="reshuffle repeats for confidence intervals")

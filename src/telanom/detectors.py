@@ -9,6 +9,8 @@ through JSON. Neighbour searches are exact; nothing here approximates.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from .errors import DataError, _array, _number, load_json
 from .autoencoder import Autoencoder, TrainConfig
+from .child import _in_child, usable_cpus
 from .thresholding import (_Detector, _as_matrix, _check_width,
                            contamination_threshold)
 
@@ -62,27 +65,84 @@ def scores_from_mean_depths(mean_depths, sample_size):
 _BLOCK_FLOATS = 2 ** 16
 _MIN_BLOCK_ROWS = 8
 
+# BLAS multiplies a block by a row-major copy of b^T faster than by the view
+# b.T (study's 6,502-row fit pass: 0.048 -> 0.030 s). For blocks of 2 to
+# _ROW_MAJOR_ROWS rows and at most _ROW_MAJOR_WIDTH columns the bits are the
+# same either way, a set's one block times itself (syrk) included. Every
+# sweep against more than 5,461 rows of the pipeline's 11 features has such
+# blocks. The rest keep b.T, whose bits a copy would change: one row goes
+# through gemv, from 12 rows up a product of under about 10^6 multiply-adds
+# takes a small-matrix kernel for one layout only, and from 16 columns up
+# the products differ. (OpenBLAS 0.3.31, Haswell and SkylakeX kernels,
+# checked on 400k shapes of widths 1-32.)
+_ROW_MAJOR_ROWS = 11
+_ROW_MAJOR_WIDTH = 15
 
-def _sq_dist_blocks(a, b):
+
+def _block_rows(b):
+    """Rows per block of ``_sq_dist_blocks(a, b)``."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_FLOATS // max(1, len(b)))
+
+
+def _sq_dist_blocks(a, b, start=0, stop=None):
     """Squared Euclidean distances from the rows of ``a`` to every row of
     ``b``, streamed as blocks ``(lo, hi, d2)``, ``d2`` of shape
     (hi - lo, len(b)) and computed as ``(|a|^2 + |b|^2) - 2 a.b`` clipped at
     zero. ``d2`` is one buffer rewritten for every block: reduce each block
-    before asking for the next."""
-    rows = max(_MIN_BLOCK_ROWS, _BLOCK_FLOATS // max(1, len(b)))
+    before asking for the next. Only the rows from ``start``, a block
+    boundary, to ``stop`` are swept; their blocks are the whole sweep's."""
+    rows = _block_rows(b)
+    stop = len(a) if stop is None else stop
     aa = (a * a).sum(axis=1)
     bb = (b * b).sum(axis=1)
-    sums = np.empty((min(rows, len(a)), len(b)))
+    bt = b.T
+    if (stop - start > 1 and rows <= _ROW_MAJOR_ROWS
+            and b.shape[1] <= _ROW_MAJOR_WIDTH):
+        bt = np.ascontiguousarray(bt)
+    sums = np.empty((min(rows, stop - start), len(b)))
     prods = np.empty_like(sums)
-    for lo in range(0, len(a), rows):
-        hi = min(len(a), lo + rows)
+    for lo in range(start, stop, rows):
+        hi = min(stop, lo + rows)
         d2, ab = sums[:hi - lo], prods[:hi - lo]
         np.add(aa[lo:hi, None], bb, out=d2)
-        np.matmul(a[lo:hi], b.T, out=ab)
+        np.matmul(a[lo:hi], b.T if hi - lo == 1 else bt, out=ab)
         ab *= 2.0
         d2 -= ab
         np.maximum(d2, 0.0, out=d2)
         yield lo, hi, d2
+
+
+# A sweep of fewer query x reference pairs than this runs in one process.
+# On a shared 2-vCPU Xeon VM an _in_child round trip took about 2 ms
+# returning nothing and 5 ms returning 1 MB, in a process holding 64 MB, and
+# the cheapest sweep (_nearest) about 2.5 ns per pair. Halving a sweep of p
+# pairs saves about 1.25 p ns, which pays for an empty round trip from about
+# 2M pairs; the floor leaves a factor of two for the results' transfer.
+_SPLIT_PAIRS = 4 * 10 ** 6
+
+
+def _split_sweep(sweep, a, b):
+    """The arrays ``sweep(0, len(a))`` returns, each in the row order of
+    ``a``, made as ``sweep(start, stop)`` over contiguous ranges of the rows
+    and joined range after range. There is one range per usable CPU: the
+    first runs here, the others in child processes (``_in_child``). Ranges
+    start on block boundaries of ``_sq_dist_blocks(a, b)``, so every block
+    is computed as in one sweep of all rows and the arrays are
+    bit-identical. A sweep of fewer than ``_SPLIT_PAIRS`` pairs is one
+    range."""
+    rows = _block_rows(b)
+    blocks = -(-len(a) // rows)
+    parts = 1
+    if len(a) * len(b) >= _SPLIT_PAIRS:
+        parts = min(blocks, usable_cpus())
+    cuts = [min(len(a), rows * (blocks * i // parts))
+            for i in range(parts + 1)]
+    with contextlib.ExitStack() as children:
+        rest = [children.enter_context(_in_child(
+            functools.partial(sweep, lo, hi)))
+            for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        results = [sweep(cuts[0], cuts[1])] + [result() for result in rest]
+    return [np.concatenate(arrays) for arrays in zip(*results)]
 
 
 # Scales a squared k-distance past every double whose square root rounds to
@@ -98,7 +158,8 @@ class NeighbourPass:
     ``radii``, from one sweep of ``_sq_dist_blocks(q, x)``.
 
     The sweep runs on the first read, so its time falls in whichever fit or
-    scoring call needs it first. Per block it counts the rows within each
+    scoring call needs it first, and is split across the CPUs by
+    ``_split_sweep``. Per block it counts the rows within each
     radius, then takes every k-th smallest squared distance with one
     ``np.partition``; square roots are taken only of the selected entries.
     With ``self_excluded`` the rows of ``q`` are the rows of ``x`` and row i
@@ -135,14 +196,24 @@ class NeighbourPass:
     def _sweep(self):
         if self._counts is not None:
             return
+        arrays = _split_sweep(self._sweep_rows, self.q, self.x)
+        n = len(self.radii)
+        self._counts = arrays[:n]
+        self._hoods = {k: tuple(arrays[n + 4 * j:n + 4 * j + 4])
+                       for j, k in enumerate(self.ks)}
+
+    def _sweep_rows(self, start, stop):
+        """For the rows of ``q`` from ``start`` to ``stop``: the counts
+        within each radius, then each k's (kdist, ids, dists, sizes)."""
         q, x, ks = self.q, self.x, self.ks
         radii2 = [r * r for r in self.radii]
-        counts = np.empty((len(radii2), len(q)), dtype=np.int64)
-        kdist = np.empty((len(q), len(ks)))
+        counts = np.empty((len(radii2), stop - start), dtype=np.int64)
+        kdist = np.empty((stop - start, len(ks)))
         parts = {k: ([], [], []) for k in ks}
-        for lo, hi, d2 in _sq_dist_blocks(q, x):
+        for lo, hi, d2 in _sq_dist_blocks(q, x, start, stop):
             for j, r2 in enumerate(radii2):
-                counts[j, lo:hi] = np.count_nonzero(d2 <= r2, axis=1)
+                counts[j, lo - start:hi - start] = np.count_nonzero(
+                    d2 <= r2, axis=1)
             if not ks:
                 continue
             if self.self_excluded:
@@ -152,7 +223,7 @@ class NeighbourPass:
             smallest = np.partition(d2, ks[-1] - 1, axis=1)[:, :ks[-1]]
             smallest.sort(axis=1)
             kd2 = smallest[:, [k - 1 for k in ks]]
-            kd = kdist[lo:hi]
+            kd = kdist[lo - start:hi - start]
             np.sqrt(kd2, out=kd)
             # flatnonzero scans the block ten times faster than nonzero
             r, c = np.divmod(
@@ -164,10 +235,10 @@ class NeighbourPass:
                 ids.append(c[near])
                 dists.append(d[near])
                 sizes.append(np.bincount(r[near], minlength=hi - lo))
-        self._counts = counts
-        self._hoods = {k: (kdist[:, j].copy(),) + tuple(
-            np.concatenate(p) if p else np.empty(0, np.intp)
-            for p in parts[k]) for j, k in enumerate(ks)}
+        return list(counts) + [
+            a for j, k in enumerate(ks) for a in (kdist[:, j],) + tuple(
+                np.concatenate(p) if p else np.empty(0, np.intp)
+                for p in parts[k])]
 
 
 def _run_means(values, sizes):
@@ -185,12 +256,15 @@ def _run_means(values, sizes):
 def _nearest(a, b):
     """For each row of ``a``: the index of its nearest row of ``b`` and the
     squared distance to it."""
-    idx = np.empty(len(a), dtype=np.int64)
-    d2_min = np.empty(len(a))
-    for lo, hi, d2 in _sq_dist_blocks(a, b):
-        idx[lo:hi] = np.argmin(d2, axis=1)
-        d2_min[lo:hi] = d2[np.arange(hi - lo), idx[lo:hi]]
-    return idx, d2_min
+    def nearest_rows(start, stop):
+        idx = np.empty(stop - start, dtype=np.int64)
+        d2_min = np.empty(stop - start)
+        for lo, hi, d2 in _sq_dist_blocks(a, b, start, stop):
+            i = idx[lo - start:hi - start]
+            i[...] = np.argmin(d2, axis=1)
+            d2_min[lo - start:hi - start] = d2[np.arange(hi - lo), i]
+        return idx, d2_min
+    return tuple(_split_sweep(nearest_rows, a, b))
 
 
 # ---------------------------------------------------------------------------

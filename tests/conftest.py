@@ -1,4 +1,5 @@
-"""Shared fixtures: one small synthetic dataset generated once per session."""
+"""Shared fixtures: one small synthetic dataset generated once per session,
+and a switch for the number of CPUs the package sees."""
 
 import os
 
@@ -43,3 +44,25 @@ def csv_dataset(small_synth, tmp_path_factory):
     gt.save_csv(gtp)
     return {"detections": det, "stations": sta, "ground_truth": gtp,
             "dir": str(root)}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes the package see ``n`` usable CPUs (child.usable_cpus)
+    and returns the list that the pid of every fork it then makes is
+    appended to."""
+    fork, forks = os.fork, []
+
+    def recorded():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def see(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+        monkeypatch.setattr(os, "fork", recorded)
+        forks.clear()
+        return forks
+    return see

@@ -613,6 +613,29 @@ def read_feature_csv(path):
 
 
 # ---------------------------------------------------------------------------
+# the distance kernel with the view b.T as BLAS's right operand
+
+
+def transposed_sq_dist_blocks(a, b, rows):
+    """detectors._sq_dist_blocks as it was before it gave BLAS a row-major
+    copy of b^T: blocks of ``rows`` rows of ``(|a|^2 + |b|^2) - 2 a.b``,
+    each multiplied by the view ``b.T``, clipped at zero."""
+    aa = (a * a).sum(axis=1)
+    bb = (b * b).sum(axis=1)
+    sums = np.empty((min(rows, len(a)), len(b)))
+    prods = np.empty_like(sums)
+    for lo in range(0, len(a), rows):
+        hi = min(len(a), lo + rows)
+        d2, ab = sums[:hi - lo], prods[:hi - lo]
+        np.add(aa[lo:hi, None], bb, out=d2)
+        np.matmul(a[lo:hi], b.T, out=ab)
+        ab *= 2.0
+        d2 -= ab
+        np.maximum(d2, 0.0, out=d2)
+        yield lo, hi, d2
+
+
+# ---------------------------------------------------------------------------
 # LOF neighbourhoods: one sweep per k, selected on square roots
 
 

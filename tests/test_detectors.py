@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -464,9 +466,9 @@ def test_neighbour_counts_covers_every_radius_in_one_sweep(monkeypatch, n):
     radii = [3.0, 1.0, math.sqrt(2.0), 2.0, 0.5]   # unsorted, 2 on ties
     sweeps = []
 
-    def counted(a, b, _fn=detectors._sq_dist_blocks):
+    def counted(a, b, *rows, _fn=detectors._sq_dist_blocks):
         sweeps.append(a)
-        return _fn(a, b)
+        return _fn(a, b, *rows)
     monkeypatch.setattr(detectors, "_sq_dist_blocks", counted)
     hood = NeighbourPass(x, x, radii=radii)
     d2 = cdist(x, x, "sqeuclidean")
@@ -535,7 +537,7 @@ def test_neighbour_pass_keeps_entries_one_ulp_above_the_k_distance(
     block = np.array([[0.5, a, b, c, 9.0],
                       [b, a, 9.0, c, a]])
 
-    def fixed_blocks(q, x):
+    def fixed_blocks(q, x, start=0, stop=None):
         yield 0, len(q), block.copy()
     monkeypatch.setattr(detectors, "_sq_dist_blocks", fixed_blocks)
     monkeypatch.setattr(oracles, "_sq_dist_blocks", fixed_blocks)
@@ -601,6 +603,144 @@ def test_block_height_does_not_change_results(monkeypatch):
         assert np.allclose(lof_q, fits[0][1], rtol=1e-12, atol=0)
         assert np.array_equal(db_labels, fits[0][2])
         assert np.allclose(db_q, fits[0][3], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 8, 10, 12, None])
+def test_kernel_equals_the_transposed_operand_kernel(monkeypatch, rows):
+    # blocks multiplied by a row-major copy of b^T have the bits of the view
+    # b.T's products, a set's one block times itself (syrk, the 5-row set)
+    # included. One-row blocks (gemv, here the tails of 57, 71 and 43 rows),
+    # blocks of 12 rows and more (a small-matrix kernel for 12 x 700 x 11)
+    # and rows of 16 features and more (the 9 x 16 set) keep b.T. None is
+    # the default blocking, 93 rows for the 700-row set. A sweep from a block
+    # boundary yields that stretch of the whole sweep's blocks.
+    rng = np.random.default_rng(95)
+    for n, d in ((57, 11), (71, 11), (5, 11), (9, 16), (64, 3), (22, 1),
+                 (700, 11)):
+        x, q = _blobs(rng, n, d=d), _blobs(rng, 43, d=d)
+        for a, b in ((x, x), (q, x), (x, q)):
+            height = rows
+            if rows is None:
+                height = detectors._block_rows(b)
+            else:
+                _block_height(monkeypatch, rows, len(b))
+            want = [(lo, hi, d2.tobytes()) for lo, hi, d2 in
+                    oracles.transposed_sq_dist_blocks(a, b, height)]
+            got = [(lo, hi, d2.tobytes())
+                   for lo, hi, d2 in detectors._sq_dist_blocks(a, b)]
+            assert got == want, (n, d, len(a), len(b))
+            start = min(2 * height, len(a))
+            got = [(lo, hi, d2.tobytes()) for lo, hi, d2 in
+                   detectors._sq_dist_blocks(a, b, start, len(a))]
+            assert got == [w for w in want if w[0] >= start]
+
+
+# -- sweeps split across CPUs -------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork")
+                                or not hasattr(os, "sched_getaffinity"),
+                                reason="splitting a sweep needs fork")
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _edge_duplicated(rng, n, d=3):
+    """Float rows in which a duplicate pair straddles every block edge."""
+    x = _blobs(rng, n, d=d, spread=0.3, box=2.0)
+    for edge in range(BLOCK, n, BLOCK):
+        x[edge] = x[edge - 1]
+    return x
+
+
+def _sweep_outputs(q, x):
+    """Everything the split sweeps give, for x against itself (self
+    excluded) and for q against x: counts, k-distances, neighbourhoods and
+    nearest rows."""
+    ks, radii = [1, 3, 5, 8], [0.25, 1.0]
+    fit = NeighbourPass(x, x, ks=ks, radii=radii, self_excluded=True)
+    query = NeighbourPass(q, x, ks=ks, radii=radii)
+    out = [p.counts(r) for p in (fit, query) for r in radii]
+    for k in ks:
+        out += list(fit.neighbourhood(k)) + list(query.neighbourhood(k))
+    return out + list(detectors._nearest(x, x)) + list(
+        detectors._nearest(q, x))
+
+
+def _blocks(n):
+    return -(-n // BLOCK)
+
+
+@needs_fork
+@pytest.mark.parametrize("n,m", [
+    (BLOCK, BLOCK - 1),               # one block each: nothing forks
+    (2 * BLOCK, 2 * BLOCK),           # two blocks
+    (5 * BLOCK, 3 * BLOCK),           # odd block counts
+    (2 * BLOCK + 1, 4 * BLOCK + 1),   # one-row tail blocks
+    (5 * BLOCK + 1, 1)])
+def test_split_sweeps_are_bit_identical(monkeypatch, cpus, n, m):
+    rng = np.random.default_rng(96 + n)
+    x = _edge_duplicated(rng, n)
+    q = np.vstack([x[::3], _blobs(rng, n, d=3, spread=0.3, box=2.0)])[:m]
+    _block_height(monkeypatch, BLOCK, n)
+    monkeypatch.setattr(detectors, "_SPLIT_PAIRS", 1)
+    cpus(1)
+    want = _sweep_outputs(q, x)
+    for n_cpus in (2, 3):
+        forks = cpus(n_cpus)
+        got = _sweep_outputs(q, x)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        # two sweeps of each query set, each in one range per CPU it fills
+        assert len(forks) == 2 * sum(min(_blocks(rows), n_cpus) - 1
+                                     for rows in (n, m))
+        _assert_no_child()
+
+
+@needs_fork
+def test_sweeps_under_the_floor_fork_nothing(monkeypatch, cpus):
+    rng = np.random.default_rng(97)
+    x = _edge_duplicated(rng, 5 * BLOCK)
+    _block_height(monkeypatch, BLOCK, len(x))
+    want = _sweep_outputs(x, x)
+    forks = cpus(2)
+    monkeypatch.setattr(detectors, "_SPLIT_PAIRS", len(x) ** 2 + 1)
+    got = _sweep_outputs(x, x)
+    assert forks == []
+    monkeypatch.setattr(detectors, "_SPLIT_PAIRS", len(x) ** 2)
+    again = _sweep_outputs(x, x)
+    assert len(forks) == 4
+    for g, a, w in zip(got, again, want, strict=True):
+        assert g.tobytes() == w.tobytes() and a.tobytes() == w.tobytes()
+    _assert_no_child()
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", ["parent", "child"])
+def test_a_failing_split_sweep_leaves_no_child(monkeypatch, cpus, failing):
+    """Either side's error is the one raised; a child still sweeping when
+    the parent fails is killed and reaped."""
+    x = _blobs(np.random.default_rng(98), 4 * BLOCK, d=3)
+    _block_height(monkeypatch, BLOCK, len(x))
+    monkeypatch.setattr(detectors, "_SPLIT_PAIRS", 1)
+    forks = cpus(2)
+
+    def blocks(a, b, start=0, stop=None, _fn=detectors._sq_dist_blocks):
+        side = "parent" if start == 0 else "child"
+        if side == failing:
+            raise DataError("the %s failed" % side)
+        if side == "child":
+            time.sleep(60)
+        return _fn(a, b, start, stop)
+    monkeypatch.setattr(detectors, "_sq_dist_blocks", blocks)
+    t0 = time.monotonic()
+    with pytest.raises(DataError, match="^the %s failed$" % failing):
+        NeighbourPass(x, x, ks=[3]).neighbourhood(3)
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 1
+    _assert_no_child()
 
 
 def test_predict_derives_from_scores_and_threshold():

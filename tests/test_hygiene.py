@@ -3,7 +3,7 @@ import, no module-level private function that nothing in the package
 references (a retired helper must go with its last caller), no JSON
 written outside the package's two JSON writers, no CSV written outside
 its one CSV writer, and no process forked or thread started outside the
-one function that runs the autoencoder in a child."""
+one function that runs work in a child process."""
 
 import ast
 import pathlib
@@ -121,13 +121,14 @@ def test_csv_is_written_only_by_write_csv():
 
 
 def test_fork_is_called_only_by_in_child():
-    """os.fork appears only inside pipeline._in_child, and no module
-    imports multiprocessing, threading or concurrent.futures."""
+    """os.fork appears only inside child._in_child, which runs the
+    autoencoder's job and the split distance sweeps, and no module imports
+    multiprocessing, threading or concurrent.futures."""
     stray = []
     for name, tree in _modules().items():
         inside = set()
         for node in ast.walk(tree):
-            if (name, getattr(node, "name", None)) == ("pipeline.py",
+            if (name, getattr(node, "name", None)) == ("child.py",
                                                        "_in_child"):
                 inside.update(ast.walk(node))
         stray += ["%s:%d os.%s" % (name, node.lineno, node.attr)

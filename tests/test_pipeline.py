@@ -326,13 +326,15 @@ def test_lof_and_dbscan_fits_share_one_sweep(tiny_labelled, monkeypatch,
                                               models):
     # one sweep of the fit rows against themselves serves LOF's
     # k-neighbourhoods and DBSCAN's eps-counts, made by the first fit; the
-    # models match the ones fitted on their own
+    # models match the ones fitted on their own. A sweep split across CPUs
+    # sweeps its first rows here and the rest in child processes, which
+    # this list does not see: one sweep is one call from row 0.
     sweeps, fits = [], []
 
-    def blocks(a, b, _fn=detectors._sq_dist_blocks):
+    def blocks(a, b, start=0, stop=None, _fn=detectors._sq_dist_blocks):
         if a is b:
-            sweeps.append((len(fits), a))
-        return _fn(a, b)
+            sweeps.append((len(fits), a, start))
+        return _fn(a, b, start, stop)
     for cls in (LocalOutlierFactor, Dbscan):
         def fitted(self, rows, *args, _fit=cls.fit, **kwargs):
             fits.append(self.kind)
@@ -342,7 +344,7 @@ def test_lof_and_dbscan_fits_share_one_sweep(tiny_labelled, monkeypatch,
     cfg = _fast_cfg(models=models, resample_interval="600")
     result = run_pipeline(tiny_labelled, cfg, seed=5, timer=lambda: 0.0)
     monkeypatch.undo()
-    assert [at for at, _ in sweeps] == [1]
+    assert [(at, start) for at, _, start in sweeps] == [(1, 0)]
     fit_x = sweeps[0][1]
     if "lof" in models:
         alone = LocalOutlierFactor(k=cfg.lof_k).fit(fit_x)
@@ -461,23 +463,6 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork")
                                 reason="the child process needs fork")
 
 
-def _cpus(monkeypatch, n):
-    """Make _in_child see ``n`` CPUs; returns the list the pid of every
-    fork it makes is appended to."""
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity",
-                        lambda pid: set(range(n)))
-    forks = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-    monkeypatch.setattr(pipeline.os, "fork", recorded)
-    return forks
-
-
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -485,14 +470,14 @@ def _assert_no_child():
 
 @needs_fork
 def test_forked_and_inline_runs_are_identical(tiny_labelled, tiny_csvs,
-                                              tmp_path, monkeypatch):
+                                              tmp_path, cpus):
     det, sta = tiny_csvs
     cfg = _fast_cfg(models="autoencoder,iforest,lof,dbscan",
                     resample_interval="auto", max_points=2500,
                     input_csv=det, station_csv=sta, dump_features=True)
     reports, files = [], []
     for n_cpus in (2, 1):
-        forks = _cpus(monkeypatch, n_cpus)
+        forks = cpus(n_cpus)
         result = run_pipeline(tiny_labelled, cfg, seed=5, timer=lambda: 0.0)
         reports.append(json.dumps(result.report))
         # one out_dir for both, since report.json holds it
@@ -502,7 +487,10 @@ def test_forked_and_inline_runs_are_identical(tiny_labelled, tiny_csvs,
         files.append({str(path.relative_to(out)): path.read_bytes()
                       for path in sorted(out.rglob("*")) if path.is_file()})
         shutil.rmtree(out)
-        assert len(forks) == (2 if n_cpus > 1 else 0)
+        # per run: the autoencoder's job, and the second half of the fit
+        # rows' pass against themselves; the test-row scorings are too
+        # small to split
+        assert len(forks) == (4 if n_cpus > 1 else 0)
         _assert_no_child()
     assert reports[0] == reports[1]
     assert files[0] == files[1]
@@ -511,8 +499,8 @@ def test_forked_and_inline_runs_are_identical(tiny_labelled, tiny_csvs,
 
 @needs_fork
 def test_child_data_error_is_the_parents(tiny_labelled, tiny_csvs, tmp_path,
-                                         monkeypatch, capsys):
-    forks = _cpus(monkeypatch, 2)
+                                         monkeypatch, capsys, cpus):
+    forks = cpus(2)
 
     def bad_rows(*args, **kwargs):
         raise DataError("no usable training rows")
@@ -533,12 +521,12 @@ def test_child_data_error_is_the_parents(tiny_labelled, tiny_csvs, tmp_path,
 @needs_fork
 @pytest.mark.parametrize("models,raised", [
     ("lof,autoencoder", "lof"), ("autoencoder,lof", "autoencoder")])
-def test_parent_error_leaves_no_child(tiny_labelled, monkeypatch, models,
-                                      raised):
+def test_parent_error_leaves_no_child(tiny_labelled, monkeypatch, cpus,
+                                      models, raised):
     """The parent's error kills a child whose result the serial order
     would not reach; with the autoencoder first, the child's error is the
     one raised, as when the models run one after another."""
-    forks = _cpus(monkeypatch, 2)
+    forks = cpus(2)
 
     def lof_fails(self, *args, **kwargs):
         raise RuntimeError("lof")
@@ -558,8 +546,9 @@ def test_parent_error_leaves_no_child(tiny_labelled, monkeypatch, models,
 
 
 @needs_fork
-def test_child_without_a_result_is_an_error(tiny_labelled, monkeypatch):
-    forks = _cpus(monkeypatch, 2)
+def test_child_without_a_result_is_an_error(tiny_labelled, monkeypatch,
+                                            cpus):
+    forks = cpus(2)
     monkeypatch.setattr(pipeline, "train",
                         lambda *args, **kwargs: os._exit(1))
     with pytest.raises(RuntimeError, match="no result"):

@@ -192,10 +192,10 @@ def _sweeps_against(monkeypatch, ref):
     """The query rows of every distance sweep made against ``ref``."""
     sweeps = []
 
-    def counted(a, b, _fn=detectors._sq_dist_blocks):
+    def counted(a, b, *rows, _fn=detectors._sq_dist_blocks):
         if b is ref:
             sweeps.append(a)
-        return _fn(a, b)
+        return _fn(a, b, *rows)
     monkeypatch.setattr(detectors, "_sq_dist_blocks", counted)
     return sweeps
 
