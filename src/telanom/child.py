@@ -1,16 +1,27 @@
 """The package's one way to use more than one CPU: a function run in a
-forked child process, whose pickled outcome the caller reads back."""
+forked child process, whose pickled outcome the caller reads back, and
+``run_all``, which deals a list of independent jobs across the CPUs that
+way."""
 
 import contextlib
+import functools
 import os
 import pickle
 import signal
 
+# True in run_all's children, and in its caller while they run: every CPU
+# is then taken, so usable_cpus() is 1 and nested work runs inline. It is
+# a module global because the CPUs are the whole process's, and a forked
+# child inherits it.
+_all_taken = False
+
 
 def usable_cpus():
     """How many CPUs this process may run on, or 1 where fork or CPU
-    affinity is missing: then nothing runs in a child."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    affinity is missing, or where run_all has taken every CPU: then
+    nothing runs in a child."""
+    if _all_taken or not (hasattr(os, "fork")
+                          and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -73,3 +84,75 @@ def _in_child(fn):
             if not reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+
+
+@contextlib.contextmanager
+def _taking_all_cpus():
+    global _all_taken
+    _all_taken = True
+    try:
+        yield
+    finally:
+        _all_taken = False
+
+
+def _run_share(jobs):
+    """Runs ``jobs`` in order up to the first that raises an Exception:
+    (their results, None), or (the results before it, its error)."""
+    results = []
+    for job in jobs:
+        try:
+            results.append(job())
+        except Exception as e:  # noqa: BLE001 - ranked by run_all
+            return results, e
+    return results, None
+
+
+def _child_share(jobs):
+    with _taking_all_cpus():
+        return _run_share(jobs)
+
+
+def run_all(jobs):
+    """``[job() for job in jobs]``, with the jobs dealt round robin over
+    the usable CPUs: the first share runs in this process, each other share
+    in a child process (``_in_child``), and the results come back in job
+    order. With one CPU or at most one job, the list comprehension itself
+    runs.
+
+    The error raised is the one the list comprehension would meet first,
+    so a child whose share holds an earlier job than a failed one is waited
+    for; every child still running is then killed and reaped. The jobs
+    must not print: a child's unflushed output is dropped when it exits.
+    Inside the children, and here while they run, usable_cpus() is 1, so a
+    nested run_all or split sweep runs inline and no more processes run
+    than there are CPUs.
+    """
+    jobs = list(jobs)
+    n = min(len(jobs), usable_cpus())
+    if n < 2:
+        return [job() for job in jobs]
+    with contextlib.ExitStack() as children:
+        others = [children.enter_context(_in_child(functools.partial(
+            _child_share, jobs[i::n]))) for i in range(1, n)]
+        with _taking_all_cpus():
+            shares = [_run_share(jobs[::n])]
+
+        def failed_job(i):
+            # share i holds jobs i, i + n, ...: its error after j results
+            # is job i + j * n's
+            done, error = shares[i]
+            return len(jobs) if error is None else len(done) * n + i
+        failed = failed_job(0)
+        for i, result in enumerate(others, start=1):
+            if i > failed:
+                # this share starts after the earliest failed job so far
+                break
+            shares.append(result())
+            failed = min(failed, failed_job(i))
+        if failed < len(jobs):
+            raise shares[failed % n][1]
+    results = [None] * len(jobs)
+    for i, (share, _) in enumerate(shares):
+        results[i::n] = share
+    return results

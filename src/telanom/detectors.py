@@ -9,7 +9,6 @@ through JSON. Neighbour searches are exact; nothing here approximates.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, _array, _number, load_json
 from .autoencoder import Autoencoder, TrainConfig
-from .child import _in_child, usable_cpus
+from .child import run_all, usable_cpus
 from .thresholding import (_Detector, _as_matrix, _check_width,
                            contamination_threshold)
 
@@ -124,12 +123,11 @@ _SPLIT_PAIRS = 4 * 10 ** 6
 def _split_sweep(sweep, a, b):
     """The arrays ``sweep(0, len(a))`` returns, each in the row order of
     ``a``, made as ``sweep(start, stop)`` over contiguous ranges of the rows
-    and joined range after range. There is one range per usable CPU: the
-    first runs here, the others in child processes (``_in_child``). Ranges
-    start on block boundaries of ``_sq_dist_blocks(a, b)``, so every block
-    is computed as in one sweep of all rows and the arrays are
-    bit-identical. A sweep of fewer than ``_SPLIT_PAIRS`` pairs is one
-    range."""
+    and joined range after range. There is one range per usable CPU, and
+    ``run_all`` runs them across the CPUs. Ranges start on block boundaries
+    of ``_sq_dist_blocks(a, b)``, so every block is computed as in one
+    sweep of all rows and the arrays are bit-identical. A sweep of fewer
+    than ``_SPLIT_PAIRS`` pairs is one range."""
     rows = _block_rows(b)
     blocks = -(-len(a) // rows)
     parts = 1
@@ -137,11 +135,8 @@ def _split_sweep(sweep, a, b):
         parts = min(blocks, usable_cpus())
     cuts = [min(len(a), rows * (blocks * i // parts))
             for i in range(parts + 1)]
-    with contextlib.ExitStack() as children:
-        rest = [children.enter_context(_in_child(
-            functools.partial(sweep, lo, hi)))
-            for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        results = [sweep(cuts[0], cuts[1])] + [result() for result in rest]
+    results = run_all([functools.partial(sweep, lo, hi)
+                       for lo, hi in zip(cuts, cuts[1:])])
     return [np.concatenate(arrays) for arrays in zip(*results)]
 
 

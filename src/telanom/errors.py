@@ -66,6 +66,10 @@ class LeakageError(RuntimeError):
                "..." if len(self.uids) > 5 else "")
         )
 
+    def __reduce__(self):
+        # rebuilt from its fields when a child process sends it back
+        return type(self), (self.stage, self.uids)
+
 
 class TrainingError(RuntimeError):
     """Training diverged or was fed unusable data."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autoencoder import train
-from .child import _in_child
+from .child import _in_child, run_all
 from .detectors import (MODEL_PARAMS, NeighbourPass, build_model, load_model,
                         save_model)
 from .errors import DataError, LeakageError, _number, load_json
@@ -612,30 +612,47 @@ def save_plan(plan, normals, pool, out):
 
 
 def _write_artifacts(cfg, result):
+    """Every file of a run under cfg.out_dir. The writers share nothing,
+    so run_all deals them across the CPUs, round robin. They are listed
+    heaviest first so that the shares come out even: the LOF and DBSCAN
+    model files take the most time when those models run, and without
+    them resampled.csv does, then labels.csv. labels.csv comes before
+    resampled.csv, so that those two fall into different shares."""
     out = cfg.out_dir
     os.makedirs(os.path.join(out, "models"), exist_ok=True)
+    write = functools.partial
 
-    save_report(result.report, os.path.join(out, "report.json"))
-    save_labels(result.table, result.label_report, out)
-    if cfg.dump_features:
-        write_feature_csv(result.table, os.path.join(out, "features.csv"))
-    save_model(result.scaler, os.path.join(out, "scaler.json"))
+    def model_writers(*names):
+        return [write(save_model, result.models[name],
+                      os.path.join(out, "models", "%s.json" % name))
+                for name in names if name in result.models]
 
+    writers = model_writers("lof", "dbscan")
+    writers.append(write(save_labels, result.table, result.label_report,
+                         out))
     if result.plan is not None:
-        save_plan(result.plan, result.split.normal_train, result.train_pool,
-                  out)
-
-    write_split_csv(result.split, os.path.join(out, "split.csv"))
-
-    for name, model in result.models.items():
-        save_model(model, os.path.join(out, "models", "%s.json" % name))
+        writers.append(write(save_plan, result.plan,
+                             result.split.normal_train, result.train_pool,
+                             out))
+    writers += model_writers("iforest")
+    if cfg.dump_features:
+        writers.append(write(write_feature_csv, result.table,
+                             os.path.join(out, "features.csv")))
+    writers.append(write(write_split_csv, result.split,
+                         os.path.join(out, "split.csv")))
+    writers += model_writers("autoencoder")
+    writers += [write(save_model, result.scaler,
+                      os.path.join(out, "scaler.json")),
+                write(save_report, result.report,
+                      os.path.join(out, "report.json"))]
     if result.threshold is not None:
-        save_report(result.threshold.to_json(),
-                    os.path.join(out, "threshold.json"))
-        result.percentile_table.save_csv(
-            os.path.join(out, "percentile_table.csv"))
+        writers += [write(save_report, result.threshold.to_json(),
+                          os.path.join(out, "threshold.json")),
+                    write(result.percentile_table.save_csv,
+                          os.path.join(out, "percentile_table.csv"))]
     if result.loss_curve is not None:
-        result.loss_curve.save_csv(os.path.join(out, "loss_curve.csv"))
+        writers.append(write(result.loss_curve.save_csv,
+                             os.path.join(out, "loss_curve.csv")))
 
     rows = []
     for name, entry in result.report["models"].items():
@@ -650,4 +667,6 @@ def _write_artifacts(cfg, result):
             "train_time_minutes": entry["runtime_s"] / 60.0,
             "fn_fraction": m["fn_fraction"], "fa_fraction": m["fa_fraction"],
         })
-    write_summary_csv(rows, os.path.join(out, "summary.csv"))
+    writers.append(write(write_summary_csv, rows,
+                         os.path.join(out, "summary.csv")))
+    run_all(writers)

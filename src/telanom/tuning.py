@@ -19,6 +19,7 @@ percentile threshold on the validation rows. Absent metrics compare as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -26,6 +27,7 @@ from itertools import product
 import numpy as np
 
 from .autoencoder import train
+from .child import run_all
 from .detectors import NeighbourPass, build_model
 from .errors import DataError
 from .ingest import write_csv
@@ -91,51 +93,58 @@ def _nn(v):
     return -math.inf if v is None else v
 
 
-def _shared_state(kind, models, train_x, val_x):
-    """What the LOF or DBSCAN candidates of a grid share: one neighbour pass
-    of the training rows for every k and eps, for LOF one of the validation
-    rows against them, and the results candidates reuse."""
-    shared = {"reused": {}}
-    if kind == "lof":
-        ks = [model.k for model in models]
-        shared["fit"] = NeighbourPass(train_x, train_x, ks=ks,
-                                      self_excluded=True)
-        shared["val"] = NeighbourPass(val_x, train_x, ks=ks)
-    elif kind == "dbscan":
-        radii = sorted({model.eps for model in models})
-        shared["fit"] = NeighbourPass(train_x, train_x, radii=radii)
-    return shared
+def _fitted_scores(model, train_x, val_x, **fit_args):
+    """A classical candidate's threshold and validation scores."""
+    model.fit(train_x, **fit_args)
+    return model.threshold, model.scores(val_x)
 
 
-def _score_classical(model, train_x, val_x, val_y, shared):
-    """F1 outcome of one classical candidate.
+def _thresholded_scores(kind, models, train_x, val_x):
+    """Every classical candidate's (threshold, validation scores), in
+    candidate order. Each distinct fit is one job of run_all, and what the
+    candidates share is made here before any job is dealt.
 
     LOF's contamination only sets the threshold over the training LOF
     values, so LOF candidates of one k share a fit and its validation
-    scores. A DBSCAN candidate's threshold is its eps and its scores are
-    the distances to its core points, the training rows with
-    ``counts[eps] >= min_pts``, so candidates with one core mask share a
-    fit and its validation scores.
+    scores. Those fits only read one neighbour pass of the training rows
+    and one of the validation rows, for every k, and are made here. A
+    DBSCAN candidate's threshold is its eps and its scores are the
+    distances to its core points, the training rows with ``counts[eps] >=
+    min_pts`` in one count pass for every eps, so candidates with one core
+    mask share a fit and its validation scores.
     """
-    reused = shared["reused"]
-    if model.kind == "lof":
-        if model.k not in reused:
-            model.fit(train_x, neighbours=shared["fit"])
-            reused[model.k] = (model.train_lof, model.scores(
-                val_x, neighbours=shared["val"]))
-        train_lof, val_scores = reused[model.k]
-        threshold = contamination_threshold(train_lof, model.contamination)
-    elif model.kind == "dbscan":
-        core = (shared["fit"].counts(model.eps) >= model.min_pts).tobytes()
-        if core not in reused:
-            model.fit(train_x, neighbours=shared["fit"])
-            reused[core] = model.scores(val_x)
-        threshold = model.threshold
-        val_scores = reused[core]
-    else:
-        model.fit(train_x)
-        threshold = model.threshold
-        val_scores = model.scores(val_x)
+    if kind == "iforest":
+        return run_all([functools.partial(_fitted_scores, model, train_x,
+                                          val_x) for model in models])
+    if kind == "lof":
+        ks = [model.k for model in models]
+        fit = NeighbourPass(train_x, train_x, ks=ks, self_excluded=True)
+        val = NeighbourPass(val_x, train_x, ks=ks)
+        by_k = {}
+        for model in models:
+            if model.k not in by_k:
+                model.fit(train_x, neighbours=fit)
+                by_k[model.k] = (model.train_lof,
+                                 model.scores(val_x, neighbours=val))
+        return [(contamination_threshold(by_k[model.k][0],
+                                         model.contamination),
+                 by_k[model.k][1]) for model in models]
+    counts = NeighbourPass(train_x, train_x,
+                           radii=sorted({model.eps for model in models}))
+    cores = [(counts.counts(model.eps) >= model.min_pts).tobytes()
+             for model in models]
+    first = {}
+    for model, core in zip(models, cores):
+        first.setdefault(core, model)
+    fitted = dict(zip(first, run_all([
+        functools.partial(_fitted_scores, model, train_x, val_x,
+                          neighbours=counts) for model in first.values()])))
+    return [(model.threshold, fitted[core][1])
+            for model, core in zip(models, cores)]
+
+
+def _score_classical(threshold, val_scores, val_y):
+    """F1 outcome of one classical candidate."""
     m = compute_metrics(confusion(flag(val_scores, threshold), val_y))
     return (_nn(m["f1_score"]),), {"f1_score": m["f1_score"],
                                    "recall": m["recall"],
@@ -166,17 +175,19 @@ def grid_search(model_kind, grid, train_x, val_x, val_y, seed=0):
     candidates = [(params,) + build_model(model_kind, params,
                                           train_x.shape[1], seed)
                   for params in _canonical_candidates(grid)]
-    shared = _shared_state(model_kind, [model for _, model, _ in candidates],
-                           train_x, val_x)
+    if model_kind == "autoencoder":
+        outcomes = run_all([
+            functools.partial(_score_autoencoder, model, train_cfg, train_x,
+                              val_x, val_y)
+            for _, model, train_cfg in candidates])
+    else:
+        outcomes = [_score_classical(threshold, val_scores, val_y)
+                    for threshold, val_scores in _thresholded_scores(
+                        model_kind, [model for _, model, _ in candidates],
+                        train_x, val_x)]
     best = None
     rows = []
-    for params, model, train_cfg in candidates:
-        if model_kind == "autoencoder":
-            score, detail = _score_autoencoder(model, train_cfg, train_x,
-                                               val_x, val_y)
-        else:
-            score, detail = _score_classical(model, train_x, val_x, val_y,
-                                             shared)
+    for (params, _, _), (score, detail) in zip(candidates, outcomes):
         rows.append({**params, **detail})
         if best is None or score > best[0]:
             best = (score, params)

@@ -122,8 +122,9 @@ def test_csv_is_written_only_by_write_csv():
 
 def test_fork_is_called_only_by_in_child():
     """os.fork appears only inside child._in_child, which runs the
-    autoencoder's job and the split distance sweeps, and no module imports
-    multiprocessing, threading or concurrent.futures."""
+    autoencoder's job and every job child.run_all deals (distance sweep
+    ranges, file writers, grid fits and confidence-interval repeats), and
+    no module imports multiprocessing, threading or concurrent.futures."""
     stray = []
     for name, tree in _modules().items():
         inside = set()

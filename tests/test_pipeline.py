@@ -489,8 +489,8 @@ def test_forked_and_inline_runs_are_identical(tiny_labelled, tiny_csvs,
         shutil.rmtree(out)
         # per run: the autoencoder's job, and the second half of the fit
         # rows' pass against themselves; the test-row scorings are too
-        # small to split
-        assert len(forks) == (4 if n_cpus > 1 else 0)
+        # small to split. run_experiment's file writers add a third
+        assert len(forks) == (5 if n_cpus > 1 else 0)
         _assert_no_child()
     assert reports[0] == reports[1]
     assert files[0] == files[1]
@@ -558,6 +558,31 @@ def test_child_without_a_result_is_an_error(tiny_labelled, monkeypatch,
     _assert_no_child()
 
 
+@needs_fork
+@pytest.mark.parametrize("failing", ["lof.json", "dbscan.json"])
+def test_a_failing_file_writer_leaves_no_child(tiny_csvs, tmp_path,
+                                               monkeypatch, capsys, cpus,
+                                               failing):
+    """The writers are dealt across the CPUs, lof.json's here and
+    dbscan.json's in the child; either one's DataError ends the run with
+    exit 2 and its message, and no child is left."""
+    forks = cpus(2)
+
+    def save(model, path, _fn=pipeline.save_model):
+        if path.endswith(failing):
+            raise DataError("cannot write %s" % failing)
+        return _fn(model, path)
+    monkeypatch.setattr(pipeline, "save_model", save)
+    det, sta = tiny_csvs
+    assert main(["run", "--input", det, "--stations", sta,
+                 "--resample-interval", "none", "--models", "lof,dbscan",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert ("data error: cannot write %s" % failing
+            in capsys.readouterr().err)
+    assert len(forks) == 1
+    _assert_no_child()
+
+
 # ------------------------------------------------- experiment + evaluation
 
 def test_run_experiment_writes_artifacts(tiny_csvs, tmp_path):
@@ -602,6 +627,28 @@ def test_ci_repeats_equal_one_run_per_model(tiny_csvs, tmp_path):
     assert result.report["ci"] == want
     for name, entry in result.report["models"].items():
         assert entry["ci"] == want[name]
+
+
+@needs_fork
+def test_ci_repeats_dealt_across_cpus_are_the_same(tiny_csvs, tmp_path,
+                                                    cpus):
+    # the repeats are jobs of run_all; inside them the autoencoder trains
+    # in the same process as the classical models
+    det, sta = tiny_csvs
+    cfg = RunConfig(input_csv=det, station_csv=sta, out_dir=str(tmp_path),
+                    seed=5, resample_interval="none",
+                    models="autoencoder,iforest", ae_units=8, ae_epochs=2,
+                    ae_batch_size=64, ci_repeats=3)
+    cis = []
+    for n_cpus in (1, 2):
+        forks = cpus(n_cpus)
+        cis.append(run_experiment(cfg, timer=lambda: 0.0).report["ci"])
+        # on two CPUs: the run's autoencoder, one repeat share and the
+        # file writers
+        assert len(forks) == 3 * (n_cpus - 1)
+        _assert_no_child()
+    assert cis[0] == cis[1]
+    assert all(cis[0][name]["recall"]["n"] == 3 for name in cis[0])
 
 
 def test_evaluate_saved_matches_original_run(tiny_csvs, tmp_path):

@@ -200,10 +200,12 @@ def _sweeps_against(monkeypatch, ref):
     return sweeps
 
 
-def test_lof_grid_reuses_fits_without_changing_rows(monkeypatch):
+def test_lof_grid_reuses_fits_without_changing_rows(monkeypatch, cpus):
     # candidates of one k share a fit; every k comes from one sweep of the
     # training rows and one of the validation rows; each row must equal a
-    # fresh fit
+    # fresh fit. On one CPU, so that no call is made in a child, where
+    # these lists do not see it
+    cpus(1)
     train_x, val_x, val_y, _, _ = _toy_problem()
     grid = DEFAULT_GRIDS["lof"]
     calls = []
@@ -230,9 +232,11 @@ def test_lof_grid_reuses_fits_without_changing_rows(monkeypatch):
     assert len({r["precision"] for r in want if r["k"] == 5}) > 1
 
 
-def test_dbscan_grid_counts_once_per_eps_without_changing_rows(monkeypatch):
+def test_dbscan_grid_counts_once_per_eps_without_changing_rows(monkeypatch,
+                                                              cpus):
     # one neighbour-count pass covers every eps of the grid; each row must
-    # equal a fresh fit
+    # equal a fresh fit. On one CPU, as above
+    cpus(1)
     train_x, val_x, val_y, _, _ = _toy_problem()
     grid = DEFAULT_GRIDS["dbscan"]
     passes = []
@@ -257,8 +261,10 @@ def test_dbscan_grid_counts_once_per_eps_without_changing_rows(monkeypatch):
     assert len({r["f1_score"] for r in want}) > 1
 
 
-def test_dbscan_grid_shares_fits_and_scores_by_core_mask(monkeypatch):
-    # candidates with one core mask share a fit and its validation scores
+def test_dbscan_grid_shares_fits_and_scores_by_core_mask(monkeypatch, cpus):
+    # candidates with one core mask share a fit and its validation scores.
+    # On one CPU, as above
+    cpus(1)
     train_x, val_x, val_y, _, _ = _toy_problem()
     grid = {"eps": [0.05, 0.5, 1.5, 2.0, 3.5], "min_pts": [1, 2, 4, 10]}
     calls = []
@@ -287,3 +293,28 @@ def test_dbscan_grid_shares_fits_and_scores_by_core_mask(monkeypatch):
         want.append({**params, "f1_score": m["f1_score"],
                      "recall": m["recall"], "precision": m["precision"]})
     assert result.rows == want
+
+
+@pytest.mark.parametrize("kind,grid", [
+    ("iforest", {"contamination": [0.02, 0.05], "n_estimators": [20, 40]}),
+    ("lof", DEFAULT_GRIDS["lof"]),
+    ("dbscan", {"eps": [0.05, 0.5, 1.5, 2.0, 3.5], "min_pts": [1, 2, 4, 10]}),
+    ("autoencoder", {"units": [4, 8], "bottleneck": [2], "epochs": [3],
+                     "learning_rate": [0.01, 0.1], "batch_size": [64]}),
+])
+def test_grids_dealt_across_cpus_give_the_rows_of_one(cpus, kind, grid):
+    # each distinct fit is a job of run_all: on two CPUs half of them run in
+    # a child process, and every row and the choice stay the same
+    train_x, val_x, val_y, train_n, _ = _toy_problem()
+    if kind == "autoencoder":
+        train_x = train_n
+    results = []
+    for n_cpus in (1, 2):
+        forks = cpus(n_cpus)
+        results.append(grid_search(kind, grid, train_x, val_x, val_y,
+                                   seed=4))
+        # LOF's fits are made before any job is dealt
+        assert len(forks) == (n_cpus - 1) * (kind != "lof")
+    assert results[0].rows == results[1].rows
+    assert results[0].best_params == results[1].best_params
+    assert results[0].best_score == results[1].best_score
