@@ -1,12 +1,12 @@
-"""The package's one way to use more than one CPU: a function run in a
-forked child process, whose pickled outcome the caller reads back, and
-``run_all``, which deals a list of independent jobs across the CPUs that
-way."""
+"""The package's one way to use more than one CPU: jobs run in a forked
+child process, which sends each one's pickled outcome back as it ends;
+``_in_child`` runs one function that way, and ``run_all`` deals a list of
+independent jobs across the CPUs."""
 
 import contextlib
-import functools
 import os
 import pickle
+import select
 import signal
 
 # True in run_all's children, and in its caller while they run: every CPU
@@ -26,64 +26,110 @@ def usable_cpus():
     return len(os.sched_getaffinity(0))
 
 
-@contextlib.contextmanager
-def _in_child(fn):
-    """Yields a zero-argument callable that returns ``fn()`` or raises what
-    it raised.
+class _in_child:
+    """``with _in_child(*jobs) as child``: each ``child()`` returns the next
+    job's result, in job order, or raises what it raised.
 
-    Where fork exists and this process may run on more than one CPU, ``fn``
-    starts at once in a forked child, alongside the caller's own work; the
-    callable waits for the child's pickled outcome. Elsewhere the callable
-    is ``fn`` itself. A child still running when the block exits is killed
-    and reaped, so none outlives the caller.
+    Where fork exists and this process may run on more than one CPU, the
+    jobs start at once in a forked child, one after another, alongside the
+    caller's own work. The child sends each job's pickled outcome as soon
+    as the job ends, and stops at its first error; ``child()`` waits for
+    the next outcome, and a child that ends without one is a RuntimeError.
+    A child sees one usable CPU, so nothing it runs forks again. Elsewhere
+    ``child()`` runs the next job itself. Leaving the block kills a child
+    that still owes an outcome, and reaps it, so none outlives the caller.
 
     The package starts no thread of its own (tests/test_hygiene.py), and
     OpenBLAS stops its thread pool before a fork and restarts it on its
     next call, so the child holds no lock another thread owned.
     """
-    if usable_cpus() < 2:
-        yield fn
-        return
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # the child: send the outcome and exit without returning into the
-        # caller's code, its cleanups or its atexit handlers; an outcome
-        # that cannot be pickled reaches the parent as no result
-        try:
-            os.close(read_end)
-            try:
-                outcome = (True, fn())
-            except BaseException as e:  # noqa: BLE001 - sent to the parent
-                outcome = (False, e)
-            outcome = pickle.dumps(outcome)
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(outcome)
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    reaped = False
 
-    def result():
-        nonlocal reaped
-        outcome = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        if not outcome:
+    def __init__(self, *jobs):
+        self.owed = len(jobs)
+        self.pid = None
+        if usable_cpus() < 2:
+            self._inline = iter(jobs)
+            return
+        read_end, write_end = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            _send_outcomes(jobs, read_end, write_end)
+        os.close(write_end)
+        self.fd = read_end
+        self.reaped = False
+
+    def fileno(self):
+        return self.fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pid is None:
+            return
+        try:
+            if not self.reaped:
+                if self.owed:
+                    os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+        finally:
+            os.close(self.fd)
+
+    def __call__(self):
+        if self.pid is None:
+            self.owed -= 1
+            return next(self._inline)()
+        header = _read(self.fd, 8)
+        size = int.from_bytes(header, "little")
+        outcome = _read(self.fd, size) if len(header) == 8 else b""
+        if not outcome or len(outcome) < size:
+            self.owed = 0
+            status = os.waitpid(self.pid, 0)[1]
+            self.reaped = True
             raise RuntimeError("child process %d ended with wait status %d "
-                               "and no result" % (pid, status))
+                               "and no result" % (self.pid, status))
         ok, value = pickle.loads(outcome)
+        self.owed = self.owed - 1 if ok else 0
         if ok:
             return value
         raise value
 
-    with os.fdopen(read_end, "rb") as pipe:
-        try:
-            yield result
-        finally:
-            if not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+
+def _send_outcomes(jobs, read_end, write_end):
+    # the child: run the jobs on one CPU, send each one's outcome, length
+    # first, and exit without returning into the caller's code, its
+    # cleanups or its atexit handlers; an outcome that cannot be pickled
+    # reaches the parent as no result
+    global _all_taken
+    try:
+        _all_taken = True
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as pipe:
+            for job in jobs:
+                try:
+                    outcome = (True, job())
+                except BaseException as e:  # noqa: BLE001 - sent back
+                    outcome = (False, e)
+                data = pickle.dumps(outcome)
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+                pipe.flush()
+                if not outcome[0]:
+                    break
+    finally:
+        os._exit(0)
+
+
+def _read(fd, size):
+    """``size`` bytes from ``fd``, or fewer where it ends first."""
+    data = bytearray(size)
+    view, got = memoryview(data), 0
+    while got < size:
+        n = os.readv(fd, [view[got:]])
+        if not n:
+            break
+        got += n
+    return data[:got] if got < size else data
 
 
 @contextlib.contextmanager
@@ -96,23 +142,6 @@ def _taking_all_cpus():
         _all_taken = False
 
 
-def _run_share(jobs):
-    """Runs ``jobs`` in order up to the first that raises an Exception:
-    (their results, None), or (the results before it, its error)."""
-    results = []
-    for job in jobs:
-        try:
-            results.append(job())
-        except Exception as e:  # noqa: BLE001 - ranked by run_all
-            return results, e
-    return results, None
-
-
-def _child_share(jobs):
-    with _taking_all_cpus():
-        return _run_share(jobs)
-
-
 def run_all(jobs):
     """``[job() for job in jobs]``, with the jobs dealt round robin over
     the usable CPUs: the first share runs in this process, each other share
@@ -120,39 +149,61 @@ def run_all(jobs):
     order. With one CPU or at most one job, the list comprehension itself
     runs.
 
-    The error raised is the one the list comprehension would meet first,
-    so a child whose share holds an earlier job than a failed one is waited
-    for; every child still running is then killed and reaped. The jobs
-    must not print: a child's unflushed output is dropped when it exits.
-    Inside the children, and here while they run, usable_cpus() is 1, so a
-    nested run_all or split sweep runs inline and no more processes run
-    than there are CPUs.
+    The error raised is the one the list comprehension would meet first.
+    The children send each job's outcome as it ends: between its own jobs
+    this process takes what they have sent, and stops its share once a job
+    before its next one has failed; then it waits only for the children's
+    jobs before the first failure, and kills and reaps every child still
+    running. The jobs must not print: a child's unflushed output is
+    dropped when it exits. Inside the children, and here while they run,
+    usable_cpus() is 1, so a nested run_all or split sweep runs inline and
+    no more processes run than there are CPUs.
     """
     jobs = list(jobs)
     n = min(len(jobs), usable_cpus())
     if n < 2:
         return [job() for job in jobs]
-    with contextlib.ExitStack() as children:
-        others = [children.enter_context(_in_child(functools.partial(
-            _child_share, jobs[i::n]))) for i in range(1, n)]
-        with _taking_all_cpus():
-            shares = [_run_share(jobs[::n])]
-
-        def failed_job(i):
-            # share i holds jobs i, i + n, ...: its error after j results
-            # is job i + j * n's
-            done, error = shares[i]
-            return len(jobs) if error is None else len(done) * n + i
-        failed = failed_job(0)
-        for i, result in enumerate(others, start=1):
-            if i > failed:
-                # this share starts after the earliest failed job so far
-                break
-            shares.append(result())
-            failed = min(failed, failed_job(i))
-        if failed < len(jobs):
-            raise shares[failed % n][1]
     results = [None] * len(jobs)
-    for i, (share, _) in enumerate(shares):
-        results[i::n] = share
+    failed, error = len(jobs), None
+    with contextlib.ExitStack() as stack:
+        shares = [None] + [stack.enter_context(_in_child(*jobs[i::n]))
+                           for i in range(1, n)]
+
+        def next_job(i):
+            # share i holds jobs i, i + n, ..., and sends them in order
+            return i + n * (len(range(i, len(jobs), n)) - shares[i].owed)
+
+        def receive(i):
+            nonlocal failed, error
+            k = next_job(i)
+            try:
+                results[k] = shares[i]()
+            except Exception as e:  # noqa: BLE001 - ranked with the others
+                if k < failed:
+                    failed, error = k, e
+
+        with _taking_all_cpus():
+            for k in range(0, len(jobs), n):
+                while True:
+                    ready = select.select([c for c in shares[1:] if c.owed],
+                                          [], [], 0)[0]
+                    if not ready:
+                        break
+                    for child in ready:
+                        receive(shares.index(child))
+                if failed < k:
+                    break
+                try:
+                    results[k] = jobs[k]()
+                except Exception as e:  # noqa: BLE001 - ranked as above
+                    failed, error = k, e
+                    break
+        for k in range(len(jobs)):
+            if k >= failed:
+                break
+            i = k % n
+            if i and shares[i].owed and next_job(i) == k:
+                receive(i)
+        if error is not None:
+            raise error
     return results

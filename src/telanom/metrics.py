@@ -12,14 +12,12 @@ Ratios with a zero denominator are reported as absent (None), never as 0.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .child import run_all
 from .ingest import write_csv
 
 
@@ -118,19 +116,17 @@ def reshuffle_ci(pipeline_fn, data, repeats, seed):
     """Uncertainty of pipeline metrics over repeated random splits.
 
     ``pipeline_fn(data, run_seed) -> dict`` of metric name -> float (or
-    None). Each repeat uses a distinct derived seed. run_all deals the
-    repeats across the CPUs, so a repeat may run in a child process, where
-    whatever ``pipeline_fn`` changes besides its result is lost. Returns
-    metric name -> {"mean", "half_width", "n"} where half_width is the 95%
-    normal approximation 1.96 * sd / sqrt(n); absent values are skipped.
+    None). Each repeat uses a distinct derived seed. Returns metric name ->
+    {"mean", "half_width", "n"} where half_width is the 95% normal
+    approximation 1.96 * sd / sqrt(n); absent values are skipped.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    run_seeds = [int(child.generate_state(1)[0])
-                 for child in np.random.SeedSequence(seed).spawn(repeats)]
+    children = np.random.SeedSequence(seed).spawn(repeats)
     samples = {}
-    for result in run_all([functools.partial(pipeline_fn, data, run_seed)
-                           for run_seed in run_seeds]):
+    for child in children:
+        run_seed = int(child.generate_state(1)[0])
+        result = pipeline_fn(data, run_seed)
         for name, value in result.items():
             if value is None:
                 continue

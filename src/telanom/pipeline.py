@@ -613,11 +613,13 @@ def save_plan(plan, normals, pool, out):
 
 def _write_artifacts(cfg, result):
     """Every file of a run under cfg.out_dir. The writers share nothing,
-    so run_all deals them across the CPUs, round robin. They are listed
-    heaviest first so that the shares come out even: the LOF and DBSCAN
-    model files take the most time when those models run, and without
-    them resampled.csv does, then labels.csv. labels.csv comes before
-    resampled.csv, so that those two fall into different shares."""
+    so run_all deals them across the CPUs, round robin. Each one runs to
+    its end, and the first error in the list is raised after all of them,
+    so a failed run leaves whole files beside the one that failed. They
+    are listed heaviest first so that the shares come out even: the LOF
+    and DBSCAN model files take the most time when those models run, and
+    without them resampled.csv does, then labels.csv. labels.csv comes
+    before resampled.csv, so that those two fall into different shares."""
     out = cfg.out_dir
     os.makedirs(os.path.join(out, "models"), exist_ok=True)
     write = functools.partial
@@ -669,4 +671,17 @@ def _write_artifacts(cfg, result):
         })
     writers.append(write(write_summary_csv, rows,
                          os.path.join(out, "summary.csv")))
-    run_all(writers)
+    errors = run_all([write(_error_of, writer) for writer in writers])
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _error_of(writer):
+    """What ``writer()`` raised, or None. A writer that fails then ends no
+    other, and none is killed halfway through its file."""
+    try:
+        writer()
+    except Exception as e:  # noqa: BLE001 - raised by _write_artifacts
+        return e
+    return None

@@ -66,6 +66,9 @@ def test_results_come_back_in_job_order(cpus, n_jobs, n_cpus):
     (2, {2, 3}, (), 2),
     # the second child's failure comes before the first child's
     (3, {2, 4}, (), 2),
+    # this process's second job fails: the child is killed in its next,
+    # sleeping job, since its job before the failure is done
+    (2, {2}, {3}, 2),
     # a child's failure and nothing else
     (3, {4}, (), 4),
 ])
@@ -127,3 +130,29 @@ def test_nested_work_runs_inline(monkeypatch, cpus):
         assert forked == 0
     assert usable_cpus() == 2
     _assert_no_child()
+
+
+@needs_fork
+def test_a_childs_failure_stops_this_processs_share(cpus, tmp_path):
+    """Between its own jobs this process takes what the children have sent:
+    once a child's job 1 has failed, its own job 2 never starts."""
+    cpus(2)
+    sent = tmp_path / "sent"
+
+    def first():
+        # wait until job 1 has failed in the child and had time to send it
+        deadline = time.monotonic() + 20
+        while not sent.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(1)
+
+    def fails():
+        sent.touch()
+        raise DataError("job 1 failed")
+    t0 = time.monotonic()
+    with pytest.raises(DataError, match="^job 1 failed$"):
+        run_all([first, fails, functools.partial(time.sleep, 60),
+                 lambda: None])
+    assert time.monotonic() - t0 < 30
+    _assert_no_child()
+

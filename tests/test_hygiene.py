@@ -123,8 +123,8 @@ def test_csv_is_written_only_by_write_csv():
 def test_fork_is_called_only_by_in_child():
     """os.fork appears only inside child._in_child, which runs the
     autoencoder's job and every job child.run_all deals (distance sweep
-    ranges, file writers, grid fits and confidence-interval repeats), and
-    no module imports multiprocessing, threading or concurrent.futures."""
+    ranges, file writers and grid fits), and no module imports
+    multiprocessing, threading or concurrent.futures."""
     stray = []
     for name, tree in _modules().items():
         inside = set()

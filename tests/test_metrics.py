@@ -138,10 +138,7 @@ def test_average_ranks_match_loop_oracle_on_random_ties():
             assert np.array_equal(_average_ranks(x), average_ranks_loop(x))
 
 
-def test_reshuffle_ci_seeds_and_aggregation(cpus):
-    # on one CPU: a repeat run in a child would append to its own copy of
-    # these lists
-    cpus(1)
+def test_reshuffle_ci_seeds_and_aggregation():
     calls = []
 
     def fake_pipeline(data, run_seed):
@@ -167,10 +164,7 @@ def test_reshuffle_ci_seeds_and_aggregation(cpus):
     assert r["half_width"] > 0.0
 
 
-def test_reshuffle_ci_half_width_formula(cpus):
-    # on one CPU: the values come from one iterator, which a repeat run in
-    # a child would advance in its own copy
-    cpus(1)
+def test_reshuffle_ci_half_width_formula():
     vals = iter([0.5, 0.7, 0.9])
 
     def fixed(data, run_seed):

@@ -565,7 +565,8 @@ def test_a_failing_file_writer_leaves_no_child(tiny_csvs, tmp_path,
                                                failing):
     """The writers are dealt across the CPUs, lof.json's here and
     dbscan.json's in the child; either one's DataError ends the run with
-    exit 2 and its message, and no child is left."""
+    exit 2 and its message, no child is left, and the other writers have
+    written their whole files."""
     forks = cpus(2)
 
     def save(model, path, _fn=pipeline.save_model):
@@ -581,6 +582,12 @@ def test_a_failing_file_writer_leaves_no_child(tiny_csvs, tmp_path,
             in capsys.readouterr().err)
     assert len(forks) == 1
     _assert_no_child()
+    out = tmp_path / "o"
+    other = {"lof.json": "dbscan.json", "dbscan.json": "lof.json"}[failing]
+    assert not (out / "models" / failing).exists()
+    detectors.load_model(str(out / "models" / other))
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert len(summary) == 3
 
 
 # ------------------------------------------------- experiment + evaluation
@@ -630,10 +637,10 @@ def test_ci_repeats_equal_one_run_per_model(tiny_csvs, tmp_path):
 
 
 @needs_fork
-def test_ci_repeats_dealt_across_cpus_are_the_same(tiny_csvs, tmp_path,
-                                                    cpus):
-    # the repeats are jobs of run_all; inside them the autoencoder trains
-    # in the same process as the classical models
+def test_ci_repeats_on_one_and_two_cpus_are_the_same(tiny_csvs, tmp_path,
+                                                     cpus):
+    # the repeats run one after another; on two CPUs each one trains its
+    # autoencoder in a child, as the run does
     det, sta = tiny_csvs
     cfg = RunConfig(input_csv=det, station_csv=sta, out_dir=str(tmp_path),
                     seed=5, resample_interval="none",
@@ -643,9 +650,9 @@ def test_ci_repeats_dealt_across_cpus_are_the_same(tiny_csvs, tmp_path,
     for n_cpus in (1, 2):
         forks = cpus(n_cpus)
         cis.append(run_experiment(cfg, timer=lambda: 0.0).report["ci"])
-        # on two CPUs: the run's autoencoder, one repeat share and the
-        # file writers
-        assert len(forks) == 3 * (n_cpus - 1)
+        # on two CPUs: the autoencoder of the run and of each repeat, and
+        # the file writers
+        assert len(forks) == 5 * (n_cpus - 1)
         _assert_no_child()
     assert cis[0] == cis[1]
     assert all(cis[0][name]["recall"]["n"] == 3 for name in cis[0])

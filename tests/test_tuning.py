@@ -1,12 +1,15 @@
 """Grid-search tests: exhaustive candidate coverage, canonical ordering,
 tie handling, and scoring-path behaviour on a separable toy problem."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
 from telanom import detectors, tuning
 from telanom.detectors import Dbscan, LocalOutlierFactor, NeighbourPass
-from telanom.errors import DataError
+from telanom.errors import DataError, TrainingError
 from telanom.metrics import compute_metrics, confusion
 from telanom.tuning import (DEFAULT_GRIDS, GridSearchResult,
                             _canonical_candidates, grid_search)
@@ -318,3 +321,32 @@ def test_grids_dealt_across_cpus_give_the_rows_of_one(cpus, kind, grid):
     assert results[0].rows == results[1].rows
     assert results[0].best_params == results[1].best_params
     assert results[0].best_score == results[1].best_score
+
+
+@pytest.mark.skipif(not hasattr(os, "fork")
+                    or not hasattr(os, "sched_getaffinity"),
+                    reason="a child process needs fork")
+def test_a_failed_autoencoder_candidate_ends_the_grid_at_once(monkeypatch,
+                                                              cpus):
+    # candidates 0 and 2 are trained here, 1 and 3 in a child: candidate
+    # 2's TrainingError is raised once candidate 1 is done, and the child
+    # is killed in candidate 3
+    forks = cpus(2)
+
+    def score(model, train_cfg, train_x, val_x, val_y):
+        if model.units == 16:
+            raise TrainingError("candidate 2 diverged")
+        if model.units == 32:
+            time.sleep(60)
+        return (0.0,), {}
+    monkeypatch.setattr(tuning, "_score_autoencoder", score)
+    train_x, val_x, val_y, _, _ = _toy_problem()
+    grid = {"units": [4, 8, 16, 32], "bottleneck": [2], "epochs": [1],
+            "learning_rate": [0.01], "batch_size": [64]}
+    t0 = time.monotonic()
+    with pytest.raises(TrainingError, match="candidate 2 diverged"):
+        grid_search("autoencoder", grid, train_x, val_x, val_y)
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
