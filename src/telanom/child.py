@@ -27,33 +27,38 @@ def usable_cpus():
 
 
 class _in_child:
-    """``with _in_child(*jobs) as child``: each ``child()`` returns the next
-    job's result, in job order, or raises what it raised.
+    """``with _in_child(*jobs, whole=writers) as child``: each ``child()``
+    returns the next job's result, in job order, the ``whole`` jobs after
+    the others, or raises what it raised.
 
-    Where fork exists and this process may run on more than one CPU, the
-    jobs start at once in a forked child, one after another, alongside the
-    caller's own work. The child sends each job's pickled outcome as soon
-    as the job ends, and stops at its first error; ``child()`` waits for
-    the next outcome, and a child that ends without one is a RuntimeError.
-    A child sees one usable CPU, so nothing it runs forks again. Elsewhere
-    ``child()`` runs the next job itself. Leaving the block kills a child
-    that still owes an outcome, and reaps it, so none outlives the caller.
+    Where fork exists, there are jobs, and this process may run on more
+    than one CPU, the jobs start at once in a forked child, one after
+    another, alongside the caller's own work. The child sends each job's
+    pickled outcome as soon as the job ends, and stops at its first error;
+    ``child()`` waits for the next outcome, and a child that ends without
+    one is a RuntimeError. A child sees one usable CPU, so nothing it runs
+    forks again. Elsewhere ``child()`` runs the next job itself. Leaving
+    the block ends a child that still owes an outcome, and reaps it, so
+    none outlives the caller: a child still in its other jobs is killed at
+    once, and one that has begun its ``whole`` jobs, which write files, is
+    waited for, so that no file is cut off halfway.
 
     The package starts no thread of its own (tests/test_hygiene.py), and
     OpenBLAS stops its thread pool before a fork and restarts it on its
     next call, so the child holds no lock another thread owned.
     """
 
-    def __init__(self, *jobs):
+    def __init__(self, *jobs, whole=()):
+        jobs = jobs + tuple(whole)
         self.owed = len(jobs)
         self.pid = None
-        if usable_cpus() < 2:
+        if not jobs or usable_cpus() < 2:
             self._inline = iter(jobs)
             return
         read_end, write_end = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
-            _send_outcomes(jobs, read_end, write_end)
+            _send_outcomes(jobs, len(jobs) - len(whole), read_end, write_end)
         os.close(write_end)
         self.fd = read_end
         self.reaped = False
@@ -70,7 +75,11 @@ class _in_child:
         try:
             if not self.reaped:
                 if self.owed:
-                    os.kill(self.pid, signal.SIGKILL)
+                    # ignored once the child has begun its whole jobs;
+                    # read what it still sends until it exits
+                    os.kill(self.pid, signal.SIGTERM)
+                    while os.read(self.fd, 1 << 16):
+                        pass
                 os.waitpid(self.pid, 0)
         finally:
             os.close(self.fd)
@@ -95,17 +104,23 @@ class _in_child:
         raise value
 
 
-def _send_outcomes(jobs, read_end, write_end):
+def _send_outcomes(jobs, killable, read_end, write_end):
     # the child: run the jobs on one CPU, send each one's outcome, length
     # first, and exit without returning into the caller's code, its
     # cleanups or its atexit handlers; an outcome that cannot be pickled
-    # reaches the parent as no result
+    # reaches the parent as no result. SIGTERM ends it at once in its
+    # first ``killable`` jobs and is blocked from then on
     global _all_taken
     try:
         _all_taken = True
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])
         os.close(read_end)
         with os.fdopen(write_end, "wb") as pipe:
-            for job in jobs:
+            for i, job in enumerate(jobs):
+                if i == killable:
+                    signal.pthread_sigmask(signal.SIG_BLOCK,
+                                           [signal.SIGTERM])
                 try:
                     outcome = (True, job())
                 except BaseException as e:  # noqa: BLE001 - sent back

@@ -223,7 +223,9 @@ class Scaler:
     Transform is (x - min) / (max - min) with no clipping, so unseen values
     outside the fitted range land outside [0, 1]. A dimension that is
     constant in the fitted data uses divisor 1: fitted values map to 0 and
-    unseen deviations stay visible instead of collapsing.
+    unseen deviations stay visible instead of collapsing. NaN and infinite
+    values are DataErrors, in the rows it fits or scales and in a saved
+    scaler alike.
     """
 
     def __init__(self, mins=None, maxs=None):
@@ -234,6 +236,10 @@ class Scaler:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             raise DataError("cannot fit scaler on empty data")
+        if values.ndim != 2:
+            raise DataError("cannot fit scaler on an array of shape %s"
+                            % (values.shape,))
+        _finite(values, "cannot fit scaler")
         self.mins = values.min(axis=0)
         self.maxs = values.max(axis=0)
         return self
@@ -249,6 +255,7 @@ class Scaler:
         if values.ndim != 2 or values.shape[1] != len(self.mins):
             raise DataError("expected rows of %d features, got shape %s"
                             % (len(self.mins), values.shape))
+        _finite(values, "cannot scale")
         return (values - self.mins) / self._denom()
 
     def to_json(self):
@@ -261,7 +268,22 @@ class Scaler:
         mins, maxs = (_array(obj, key, 1) for key in ("mins", "maxs"))
         if mins.shape != maxs.shape:
             raise DataError("scaler mins and maxs differ in length")
+        _finite(np.vstack([mins, maxs]), "scaler", rows=("mins", "maxs"))
         return cls(mins, maxs)
+
+
+def _finite(values, what, rows=None):
+    """DataError naming the row (``rows[i]`` or ``row i``) and column of
+    the first NaN or infinite entry of a 2-d array, in row order, if there
+    is one."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        name = (" (%s)" % FEATURE_NAMES[col]
+                if values.shape[1] == N_FEATURES else "")
+        raise DataError("%s: %s, column %d%s is %r, not a finite number"
+                        % (what, rows[row] if rows else "row %d" % row, col,
+                           name, float(values[row, col])))
 
 
 def write_feature_csv(table, path):

@@ -16,7 +16,6 @@ fields differ.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import os
@@ -287,6 +286,8 @@ class ExperimentResult:
     loss_curve: object = None
     table: FeatureTable = None
     label_report: object = None
+    # what each stage writer raised, or None, in _stage_writers' order
+    stage_errors: list = field(default_factory=list)
 
 
 def ingest_detections(cfg):
@@ -422,13 +423,17 @@ def _autoencoder_job(data, cfg, x_test, y_test, interval, model_seed, timer):
     return model, loss_curve, table, threshold, entry
 
 
-def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
+def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
+                 stage_writers=None):
     """Split/resample/fit/threshold/evaluate on an already labelled table.
 
     Returns an ExperimentResult whose report carries one entry per model.
     The autoencoder's job runs in a child process (see _in_child) while
-    this one fits the classical models; every result is the same as when
-    they run one after another.
+    this one fits the classical models, or here where there are none.
+    ``stage_writers(data)``, where given, lists writers of files that
+    depend on no model; they run in that child too, after the
+    autoencoder's job, and result.stage_errors holds what each raised.
+    Every result is the same as when all of it runs one after another.
     """
     data = prepare_training(labelled, cfg, seed)
     interval = data.plan.delta_t if data.plan else "none"
@@ -452,13 +457,15 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
     if "autoencoder" in names:
         job = functools.partial(_autoencoder_job, data, cfg, x_test,
                                 test.label, interval, model_seed, timer)
+    in_child = [job] if job and classical else []
+    writers = [functools.partial(_error_of, writer)
+               for writer in (stage_writers(data) if stage_writers else [])]
 
     # LOF's k-neighbourhoods and DBSCAN's eps-counts over fit_x come from
     # one neighbour pass, made by whichever of the two fits first
     neighbours = None
     model_reports = {}
-    with (_in_child(job) if job and classical
-          else contextlib.nullcontext(job)) as autoencoder:
+    with _in_child(*in_child, whole=writers) as child:
         try:
             for name in classical:
                 t0 = timer()
@@ -482,13 +489,14 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
         except Exception:
             # run one after another, the models before the failing one
             # would have raised first
-            if job and names.index("autoencoder") < names.index(name):
-                autoencoder()
+            if in_child and names.index("autoencoder") < names.index(name):
+                child()
             raise
         if job:
             (result.models["autoencoder"], result.loss_curve,
              result.percentile_table, result.threshold,
-             model_reports["autoencoder"]) = autoencoder()
+             model_reports["autoencoder"]) = child() if in_child else job()
+        result.stage_errors = [child() for _ in writers]
     result.models = {name: result.models[name] for name in names}
     model_reports = {name: model_reports[name] for name in names}
 
@@ -504,10 +512,14 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter):
 
 
 def run_experiment(cfg, timer=time.perf_counter):
-    """Full pipeline from CSVs to report files under cfg.out_dir."""
+    """Full pipeline from CSVs to report files under cfg.out_dir. The
+    files of the stages before the models are written while the models
+    fit (run_pipeline's stage_writers), the rest once they are fitted."""
     cfg.validate()
     labelled, label_report, ingest_summary = prepare_table(cfg)
-    result = run_pipeline(labelled, cfg, cfg.seed, timer=timer)
+    result = run_pipeline(labelled, cfg, cfg.seed, timer=timer,
+                          stage_writers=functools.partial(
+                              _stage_writers, cfg, labelled, label_report))
     result.table = labelled
     result.label_report = label_report
     result.report["config"] = cfg.to_json()
@@ -611,17 +623,36 @@ def save_plan(plan, normals, pool, out):
     write_feature_csv(pool, os.path.join(out, "resampled.csv"))
 
 
-def _write_artifacts(cfg, result):
-    """Every file of a run under cfg.out_dir. The writers share nothing,
-    so run_all deals them across the CPUs, round robin. Each one runs to
-    its end, and the first error in the list is raised after all of them,
-    so a failed run leaves whole files beside the one that failed. They
-    are listed heaviest first so that the shares come out even: the LOF
-    and DBSCAN model files take the most time when those models run, and
-    without them resampled.csv does, then labels.csv. labels.csv comes
-    before resampled.csv, so that those two fall into different shares."""
+def _stage_writers(cfg, table, label_report, data):
+    """Writers of the files under cfg.out_dir that depend on no model: the
+    output directories, then the labelling, resampling and split stages'
+    files, and features.csv with dump_features."""
     out = cfg.out_dir
-    os.makedirs(os.path.join(out, "models"), exist_ok=True)
+    write = functools.partial
+    writers = [write(os.makedirs, os.path.join(out, "models"),
+                     exist_ok=True),
+               write(save_labels, table, label_report, out)]
+    if data.plan is not None:
+        writers.append(write(save_plan, data.plan, data.split.normal_train,
+                             data.pool, out))
+    if cfg.dump_features:
+        writers.append(write(write_feature_csv, table,
+                             os.path.join(out, "features.csv")))
+    writers.append(write(write_split_csv, data.split,
+                         os.path.join(out, "split.csv")))
+    return writers
+
+
+def _write_artifacts(cfg, result):
+    """Every file of a run under cfg.out_dir that depends on the models.
+    The writers share nothing, so run_all deals them across the CPUs,
+    round robin. Each one runs to its end, and the first error of the
+    stage writers (result.stage_errors) and then of these is raised after
+    all of them, so a failed run leaves whole files beside the one that
+    failed. They are listed heaviest first so that the shares come out
+    even: the LOF and DBSCAN model files, which hold their fit rows, take
+    the most time when those models run."""
+    out = cfg.out_dir
     write = functools.partial
 
     def model_writers(*names):
@@ -629,20 +660,7 @@ def _write_artifacts(cfg, result):
                       os.path.join(out, "models", "%s.json" % name))
                 for name in names if name in result.models]
 
-    writers = model_writers("lof", "dbscan")
-    writers.append(write(save_labels, result.table, result.label_report,
-                         out))
-    if result.plan is not None:
-        writers.append(write(save_plan, result.plan,
-                             result.split.normal_train, result.train_pool,
-                             out))
-    writers += model_writers("iforest")
-    if cfg.dump_features:
-        writers.append(write(write_feature_csv, result.table,
-                             os.path.join(out, "features.csv")))
-    writers.append(write(write_split_csv, result.split,
-                         os.path.join(out, "split.csv")))
-    writers += model_writers("autoencoder")
+    writers = model_writers("lof", "dbscan", "iforest", "autoencoder")
     writers += [write(save_model, result.scaler,
                       os.path.join(out, "scaler.json")),
                 write(save_report, result.report,
@@ -672,7 +690,7 @@ def _write_artifacts(cfg, result):
     writers.append(write(write_summary_csv, rows,
                          os.path.join(out, "summary.csv")))
     errors = run_all([write(_error_of, writer) for writer in writers])
-    for error in errors:
+    for error in result.stage_errors + errors:
         if error is not None:
             raise error
 

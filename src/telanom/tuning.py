@@ -93,16 +93,33 @@ def _nn(v):
     return -math.inf if v is None else v
 
 
-def _fitted_scores(model, train_x, val_x, **fit_args):
-    """A classical candidate's threshold and validation scores."""
+def _fitted(build, train_x, **fit_args):
+    """The model ``build()`` makes, fitted."""
+    model = build()[0]
     model.fit(train_x, **fit_args)
+    return model
+
+
+def _fitted_scores(build, train_x, val_x, **fit_args):
+    """A classical candidate's threshold and validation scores."""
+    model = _fitted(build, train_x, **fit_args)
     return model.threshold, model.scores(val_x)
 
 
-def _thresholded_scores(kind, models, train_x, val_x):
+def _lof_scores(build, train_x, val_x, fit, val):
+    """A LOF candidate's training LOF values and validation scores, read
+    off the neighbour passes ``fit`` and ``val``."""
+    model = _fitted(build, train_x, neighbours=fit)
+    return model.train_lof, model.scores(val_x, neighbours=val)
+
+
+def _thresholded_scores(kind, models, builds, train_x, val_x):
     """Every classical candidate's (threshold, validation scores), in
-    candidate order. Each distinct fit is one job of run_all, and what the
-    candidates share is made here before any job is dealt.
+    candidate order. ``models`` are the unfitted candidates, and
+    ``builds[i]()`` makes candidate i again for its fit, so that no fitted
+    model outlives the scores taken from it. Each distinct fit is one job
+    of run_all, and what the candidates share is made here before any job
+    is dealt.
 
     LOF's contamination only sets the threshold over the training LOF
     values, so LOF candidates of one k share a fit and its validation
@@ -114,18 +131,16 @@ def _thresholded_scores(kind, models, train_x, val_x):
     mask share a fit and its validation scores.
     """
     if kind == "iforest":
-        return run_all([functools.partial(_fitted_scores, model, train_x,
-                                          val_x) for model in models])
+        return run_all([functools.partial(_fitted_scores, build, train_x,
+                                          val_x) for build in builds])
     if kind == "lof":
         ks = [model.k for model in models]
         fit = NeighbourPass(train_x, train_x, ks=ks, self_excluded=True)
         val = NeighbourPass(val_x, train_x, ks=ks)
         by_k = {}
-        for model in models:
+        for model, build in zip(models, builds):
             if model.k not in by_k:
-                model.fit(train_x, neighbours=fit)
-                by_k[model.k] = (model.train_lof,
-                                 model.scores(val_x, neighbours=val))
+                by_k[model.k] = _lof_scores(build, train_x, val_x, fit, val)
         return [(contamination_threshold(by_k[model.k][0],
                                          model.contamination),
                  by_k[model.k][1]) for model in models]
@@ -134,11 +149,11 @@ def _thresholded_scores(kind, models, train_x, val_x):
     cores = [(counts.counts(model.eps) >= model.min_pts).tobytes()
              for model in models]
     first = {}
-    for model, core in zip(models, cores):
-        first.setdefault(core, model)
+    for build, core in zip(builds, cores):
+        first.setdefault(core, build)
     fitted = dict(zip(first, run_all([
-        functools.partial(_fitted_scores, model, train_x, val_x,
-                          neighbours=counts) for model in first.values()])))
+        functools.partial(_fitted_scores, build, train_x, val_x,
+                          neighbours=counts) for build in first.values()])))
     return [(model.threshold, fitted[core][1])
             for model, core in zip(models, cores)]
 
@@ -151,7 +166,8 @@ def _score_classical(threshold, val_scores, val_y):
                                    "precision": m["precision"]}
 
 
-def _score_autoencoder(model, train_cfg, train_x, val_x, val_y):
+def _score_autoencoder(build, train_x, val_x, val_y):
+    model, train_cfg = build()
     train(model, train_x, train_cfg)
     sel = select_threshold(build_table(model.scores(val_x), val_y))
     m = sel.metrics
@@ -166,28 +182,29 @@ def grid_search(model_kind, grid, train_x, val_x, val_y, seed=0):
     ``train_x``: training matrix (normal rows only for the autoencoder).
     ``val_x``/``val_y``: labelled validation rows, both classes present for
     the autoencoder path. Every candidate is built, and so checked, before
-    any is fitted.
+    any is fitted; each fit builds its candidate again, so that only a
+    candidate's parameters and outcome outlive its fit.
     """
     train_x = np.asarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
     val_y = np.asarray(val_y)
 
-    candidates = [(params,) + build_model(model_kind, params,
-                                          train_x.shape[1], seed)
-                  for params in _canonical_candidates(grid)]
+    candidates = list(_canonical_candidates(grid))
+    builds = [functools.partial(build_model, model_kind, params,
+                                train_x.shape[1], seed)
+              for params in candidates]
+    models = [build()[0] for build in builds]
     if model_kind == "autoencoder":
         outcomes = run_all([
-            functools.partial(_score_autoencoder, model, train_cfg, train_x,
-                              val_x, val_y)
-            for _, model, train_cfg in candidates])
+            functools.partial(_score_autoencoder, build, train_x, val_x,
+                              val_y) for build in builds])
     else:
         outcomes = [_score_classical(threshold, val_scores, val_y)
                     for threshold, val_scores in _thresholded_scores(
-                        model_kind, [model for _, model, _ in candidates],
-                        train_x, val_x)]
+                        model_kind, models, builds, train_x, val_x)]
     best = None
     rows = []
-    for (params, _, _), (score, detail) in zip(candidates, outcomes):
+    for params, (score, detail) in zip(candidates, outcomes):
         rows.append({**params, **detail})
         if best is None or score > best[0]:
             best = (score, params)

@@ -3,6 +3,7 @@ in-process through main(argv)."""
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -392,6 +393,9 @@ def test_evaluate_rejects_broken_classical_and_scaler_files(dataset, tmp_path,
         ("scaler.json", lambda o: dict(o, mins=o["mins"][:5])),
         ("scaler.json", lambda o: {k: v[:5] for k, v in o.items()}),
         ("scaler.json", lambda o: dict(o, maxs="wide")),
+        ("scaler.json", lambda o: dict(o, maxs=o["maxs"][:3] + [math.nan]
+                                       + o["maxs"][4:])),
+        ("scaler.json", lambda o: dict(o, mins=[-math.inf] + o["mins"][1:])),
         ("models/lof.json", lambda o: dict(o, k="5")),
         ("models/lof.json", lambda o: dict(o, k=True)),
         ("models/lof.json", lambda o: dict(o, x=[row[:5] for row in o["x"]])),

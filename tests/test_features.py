@@ -235,3 +235,33 @@ def test_scaler_unfitted_and_empty_errors():
         Scaler().transform(np.zeros((2, 11)))
     with pytest.raises(DataError):
         Scaler().fit(np.empty((0, 11)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scaler_rejects_non_finite_rows(bad):
+    x = np.zeros((5, 11))
+    x[3, 4] = x[4, 1] = bad
+    with pytest.raises(DataError, match=r"^cannot fit scaler: row 3, "
+                       r"column 4 \(num_detections\) is %s, not a finite "
+                       r"number$" % bad):
+        Scaler().fit(x)
+    s = Scaler().fit(np.ones((2, 11)))
+    with pytest.raises(DataError, match=r"^cannot scale: row 3, column 4 "
+                       r"\(num_detections\) is %s" % bad):
+        s.transform(x)
+    x[3, 4] = 0.0
+    with pytest.raises(DataError, match=r"^cannot scale: row 4, column 1 "):
+        s.transform(x)
+    assert np.array_equal(s.transform(np.ones((1, 11))), np.zeros((1, 11)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_saved_scaler_rejects_non_finite_values(bad):
+    saved = Scaler().fit(np.arange(6.0).reshape(2, 3)).to_json()
+    with pytest.raises(DataError, match=r"^scaler: maxs, column 2 is %s, "
+                       r"not a finite number$" % bad):
+        Scaler.from_json(dict(saved, maxs=saved["maxs"][:2] + [bad]))
+    with pytest.raises(DataError, match=r"^scaler: mins, column 0 is %s"
+                       % bad):
+        Scaler.from_json(dict(saved, mins=[bad] + saved["mins"][1:],
+                              maxs=[bad] * 3))

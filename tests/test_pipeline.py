@@ -314,7 +314,8 @@ def test_grid_candidate_with_run_params_builds_run_models(tiny_labelled,
         built.clear()
         tuning.grid_search(name, grid, data.fit_x, data.val_x, data.val_y,
                            seed=pipeline._model_seed(5))
-        (model,) = built
+        # built once to be checked, then again to be fitted
+        _checked, model = built
         want = result.models[name]
         assert model.threshold == want.threshold, name
         assert np.array_equal(model.scores(x_test), want.scores(x_test)), name
@@ -468,6 +469,11 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _files(out):
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
 @needs_fork
 def test_forked_and_inline_runs_are_identical(tiny_labelled, tiny_csvs,
                                               tmp_path, cpus):
@@ -484,12 +490,12 @@ def test_forked_and_inline_runs_are_identical(tiny_labelled, tiny_csvs,
         out = tmp_path / "out"
         run_experiment(dataclasses.replace(cfg, out_dir=str(out)),
                        timer=lambda: 0.0)
-        files.append({str(path.relative_to(out)): path.read_bytes()
-                      for path in sorted(out.rglob("*")) if path.is_file()})
+        files.append(_files(out))
         shutil.rmtree(out)
         # per run: the autoencoder's job, and the second half of the fit
         # rows' pass against themselves; the test-row scorings are too
-        # small to split. run_experiment's file writers add a third
+        # small to split. run_experiment's stage files are written in the
+        # autoencoder's child, and its model files' writers add a third
         assert len(forks) == (5 if n_cpus > 1 else 0)
         _assert_no_child()
     assert reports[0] == reports[1]
@@ -563,10 +569,10 @@ def test_child_without_a_result_is_an_error(tiny_labelled, monkeypatch,
 def test_a_failing_file_writer_leaves_no_child(tiny_csvs, tmp_path,
                                                monkeypatch, capsys, cpus,
                                                failing):
-    """The writers are dealt across the CPUs, lof.json's here and
-    dbscan.json's in the child; either one's DataError ends the run with
-    exit 2 and its message, no child is left, and the other writers have
-    written their whole files."""
+    """The model files' writers are dealt across the CPUs, lof.json's
+    here and dbscan.json's in the child; either one's DataError ends the
+    run with exit 2 and its message, no child is left, and the other
+    writers have written their whole files."""
     forks = cpus(2)
 
     def save(model, path, _fn=pipeline.save_model):
@@ -580,7 +586,8 @@ def test_a_failing_file_writer_leaves_no_child(tiny_csvs, tmp_path,
                  "--out", str(tmp_path / "o")]) == 2
     assert ("data error: cannot write %s" % failing
             in capsys.readouterr().err)
-    assert len(forks) == 1
+    # the stage files' child while the models fit, and the model files'
+    assert len(forks) == 2
     _assert_no_child()
     out = tmp_path / "o"
     other = {"lof.json": "dbscan.json", "dbscan.json": "lof.json"}[failing]
@@ -588,6 +595,159 @@ def test_a_failing_file_writer_leaves_no_child(tiny_csvs, tmp_path,
     detectors.load_model(str(out / "models" / other))
     summary = (out / "summary.csv").read_text().splitlines()
     assert len(summary) == 3
+
+
+# ------------------------------------------ the stage files' writers
+
+_STAGE_FILES = ("labels.csv", "label_report.json", "plan.json",
+                "resampled.csv", "split.csv")
+
+
+@needs_fork
+@pytest.mark.parametrize("models,forks_on", [
+    ("iforest", {2: 2, 3: 3}),
+    ("autoencoder", {2: 2, 3: 3}),
+    ("autoencoder,iforest,lof,dbscan", {2: 3, 3: 5}),
+], ids=["run-iforest", "threshold", "run-all"])
+def test_stage_files_on_one_two_and_three_cpus(tiny_csvs, tmp_path, cpus,
+                                               models, forks_on):
+    """The stage files are written in the run's child while the models
+    fit, after the autoencoder's job when it is there; every file is the
+    one-process run's, byte for byte under an injected timer."""
+    det, sta = tiny_csvs
+    out = tmp_path / "out"
+    cfg = _fast_cfg(models=models, resample_interval="auto",
+                    max_points=2500, input_csv=det, station_csv=sta,
+                    out_dir=str(out))
+    files = []
+    for n_cpus in (1, 2, 3):
+        forks = cpus(n_cpus)
+        run_experiment(cfg, timer=lambda: 0.0)
+        files.append(_files(out))
+        shutil.rmtree(out)
+        # the run's child (stage files, and the autoencoder's job beside
+        # classical models), one per further share of the model files'
+        # writers, and the split sweeps of the LOF/DBSCAN fit rows' pass
+        assert len(forks) == forks_on.get(n_cpus, 0)
+        _assert_no_child()
+    assert files[0] == files[1] == files[2]
+    assert set(_STAGE_FILES) <= set(files[0])
+    assert "report.json" in files[0]
+
+
+@needs_fork
+def test_a_failing_model_waits_for_the_stage_writers(tiny_csvs, tmp_path,
+                                                     monkeypatch, cpus):
+    """An iforest fit fails while the child writes split.csv: the run
+    raises the model's error once that file is whole, leaves the stage
+    files a one-process run writes, no model-dependent file and no
+    child."""
+    det, sta = tiny_csvs
+    cfg = _fast_cfg(models="iforest", resample_interval="auto",
+                    max_points=2500, input_csv=det, station_csv=sta)
+    cpus(1)
+    run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "one")),
+                   timer=lambda: 0.0)
+    whole = _files(tmp_path / "one")
+
+    def slow_split(*args, _fn=pipeline.write_split_csv):
+        time.sleep(1.0)
+        return _fn(*args)
+
+    def fails(self, *args, **kwargs):
+        time.sleep(0.3)
+        raise RuntimeError("iforest")
+    monkeypatch.setattr(pipeline, "write_split_csv", slow_split)
+    monkeypatch.setattr(IsolationForest, "fit", fails)
+    forks = cpus(2)
+    out = tmp_path / "two"
+    with pytest.raises(RuntimeError, match="^iforest$"):
+        run_experiment(dataclasses.replace(cfg, out_dir=str(out)))
+    assert len(forks) == 1
+    _assert_no_child()
+    left = _files(out)
+    assert sorted(left) == sorted(_STAGE_FILES)
+    assert all(left[name] == whole[name] for name in left)
+
+
+@needs_fork
+def test_a_failing_model_kills_the_autoencoders_job(tiny_csvs, tmp_path,
+                                                    monkeypatch, cpus):
+    """An iforest fit fails while the child still trains the autoencoder,
+    whose result the serial order would not reach: the child is killed at
+    once, before any stage file is begun."""
+    det, sta = tiny_csvs
+    monkeypatch.setattr(pipeline, "train",
+                        lambda *args, **kwargs: time.sleep(60))
+
+    def fails(self, *args, **kwargs):
+        time.sleep(0.3)
+        raise RuntimeError("iforest")
+    monkeypatch.setattr(IsolationForest, "fit", fails)
+    forks = cpus(2)
+    out = tmp_path / "o"
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="^iforest$"):
+        run_experiment(_fast_cfg(models="iforest,autoencoder",
+                                 input_csv=det, station_csv=sta,
+                                 out_dir=str(out)))
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 1
+    _assert_no_child()
+    assert not out.exists()
+
+
+@needs_fork
+@pytest.mark.parametrize("failing,raised", [
+    (("split.csv",), "split.csv"),
+    (("labels.csv", "split.csv"), "labels.csv"),
+    (("iforest.json", "split.csv"), "split.csv"),
+])
+def test_a_failing_stage_writer_leaves_the_other_files_whole(
+        tiny_csvs, tmp_path, monkeypatch, capsys, cpus, failing, raised):
+    """A stage writer's DataError ends the run with exit 2 and its
+    message, after every other writer has written its whole file; the
+    stage files' errors come before the model files'."""
+    det, sta = tiny_csvs
+    argv = ["run", "--input", det, "--stations", sta, "--seed", "5",
+            "--resample-interval", "auto", "--max-points", "2500",
+            "--models", "iforest"]
+    cpus(1)
+    assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+    whole = _files(tmp_path / "one")
+    capsys.readouterr()
+
+    def fail_on(name, fn):
+        def writer(*args):
+            # save_model writes scaler.json too
+            if name in failing and (name != "iforest.json"
+                                    or args[-1].endswith(name)):
+                raise DataError("cannot write %s" % name)
+            return fn(*args)
+        return writer
+    monkeypatch.setattr(pipeline, "write_split_csv",
+                        fail_on("split.csv", pipeline.write_split_csv))
+    monkeypatch.setattr(pipeline, "save_labels",
+                        fail_on("labels.csv", pipeline.save_labels))
+    monkeypatch.setattr(pipeline, "save_model",
+                        fail_on("iforest.json", pipeline.save_model))
+    forks = cpus(2)
+    out = tmp_path / "two"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "data error: cannot write %s" % raised in capsys.readouterr().err
+    assert len(forks) == 2
+    _assert_no_child()
+    left = _files(out)
+    failed = {"labels.csv": ["labels.csv", "label_report.json"],
+              "split.csv": ["split.csv"],
+              "iforest.json": ["models/iforest.json"]}
+    assert sorted(left) == sorted(set(whole) - {
+        name for f in failing for name in failed[f]})
+    timed = ("report.json", "summary.csv")
+    assert all(left[name] == whole[name] for name in left
+               if name not in timed)
+    assert json.loads(left["report.json"])["models"]["iforest"]["confusion"]
+    assert len(left["summary.csv"].splitlines()) == 2
 
 
 # ------------------------------------------------- experiment + evaluation
@@ -640,7 +800,8 @@ def test_ci_repeats_equal_one_run_per_model(tiny_csvs, tmp_path):
 def test_ci_repeats_on_one_and_two_cpus_are_the_same(tiny_csvs, tmp_path,
                                                      cpus):
     # the repeats run one after another; on two CPUs each one trains its
-    # autoencoder in a child, as the run does
+    # autoencoder in a child, as the run does, whose child also writes the
+    # stage files
     det, sta = tiny_csvs
     cfg = RunConfig(input_csv=det, station_csv=sta, out_dir=str(tmp_path),
                     seed=5, resample_interval="none",
@@ -650,8 +811,8 @@ def test_ci_repeats_on_one_and_two_cpus_are_the_same(tiny_csvs, tmp_path,
     for n_cpus in (1, 2):
         forks = cpus(n_cpus)
         cis.append(run_experiment(cfg, timer=lambda: 0.0).report["ci"])
-        # on two CPUs: the autoencoder of the run and of each repeat, and
-        # the file writers
+        # on two CPUs: the run's autoencoder and stage files, each
+        # repeat's autoencoder, and the model files' writers
         assert len(forks) == 5 * (n_cpus - 1)
         _assert_no_child()
     assert cis[0] == cis[1]

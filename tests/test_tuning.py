@@ -1,8 +1,10 @@
 """Grid-search tests: exhaustive candidate coverage, canonical ordering,
 tie handling, and scoring-path behaviour on a separable toy problem."""
 
+import gc
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -333,7 +335,8 @@ def test_a_failed_autoencoder_candidate_ends_the_grid_at_once(monkeypatch,
     # is killed in candidate 3
     forks = cpus(2)
 
-    def score(model, train_cfg, train_x, val_x, val_y):
+    def score(build, train_x, val_x, val_y):
+        model = build()[0]
         if model.units == 16:
             raise TrainingError("candidate 2 diverged")
         if model.units == 32:
@@ -350,3 +353,36 @@ def test_a_failed_autoencoder_candidate_ends_the_grid_at_once(monkeypatch,
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("kind,grid", [
+    ("iforest", {"n_estimators": [5, 10], "contamination": [0.05, 0.1]}),
+    ("lof", {"k": [3, 5, 8], "contamination": [0.05, 0.1]}),
+    ("dbscan", {"eps": [0.5, 1.0, 2.0], "min_pts": [2, 4]}),
+    ("autoencoder", {"units": [4, 8], "epochs": [1], "batch_size": [64]}),
+])
+def test_no_fitted_candidate_outlives_its_fit(monkeypatch, cpus, kind,
+                                              grid):
+    """A grid keeps each candidate's parameters and outcome, not its
+    fitted model: when a fit starts, no model fitted before it is alive,
+    and the rows are the same as ever."""
+    cpus(1)
+    train_x, val_x, val_y, _, _ = _toy_problem()
+    want = grid_search(kind, grid, train_x, val_x, val_y)
+    fitted, alive = [], []
+
+    def watched(fit):
+        def start(model, *args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in fitted))
+            fitted.append(weakref.ref(model))
+            return fit(model, *args, **kwargs)
+        return start
+    if kind == "autoencoder":
+        monkeypatch.setattr(tuning, "train", watched(tuning.train))
+    else:
+        cls = type(detectors.build_model(kind, {}, 3, 0)[0])
+        monkeypatch.setattr(cls, "fit", watched(cls.fit))
+    got = grid_search(kind, grid, train_x, val_x, val_y)
+    assert got == want
+    assert len(alive) > 1 and not any(alive)
