@@ -1,7 +1,7 @@
 """The package's one way to use more than one CPU: jobs run in a forked
-child process, which sends each one's pickled outcome back as it ends;
-``_in_child`` runs one function that way, and ``run_all`` deals a list of
-independent jobs across the CPUs."""
+child process, which sends each one's pickled outcome back as it ends and
+is killed once its outcomes are no longer wanted; ``_in_child`` runs jobs
+that way, and ``run_all`` deals a list of them across the CPUs."""
 
 import contextlib
 import os
@@ -27,9 +27,8 @@ def usable_cpus():
 
 
 class _in_child:
-    """``with _in_child(*jobs, whole=writers) as child``: each ``child()``
-    returns the next job's result, in job order, the ``whole`` jobs after
-    the others, or raises what it raised.
+    """``with _in_child(*jobs) as child``: each ``child()`` returns the next
+    job's result, in job order, or raises what it raised.
 
     Where fork exists, there are jobs, and this process may run on more
     than one CPU, the jobs start at once in a forked child, one after
@@ -38,18 +37,16 @@ class _in_child:
     ``child()`` waits for the next outcome, and a child that ends without
     one is a RuntimeError. A child sees one usable CPU, so nothing it runs
     forks again. Elsewhere ``child()`` runs the next job itself. Leaving
-    the block ends a child that still owes an outcome, and reaps it, so
-    none outlives the caller: a child still in its other jobs is killed at
-    once, and one that has begun its ``whole`` jobs, which write files, is
-    waited for, so that no file is cut off halfway.
+    the block kills a child that still owes an outcome at once, even in
+    a write (errors.whole_file leaves each file whole or absent), and
+    reaps it, so none outlives the caller.
 
     The package starts no thread of its own (tests/test_hygiene.py), and
     OpenBLAS stops its thread pool before a fork and restarts it on its
     next call, so the child holds no lock another thread owned.
     """
 
-    def __init__(self, *jobs, whole=()):
-        jobs = jobs + tuple(whole)
+    def __init__(self, *jobs):
         self.owed = len(jobs)
         self.pid = None
         if not jobs or usable_cpus() < 2:
@@ -58,7 +55,7 @@ class _in_child:
         read_end, write_end = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
-            _send_outcomes(jobs, len(jobs) - len(whole), read_end, write_end)
+            _send_outcomes(jobs, read_end, write_end)
         os.close(write_end)
         self.fd = read_end
         self.reaped = False
@@ -72,17 +69,11 @@ class _in_child:
     def __exit__(self, *exc):
         if self.pid is None:
             return
-        try:
-            if not self.reaped:
-                if self.owed:
-                    # ignored once the child has begun its whole jobs;
-                    # read what it still sends until it exits
-                    os.kill(self.pid, signal.SIGTERM)
-                    while os.read(self.fd, 1 << 16):
-                        pass
-                os.waitpid(self.pid, 0)
-        finally:
-            os.close(self.fd)
+        os.close(self.fd)
+        if not self.reaped:
+            if self.owed:
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
     def __call__(self):
         if self.pid is None:
@@ -104,23 +95,17 @@ class _in_child:
         raise value
 
 
-def _send_outcomes(jobs, killable, read_end, write_end):
+def _send_outcomes(jobs, read_end, write_end):
     # the child: run the jobs on one CPU, send each one's outcome, length
     # first, and exit without returning into the caller's code, its
     # cleanups or its atexit handlers; an outcome that cannot be pickled
-    # reaches the parent as no result. SIGTERM ends it at once in its
-    # first ``killable`` jobs and is blocked from then on
+    # reaches the parent as no result
     global _all_taken
     try:
         _all_taken = True
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])
         os.close(read_end)
         with os.fdopen(write_end, "wb") as pipe:
-            for i, job in enumerate(jobs):
-                if i == killable:
-                    signal.pthread_sigmask(signal.SIG_BLOCK,
-                                           [signal.SIGTERM])
+            for job in jobs:
                 try:
                     outcome = (True, job())
                 except BaseException as e:  # noqa: BLE001 - sent back

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, _array, _number, load_json
+from .errors import DataError, _array, _number, load_json, whole_file
 from .autoencoder import Autoencoder, TrainConfig
 from .child import run_all, usable_cpus
 from .thresholding import (_Detector, _as_matrix, _check_width,
@@ -67,13 +67,15 @@ _MIN_BLOCK_ROWS = 8
 # BLAS multiplies a block by a row-major copy of b^T faster than by the view
 # b.T (study's 6,502-row fit pass: 0.048 -> 0.030 s). For blocks of 2 to
 # _ROW_MAJOR_ROWS rows and at most _ROW_MAJOR_WIDTH columns the bits are the
-# same either way, a set's one block times itself (syrk) included. Every
-# sweep against more than 5,461 rows of the pipeline's 11 features has such
-# blocks. The rest keep b.T, whose bits a copy would change: one row goes
-# through gemv, from 12 rows up a product of under about 10^6 multiply-adds
-# takes a small-matrix kernel for one layout only, and from 16 columns up
-# the products differ. (OpenBLAS 0.3.31, Haswell and SkylakeX kernels,
-# checked on 400k shapes of widths 1-32.)
+# same either way. Every sweep against more than 5,461 rows of the
+# pipeline's 11 features has such blocks. The rest keep b.T, whose bits a
+# copy would change: one row goes through gemv, from 12 rows up a product of
+# under about 10^6 multiply-adds takes a small-matrix kernel for one layout
+# only, and from 16 columns up the products differ. The whole of b times
+# itself keeps b.T too: numpy hands a @ a.T to syrk and the copy's product to
+# gemm, whose bits differ on the Haswell and generic (Prescott) kernels. The
+# rest was checked on SkylakeX (OpenBLAS 0.3.31, 400k shapes of widths 1-32),
+# and tests/test_detectors.py's kernel oracle on all three.
 _ROW_MAJOR_ROWS = 11
 _ROW_MAJOR_WIDTH = 15
 
@@ -104,7 +106,8 @@ def _sq_dist_blocks(a, b, start=0, stop=None):
         hi = min(stop, lo + rows)
         d2, ab = sums[:hi - lo], prods[:hi - lo]
         np.add(aa[lo:hi, None], bb, out=d2)
-        np.matmul(a[lo:hi], b.T if hi - lo == 1 else bt, out=ab)
+        view = hi - lo == 1 or (a is b and hi - lo == len(b))
+        np.matmul(a[lo:hi], b.T if view else bt, out=ab)
         ab *= 2.0
         d2 -= ab
         np.maximum(d2, 0.0, out=d2)
@@ -784,7 +787,7 @@ def save_model(model, path):
     and of scaler.json."""
     # json.dumps takes the C encoder; json.dump streams through the Python
     # one and writes the same bytes about three times slower
-    with open(path, "w") as f:
+    with whole_file(path) as f:
         f.write(json.dumps(model.to_json()))
         f.write("\n")
 

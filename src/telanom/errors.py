@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the checked reader of
-the JSON files it saves."""
+"""Exception types shared across the package, the checked reader of the
+JSON files it saves, and the opener every file it writes goes through."""
 
+import contextlib
 import json
+import os
+import re
 
 import numpy as np
 
@@ -27,6 +30,31 @@ def load_json(path, read):
         raise DataError("%s: lacks key %s" % (path, e)) from None
     except DataError as e:
         raise DataError("%s: %s" % (path, e)) from None
+
+
+@contextlib.contextmanager
+def whole_file(path, **kwargs):
+    """``open(path, "w", **kwargs)`` by way of ``<path>.tmp-<pid>`` beside
+    it, renamed into place once the block ends: the rename is atomic on
+    POSIX, so ``path`` holds the old file or the whole new one. A block
+    that raises removes the temporary file. Nothing is fsynced."""
+    temporary = "%s.tmp-%d" % (path, os.getpid())
+    f = open(temporary, "w", **kwargs)
+    try:
+        with f:
+            yield f
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
+
+
+def remove_temporaries(root):
+    """Remove the ``whole_file`` temporaries of killed writers under root."""
+    for folder, _, names in os.walk(root):
+        for name in names:
+            if re.search(r"\.tmp-\d+$", name):
+                os.remove(os.path.join(folder, name))
 
 
 def _number(obj, key, integer=False):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, whole_file
 
 log = logging.getLogger(__name__)
 
@@ -414,7 +414,7 @@ def write_csv(path, header, columns):
     n_rows = len(columns[0]) if columns else 0
     if any(len(c) != n_rows for c in columns) or len(columns) != len(header):
         raise ValueError("header and columns differ in shape")
-    with open(path, "w", newline="") as f:
+    with whole_file(path, newline="") as f:
         f.write(",".join(fields([str(h) for h in header])) + "\r\n")
         for start in range(0, n_rows, _WRITE_ROWS):
             rows = zip(*(column_fields(c[start:start + _WRITE_ROWS])

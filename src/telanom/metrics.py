@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import whole_file
 from .ingest import write_csv
 
 
@@ -156,6 +157,6 @@ def write_summary_csv(rows, path):
 
 def save_report(report, path):
     """Indented, key-sorted JSON: the writer of every report-like file."""
-    with open(path, "w") as f:
+    with whole_file(path) as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -28,7 +28,8 @@ from .autoencoder import train
 from .child import _in_child, run_all
 from .detectors import (MODEL_PARAMS, NeighbourPass, build_model, load_model,
                         save_model)
-from .errors import DataError, LeakageError, _number, load_json
+from .errors import (DataError, LeakageError, _number, load_json,
+                     remove_temporaries, whole_file)
 from .features import FeatureTable, Scaler, engineer_tracks, write_feature_csv
 from .ingest import parse_csv, load_station_map, deduplicate, group_tracks
 from .labelling import label_all, write_label_csv
@@ -167,12 +168,8 @@ class DatasetSplit:
     anomaly_val: FeatureTable
 
     def counts(self):
-        return {
-            "normal_test": len(self.normal_test),
-            "normal_train": len(self.normal_train),
-            "anomaly_test": len(self.anomaly_test),
-            "anomaly_val": len(self.anomaly_val),
-        }
+        return {part.name: len(getattr(self, part.name))
+                for part in dataclasses.fields(self)}
 
     def test_table(self):
         return FeatureTable.concat([self.normal_test, self.anomaly_test])
@@ -181,7 +178,7 @@ class DatasetSplit:
 def write_split_csv(split, path):
     """split.csv: a ``uid,partition`` line for every row of the split,
     partition by partition in field order."""
-    with open(path, "w") as f:
+    with whole_file(path) as f:
         f.write("uid,partition\n")
         for part in dataclasses.fields(split):
             uids = getattr(split, part.name).uid.tolist()
@@ -286,8 +283,6 @@ class ExperimentResult:
     loss_curve: object = None
     table: FeatureTable = None
     label_report: object = None
-    # what each stage writer raised, or None, in _stage_writers' order
-    stage_errors: list = field(default_factory=list)
 
 
 def ingest_detections(cfg):
@@ -432,8 +427,9 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
     this one fits the classical models, or here where there are none.
     ``stage_writers(data)``, where given, lists writers of files that
     depend on no model; they run in that child too, after the
-    autoencoder's job, and result.stage_errors holds what each raised.
-    Every result is the same as when all of it runs one after another.
+    autoencoder's job. Every result, and the first error raised, is the
+    same as when all of it runs one after another: the models, then the
+    stage writers.
     """
     data = prepare_training(labelled, cfg, seed)
     interval = data.plan.delta_t if data.plan else "none"
@@ -458,14 +454,13 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
         job = functools.partial(_autoencoder_job, data, cfg, x_test,
                                 test.label, interval, model_seed, timer)
     in_child = [job] if job and classical else []
-    writers = [functools.partial(_error_of, writer)
-               for writer in (stage_writers(data) if stage_writers else [])]
+    writers = stage_writers(data) if stage_writers else []
 
     # LOF's k-neighbourhoods and DBSCAN's eps-counts over fit_x come from
     # one neighbour pass, made by whichever of the two fits first
     neighbours = None
     model_reports = {}
-    with _in_child(*in_child, whole=writers) as child:
+    with _in_child(*in_child, *writers) as child:
         try:
             for name in classical:
                 t0 = timer()
@@ -496,7 +491,8 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
             (result.models["autoencoder"], result.loss_curve,
              result.percentile_table, result.threshold,
              model_reports["autoencoder"]) = child() if in_child else job()
-        result.stage_errors = [child() for _ in writers]
+        for _ in writers:
+            child()
     result.models = {name: result.models[name] for name in names}
     model_reports = {name: model_reports[name] for name in names}
 
@@ -514,24 +510,31 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
 def run_experiment(cfg, timer=time.perf_counter):
     """Full pipeline from CSVs to report files under cfg.out_dir. The
     files of the stages before the models are written while the models
-    fit (run_pipeline's stage_writers), the rest once they are fitted."""
+    fit (run_pipeline's stage_writers), the rest once they are fitted. A
+    run that raises stops at its first error in serial order, once every
+    child is reaped; each file it leaves is whole, and the temporary file
+    of a writer killed halfway is removed."""
     cfg.validate()
     labelled, label_report, ingest_summary = prepare_table(cfg)
-    result = run_pipeline(labelled, cfg, cfg.seed, timer=timer,
-                          stage_writers=functools.partial(
-                              _stage_writers, cfg, labelled, label_report))
-    result.table = labelled
-    result.label_report = label_report
-    result.report["config"] = cfg.to_json()
-    result.report["ingest"] = ingest_summary
-    result.report["labels"] = label_report.to_json()
+    writers = functools.partial(_stage_writers, cfg, labelled, label_report)
+    try:
+        result = run_pipeline(labelled, cfg, cfg.seed, timer=timer,
+                              stage_writers=writers)
+        result.table = labelled
+        result.label_report = label_report
+        result.report["config"] = cfg.to_json()
+        result.report["ingest"] = ingest_summary
+        result.report["labels"] = label_report.to_json()
 
-    if cfg.ci_repeats >= 2:
-        result.report["ci"] = _reshuffle_report(labelled, cfg)
-        for name, entry in result.report["models"].items():
-            entry["ci"] = result.report["ci"].get(name)
+        if cfg.ci_repeats >= 2:
+            result.report["ci"] = _reshuffle_report(labelled, cfg)
+            for name, entry in result.report["models"].items():
+                entry["ci"] = result.report["ci"].get(name)
 
-    _write_artifacts(cfg, result)
+        _write_artifacts(cfg, result)
+    except BaseException:
+        remove_temporaries(cfg.out_dir)
+        raise
     return result
 
 
@@ -646,21 +649,17 @@ def _stage_writers(cfg, table, label_report, data):
 def _write_artifacts(cfg, result):
     """Every file of a run under cfg.out_dir that depends on the models.
     The writers share nothing, so run_all deals them across the CPUs,
-    round robin. Each one runs to its end, and the first error of the
-    stage writers (result.stage_errors) and then of these is raised after
-    all of them, so a failed run leaves whole files beside the one that
-    failed. They are listed heaviest first so that the shares come out
-    even: the LOF and DBSCAN model files, which hold their fit rows, take
-    the most time when those models run."""
+    round robin, and raises the first error in their order. They are
+    listed heaviest first so that the shares come out even: the LOF and
+    DBSCAN model files, which hold their fit rows, take the most time
+    when those models run."""
     out = cfg.out_dir
     write = functools.partial
 
-    def model_writers(*names):
-        return [write(save_model, result.models[name],
-                      os.path.join(out, "models", "%s.json" % name))
-                for name in names if name in result.models]
-
-    writers = model_writers("lof", "dbscan", "iforest", "autoencoder")
+    writers = [write(save_model, result.models[name],
+                     os.path.join(out, "models", "%s.json" % name))
+               for name in ("lof", "dbscan", "iforest", "autoencoder")
+               if name in result.models]
     writers += [write(save_model, result.scaler,
                       os.path.join(out, "scaler.json")),
                 write(save_report, result.report,
@@ -689,17 +688,4 @@ def _write_artifacts(cfg, result):
         })
     writers.append(write(write_summary_csv, rows,
                          os.path.join(out, "summary.csv")))
-    errors = run_all([write(_error_of, writer) for writer in writers])
-    for error in result.stage_errors + errors:
-        if error is not None:
-            raise error
-
-
-def _error_of(writer):
-    """What ``writer()`` raised, or None. A writer that fails then ends no
-    other, and none is killed halfway through its file."""
-    try:
-        writer()
-    except Exception as e:  # noqa: BLE001 - raised by _write_artifacts
-        return e
-    return None
+    run_all(writers)

@@ -608,10 +608,11 @@ def test_block_height_does_not_change_results(monkeypatch):
 @pytest.mark.parametrize("rows", [1, 7, 8, 10, 12, None])
 def test_kernel_equals_the_transposed_operand_kernel(monkeypatch, rows):
     # blocks multiplied by a row-major copy of b^T have the bits of the view
-    # b.T's products, a set's one block times itself (syrk, the 5-row set)
-    # included. One-row blocks (gemv, here the tails of 57, 71 and 43 rows),
-    # blocks of 12 rows and more (a small-matrix kernel for 12 x 700 x 11)
-    # and rows of 16 features and more (the 9 x 16 set) keep b.T. None is
+    # b.T's products. One-row blocks (gemv, here the tails of 57, 71 and 43
+    # rows), a set's one block times itself (syrk, the 5-row set at heights
+    # 7, 8 and 10), blocks of 12 rows and more (a small-matrix kernel for
+    # 12 x 700 x 11) and rows of 16 features and more (the 9 x 16 set) keep
+    # b.T. Run under OPENBLAS_CORETYPE=Haswell or =Prescott too. None is
     # the default blocking, 93 rows for the 700-row set. A sweep from a block
     # boundary yields that stretch of the whole sweep's blocks.
     rng = np.random.default_rng(95)

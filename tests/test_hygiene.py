@@ -2,8 +2,9 @@
 import, no module-level private function that nothing in the package
 references (a retired helper must go with its last caller), no JSON
 written outside the package's two JSON writers, no CSV written outside
-its one CSV writer, and no process forked or thread started outside the
-one function that runs work in a child process."""
+its one CSV writer, no file opened for writing outside the one opener
+that renames it into place whole, and no process forked or thread
+started outside the one function that runs work in a child process."""
 
 import ast
 import pathlib
@@ -117,6 +118,49 @@ def test_csv_is_written_only_by_write_csv():
         stray += ["%s:%d from csv import" % (name, node.lineno)
                   for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) and node.module == "csv"]
+    assert stray == []
+
+
+def _write_mode(call):
+    """The mode of an ``open``/``os.fdopen`` call if it may write (w, a, x
+    or +), "?" where it is not a string literal, else None."""
+    args = call.args[1:2] + [k.value for k in call.keywords
+                             if k.arg == "mode"]
+    if not args:
+        return None
+    if not (isinstance(args[0], ast.Constant)
+            and isinstance(args[0].value, str)):
+        return "?"
+    return args[0].value if set(args[0].value) & set("wax+") else None
+
+
+def test_files_are_opened_for_writing_only_by_whole_file():
+    """Every open, io.open or os.fdopen call with a writing mode sits in
+    errors.whole_file, so each file is renamed into place whole; the one
+    exception is child.py's os.fdopen of the pipe to the parent."""
+    # (module, function): the one opener it may call with a writing mode
+    exempt = {("errors.py", "whole_file"): "open",
+              ("child.py", "_send_outcomes"): "fdopen"}
+    stray = []
+    for name, tree in _modules().items():
+        allowed = {}
+        for node in ast.walk(tree):
+            if (name, getattr(node, "name", None)) in exempt:
+                allowed.update(dict.fromkeys(
+                    ast.walk(node), exempt[name, node.name]))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            opener = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute)
+                      else None)
+            if (opener in ("open", "fdopen") and _write_mode(node)
+                    and allowed.get(node) != opener):
+                stray.append("%s:%d %s(..., %r)" % (
+                    name, node.lineno, opener, _write_mode(node)))
+            elif opener in ("write_text", "write_bytes"):
+                stray.append("%s:%d %s" % (name, node.lineno, opener))
     assert stray == []
 
 

@@ -2,7 +2,9 @@
 leakage guard, deterministic end-to-end runs, and artifact round-trips."""
 
 import collections
+import csv
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -15,7 +17,7 @@ from oracles import reshuffle_report
 from telanom import detectors, pipeline, tuning
 from telanom.cli import build_parser, cmd_tune, main
 from telanom.detectors import Dbscan, IsolationForest, LocalOutlierFactor
-from telanom.errors import DataError, LeakageError
+from telanom.errors import DataError, LeakageError, whole_file
 from telanom.features import FeatureTable, engineer_tracks
 from telanom.ingest import Detections, deduplicate, group_tracks
 from telanom.labelling import label_all
@@ -474,6 +476,32 @@ def _files(out):
             for path in sorted(out.rglob("*")) if path.is_file()}
 
 
+def _untimed(files):
+    """``_files``' contents less the timing fields: runtime_s in
+    report.json and train_time_minutes in summary.csv."""
+    files = dict(files)
+    if "report.json" in files:
+        files["report.json"] = json.loads(files["report.json"])
+        for entry in files["report.json"]["models"].values():
+            del entry["runtime_s"]
+    if "summary.csv" in files:
+        files["summary.csv"] = list(csv.DictReader(
+            io.StringIO(files["summary.csv"].decode())))
+        for row in files["summary.csv"]:
+            del row["train_time_minutes"]
+    return files
+
+
+def _assert_whole(left, whole):
+    """Every file a failed run ``left`` is one the successful one-process
+    run wrote (``whole``), equal but for its timing fields, and none is a
+    temporary file."""
+    assert [name for name in left if ".tmp-" in name] == []
+    assert set(left) <= set(whole)
+    left, whole = _untimed(left), _untimed(whole)
+    assert [name for name in left if left[name] != whole[name]] == []
+
+
 @needs_fork
 def test_forked_and_inline_runs_are_identical(tiny_labelled, tiny_csvs,
                                               tmp_path, cpus):
@@ -571,8 +599,18 @@ def test_a_failing_file_writer_leaves_no_child(tiny_csvs, tmp_path,
                                                failing):
     """The model files' writers are dealt across the CPUs, lof.json's
     here and dbscan.json's in the child; either one's DataError ends the
-    run with exit 2 and its message, no child is left, and the other
-    writers have written their whole files."""
+    run with exit 2 and its message, no child is left, and every file the
+    run leaves is the one-process run's, with no temporary file."""
+    det, sta = tiny_csvs
+    out = tmp_path / "o"
+    argv = ["run", "--input", det, "--stations", sta,
+            "--resample-interval", "none", "--models", "lof,dbscan",
+            "--out", str(out)]
+    # one out_dir for both, since report.json holds it
+    cpus(1)
+    assert main(argv) == 0
+    whole = _files(out)
+    shutil.rmtree(out)
     forks = cpus(2)
 
     def save(model, path, _fn=pipeline.save_model):
@@ -580,21 +618,16 @@ def test_a_failing_file_writer_leaves_no_child(tiny_csvs, tmp_path,
             raise DataError("cannot write %s" % failing)
         return _fn(model, path)
     monkeypatch.setattr(pipeline, "save_model", save)
-    det, sta = tiny_csvs
-    assert main(["run", "--input", det, "--stations", sta,
-                 "--resample-interval", "none", "--models", "lof,dbscan",
-                 "--out", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+    assert main(argv) == 2
     assert ("data error: cannot write %s" % failing
             in capsys.readouterr().err)
     # the stage files' child while the models fit, and the model files'
     assert len(forks) == 2
     _assert_no_child()
-    out = tmp_path / "o"
-    other = {"lof.json": "dbscan.json", "dbscan.json": "lof.json"}[failing]
-    assert not (out / "models" / failing).exists()
-    detectors.load_model(str(out / "models" / other))
-    summary = (out / "summary.csv").read_text().splitlines()
-    assert len(summary) == 3
+    left = _files(out)
+    assert "models/%s" % failing not in left
+    _assert_whole(left, whole)
 
 
 # ------------------------------------------ the stage files' writers
@@ -636,12 +669,12 @@ def test_stage_files_on_one_two_and_three_cpus(tiny_csvs, tmp_path, cpus,
 
 
 @needs_fork
-def test_a_failing_model_waits_for_the_stage_writers(tiny_csvs, tmp_path,
-                                                     monkeypatch, cpus):
-    """An iforest fit fails while the child writes split.csv: the run
-    raises the model's error once that file is whole, leaves the stage
-    files a one-process run writes, no model-dependent file and no
-    child."""
+def test_a_failing_model_kills_the_child_mid_write(tiny_csvs, tmp_path,
+                                                   monkeypatch, cpus):
+    """An iforest fit fails while the child is halfway through split.csv:
+    the child is killed at once, and the run leaves no split.csv, no
+    temporary file and no child, and every file it leaves is the
+    one-process run's."""
     det, sta = tiny_csvs
     cfg = _fast_cfg(models="iforest", resample_interval="auto",
                     max_points=2500, input_csv=det, station_csv=sta)
@@ -649,25 +682,37 @@ def test_a_failing_model_waits_for_the_stage_writers(tiny_csvs, tmp_path,
     run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "one")),
                    timer=lambda: 0.0)
     whole = _files(tmp_path / "one")
+    out = tmp_path / "two"
 
-    def slow_split(*args, _fn=pipeline.write_split_csv):
-        time.sleep(1.0)
-        return _fn(*args)
+    def stalled_split(split, path):
+        with whole_file(path) as f:
+            f.write("uid,partition\n")
+            f.flush()
+            time.sleep(60)
+
+    begun = []
 
     def fails(self, *args, **kwargs):
         time.sleep(0.3)
+        # fail once the child has begun split.csv under its temporary name
+        deadline = time.monotonic() + 20
+        while not begun and time.monotonic() < deadline:
+            begun.extend(out.glob("split.csv.tmp-*"))
+            time.sleep(0.01)
         raise RuntimeError("iforest")
-    monkeypatch.setattr(pipeline, "write_split_csv", slow_split)
+    monkeypatch.setattr(pipeline, "write_split_csv", stalled_split)
     monkeypatch.setattr(IsolationForest, "fit", fails)
     forks = cpus(2)
-    out = tmp_path / "two"
+    t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="^iforest$"):
         run_experiment(dataclasses.replace(cfg, out_dir=str(out)))
+    assert time.monotonic() - t0 < 30
+    assert len(begun) == 1
     assert len(forks) == 1
     _assert_no_child()
     left = _files(out)
-    assert sorted(left) == sorted(_STAGE_FILES)
-    assert all(left[name] == whole[name] for name in left)
+    assert "split.csv" not in left
+    _assert_whole(left, whole)
 
 
 @needs_fork
@@ -706,8 +751,9 @@ def test_a_failing_model_kills_the_autoencoders_job(tiny_csvs, tmp_path,
 def test_a_failing_stage_writer_leaves_the_other_files_whole(
         tiny_csvs, tmp_path, monkeypatch, capsys, cpus, failing, raised):
     """A stage writer's DataError ends the run with exit 2 and its
-    message, after every other writer has written its whole file; the
-    stage files' errors come before the model files'."""
+    message, as one after another: the stage files written before it are
+    whole, and no later writer runs, so neither does any model file's;
+    the stage files' errors come before the model files'."""
     det, sta = tiny_csvs
     argv = ["run", "--input", det, "--stations", sta, "--seed", "5",
             "--resample-interval", "auto", "--max-points", "2500",
@@ -735,19 +781,15 @@ def test_a_failing_stage_writer_leaves_the_other_files_whole(
     out = tmp_path / "two"
     assert main(argv + ["--out", str(out)]) == 2
     assert "data error: cannot write %s" % raised in capsys.readouterr().err
-    assert len(forks) == 2
+    # the stage files' child; the model files' writers are never dealt
+    assert len(forks) == 1
     _assert_no_child()
     left = _files(out)
-    failed = {"labels.csv": ["labels.csv", "label_report.json"],
-              "split.csv": ["split.csv"],
-              "iforest.json": ["models/iforest.json"]}
-    assert sorted(left) == sorted(set(whole) - {
-        name for f in failing for name in failed[f]})
-    timed = ("report.json", "summary.csv")
-    assert all(left[name] == whole[name] for name in left
-               if name not in timed)
-    assert json.loads(left["report.json"])["models"]["iforest"]["confusion"]
-    assert len(left["summary.csv"].splitlines()) == 2
+    before = {"labels.csv": [],
+              "split.csv": ["labels.csv", "label_report.json", "plan.json",
+                            "resampled.csv"]}
+    assert sorted(left) == sorted(before[raised])
+    _assert_whole(left, whole)
 
 
 # ------------------------------------------------- experiment + evaluation
