@@ -114,30 +114,33 @@ def _sq_dist_blocks(a, b, start=0, stop=None):
         yield lo, hi, d2
 
 
-# A sweep of fewer query x reference pairs than this runs in one process.
-# On a shared 2-vCPU Xeon VM an _in_child round trip took about 2 ms
-# returning nothing and 5 ms returning 1 MB, in a process holding 64 MB, and
-# the cheapest sweep (_nearest) about 2.5 ns per pair. Halving a sweep of p
-# pairs saves about 1.25 p ns, which pays for an empty round trip from about
-# 2M pairs; the floor leaves a factor of two for the results' transfer.
+# A sweep of less work than this runs in one process, work being counted in
+# query x reference pairs of a distance sweep. On a shared 2-vCPU Xeon VM an
+# _in_child round trip took about 2 ms returning nothing and 5 ms returning
+# 1 MB, in a process holding 64 MB, and the cheapest sweep (_nearest) about
+# 2.5 ns per pair. Halving a sweep of p pairs saves about 1.25 p ns, which
+# pays for an empty round trip from about 2M pairs; the floor leaves a
+# factor of two for the results' transfer. The packed forest walk took
+# about 40 ns per row and tree (39,000 rows x 100 trees of 11 features),
+# so one row and tree counts as _WALK_PAIRS pairs and a walk splits from
+# 250k rows x trees.
 _SPLIT_PAIRS = 4 * 10 ** 6
+_WALK_PAIRS = 16
 
 
-def _split_sweep(sweep, a, b):
-    """The arrays ``sweep(0, len(a))`` returns, each in the row order of
-    ``a``, made as ``sweep(start, stop)`` over contiguous ranges of the rows
-    and joined range after range. There is one range per usable CPU, and
-    ``run_all`` runs them across the CPUs. Ranges start on block boundaries
-    of ``_sq_dist_blocks(a, b)``, so every block is computed as in one
-    sweep of all rows and the arrays are bit-identical. A sweep of fewer
-    than ``_SPLIT_PAIRS`` pairs is one range."""
-    rows = _block_rows(b)
-    blocks = -(-len(a) // rows)
+def _split_sweep(sweep, n, rows, work):
+    """The arrays ``sweep(0, n)`` returns, each in row order, made as
+    ``sweep(start, stop)`` over contiguous ranges of the ``n`` rows and
+    joined range after range. There is one range per usable CPU, and
+    ``run_all`` runs them across the CPUs. Ranges start on multiples of
+    ``rows``, the sweep's block height, so every block is computed as in
+    one sweep of all rows and the arrays are bit-identical. A sweep of
+    less than ``_SPLIT_PAIRS`` ``work`` is one range."""
+    blocks = -(-n // rows)
     parts = 1
-    if len(a) * len(b) >= _SPLIT_PAIRS:
+    if work >= _SPLIT_PAIRS:
         parts = min(blocks, usable_cpus())
-    cuts = [min(len(a), rows * (blocks * i // parts))
-            for i in range(parts + 1)]
+    cuts = [min(n, rows * (blocks * i // parts)) for i in range(parts + 1)]
     results = run_all([functools.partial(sweep, lo, hi)
                        for lo, hi in zip(cuts, cuts[1:])])
     return [np.concatenate(arrays) for arrays in zip(*results)]
@@ -194,7 +197,8 @@ class NeighbourPass:
     def _sweep(self):
         if self._counts is not None:
             return
-        arrays = _split_sweep(self._sweep_rows, self.q, self.x)
+        arrays = _split_sweep(self._sweep_rows, len(self.q),
+                              _block_rows(self.x), len(self.q) * len(self.x))
         n = len(self.radii)
         self._counts = arrays[:n]
         self._hoods = {k: tuple(arrays[n + 4 * j:n + 4 * j + 4])
@@ -262,7 +266,8 @@ def _nearest(a, b):
             i[...] = np.argmin(d2, axis=1)
             d2_min[lo - start:hi - start] = d2[np.arange(hi - lo), i]
         return idx, d2_min
-    return tuple(_split_sweep(nearest_rows, a, b))
+    return tuple(_split_sweep(nearest_rows, len(a), _block_rows(b),
+                              len(a) * len(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +351,32 @@ class _PackedForest:
     def mean_depths(self, x):
         """Each row's path length averaged over the trees. The leaf values
         are summed tree by tree in tree order, so the means are
-        bit-identical to walking the trees one at a time."""
+        bit-identical to walking the trees one at a time. The rows are
+        split across the CPUs by ``_split_sweep``."""
         n, width = x.shape
         if width < self.width:
             raise DataError("the forest splits on feature %d; rows have %d"
                             % (self.width - 1, width))
         n_trees = len(self.roots)
-        rows = max(1, min(n, _FOREST_BLOCK_ROWS))
+        total, = _split_sweep(functools.partial(self._walk, x), n,
+                              _FOREST_BLOCK_ROWS, n * n_trees * _WALK_PAIRS)
+        return total / n_trees
+
+    def _walk(self, x, start, stop):
+        """[the leaf values of the rows of ``x`` from ``start`` to ``stop``,
+        summed over the trees]."""
+        width = x.shape[1]
+        n_trees = len(self.roots)
+        rows = max(1, min(stop - start, _FOREST_BLOCK_ROWS))
         buffers = (np.empty(n_trees * rows, np.intp),
                    np.empty(n_trees * rows, np.intp),
                    np.empty(n_trees * rows), np.empty(n_trees * rows),
                    np.empty(n_trees * rows, bool))
-        total = np.empty(n)
+        total = np.empty(stop - start)
         # mode="clip": every index is in range by construction, and the
         # default mode="raise" copies through a buffer when given out=
-        for lo in range(0, n, rows):
-            hi = min(n, lo + rows)
+        for lo in range(start, stop, rows):
+            hi = min(stop, lo + rows)
             node, at, xv, v, go_left = (
                 b[:n_trees * (hi - lo)].reshape(n_trees, hi - lo)
                 for b in buffers)
@@ -380,8 +395,81 @@ class _PackedForest:
                 np.take(self.children, node, out=node, mode="clip")
             np.take(self.value, node, out=v, mode="clip")
             np.cumsum(v, axis=0, out=v)
-            total[lo:hi] = v[-1]
-        return total / n_trees
+            total[lo - start:hi - start] = v[-1]
+        return [total]
+
+
+_LOW_HALF = 0xFFFFFFFF
+
+
+class _Draws:
+    """``with _Draws(rng) as draws``: ``draws.integer(m)`` and
+    ``draws.uniform(lo, hi)`` return what ``rng.integers(m)`` and
+    ``rng.uniform(lo, hi)`` would, at a fraction of the cost of a numpy
+    call, and leaving the block puts ``rng`` where those calls would have.
+    ``rng`` is a PCG64 Generator; nothing else may draw from it inside the
+    block.
+
+    Both follow numpy's own code over the generator's raw 64-bit outputs,
+    fetched a block at a time. ``integers(m)``, for m up to 2**32, is
+    Lemire's bounded draw (ACM TOMACS, 2019) on 32-bit halves: PCG64 hands
+    out a raw output's low half and keeps the high half for the next 32-bit
+    draw (the state's ``has_uint32``/``uinteger``); a product whose low
+    word falls under 2**32 mod m is drawn again, and m = 1 draws nothing.
+    ``uniform`` is lo + (hi - lo) * u, u the top 53 bits of one raw output
+    times 2**-53, and an infinite hi - lo raises as numpy does.
+    """
+
+    def __init__(self, rng):
+        self.bitgen = rng.bit_generator
+        self.saved = self.bitgen.state
+        self.has_half = self.saved["has_uint32"]
+        self.half = self.saved["uinteger"]
+        self.raw = []
+        self.used = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        # back to the saved state, then on by the outputs used; advance()
+        # clears the kept half, so it is set again
+        bitgen = self.bitgen
+        bitgen.state = self.saved
+        bitgen.advance(self.used)
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = self.has_half, self.half
+        bitgen.state = state
+
+    def _next(self):
+        if self.used == len(self.raw):
+            self.raw += self.bitgen.random_raw(256).tolist()
+        self.used += 1
+        return self.raw[self.used - 1]
+
+    def integer(self, m):
+        if m == 1:
+            return 0
+        if not 1 <= m <= 1 << 32:
+            raise ValueError("m must be in [1, 2**32], got %r" % (m,))
+        threshold = (1 << 32) % m
+        while True:
+            if self.has_half:
+                self.has_half = 0
+                low = self.half
+            else:
+                raw = self._next()
+                low = raw & _LOW_HALF
+                self.has_half, self.half = 1, raw >> 32
+            product = low * m
+            if product & _LOW_HALF >= threshold:
+                return product >> 32
+
+    def uniform(self, lo, hi):
+        span = hi - lo
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        return lo + span * ((self._next() >> 11) * 2.0 ** -53)
 
 
 class IsolationForest(_Detector):
@@ -392,8 +480,10 @@ class IsolationForest(_Detector):
     training points contributes h + c(s) to the path length. The decision
     threshold is the (1 - contamination) nearest-rank quantile of the
     training scores and a row is anomalous when its score is strictly above
-    the threshold. Scoring walks the trees as one ``_PackedForest``, packed
-    whenever ``trees`` is set: once per fit or load.
+    the threshold. A tree's random draws come from ``_Draws``, the
+    generator's own draws replayed. Scoring walks the trees as one
+    ``_PackedForest``, packed whenever ``trees`` is set: once per fit or
+    load.
     """
 
     kind = "iforest"
@@ -430,34 +520,38 @@ class IsolationForest(_Detector):
         self._trees = trees
 
     def _build_tree(self, x, rng, height_limit):
-        # nodes as parallel lists; feature -1 marks a leaf
+        # nodes as parallel lists; feature -1 marks a leaf. Each split draws
+        # rng.integers(len(usable)), then rng.uniform(lo[f], hi[f]), in
+        # preorder; _Draws replays those calls. Each child gets its own rows
+        # (compress gathers them about twice as fast as a boolean index)
         feature, threshold, left, right, size = [], [], [], [], []
+        minimum, maximum = np.minimum.reduce, np.maximum.reduce
 
-        def grow(idx, depth):
+        def grow(sub, depth):
             node = len(feature)
             feature.append(-1)
             threshold.append(0.0)
             left.append(-1)
             right.append(-1)
-            size.append(len(idx))
-            if depth >= height_limit or len(idx) <= 1:
+            size.append(len(sub))
+            if depth >= height_limit or len(sub) <= 1:
                 return node
-            sub = x[idx]
-            lo = sub.min(axis=0)
-            hi = sub.max(axis=0)
-            usable = np.flatnonzero(hi > lo)
+            lo = minimum(sub)
+            hi = maximum(sub)
+            usable = (hi > lo).nonzero()[0]
             if len(usable) == 0:
                 return node
-            f = int(usable[rng.integers(len(usable))])
-            v = float(rng.uniform(lo[f], hi[f]))
+            f = int(usable[draws.integer(len(usable))])
+            v = draws.uniform(lo.item(f), hi.item(f))
             go_left = sub[:, f] < v
             feature[node] = f
             threshold[node] = v
-            left[node] = grow(idx[go_left], depth + 1)
-            right[node] = grow(idx[~go_left], depth + 1)
+            left[node] = grow(sub.compress(go_left, axis=0), depth + 1)
+            right[node] = grow(sub.compress(~go_left, axis=0), depth + 1)
             return node
 
-        grow(np.arange(len(x)), 0)
+        with _Draws(rng) as draws:
+            grow(x, 0)
         return {"feature": feature, "threshold": threshold,
                 "left": left, "right": right, "size": size}
 

@@ -16,6 +16,7 @@ fields differ.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import os
@@ -510,14 +511,17 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
 def run_experiment(cfg, timer=time.perf_counter):
     """Full pipeline from CSVs to report files under cfg.out_dir. The
     files of the stages before the models are written while the models
-    fit (run_pipeline's stage_writers), the rest once they are fitted. A
-    run that raises stops at its first error in serial order, once every
-    child is reaped; each file it leaves is whole, and the temporary file
-    of a writer killed halfway is removed."""
+    fit (run_pipeline's stage_writers), the rest once they are fitted.
+    Once the inputs are read, every file an earlier run left under
+    cfg.out_dir (_RUN_OUTPUTS) is removed. A run that raises stops at its
+    first error in serial order, once every child is reaped; each file it
+    leaves is whole and its own, and the temporary file of a writer killed
+    halfway is removed."""
     cfg.validate()
     labelled, label_report, ingest_summary = prepare_table(cfg)
     writers = functools.partial(_stage_writers, cfg, labelled, label_report)
     try:
+        _remove_outputs(cfg.out_dir)
         result = run_pipeline(labelled, cfg, cfg.seed, timer=timer,
                               stage_writers=writers)
         result.table = labelled
@@ -624,6 +628,25 @@ def save_plan(plan, normals, pool, out):
         str(gap): n for gap, n in histogram.items()}),
         os.path.join(out, "plan.json"))
     write_feature_csv(pool, os.path.join(out, "resampled.csv"))
+
+
+# Every file that _stage_writers and _write_artifacts can write under
+# cfg.out_dir
+_RUN_OUTPUTS = (
+    "labels.csv", "label_report.json", "plan.json", "resampled.csv",
+    "features.csv", "split.csv", "scaler.json", "report.json",
+    "threshold.json", "percentile_table.csv", "loss_curve.csv",
+    "summary.csv") + tuple(os.path.join("models", "%s.json" % name)
+                           for name in ("autoencoder", "iforest", "lof",
+                                        "dbscan"))
+
+
+def _remove_outputs(out):
+    """Remove every file of _RUN_OUTPUTS that an earlier run left under
+    ``out``, so a run never leaves another run's files beside its own."""
+    for name in _RUN_OUTPUTS:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out, name))
 
 
 def _stage_writers(cfg, table, label_report, data):

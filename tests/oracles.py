@@ -7,8 +7,10 @@ the end the allocating autoencoder training loop and the rank loop that
 buffered and array code replaced, the per-model confidence-interval repeats
 the all-models-per-repeat ones replaced, the two table helpers only tests
 use, the per-model LOF neighbourhood sweep the shared neighbour pass
-replaced, and the scalar generator and csv.writer writers that the batched
-generator and the columnar CSV writer replaced. scipy/mpmath are test
+replaced, the scalar generator and csv.writer writers that the batched
+generator and the columnar CSV writer replaced, and the isolation-tree
+builder that calls the generator once per draw, which the replayed draws
+replaced. scipy/mpmath are test
 dependencies only and must never leak into src/.
 """
 
@@ -143,6 +145,57 @@ def isolation_mean_depths(trees, x):
                 depth += 1
             total[i] += depth + expected_path_length(tree["size"][node])
     return total / len(trees)
+
+
+def _rng_isolation_tree(x, rng, height_limit):
+    """One isolation tree as parallel node lists (feature -1 marks a leaf),
+    grown in preorder with one rng.integers and one rng.uniform call per
+    split."""
+    feature, threshold, left, right, size = [], [], [], [], []
+
+    def grow(idx, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        size.append(len(idx))
+        if depth >= height_limit or len(idx) <= 1:
+            return node
+        sub = x[idx]
+        lo = sub.min(axis=0)
+        hi = sub.max(axis=0)
+        usable = np.flatnonzero(hi > lo)
+        if len(usable) == 0:
+            return node
+        f = int(usable[rng.integers(len(usable))])
+        v = float(rng.uniform(lo[f], hi[f]))
+        go_left = sub[:, f] < v
+        feature[node] = f
+        threshold[node] = v
+        left[node] = grow(idx[go_left], depth + 1)
+        right[node] = grow(idx[~go_left], depth + 1)
+        return node
+
+    grow(np.arange(len(x)), 0)
+    return {"feature": feature, "threshold": threshold,
+            "left": left, "right": right, "size": size}
+
+
+def rng_isolation_trees(x, n_estimators, subsample, seed):
+    """The trees IsolationForest(n_estimators, subsample=subsample,
+    seed=seed).fit(x) grows, and its generator's state once they are
+    grown, drawing each tree's subsample and then its splits from the
+    generator itself."""
+    rng = np.random.default_rng(seed)
+    n = len(x)
+    sample_size = min(subsample, n)
+    height_limit = math.ceil(math.log2(sample_size))
+    trees = []
+    for _ in range(n_estimators):
+        idx = rng.choice(n, size=sample_size, replace=False)
+        trees.append(_rng_isolation_tree(x[idx], rng, height_limit))
+    return trees, rng.bit_generator.state
 
 
 def same_partition(a, b):

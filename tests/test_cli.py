@@ -117,6 +117,48 @@ def test_bad_generator_settings_exit_2(settings, flags, tmp_path):
     assert "data error" in proc.stderr
 
 
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+# Prints the thread variables after importing the package, then the thread
+# count of numpy's bundled OpenBLAS where that library is found
+_BLAS_PROBE = """
+import ctypes, glob, json, os, sys
+import telanom, numpy
+threads = None
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                              "numpy.libs", "*openblas*"))
+for lib in libs:
+    get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        threads = get()
+print(json.dumps([{v: os.environ.get(v) for v in sys.argv[1:]}, threads]))
+"""
+
+
+@pytest.mark.parametrize("openblas", [None, "2"], ids=["unset", "set"])
+def test_blas_runs_one_thread_unless_the_caller_chose(openblas):
+    """Importing telanom sets every BLAS thread variable the caller left
+    unset to 1, before numpy loads BLAS; one the caller set is kept."""
+    src = os.path.dirname(os.path.dirname(telanom.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if openblas:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE, *BLAS_THREAD_VARS],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen, threads = json.loads(proc.stdout)
+    want = dict.fromkeys(BLAS_THREAD_VARS, "1")
+    want["OPENBLAS_NUM_THREADS"] = openblas or "1"
+    assert seen == want
+    if threads is not None and not openblas:
+        assert threads == 1
+
+
 def test_bad_config_boolean_exits_2(dataset, tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(RUN_CFG_TEXT + "dump_features = ture\n")

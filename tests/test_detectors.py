@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 from oracles import (brute_force_lof, isolation_mean_depths,
-                     lof_neighbourhoods, reference_dbscan, same_partition)
+                     lof_neighbourhoods, reference_dbscan,
+                     rng_isolation_trees, same_partition)
 from scipy.spatial.distance import cdist
 from telanom import detectors
 from telanom.detectors import (MODEL_KINDS, Dbscan, IsolationForest,
@@ -226,6 +227,117 @@ def test_iforest_scores_do_not_depend_on_batching(monkeypatch):
     for rows in (1, 7):
         monkeypatch.setattr(detectors, "_FOREST_BLOCK_ROWS", rows)
         assert np.array_equal(model.scores(q), whole)
+
+
+def _fitted_with_rng(monkeypatch, model, x):
+    """``model`` fitted on ``x``, and the generator its fit drew from."""
+    made, real = [], np.random.default_rng
+
+    def recorded(seed):
+        made.append(real(seed))
+        return made[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recorded)
+        model.fit(x)
+    assert len(made) == 1
+    return model, made[0]
+
+
+def _assert_oracle_trees(monkeypatch, x, n_estimators=10, subsample=256,
+                         seed=0):
+    model, rng = _fitted_with_rng(monkeypatch, IsolationForest(
+        n_estimators=n_estimators, subsample=subsample, seed=seed), x)
+    trees, state = rng_isolation_trees(x, n_estimators, subsample, seed)
+    assert model.trees == trees
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_iforest_trees_match_the_rng_calling_builder(monkeypatch, seed):
+    """The replayed draws grow the trees the generator's own calls grow,
+    and leave the generator in the same state."""
+    rng = np.random.default_rng(70 + seed)
+    x = _blobs(rng, int(rng.integers(40, 400)), d=int(rng.integers(1, 12)))
+    _assert_oracle_trees(monkeypatch, x, n_estimators=8,
+                         subsample=int(rng.integers(2, 300)), seed=seed)
+
+
+def _odd_columns(rng, n):
+    x = _blobs(rng, n, d=5, spread=0.6, box=3.0)
+    x[:, 1] = 2.5                            # a constant column
+    x[n // 2:, 3] = x[:n - n // 2, 3]        # repeated values
+    if n > 2:
+        x[1::3] = x[0]                       # duplicate rows
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 39_000])
+def test_iforest_trees_match_the_rng_calling_builder_on_odd_rows(
+        monkeypatch, n):
+    rng = np.random.default_rng(90 + n)
+    x = _odd_columns(rng, n)
+    _assert_oracle_trees(monkeypatch, x, n_estimators=100 if n > 300 else 20,
+                         seed=n)
+    x[:, 2] = np.nan                         # a NaN column is never split
+    _assert_oracle_trees(monkeypatch, x, seed=n + 1)
+
+
+def test_iforest_constant_rows_match_the_rng_calling_builder(monkeypatch):
+    x = np.ones((50, 3))
+    _assert_oracle_trees(monkeypatch, x, seed=3)
+
+
+def _interleaved(rng, draws, ms, n, seed):
+    """``n`` integer and uniform draws, in an order and with bounds taken
+    from ``seed``, through ``draws`` (a Generator or a _Draws)."""
+    plan = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        if plan.random() < 0.5:
+            out.append(int(draws.integers(int(plan.choice(ms)))
+                           if draws is rng else
+                           draws.integer(int(plan.choice(ms)))))
+        else:
+            lo, hi = np.sort(plan.normal(scale=10.0, size=2))
+            out.append(float(draws.uniform(lo, hi)))
+    return out
+
+
+@pytest.mark.parametrize("ms", [
+    [1],
+    [1, 2, 3, 5, 11],
+    [1, 3 * 2 ** 30],                 # a quarter of draws are rejected
+    [2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32, 7]])
+@pytest.mark.parametrize("half", [False, True], ids=["fresh", "half-kept"])
+def test_replayed_draws_match_the_generator(ms, half):
+    """_Draws gives Generator.integers(m) and .uniform(lo, hi), interleaved,
+    and leaves the generator as those calls do, also when it starts with
+    a 32-bit half kept by rng.choice."""
+    for seed in range(10):
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half:
+            for rng in (want, got):
+                rng.choice(1000, size=7, replace=False)
+            assert got.bit_generator.state["has_uint32"] == 1
+        expected = _interleaved(want, want, ms, 600, 100 + seed)
+        with detectors._Draws(got) as draws:
+            drawn = _interleaved(got, draws, ms, 600, 100 + seed)
+        assert drawn == expected
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.integers(2 ** 40) == want.integers(2 ** 40)
+
+
+def test_replayed_uniform_refuses_an_infinite_range():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    for lo, hi in ((-np.inf, np.inf), (0.0, np.inf), (-1e308, 1e308)):
+        with pytest.raises(OverflowError) as numpys:
+            rng.uniform(lo, hi)
+        with pytest.raises(OverflowError) as replayed:
+            with detectors._Draws(rng) as draws:
+                draws.uniform(lo, hi)
+        assert str(replayed.value) == str(numpys.value)
+    assert rng.bit_generator.state == state
 
 
 # -- local outlier factor ----------------------------------------------------
@@ -739,6 +851,80 @@ def test_a_failing_split_sweep_leaves_no_child(monkeypatch, cpus, failing):
     t0 = time.monotonic()
     with pytest.raises(DataError, match="^the %s failed$" % failing):
         NeighbourPass(x, x, ks=[3]).neighbourhood(3)
+    assert time.monotonic() - t0 < 30
+    assert len(forks) == 1
+    _assert_no_child()
+
+
+def _forest_and_rows(n, n_estimators=100):
+    rng = np.random.default_rng(99)
+    x = _blobs(rng, 600, d=4, spread=0.6, box=3.0)
+    model = IsolationForest(n_estimators=n_estimators, seed=9).fit(x)
+    q = np.vstack([x, _blobs(rng, n, d=4, box=6.0)])[:n]
+    q[::17] = np.nan
+    return model, q
+
+
+def _walks(n):
+    return -(-n // detectors._FOREST_BLOCK_ROWS)
+
+
+@needs_fork
+@pytest.mark.parametrize("n", [255, 256, 257, 2 * 256 + 1, 5 * 256])
+def test_split_forest_walks_are_bit_identical(monkeypatch, cpus, n):
+    """Forest walks split at 256-row block edges give the one-process
+    walk's bits, on 1, 2 and 3 CPUs."""
+    model, q = _forest_and_rows(n, n_estimators=30)
+    cpus(1)
+    want = model.mean_depths(q)
+    assert want.tobytes() == isolation_mean_depths(model.trees, q).tobytes()
+    monkeypatch.setattr(detectors, "_SPLIT_PAIRS", 1)
+    for n_cpus in (1, 2, 3):
+        forks = cpus(n_cpus)
+        got = model.mean_depths(q)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert len(forks) == min(_walks(n), n_cpus) - 1
+        _assert_no_child()
+
+
+@needs_fork
+def test_forest_walks_split_from_the_floor(cpus):
+    """A walk of 100 trees splits from 2,500 rows: 250k row-trees, the
+    4M-pair floor of the distance sweeps at 16 pairs each."""
+    floor = detectors._SPLIT_PAIRS // (100 * detectors._WALK_PAIRS)
+    assert floor == 2500
+    model, q = _forest_and_rows(floor + 1)
+    cpus(1)
+    want = model.mean_depths(q)
+    for n_cpus in (1, 2, 3):
+        forks = cpus(n_cpus)
+        for rows in (floor - 1, floor, floor + 1):
+            got = model.mean_depths(q[:rows])
+            assert got.tobytes() == want[:rows].tobytes()
+        assert len(forks) == 2 * (n_cpus - 1)
+        _assert_no_child()
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", ["parent", "child"])
+def test_a_failing_forest_walk_leaves_no_child(monkeypatch, cpus, failing):
+    """Either side's error is the one raised; a child still walking when
+    the parent fails is killed and reaped."""
+    model, q = _forest_and_rows(4 * 256, n_estimators=10)
+    monkeypatch.setattr(detectors, "_SPLIT_PAIRS", 1)
+    forks = cpus(2)
+
+    def walk(self, x, start, stop, _fn=detectors._PackedForest._walk):
+        side = "parent" if start == 0 else "child"
+        if side == failing:
+            raise DataError("the %s failed" % side)
+        if side == "child":
+            time.sleep(60)
+        return _fn(self, x, start, stop)
+    monkeypatch.setattr(detectors._PackedForest, "_walk", walk)
+    t0 = time.monotonic()
+    with pytest.raises(DataError, match="^the %s failed$" % failing):
+        model.scores(q)
     assert time.monotonic() - t0 < 30
     assert len(forks) == 1
     _assert_no_child()

@@ -520,11 +520,12 @@ def test_forked_and_inline_runs_are_identical(tiny_labelled, tiny_csvs,
                        timer=lambda: 0.0)
         files.append(_files(out))
         shutil.rmtree(out)
-        # per run: the autoencoder's job, and the second half of the fit
-        # rows' pass against themselves; the test-row scorings are too
-        # small to split. run_experiment's stage files are written in the
-        # autoencoder's child, and its model files' writers add a third
-        assert len(forks) == (5 if n_cpus > 1 else 0)
+        # per run: the autoencoder's job, the second half of the fit
+        # rows' pass against themselves and of the forest's walk over its
+        # 2,943 fit rows; the test-row scorings are too small to split.
+        # run_experiment's stage files are written in the autoencoder's
+        # child, and its model files' writers add a fourth
+        assert len(forks) == (7 if n_cpus > 1 else 0)
         _assert_no_child()
     assert reports[0] == reports[1]
     assert files[0] == files[1]
@@ -638,9 +639,9 @@ _STAGE_FILES = ("labels.csv", "label_report.json", "plan.json",
 
 @needs_fork
 @pytest.mark.parametrize("models,forks_on", [
-    ("iforest", {2: 2, 3: 3}),
+    ("iforest", {2: 3, 3: 5}),
     ("autoencoder", {2: 2, 3: 3}),
-    ("autoencoder,iforest,lof,dbscan", {2: 3, 3: 5}),
+    ("autoencoder,iforest,lof,dbscan", {2: 4, 3: 7}),
 ], ids=["run-iforest", "threshold", "run-all"])
 def test_stage_files_on_one_two_and_three_cpus(tiny_csvs, tmp_path, cpus,
                                                models, forks_on):
@@ -660,7 +661,8 @@ def test_stage_files_on_one_two_and_three_cpus(tiny_csvs, tmp_path, cpus,
         shutil.rmtree(out)
         # the run's child (stage files, and the autoencoder's job beside
         # classical models), one per further share of the model files'
-        # writers, and the split sweeps of the LOF/DBSCAN fit rows' pass
+        # writers, the split sweeps of the LOF/DBSCAN fit rows' pass and
+        # the split walk of the forest's 2,943 fit rows
         assert len(forks) == forks_on.get(n_cpus, 0)
         _assert_no_child()
     assert files[0] == files[1] == files[2]
@@ -781,8 +783,9 @@ def test_a_failing_stage_writer_leaves_the_other_files_whole(
     out = tmp_path / "two"
     assert main(argv + ["--out", str(out)]) == 2
     assert "data error: cannot write %s" % raised in capsys.readouterr().err
-    # the stage files' child; the model files' writers are never dealt
-    assert len(forks) == 1
+    # the stage files' child and the second half of the forest's walk
+    # over its 2,943 fit rows; the model files' writers are never dealt
+    assert len(forks) == 2
     _assert_no_child()
     left = _files(out)
     before = {"labels.csv": [],
@@ -821,6 +824,60 @@ def test_run_experiment_writes_artifacts(tiny_csvs, tmp_path):
     # scaler.json holds the bytes json.dump writes
     assert (out / "scaler.json").read_text() == json.dumps(
         result.scaler.to_json()) + "\n"
+
+
+def _every_output_cfg(tiny_csvs, out):
+    """A four-model auto run with dump_features: every output of run."""
+    det, sta = tiny_csvs
+    return _fast_cfg(models="autoencoder,iforest,lof,dbscan",
+                     resample_interval="auto", max_points=2500,
+                     input_csv=det, station_csv=sta, out_dir=str(out),
+                     dump_features=True)
+
+
+def test_run_outputs_are_every_file_a_run_writes(tiny_csvs, tmp_path):
+    out = tmp_path / "out"
+    run_experiment(_every_output_cfg(tiny_csvs, out), timer=lambda: 0.0)
+    assert sorted(_files(out)) == sorted(pipeline._RUN_OUTPUTS)
+
+
+def test_a_run_leaves_no_file_of_an_earlier_run(tiny_csvs, tmp_path):
+    """An iforest-only run without resampling into the directory of a
+    four-model run leaves exactly the files of a fresh run."""
+    out = tmp_path / "out"
+    second = dataclasses.replace(_every_output_cfg(tiny_csvs, out),
+                                 models="iforest", resample_interval="none",
+                                 dump_features=False)
+    run_experiment(second, timer=lambda: 0.0)
+    fresh = _files(out)
+    assert "plan.json" not in fresh and "models/lof.json" not in fresh
+    run_experiment(_every_output_cfg(tiny_csvs, out), timer=lambda: 0.0)
+    run_experiment(second, timer=lambda: 0.0)
+    assert _files(out) == fresh
+
+
+def test_a_failed_run_leaves_no_file_of_an_earlier_run(tiny_csvs, tmp_path,
+                                                       monkeypatch):
+    """A run that fails writing iforest.json into the directory of a
+    four-model run leaves only whole files of its own."""
+    out = tmp_path / "out"
+    second = dataclasses.replace(_every_output_cfg(tiny_csvs, out),
+                                 models="iforest,dbscan", seed=6)
+    run_experiment(second, timer=lambda: 0.0)
+    whole = _files(out)
+    run_experiment(_every_output_cfg(tiny_csvs, out), timer=lambda: 0.0)
+
+    def save_model(model, path, _fn=pipeline.save_model):
+        if path.endswith("iforest.json"):
+            raise DataError("cannot write iforest.json")
+        return _fn(model, path)
+    monkeypatch.setattr(pipeline, "save_model", save_model)
+    with pytest.raises(DataError, match="cannot write iforest.json"):
+        run_experiment(second, timer=lambda: 0.0)
+    left = _files(out)
+    assert "models/iforest.json" not in left and "report.json" not in left
+    assert set(_STAGE_FILES) <= set(left)
+    _assert_whole(left, whole)
 
 
 def test_ci_repeats_equal_one_run_per_model(tiny_csvs, tmp_path):
