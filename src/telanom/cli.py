@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -154,8 +153,7 @@ def cmd_tune(args):
     cfg = _load_config(args)
     grid = DEFAULT_GRIDS[args.model]
     if args.grid:
-        with open(args.grid) as f:
-            grid = json.load(f)
+        grid = load_json(args.grid, dict)
 
     # candidates fit on run's training rows and are scored on its labelled
     # validation rows; the test rows stay out
@@ -296,7 +294,7 @@ def main(argv=None):
         if e.message:
             print("error: %s" % e.message, file=sys.stderr)
         return e.code
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (DataError, FileNotFoundError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

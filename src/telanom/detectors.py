@@ -348,31 +348,34 @@ class _PackedForest:
         self.children = np.column_stack([np.where(leaf, node, left),
                                          np.where(leaf, node, right)]).ravel()
 
-    def mean_depths(self, x):
-        """Each row's path length averaged over the trees. The leaf values
-        are summed tree by tree in tree order, so the means are
-        bit-identical to walking the trees one at a time. The rows are
+    def mean_depths(self, x, sizes):
+        """For each t of ``sizes``: each row's path length averaged over the
+        first t trees, the mean depths of a forest of those t trees. The
+        leaf values are summed tree by tree in tree order, and the sum is
+        read after tree t, so the means are bit-identical to walking the t
+        trees one at a time, and one walk serves every t. The rows are
         split across the CPUs by ``_split_sweep``."""
         n, width = x.shape
         if width < self.width:
             raise DataError("the forest splits on feature %d; rows have %d"
                             % (self.width - 1, width))
-        n_trees = len(self.roots)
-        total, = _split_sweep(functools.partial(self._walk, x), n,
-                              _FOREST_BLOCK_ROWS, n * n_trees * _WALK_PAIRS)
-        return total / n_trees
+        totals = _split_sweep(functools.partial(self._walk, x, sizes), n,
+                              _FOREST_BLOCK_ROWS,
+                              n * len(self.roots) * _WALK_PAIRS)
+        return [total / t for total, t in zip(totals, sizes)]
 
-    def _walk(self, x, start, stop):
+    def _walk(self, x, sizes, start, stop):
         """[the leaf values of the rows of ``x`` from ``start`` to ``stop``,
-        summed over the trees]."""
+        summed over the first t trees] for each t of ``sizes``."""
         width = x.shape[1]
         n_trees = len(self.roots)
+        reads = np.asarray(sizes, dtype=np.intp) - 1
         rows = max(1, min(stop - start, _FOREST_BLOCK_ROWS))
         buffers = (np.empty(n_trees * rows, np.intp),
                    np.empty(n_trees * rows, np.intp),
                    np.empty(n_trees * rows), np.empty(n_trees * rows),
                    np.empty(n_trees * rows, bool))
-        total = np.empty(stop - start)
+        totals = np.empty((len(reads), stop - start))
         # mode="clip": every index is in range by construction, and the
         # default mode="raise" copies through a buffer when given out=
         for lo in range(start, stop, rows):
@@ -395,8 +398,8 @@ class _PackedForest:
                 np.take(self.children, node, out=node, mode="clip")
             np.take(self.value, node, out=v, mode="clip")
             np.cumsum(v, axis=0, out=v)
-            total[lo - start:hi - start] = v[-1]
-        return [total]
+            totals[:, lo - start:hi - start] = v[reads]
+        return list(totals)
 
 
 _LOW_HALF = 0xFFFFFFFF
@@ -484,6 +487,13 @@ class IsolationForest(_Detector):
     generator's own draws replayed. Scoring walks the trees as one
     ``_PackedForest``, packed whenever ``trees`` is set: once per fit or
     load.
+
+    ``fit`` grows the trees, and the threshold is taken from the training
+    rows' scores on its first read; the model keeps the rows till then.
+    Fits of one seed and subsample draw the same trees in the same order,
+    so the first t trees of a fit are a t-tree fit's trees, and
+    ``prefix_scores`` scores every such forest from one walk: a grid reads
+    all its tree counts off one fit.
     """
 
     kind = "iforest"
@@ -507,6 +517,19 @@ class IsolationForest(_Detector):
         # scalar configuration constants: estimators, contamination,
         # subsample, seed, fitted threshold
         return 5
+
+    @property
+    def threshold(self):
+        if self._fit_x is not None:
+            x, self._fit_x = self._fit_x, None
+            self._threshold = contamination_threshold(self.scores(x),
+                                                      self.contamination)
+        return self._threshold
+
+    @threshold.setter
+    def threshold(self, threshold):
+        self._fit_x = None
+        self._threshold = threshold
 
     @property
     def trees(self):
@@ -568,17 +591,30 @@ class IsolationForest(_Detector):
             idx = rng.choice(n, size=self.sample_size, replace=False)
             trees.append(self._build_tree(x[idx], rng, height_limit))
         self.trees = trees
-        self.threshold = contamination_threshold(self.scores(x),
-                                                 self.contamination)
+        self._fit_x = x
         return self
 
     def mean_depths(self, rows):
-        if self._forest is None:
-            raise DataError("model is not fitted")
-        return self._forest.mean_depths(_as_matrix(rows))
+        return self._prefix_depths(rows)[0]
 
     def scores(self, rows):
         return scores_from_mean_depths(self.mean_depths(rows), self.sample_size)
+
+    def prefix_scores(self, rows, sizes):
+        """For each t of ``sizes``: the scores of the forest of the first t
+        trees, which are a t-tree fit's scores (its threshold being the
+        contamination threshold of its scores of the training rows). One
+        walk of the rows serves every t."""
+        return [scores_from_mean_depths(depths, self.sample_size)
+                for depths in self._prefix_depths(rows, sizes)]
+
+    def _prefix_depths(self, rows, sizes=None):
+        # the mean depths over the first t trees for each t of sizes, or
+        # over all the trees
+        if self._forest is None:
+            raise DataError("model is not fitted")
+        return self._forest.mean_depths(_as_matrix(rows),
+                                        sizes or [len(self.trees)])
 
     def to_json(self):
         return {
@@ -728,6 +764,12 @@ class Dbscan(_Detector):
     nearest core point within eps (a deterministic, order-independent border
     rule), otherwise it is noise. Training noise is anomalous. A new row is
     predicted normal iff it lies within eps of any core point.
+
+    ``fit`` finds the core points, which are all that scoring reads. The
+    clusters (``core_labels``, ``n_clusters`` and the training rows'
+    ``labels_``) are made by ``cluster``, on their first read; the model
+    keeps its fit rows till then. A loaded model reads ``core_labels`` and
+    ``n_clusters`` from its file and has no ``labels_``.
     """
 
     kind = "dbscan"
@@ -742,9 +784,10 @@ class Dbscan(_Detector):
         self.eps = float(eps)
         self.min_pts = int(min_pts)
         self.core_points = None
-        self.core_labels = None
-        self.labels_ = None       # training cluster ids, NOISE for noise
-        self.n_clusters = None
+        self._unclustered = None  # (fit rows, core mask) till clustered
+        self._core_labels = None
+        self._labels = None       # training cluster ids, NOISE for noise
+        self._n_clusters = None
         # a row further than eps from every core point is anomalous
         self.threshold = self.eps
 
@@ -753,21 +796,41 @@ class Dbscan(_Detector):
         # scalar configuration constants: eps, min_pts
         return 2
 
+    @property
+    def core_labels(self):
+        return self.cluster()._core_labels
+
+    @property
+    def labels_(self):
+        return self.cluster()._labels
+
+    @property
+    def n_clusters(self):
+        return self.cluster()._n_clusters
+
     def fit(self, rows, neighbours=None):
         """``neighbours``: a NeighbourPass of the rows against themselves
         that covers this eps; one is made when not given."""
         x = _as_matrix(rows)
-        n = len(x)
-        eps2 = self.eps * self.eps
         if neighbours is None:
             neighbours = NeighbourPass(x, x, radii=[self.eps])
         core_mask = neighbours.counts(self.eps) >= self.min_pts
+        self.core_points = x[np.flatnonzero(core_mask)]
+        self._unclustered = (x, core_mask)
+        self._core_labels = self._labels = self._n_clusters = None
+        return self
 
-        core_idx = np.flatnonzero(core_mask)
-        core_x = x[core_idx]
-        comp = np.full(len(core_idx), -1)
+    def cluster(self):
+        """Cluster the fit rows, once, and let them go; returns the
+        model."""
+        if self._unclustered is None:
+            return self
+        x, core_mask = self._unclustered
+        eps2 = self.eps * self.eps
+        core_x = self.core_points
+        comp = np.full(len(core_x), -1)
         n_comp = 0
-        for seed in range(len(core_idx)):
+        for seed in range(len(core_x)):
             if comp[seed] >= 0:
                 continue
             frontier = np.array([seed])
@@ -782,18 +845,18 @@ class Dbscan(_Detector):
                 comp[frontier] = n_comp
             n_comp += 1
 
-        labels = np.full(n, self.NOISE)
-        labels[core_idx] = comp
+        labels = np.full(len(x), self.NOISE)
+        labels[core_mask] = comp
         non_core = np.flatnonzero(~core_mask)
-        if len(core_idx) and len(non_core):
+        if len(core_x) and len(non_core):
             nearest, d2 = _nearest(x[non_core], core_x)
             within = d2 <= eps2
             labels[non_core[within]] = comp[nearest[within]]
 
-        self.core_points = core_x
-        self.core_labels = comp
-        self.labels_ = labels
-        self.n_clusters = n_comp
+        self._core_labels = comp
+        self._labels = labels
+        self._n_clusters = n_comp
+        self._unclustered = None
         return self
 
     def scores(self, rows):
@@ -827,10 +890,10 @@ class Dbscan(_Detector):
             model.core_points = np.empty((0, 1))
         else:
             model.core_points = _array(obj, "core_points", 2)
-        model.core_labels = _array(obj, "core_labels", 1, dtype=np.int64)
+        model._core_labels = _array(obj, "core_labels", 1, dtype=np.int64)
         if len(model.core_labels) != len(model.core_points):
             raise DataError("core_points and core_labels differ in length")
-        model.n_clusters = _number(obj, "n_clusters", integer=True)
+        model._n_clusters = _number(obj, "n_clusters", integer=True)
         return model
 
 

@@ -13,11 +13,29 @@ class DataError(Exception):
     """Malformed or inconsistent input data (CLI exit code 2)."""
 
 
+@contextlib.contextmanager
+def read_file(path, **kwargs):
+    """``open(path, **kwargs)`` for reading text: the opener of every input
+    file. A path that cannot be opened as a readable file and bytes that
+    do not decode are DataErrors that name the file."""
+    try:
+        f = open(path, **kwargs)
+    except OSError as e:
+        raise DataError("%s: cannot read: %s" % (path, e.strerror or e)) \
+            from None
+    with f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise DataError("%s: undecodable bytes: %s" % (path, e)) \
+                from None
+
+
 def load_json(path, read):
     """``read(obj)`` of the JSON object ``obj`` in the file at ``path``. A
-    file that holds no JSON object, a key ``read`` misses and a DataError
-    of ``read`` are DataErrors that name the file."""
-    with open(path) as f:
+    file that cannot be read, holds no JSON object, a key ``read`` misses
+    and a DataError of ``read`` are DataErrors that name the file."""
+    with read_file(path) as f:
         try:
             obj = json.load(f)
         except ValueError as e:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, whole_file
+from .errors import DataError, read_file, whole_file
 
 log = logging.getLogger(__name__)
 
@@ -192,7 +192,7 @@ def _check_header(fieldnames, required, path):
 
 
 def load_station_map(path):
-    with open(path, newline="") as f:
+    with read_file(path, newline="") as f:
         reader = csv.DictReader(f)
         _check_header(reader.fieldnames, STATION_COLUMNS, path)
         rows = []
@@ -300,7 +300,7 @@ def parse_csv(path, station_map):
     is an error.
     """
     report = ParseReport()
-    with open(path, newline="") as f:
+    with read_file(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         _check_header(header, DETECTION_COLUMNS, path)

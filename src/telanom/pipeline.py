@@ -30,10 +30,11 @@ from .child import _in_child, run_all
 from .detectors import (MODEL_PARAMS, NeighbourPass, build_model, load_model,
                         save_model)
 from .errors import (DataError, LeakageError, _number, load_json,
-                     remove_temporaries, whole_file)
+                     read_file, remove_temporaries, whole_file)
 from .features import FeatureTable, Scaler, engineer_tracks, write_feature_csv
 from .ingest import parse_csv, load_station_map, deduplicate, group_tracks
-from .labelling import label_all, write_label_csv
+from .labelling import (CRIT_SINGLE_STATION, CRIT_SKIPPED, CRIT_STATIONARY,
+                         label_all, write_label_csv)
 from .metrics import (confusion, compute_metrics, reshuffle_ci, roc_auc,
                       save_report, write_summary_csv)
 from .resampling import collect_candidates, fixed_plan, plan_for, resample
@@ -132,7 +133,7 @@ class RunConfig:
         values = {}
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         defaults = cls()
-        with open(path) as fh:
+        with read_file(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -390,17 +391,34 @@ def prepare_training(labelled, cfg, seed):
                         seed)
 
 
-def _model_entry(name, model, x_test, y_test, interval):
-    """Score the test rows once; the model's report entry, less its
-    runtime_s."""
+def _per_criterion(predicted, test):
+    """For each labelling criterion, keyed as in label_report.json: the
+    test anomalies it marks, how many of them were missed (predicted
+    normal), and that fraction, None where it marks none."""
+    out = {}
+    for key, bit in (("1", CRIT_SINGLE_STATION), ("2", CRIT_STATIONARY),
+                     ("3", CRIT_SKIPPED)):
+        marked = (test.criterion_mask & bit) != 0
+        n = int(marked.sum())
+        missed = int((predicted[marked] == 1).sum())
+        out[key] = {"anomalies": n, "missed": missed,
+                    "fn_fraction": missed / n if n else None}
+    return out
+
+
+def _model_entry(name, model, x_test, test, interval):
+    """Score the test rows of the table ``test`` once; the model's report
+    entry, less its runtime_s."""
     scores = model.scores(x_test)
-    cm, m = _evaluate(flag(scores, model.threshold), scores, y_test)
+    predicted = flag(scores, model.threshold)
+    cm, m = _evaluate(predicted, scores, test.label)
     return {"model": name, "resample_interval": interval,
-            "confusion": cm.to_json(), "metrics": m, "ci": None,
+            "confusion": cm.to_json(), "metrics": m,
+            "per_criterion": _per_criterion(predicted, test), "ci": None,
             "n_parameters": model.n_parameters}
 
 
-def _autoencoder_job(data, cfg, x_test, y_test, interval, model_seed, timer):
+def _autoencoder_job(data, cfg, x_test, test, interval, model_seed, timer):
     """The autoencoder's part of a run, which shares nothing with the
     classical models': trained on normal rows, thresholded on labelled
     ones, then scored on the test rows. Returns (model, loss curve,
@@ -413,7 +431,7 @@ def _autoencoder_job(data, cfg, x_test, y_test, interval, model_seed, timer):
     table = build_table(model.scores(data.val_x), data.val_y)
     threshold = select_threshold(table)
     model.threshold = threshold.threshold
-    entry = _model_entry("autoencoder", model, x_test, y_test, interval)
+    entry = _model_entry("autoencoder", model, x_test, test, interval)
     entry["runtime_s"] = timer() - t0
     entry["threshold"] = threshold.to_json()
     return model, loss_curve, table, threshold, entry
@@ -428,9 +446,11 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
     this one fits the classical models, or here where there are none.
     ``stage_writers(data)``, where given, lists writers of files that
     depend on no model; they run in that child too, after the
-    autoencoder's job. Every result, and the first error raised, is the
-    same as when all of it runs one after another: the models, then the
-    stage writers.
+    autoencoder's job. A run given them saves its models, so DBSCAN's
+    clusters are made in the model loop; elsewhere (the confidence-interval
+    repeats) only a read of them makes them. Every result, and the first
+    error raised, is the same as when all of it runs one after another:
+    the models, then the stage writers.
     """
     data = prepare_training(labelled, cfg, seed)
     interval = data.plan.delta_t if data.plan else "none"
@@ -452,8 +472,8 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
             data.fit_x
     job = None
     if "autoencoder" in names:
-        job = functools.partial(_autoencoder_job, data, cfg, x_test,
-                                test.label, interval, model_seed, timer)
+        job = functools.partial(_autoencoder_job, data, cfg, x_test, test,
+                                interval, model_seed, timer)
     in_child = [job] if job and classical else []
     writers = stage_writers(data) if stage_writers else []
 
@@ -477,9 +497,13 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
                             radii=[cfg.dbscan_eps] if "dbscan" in names
                             else [])
                     model.fit(data.fit_x, neighbours=neighbours)
+                if name == "dbscan" and stage_writers:
+                    # the run saves dbscan.json, which holds the clusters:
+                    # they are made here, while the autoencoder's child
+                    # trains, not in the file's writer
+                    model.cluster()
                 result.models[name] = model
-                entry = _model_entry(name, model, x_test, test.label,
-                                     interval)
+                entry = _model_entry(name, model, x_test, test, interval)
                 entry["runtime_s"] = timer() - t0
                 model_reports[name] = entry
         except Exception:
@@ -605,7 +629,7 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
                 os.path.join(models_dir, "threshold.json"),
                 lambda obj: _number(obj, "threshold"))
         try:
-            reports[name] = _model_entry(name, model, x_test, test.label,
+            reports[name] = _model_entry(name, model, x_test, test,
                                          interval)
         except DataError as e:
             raise DataError("%s: %s" % (path, e)) from None

@@ -106,6 +106,20 @@ def _fitted_scores(build, train_x, val_x, **fit_args):
     return model.threshold, model.scores(val_x)
 
 
+def _forest_scores(build, reads, train_x, val_x):
+    """The (threshold, validation scores) of the forest candidates of one
+    subsample, a pair for each (n_estimators, contamination) of ``reads``,
+    from one fit: ``build()`` makes the candidate with the most trees, and
+    the first t of its trees are a t-tree candidate's. One walk of the
+    training rows and one of the validation rows serve every t."""
+    model = _fitted(build, train_x)
+    sizes = sorted({t for t, _ in reads})
+    train = dict(zip(sizes, model.prefix_scores(train_x, sizes)))
+    val = dict(zip(sizes, model.prefix_scores(val_x, sizes)))
+    return [(contamination_threshold(train[t], contamination), val[t])
+            for t, contamination in reads]
+
+
 def _lof_scores(build, train_x, val_x, fit, val):
     """A LOF candidate's training LOF values and validation scores, read
     off the neighbour passes ``fit`` and ``val``."""
@@ -117,22 +131,37 @@ def _thresholded_scores(kind, models, builds, train_x, val_x):
     """Every classical candidate's (threshold, validation scores), in
     candidate order. ``models`` are the unfitted candidates, and
     ``builds[i]()`` makes candidate i again for its fit, so that no fitted
-    model outlives the scores taken from it. Each distinct fit is one job
-    of run_all, and what the candidates share is made here before any job
-    is dealt.
+    model outlives the scores taken from it. Each distinct fit is made
+    once, as one job of run_all, and what the candidates share is made
+    here before any job is dealt. A fit computes only what the candidates
+    are ranked on.
 
-    LOF's contamination only sets the threshold over the training LOF
-    values, so LOF candidates of one k share a fit and its validation
-    scores. Those fits only read one neighbour pass of the training rows
-    and one of the validation rows, for every k, and are made here. A
-    DBSCAN candidate's threshold is its eps and its scores are the
-    distances to its core points, the training rows with ``counts[eps] >=
-    min_pts`` in one count pass for every eps, so candidates with one core
-    mask share a fit and its validation scores.
+    Isolation-forest candidates of one subsample share one forest, grown
+    to their most trees from the grid's one seed: a candidate's threshold
+    and scores are read off its first n_estimators trees, and its
+    contamination only sets the threshold over the training scores. LOF's
+    contamination only sets the threshold over the training LOF values, so
+    LOF candidates of one k share a fit and its validation scores. Those
+    fits only read one neighbour pass of the training rows and one of the
+    validation rows, for every k, and are made here. A DBSCAN candidate's
+    threshold is its eps and its scores are the distances to its core
+    points, the training rows with ``counts[eps] >= min_pts`` in one count
+    pass for every eps, so candidates with one core mask share a fit and
+    its validation scores; no fit clusters.
     """
     if kind == "iforest":
-        return run_all([functools.partial(_fitted_scores, build, train_x,
-                                          val_x) for build in builds])
+        groups = {}
+        for i, model in enumerate(models):
+            groups.setdefault(model.subsample, []).append(i)
+        groups = list(groups.values())
+        outcomes = run_all([functools.partial(
+            _forest_scores,
+            builds[max(group, key=lambda i: models[i].n_estimators)],
+            [(models[i].n_estimators, models[i].contamination)
+             for i in group], train_x, val_x) for group in groups])
+        scored = {i: pair for group, outcome in zip(groups, outcomes)
+                  for i, pair in zip(group, outcome)}
+        return [scored[i] for i in range(len(models))]
     if kind == "lof":
         ks = [model.k for model in models]
         fit = NeighbourPass(train_x, train_x, ks=ks, self_excluded=True)

@@ -10,7 +10,8 @@ use, the per-model LOF neighbourhood sweep the shared neighbour pass
 replaced, the scalar generator and csv.writer writers that the batched
 generator and the columnar CSV writer replaced, and the isolation-tree
 builder that calls the generator once per draw, which the replayed draws
-replaced. scipy/mpmath are test
+replaced, and DBSCAN's clustering as its fit made it, before the clusters
+were made on first read. scipy/mpmath are test
 dependencies only and must never leak into src/.
 """
 
@@ -23,7 +24,7 @@ import mpmath
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from telanom.detectors import _sq_dist_blocks, expected_path_length
+from telanom.detectors import _nearest, _sq_dist_blocks, expected_path_length
 from telanom.errors import TrainingError
 from telanom.features import (CONTINUOUS_DIMS, FEATURE_NAMES, STEPWISE_DIMS,
                               FeatureTable, haversine_km)
@@ -124,6 +125,44 @@ def reference_dbscan(x, eps, min_pts):
         if dists[j] <= eps:
             labels[i] = labels[core_idx[j]]
     return labels
+
+
+def eager_dbscan(x, eps, min_pts):
+    """(core_labels, labels_, n_clusters) as Dbscan(eps, min_pts).fit(x)
+    made them when it clustered at once: the core mask from one count
+    sweep, components by frontier sweeps over the core points in index
+    order, and each border row's nearest core within eps."""
+    x = np.asarray(x, dtype=np.float64)
+    eps2 = eps * eps
+    counts = np.zeros(len(x), dtype=np.int64)
+    for lo, hi, d2 in _sq_dist_blocks(x, x):
+        counts[lo:hi] = np.count_nonzero(d2 <= eps2, axis=1)
+    core_idx = np.flatnonzero(counts >= min_pts)
+    core_x = x[core_idx]
+    comp = np.full(len(core_idx), -1)
+    n_comp = 0
+    for seed in range(len(core_idx)):
+        if comp[seed] >= 0:
+            continue
+        frontier = np.array([seed])
+        comp[seed] = n_comp
+        while len(frontier):
+            remaining = np.flatnonzero(comp < 0)
+            reached = np.zeros(len(remaining), dtype=bool)
+            for _, _, d2 in _sq_dist_blocks(core_x[frontier],
+                                            core_x[remaining]):
+                reached |= (d2 <= eps2).any(axis=0)
+            frontier = remaining[reached]
+            comp[frontier] = n_comp
+        n_comp += 1
+    labels = np.full(len(x), -1)
+    labels[core_idx] = comp
+    non_core = np.flatnonzero(counts < min_pts)
+    if len(core_idx) and len(non_core):
+        nearest, d2 = _nearest(x[non_core], core_x)
+        within = d2 <= eps2
+        labels[non_core[within]] = comp[nearest[within]]
+    return comp, labels, n_comp
 
 
 def isolation_mean_depths(trees, x):

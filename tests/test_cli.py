@@ -167,12 +167,47 @@ def test_bad_config_boolean_exits_2(dataset, tmp_path, capsys):
     assert "typo.cfg:6: bad value 'ture'" in capsys.readouterr().err
 
 
-def test_internal_errors_exit_3(dataset, tmp_path, capsys):
-    # a directory where a file is expected is not a modelled failure
-    assert main(["label", "--input", dataset["dir"],
-                 "--stations", dataset["stations"],
-                 "--out", str(tmp_path / "o")]) == 3
-    assert "internal error" in capsys.readouterr().err
+def test_internal_errors_exit_3(dataset, tmp_path, capsys, monkeypatch):
+    # an error of the program's own, not of its inputs
+    def broken(table):
+        raise RuntimeError("labeller broke")
+    monkeypatch.setattr(telanom.pipeline, "label_all", broken)
+    assert main(["label"] + _data_args(dataset, str(tmp_path / "o"))) == 3
+    assert ("internal error: RuntimeError: labeller broke"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("reader", ["input", "stations", "config", "grid",
+                                    "synth-config", "models-dir"])
+@pytest.mark.parametrize("fault", ["undecodable", "directory"])
+def test_unreadable_input_files_exit_2(dataset, tmp_path, capsys, reader,
+                                       fault):
+    """Each reader of an input file: bytes that do not decode, and a
+    directory where the file should be, are data errors that name it."""
+    bad = tmp_path / "bad"
+    if fault == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"key = \xff\xfe\xc3(\n")
+    argv = {"input": ["run", "--input", str(bad), "--stations",
+                      dataset["stations"]],
+            "stations": ["run", "--input", dataset["detections"],
+                         "--stations", str(bad)],
+            "config": ["run", "--config", str(bad)] + _data_args(
+                dataset, str(tmp_path / "o"))[:4],
+            "grid": ["tune", "--model", "lof", "--grid", str(bad)]
+            + _data_args(dataset, str(tmp_path / "o"))[:4],
+            "synth-config": ["synth", "--config", str(bad)],
+            "models-dir": ["evaluate", "--models-dir", str(tmp_path)]
+            + _data_args(dataset, str(tmp_path / "o"))[:4]}[reader]
+    if reader == "models-dir":
+        # evaluate's first read is the run's report.json
+        bad.rename(tmp_path / "report.json")
+        bad = tmp_path / "report.json"
+    code = main(argv + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error: %s: " % bad), err
 
 
 def test_ingest_subcommand(dataset, tmp_path):
@@ -468,7 +503,7 @@ def test_tune_rejects_unknown_and_bad_grid_parameters(dataset, tmp_path,
     grid = tmp_path / "grid.json"
     for model, content, key in (("lof", {"kk": [5, 50]}, "'kk'"),
                                 ("lof", {"k": ["5"]}, "k must be"),
-                                ("dbscan", [0.5], "grid must map")):
+                                ("dbscan", [0.5], "expected a JSON object")):
         grid.write_text(json.dumps(content))
         capsys.readouterr()
         code = main(["tune", "--model", model, "--grid", str(grid),

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from telanom.detectors import (MODEL_KINDS, Dbscan, IsolationForest,
                                expected_path_length, harmonic, load_model,
                                save_model, scores_from_mean_depths)
 from telanom.errors import DataError
-from telanom.thresholding import flag
+from telanom.thresholding import contamination_threshold, flag
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -500,6 +501,55 @@ def test_dbscan_json_round_trip(tmp_path):
     assert np.array_equal(back.predict(q), model.predict(q))
 
 
+_CLUSTER_READS = ("labels_", "core_labels", "n_clusters")
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(
+    _CLUSTER_READS)), ids="-".join)
+def test_dbscan_clusters_are_made_on_first_read(order, tmp_path):
+    """Scoring needs no clusters. Read in any order, before or after
+    scoring and after a save and a load, the clusters are the ones fit
+    made when it clustered at once; the fit rows go once they are made."""
+    rng = np.random.default_rng(36)
+    x = _blobs(rng, 150, d=3, spread=0.6, box=4.0)
+    x[:40:2] = x[1:40:2]                       # duplicate rows
+    q = _blobs(rng, 20, d=3, spread=1.0, box=5.0)
+    for eps, min_pts in ((1.0, 4), (0.3, 3), (0.05, 2), (0.05, 3)):
+        core_labels, labels, n_clusters = oracles.eager_dbscan(x, eps,
+                                                               min_pts)
+        want = {"labels_": labels, "core_labels": core_labels,
+                "n_clusters": n_clusters}
+        model = Dbscan(eps=eps, min_pts=min_pts).fit(x)
+        scores = model.scores(q)
+        assert model._unclustered is not None
+        for name in order:
+            got = getattr(model, name)
+            assert np.asarray(got).dtype == np.asarray(want[name]).dtype
+            assert np.array_equal(got, want[name]), name
+            assert model._unclustered is None
+        assert np.array_equal(model.scores(q), scores)
+        path = str(tmp_path / "db.json")
+        save_model(model, path)
+        back = load_model(path)
+        assert back.labels_ is None
+        assert np.array_equal(back.core_labels, core_labels)
+        assert back.n_clusters == n_clusters
+        assert np.array_equal(back.scores(q), scores)
+
+
+def test_unclustered_dbscan_saves_its_clusters(tmp_path):
+    # save_model reads the clusters of a model that never made them
+    x = _blobs(np.random.default_rng(37), 100, d=4, spread=0.5, box=3.0)
+    fresh = Dbscan(eps=1.0, min_pts=4).fit(x)
+    clustered = Dbscan(eps=1.0, min_pts=4).fit(x).cluster()
+    save_model(fresh, str(tmp_path / "fresh.json"))
+    save_model(clustered, str(tmp_path / "clustered.json"))
+    assert ((tmp_path / "fresh.json").read_bytes()
+            == (tmp_path / "clustered.json").read_bytes())
+    assert oracles.eager_dbscan(x, 1.0, 4)[2] == load_model(
+        str(tmp_path / "fresh.json")).n_clusters > 1
+
+
 def test_dbscan_validation():
     with pytest.raises(DataError):
         Dbscan(eps=0.0)
@@ -914,13 +964,14 @@ def test_a_failing_forest_walk_leaves_no_child(monkeypatch, cpus, failing):
     monkeypatch.setattr(detectors, "_SPLIT_PAIRS", 1)
     forks = cpus(2)
 
-    def walk(self, x, start, stop, _fn=detectors._PackedForest._walk):
+    def walk(self, x, sizes, start, stop,
+             _fn=detectors._PackedForest._walk):
         side = "parent" if start == 0 else "child"
         if side == failing:
             raise DataError("the %s failed" % side)
         if side == "child":
             time.sleep(60)
-        return _fn(self, x, start, stop)
+        return _fn(self, x, sizes, start, stop)
     monkeypatch.setattr(detectors._PackedForest, "_walk", walk)
     t0 = time.monotonic()
     with pytest.raises(DataError, match="^the %s failed$" % failing):
@@ -928,6 +979,67 @@ def test_a_failing_forest_walk_leaves_no_child(monkeypatch, cpus, failing):
     assert time.monotonic() - t0 < 30
     assert len(forks) == 1
     _assert_no_child()
+
+
+@needs_fork
+@pytest.mark.parametrize("n", [255, 256, 257, 2 * 256 + 1])
+def test_prefix_walks_are_the_walks_of_smaller_forests(monkeypatch, cpus,
+                                                       n):
+    """One walk read after tree t gives a t-tree forest's mean depths, bit
+    for bit, at the walk's block edges, whole or split on 1, 2 and 3
+    CPUs."""
+    model, q = _forest_and_rows(n, n_estimators=30)
+    sizes = [1, 7, 20, 30]
+    want = [isolation_mean_depths(model.trees[:t], q) for t in sizes]
+    alone = [detectors._PackedForest(model.trees[:t]).mean_depths(q, [t])[0]
+             for t in sizes]
+    for a, b in zip(alone, want):
+        assert a.tobytes() == b.tobytes()
+    monkeypatch.setattr(detectors, "_SPLIT_PAIRS", 1)
+    for n_cpus in (1, 2, 3):
+        forks = cpus(n_cpus)
+        got = model._forest.mean_depths(q, sizes)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert len(forks) == min(_walks(n), n_cpus) - 1
+        _assert_no_child()
+
+
+@pytest.mark.parametrize("subsample", [32, 256, 1000])
+def test_a_smaller_fit_is_a_prefix_of_a_larger_one(subsample):
+    """A t-tree fit grows the first t trees of a larger fit of its seed and
+    subsample, and its threshold and scores are the larger fit's prefix
+    scores, thresholded at its own contamination."""
+    rng = np.random.default_rng(98)
+    x = _blobs(rng, 600, d=4, spread=0.6, box=3.0)
+    q = _blobs(rng, 50, d=4, box=6.0)
+    big = IsolationForest(n_estimators=40, subsample=subsample, seed=3,
+                          contamination=0.05).fit(x)
+    sizes = [5, 17, 40]
+    train = big.prefix_scores(x, sizes)
+    val = big.prefix_scores(q, sizes)
+    for t, train_t, val_t in zip(sizes, train, val):
+        for contamination in (0.01, 0.05, 0.3):
+            small = IsolationForest(n_estimators=t, subsample=subsample,
+                                    seed=3, contamination=contamination)
+            small.fit(x)
+            assert small.trees == big.trees[:t]
+            assert small.threshold == contamination_threshold(train_t,
+                                                              contamination)
+            assert small.scores(q).tobytes() == val_t.tobytes()
+
+
+def test_iforest_threshold_is_taken_on_first_read():
+    # fit keeps its rows for the threshold, and lets them go once read
+    rng = np.random.default_rng(97)
+    x = _blobs(rng, 300, d=4, spread=0.6, box=3.0)
+    model = IsolationForest(n_estimators=20, seed=2, contamination=0.1)
+    model.fit(x)
+    assert model._fit_x is x
+    want = contamination_threshold(model.scores(x), 0.1)
+    assert model.threshold == want and model._fit_x is None
+    assert model.fit(x).threshold == want
+    model.fit(x).threshold = 0.5
+    assert model.threshold == 0.5 and model._fit_x is None
 
 
 def test_predict_derives_from_scores_and_threshold():

@@ -357,6 +357,79 @@ def test_lof_and_dbscan_fits_share_one_sweep(tiny_labelled, monkeypatch,
         assert np.array_equal(result.models["dbscan"].labels_, alone.labels_)
 
 
+def test_a_run_clusters_before_its_files_and_its_repeats_never(
+        tiny_csvs, tmp_path, monkeypatch, cpus):
+    """A run saves dbscan.json, so its DBSCAN model clusters in the model
+    loop, before the model files' writers start; the confidence-interval
+    repeats score their fits and never cluster. On one CPU, so that every
+    call is made here."""
+    cpus(1)
+    events = []
+
+    def cluster(self, _fn=Dbscan.cluster):
+        events.append("cluster" if self._unclustered is not None
+                      else "clustered")
+        return _fn(self)
+
+    def write(cfg, result, _fn=pipeline._write_artifacts):
+        events.append("write")
+        return _fn(cfg, result)
+    monkeypatch.setattr(Dbscan, "cluster", cluster)
+    monkeypatch.setattr(pipeline, "_write_artifacts", write)
+    det, sta = tiny_csvs
+    cfg = RunConfig(input_csv=det, station_csv=sta, out_dir=str(tmp_path),
+                    seed=5, resample_interval="none", models="dbscan",
+                    ci_repeats=2)
+    result = run_experiment(cfg, timer=lambda: 0.0)
+    assert [e for e in events if e != "clustered"] == ["cluster", "write"]
+    assert "clustered" in events        # save_model reads the clusters
+    assert result.report["ci"]["dbscan"]["recall"]["n"] == 2
+
+
+def test_per_criterion_outcomes_recount_from_the_files(tiny_csvs, tmp_path):
+    """Each model's per_criterion block recounts from labels.csv (the rows'
+    criterion masks), split.csv (the test rows) and the model's flags on
+    them; the misses of every criterion together are the FN cell, and
+    evaluate reports the same blocks."""
+    det, sta = tiny_csvs
+    out = tmp_path / "out"
+    cfg = RunConfig(input_csv=det, station_csv=sta, out_dir=str(out),
+                    seed=5, resample_interval="none",
+                    models="autoencoder,iforest,lof,dbscan", ae_units=8,
+                    ae_epochs=2, ae_batch_size=64)
+    result = run_experiment(cfg, timer=lambda: 0.0)
+    with open(out / "labels.csv") as f:
+        masks = np.array([int(r["criterion_mask"])
+                          for r in csv.DictReader(f)])
+    with open(out / "split.csv") as f:
+        uids = np.array([int(r["uid"]) for r in csv.DictReader(f)
+                         if r["partition"].endswith("_test")])
+    # uids number the labelled rows in labels.csv order
+    assert np.array_equal(result.table.uid, np.arange(len(masks)))
+    x = result.scaler.transform(result.table.take(uids).values)
+    with open(out / "report.json") as f:
+        report = json.load(f)
+    seen = collections.Counter()
+    for name, model in result.models.items():
+        missed = model.predict(x) == 1
+        entry = report["models"][name]
+        want = {}
+        for key, bit in (("1", 1), ("2", 2), ("3", 4)):
+            marked = (masks[uids] & bit) != 0
+            n, k = int(marked.sum()), int(missed[marked].sum())
+            want[key] = {"anomalies": n, "missed": k,
+                         "fn_fraction": k / n if n else None}
+            seen[key] += n
+        assert entry["per_criterion"] == want, name
+        assert int(missed[masks[uids] > 0].sum()) == entry["confusion"]["fn"]
+    # criteria 1 and 3 mark test rows here, criterion 2 none
+    assert [bool(seen[key]) for key in ("1", "2", "3")] == [True, False, True]
+    replay = evaluate_saved(cfg, str(out))
+    for name, entry in replay["models"].items():
+        assert entry["per_criterion"] == (
+            report["models"][name]["per_criterion"])
+
+
 def _cli_args(tiny_csvs, out, *argv):
     det, sta = tiny_csvs
     return list(argv) + ["--input", det, "--stations", sta, "--out", str(out),

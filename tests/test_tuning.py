@@ -301,7 +301,8 @@ def test_dbscan_grid_shares_fits_and_scores_by_core_mask(monkeypatch, cpus):
 
 
 @pytest.mark.parametrize("kind,grid", [
-    ("iforest", {"contamination": [0.02, 0.05], "n_estimators": [20, 40]}),
+    ("iforest", {"contamination": [0.02, 0.05], "n_estimators": [20, 40],
+                 "subsample": [64, 256]}),
     ("lof", DEFAULT_GRIDS["lof"]),
     ("dbscan", {"eps": [0.05, 0.5, 1.5, 2.0, 3.5], "min_pts": [1, 2, 4, 10]}),
     ("autoencoder", {"units": [4, 8], "bottleneck": [2], "epochs": [3],
@@ -309,7 +310,9 @@ def test_dbscan_grid_shares_fits_and_scores_by_core_mask(monkeypatch, cpus):
 ])
 def test_grids_dealt_across_cpus_give_the_rows_of_one(cpus, kind, grid):
     # each distinct fit is a job of run_all: on two CPUs half of them run in
-    # a child process, and every row and the choice stay the same
+    # a child process, and every row and the choice stay the same. The
+    # forest candidates of one subsample share a fit, so the iforest grid
+    # has two subsamples
     train_x, val_x, val_y, train_n, _ = _toy_problem()
     if kind == "autoencoder":
         train_x = train_n
@@ -356,7 +359,8 @@ def test_a_failed_autoencoder_candidate_ends_the_grid_at_once(monkeypatch,
 
 
 @pytest.mark.parametrize("kind,grid", [
-    ("iforest", {"n_estimators": [5, 10], "contamination": [0.05, 0.1]}),
+    ("iforest", {"n_estimators": [5, 10], "contamination": [0.05, 0.1],
+                 "subsample": [64, 256]}),
     ("lof", {"k": [3, 5, 8], "contamination": [0.05, 0.1]}),
     ("dbscan", {"eps": [0.5, 1.0, 2.0], "min_pts": [2, 4]}),
     ("autoencoder", {"units": [4, 8], "epochs": [1], "batch_size": [64]}),
@@ -365,7 +369,8 @@ def test_no_fitted_candidate_outlives_its_fit(monkeypatch, cpus, kind,
                                               grid):
     """A grid keeps each candidate's parameters and outcome, not its
     fitted model: when a fit starts, no model fitted before it is alive,
-    and the rows are the same as ever."""
+    and the rows are the same as ever. The forest candidates of one
+    subsample share a fit, so the iforest grid has two subsamples."""
     cpus(1)
     train_x, val_x, val_y, _, _ = _toy_problem()
     want = grid_search(kind, grid, train_x, val_x, val_y)
@@ -386,3 +391,71 @@ def test_no_fitted_candidate_outlives_its_fit(monkeypatch, cpus, kind,
     got = grid_search(kind, grid, train_x, val_x, val_y)
     assert got == want
     assert len(alive) > 1 and not any(alive)
+
+
+_TWO_SUBSAMPLES = {"n_estimators": [10, 25, 40], "contamination": [0.02, 0.1],
+                   "subsample": [64, 256]}
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+@pytest.mark.parametrize("kind,grid", [
+    ("iforest", DEFAULT_GRIDS["iforest"]),
+    ("iforest", _TWO_SUBSAMPLES),
+    ("lof", DEFAULT_GRIDS["lof"]),
+    ("dbscan", DEFAULT_GRIDS["dbscan"]),
+], ids=["iforest", "iforest-subsamples", "lof", "dbscan"])
+def test_shared_fits_give_each_candidate_its_own_fit(cpus, kind, grid,
+                                                     n_cpus):
+    """Every candidate's threshold and validation scores are bit-identical
+    to those of a fresh fit of its own, whatever the fits share."""
+    train_x, val_x, val_y, _, _ = _toy_problem()
+    candidates = list(_canonical_candidates(grid))
+    builds = [lambda p=params: detectors.build_model(kind, p, 3, 4)
+              for params in candidates]
+    models = [build()[0] for build in builds]
+    cpus(n_cpus)
+    got = tuning._thresholded_scores(kind, models, builds, train_x, val_x)
+    assert len(got) == len(candidates)
+    for params, (threshold, scores) in zip(candidates, got):
+        model = detectors.build_model(kind, params, 3, 4)[0].fit(train_x)
+        assert threshold == model.threshold, params
+        assert scores.tobytes() == model.scores(val_x).tobytes(), params
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_dbscan_grid_never_clusters(monkeypatch, cpus, n_cpus):
+    # a candidate is ranked on its core points only, so no fit clusters,
+    # here or in a child
+    train_x, val_x, val_y, _, _ = _toy_problem()
+    want = grid_search("dbscan", DEFAULT_GRIDS["dbscan"], train_x, val_x,
+                       val_y)
+
+    def cluster(self):
+        raise AssertionError("a grid candidate clustered")
+    monkeypatch.setattr(Dbscan, "cluster", cluster)
+    cpus(n_cpus)
+    got = grid_search("dbscan", DEFAULT_GRIDS["dbscan"], train_x, val_x,
+                      val_y)
+    assert got == want
+
+
+@pytest.mark.parametrize("grid,trees", [
+    (DEFAULT_GRIDS["iforest"], 200),
+    (_TWO_SUBSAMPLES, 2 * 40),
+    ({"n_estimators": [7], "contamination": [0.1, 0.2]}, 7),
+])
+def test_forest_grid_grows_each_distinct_tree_once(monkeypatch, cpus, grid,
+                                                   trees):
+    # candidates of one subsample share one forest of their most trees. On
+    # one CPU, so that no tree is grown in a child, where the count does
+    # not see it
+    cpus(1)
+    train_x, val_x, val_y, _, _ = _toy_problem()
+    grown = []
+
+    def counted(self, *args, _fn=detectors.IsolationForest._build_tree):
+        grown.append(self.subsample)
+        return _fn(self, *args)
+    monkeypatch.setattr(detectors.IsolationForest, "_build_tree", counted)
+    grid_search("iforest", grid, train_x, val_x, val_y)
+    assert len(grown) == trees
