@@ -38,6 +38,10 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise DataError("batch_size must be >= 1")
+
 
 @dataclass
 class TrainResult:

@@ -1,7 +1,7 @@
-"""The package's one way to use more than one CPU: jobs run in a forked
-child process, which sends each one's pickled outcome back as it ends and
-is killed once its outcomes are no longer wanted; ``_in_child`` runs jobs
-that way, and ``run_all`` deals a list of them across the CPUs."""
+"""The package's one way to use more than one CPU: ``run_all`` runs jobs
+in forked child processes (``_in_child``), each of which sends every
+job's pickled outcome back as it ends and is killed once its outcomes are
+no longer wanted."""
 
 import contextlib
 import os
@@ -9,17 +9,17 @@ import pickle
 import select
 import signal
 
-# True in run_all's children, and in its caller while they run: every CPU
-# is then taken, so usable_cpus() is 1 and nested work runs inline. It is
-# a module global because the CPUs are the whole process's, and a forked
-# child inherits it.
+# True in every child, and in run_all's caller while its dealt jobs run:
+# every CPU is then taken, so usable_cpus() is 1 and nested work runs
+# inline. It is a module global because the CPUs are the whole process's,
+# and a forked child inherits it.
 _all_taken = False
 
 
 def usable_cpus():
     """How many CPUs this process may run on, or 1 where fork or CPU
-    affinity is missing, or where run_all has taken every CPU: then
-    nothing runs in a child."""
+    affinity is missing, or where every CPU is taken: then nothing runs in
+    a child."""
     if _all_taken or not (hasattr(os, "fork")
                           and hasattr(os, "sched_getaffinity")):
         return 1
@@ -27,19 +27,18 @@ def usable_cpus():
 
 
 class _in_child:
-    """``with _in_child(*jobs) as child``: each ``child()`` returns the next
-    job's result, in job order, or raises what it raised.
+    """``with _in_child(*jobs) as child``: the jobs start at once in a
+    forked child, one after another, beside the caller's own work; each
+    ``child()`` returns the next job's result, in job order, or raises
+    what it raised.
 
-    Where fork exists, there are jobs, and this process may run on more
-    than one CPU, the jobs start at once in a forked child, one after
-    another, alongside the caller's own work. The child sends each job's
-    pickled outcome as soon as the job ends, and stops at its first error;
-    ``child()`` waits for the next outcome, and a child that ends without
-    one is a RuntimeError. A child sees one usable CPU, so nothing it runs
-    forks again. Elsewhere ``child()`` runs the next job itself. Leaving
-    the block kills a child that still owes an outcome at once, even in
-    a write (errors.whole_file leaves each file whole or absent), and
-    reaps it, so none outlives the caller.
+    The child sends each job's pickled outcome as soon as the job ends,
+    and stops at its first error; ``child()`` waits for the next outcome,
+    and a child that ends without one is a RuntimeError. A child sees one
+    usable CPU, so nothing it runs forks again. Leaving the block kills a
+    child that still owes an outcome at once, even in a write
+    (errors.whole_file leaves each file whole or absent), and reaps it, so
+    none outlives the caller.
 
     The package starts no thread of its own (tests/test_hygiene.py), and
     OpenBLAS stops its thread pool before a fork and restarts it on its
@@ -48,10 +47,6 @@ class _in_child:
 
     def __init__(self, *jobs):
         self.owed = len(jobs)
-        self.pid = None
-        if not jobs or usable_cpus() < 2:
-            self._inline = iter(jobs)
-            return
         read_end, write_end = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
@@ -67,8 +62,6 @@ class _in_child:
         return self
 
     def __exit__(self, *exc):
-        if self.pid is None:
-            return
         os.close(self.fd)
         if not self.reaped:
             if self.owed:
@@ -76,9 +69,6 @@ class _in_child:
             os.waitpid(self.pid, 0)
 
     def __call__(self):
-        if self.pid is None:
-            self.owed -= 1
-            return next(self._inline)()
         header = _read(self.fd, 8)
         size = int.from_bytes(header, "little")
         outcome = _read(self.fd, size) if len(header) == 8 else b""
@@ -132,78 +122,80 @@ def _read(fd, size):
     return data[:got] if got < size else data
 
 
-@contextlib.contextmanager
-def _taking_all_cpus():
-    global _all_taken
-    _all_taken = True
-    try:
-        yield
-    finally:
-        _all_taken = False
+def run_all(jobs, apart=None):
+    """``[job() for job in jobs]``, with some of the jobs run in child
+    processes (``_in_child``); the results come back in job order.
 
-
-def run_all(jobs):
-    """``[job() for job in jobs]``, with the jobs dealt round robin over
-    the usable CPUs: the first share runs in this process, each other share
-    in a child process (``_in_child``), and the results come back in job
-    order. With one CPU or at most one job, the list comprehension itself
-    runs.
+    Without ``apart``, the jobs are dealt round robin over the usable
+    CPUs: the first share runs in this process and each other share in a
+    child. Every CPU is then taken, here while the jobs run as in the
+    children, so usable_cpus() is 1 and a nested run_all or split sweep
+    runs inline: no more processes run than there are CPUs. With
+    ``apart``, a set of job indices, those jobs run in one child, in
+    order, beside the others here, and this process keeps its CPUs. With
+    one usable CPU, or no job to run in a child, the list comprehension
+    itself runs.
 
     The error raised is the one the list comprehension would meet first.
-    The children send each job's outcome as it ends: between its own jobs
-    this process takes what they have sent, and stops its share once a job
-    before its next one has failed; then it waits only for the children's
-    jobs before the first failure, and kills and reaps every child still
-    running. The jobs must not print: a child's unflushed output is
-    dropped when it exits. Inside the children, and here while they run,
-    usable_cpus() is 1, so a nested run_all or split sweep runs inline and
-    no more processes run than there are CPUs.
+    The children send each job's outcome as it ends. Before each of its
+    own jobs this process takes the outcomes already sent; once its jobs
+    are done, or one of them fails, it takes every outcome before that
+    job, in job order. Leaving kills and reaps every child still running.
+    The jobs must not print: a child's unflushed output is dropped when
+    it exits.
     """
+    global _all_taken
     jobs = list(jobs)
-    n = min(len(jobs), usable_cpus())
-    if n < 2:
+    cpus = usable_cpus()
+    if apart is None:
+        n = max(min(len(jobs), cpus), 1)
+        share = [k % n for k in range(len(jobs))]
+    else:
+        share = [int(k in apart) for k in range(len(jobs))]
+    if cpus < 2 or not any(share):
         return [job() for job in jobs]
     results = [None] * len(jobs)
-    failed, error = len(jobs), None
     with contextlib.ExitStack() as stack:
-        shares = [None] + [stack.enter_context(_in_child(*jobs[i::n]))
-                           for i in range(1, n)]
+        # each child, and the indices of the jobs it still owes, in the
+        # order it sends their outcomes
+        owed = {}
+        for i in range(1, max(share) + 1):
+            ks = [k for k in range(len(jobs)) if share[k] == i]
+            owed[stack.enter_context(_in_child(*(jobs[k] for k in ks)))] = ks
 
-        def next_job(i):
-            # share i holds jobs i, i + n, ..., and sends them in order
-            return i + n * (len(range(i, len(jobs), n)) - shares[i].owed)
-
-        def receive(i):
-            nonlocal failed, error
-            k = next_job(i)
-            try:
-                results[k] = shares[i]()
-            except Exception as e:  # noqa: BLE001 - ranked with the others
-                if k < failed:
-                    failed, error = k, e
-
-        with _taking_all_cpus():
-            for k in range(0, len(jobs), n):
-                while True:
-                    ready = select.select([c for c in shares[1:] if c.owed],
-                                          [], [], 0)[0]
-                    if not ready:
-                        break
-                    for child in ready:
-                        receive(shares.index(child))
-                if failed < k:
+        def take(upto, wait):
+            # the children's outcomes of the jobs before upto: those
+            # already sent, or with wait all of them, in job order; after
+            # a failure, every outcome before the failed job. A loop, not
+            # a recursive closure, which would hold the results in a
+            # reference cycle after run_all returns
+            error = None
+            while True:
+                live = [c for c, ks in owed.items() if ks and ks[0] < upto]
+                if not wait:
+                    live = select.select(live, [], [], 0)[0]
+                if not live:
                     break
+                child = min(live, key=lambda c: owed[c][0])
+                k = owed[child].pop(0)
                 try:
-                    results[k] = jobs[k]()
-                except Exception as e:  # noqa: BLE001 - ranked as above
-                    failed, error = k, e
-                    break
-        for k in range(len(jobs)):
-            if k >= failed:
-                break
-            i = k % n
-            if i and shares[i].owed and next_job(i) == k:
-                receive(i)
-        if error is not None:
-            raise error
+                    results[k] = child()
+                except Exception as e:  # noqa: BLE001 - raised below
+                    upto, wait, error = k, True, e
+            if error is not None:
+                raise error
+
+        _all_taken = apart is None
+        try:
+            for k in range(len(jobs)):
+                if share[k] == 0:
+                    take(k, False)
+                    try:
+                        results[k] = jobs[k]()
+                    except Exception:
+                        take(k, True)
+                        raise
+            take(len(jobs), True)
+        finally:
+            _all_taken = False
     return results

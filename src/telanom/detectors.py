@@ -115,9 +115,9 @@ def _sq_dist_blocks(a, b, start=0, stop=None):
 
 
 # A sweep of less work than this runs in one process, work being counted in
-# query x reference pairs of a distance sweep. On a shared 2-vCPU Xeon VM an
-# _in_child round trip took about 2 ms returning nothing and 5 ms returning
-# 1 MB, in a process holding 64 MB, and the cheapest sweep (_nearest) about
+# query x reference pairs of a distance sweep. On a shared 2-vCPU Xeon VM a
+# child process's round trip took about 2 ms returning nothing and 5 ms
+# returning 1 MB, in a process holding 64 MB, and the cheapest sweep (_nearest) about
 # 2.5 ns per pair. Halving a sweep of p pairs saves about 1.25 p ns, which
 # pays for an empty round trip from about 2M pairs; the floor leaves a
 # factor of two for the results' transfer. The packed forest walk took
@@ -504,6 +504,8 @@ class IsolationForest(_Detector):
             raise DataError("n_estimators must be >= 1")
         if not 0.0 < contamination < 1.0:
             raise DataError("contamination must be in (0, 1)")
+        if subsample < 1:
+            raise DataError("subsample must be >= 1")
         self.n_estimators = int(n_estimators)
         self.contamination = float(contamination)
         self.subsample = int(subsample)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autoencoder import train
-from .child import _in_child, run_all
+from .child import run_all
 from .detectors import (MODEL_PARAMS, NeighbourPass, build_model, load_model,
                         save_model)
 from .errors import (DataError, LeakageError, _number, load_json,
@@ -120,6 +120,8 @@ class RunConfig:
                 raise DataError("%s must be in (0, 1)" % name)
         if self.split_unit not in ("detection", "fish"):
             raise DataError("split_unit must be 'detection' or 'fish'")
+        if _number(vars(self), "seed", integer=True) < 0:
+            raise DataError("seed must be at least 0")
         self.model_list
         self.interval_mode()
         return self
@@ -442,15 +444,15 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
     """Split/resample/fit/threshold/evaluate on an already labelled table.
 
     Returns an ExperimentResult whose report carries one entry per model.
-    The autoencoder's job runs in a child process (see _in_child) while
-    this one fits the classical models, or here where there are none.
-    ``stage_writers(data)``, where given, lists writers of files that
-    depend on no model; they run in that child too, after the
-    autoencoder's job. A run given them saves its models, so DBSCAN's
-    clusters are made in the model loop; elsewhere (the confidence-interval
-    repeats) only a read of them makes them. Every result, and the first
-    error raised, is the same as when all of it runs one after another:
-    the models, then the stage writers.
+    run_all runs one job per model, in cfg.model_list order, then the
+    writers that ``stage_writers(data)`` lists, where given, of the files
+    that depend on no model. The writers, and the autoencoder's job where
+    classical models fit beside it, run apart in one child process while
+    this one fits the classical models. A run given stage writers saves
+    its models, so DBSCAN's clusters are made in its job; elsewhere (the
+    confidence-interval repeats) only a read of them makes them. Every
+    result, and the first error raised, is the same as when all of it runs
+    one after another.
     """
     data = prepare_training(labelled, cfg, seed)
     interval = data.plan.delta_t if data.plan else "none"
@@ -462,7 +464,6 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
                               plan=data.plan)
 
     names = cfg.model_list
-    classical = [name for name in names if name != "autoencoder"]
     # every matrix is built through the guard in this process, in the order
     # the models read them
     for name in names:
@@ -470,56 +471,50 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
             data.ae_train, data.val_x, data.val_y
         else:
             data.fit_x
-    job = None
-    if "autoencoder" in names:
-        job = functools.partial(_autoencoder_job, data, cfg, x_test, test,
-                                interval, model_seed, timer)
-    in_child = [job] if job and classical else []
-    writers = stage_writers(data) if stage_writers else []
-
     # LOF's k-neighbourhoods and DBSCAN's eps-counts over fit_x come from
     # one neighbour pass, made by whichever of the two fits first
     neighbours = None
+
+    def classical(name):
+        nonlocal neighbours
+        t0 = timer()
+        model, _ = build_model(name, cfg.model_params(name),
+                               x_test.shape[1], model_seed)
+        if name == "iforest":
+            model.fit(data.fit_x)
+        else:
+            if neighbours is None:
+                neighbours = NeighbourPass(
+                    data.fit_x, data.fit_x, self_excluded=True,
+                    ks=[cfg.lof_k] if "lof" in names else [],
+                    radii=[cfg.dbscan_eps] if "dbscan" in names else [])
+            model.fit(data.fit_x, neighbours=neighbours)
+        if name == "dbscan" and stage_writers:
+            # the run saves dbscan.json, which holds the clusters: they
+            # are made here, while the autoencoder's child trains, not in
+            # the file's writer
+            model.cluster()
+        entry = _model_entry(name, model, x_test, test, interval)
+        entry["runtime_s"] = timer() - t0
+        return model, entry
+
+    jobs = [functools.partial(_autoencoder_job, data, cfg, x_test, test,
+                              interval, model_seed, timer)
+            if name == "autoencoder" else functools.partial(classical, name)
+            for name in names]
+    writers = stage_writers(data) if stage_writers else []
+    apart = set(range(len(jobs), len(jobs) + len(writers)))
+    if "autoencoder" in names and len(names) > 1:
+        apart.add(names.index("autoencoder"))
     model_reports = {}
-    with _in_child(*in_child, *writers) as child:
-        try:
-            for name in classical:
-                t0 = timer()
-                model, _ = build_model(name, cfg.model_params(name),
-                                       x_test.shape[1], model_seed)
-                if name == "iforest":
-                    model.fit(data.fit_x)
-                else:
-                    if neighbours is None:
-                        neighbours = NeighbourPass(
-                            data.fit_x, data.fit_x, self_excluded=True,
-                            ks=[cfg.lof_k] if "lof" in names else [],
-                            radii=[cfg.dbscan_eps] if "dbscan" in names
-                            else [])
-                    model.fit(data.fit_x, neighbours=neighbours)
-                if name == "dbscan" and stage_writers:
-                    # the run saves dbscan.json, which holds the clusters:
-                    # they are made here, while the autoencoder's child
-                    # trains, not in the file's writer
-                    model.cluster()
-                result.models[name] = model
-                entry = _model_entry(name, model, x_test, test, interval)
-                entry["runtime_s"] = timer() - t0
-                model_reports[name] = entry
-        except Exception:
-            # run one after another, the models before the failing one
-            # would have raised first
-            if in_child and names.index("autoencoder") < names.index(name):
-                child()
-            raise
-        if job:
-            (result.models["autoencoder"], result.loss_curve,
-             result.percentile_table, result.threshold,
-             model_reports["autoencoder"]) = child() if in_child else job()
-        for _ in writers:
-            child()
-    result.models = {name: result.models[name] for name in names}
-    model_reports = {name: model_reports[name] for name in names}
+    for name, outcome in zip(names, run_all(jobs + writers, apart)):
+        if name == "autoencoder":
+            (model, result.loss_curve, result.percentile_table,
+             result.threshold, entry) = outcome
+        else:
+            model, entry = outcome
+        result.models[name] = model
+        model_reports[name] = entry
 
     result.report = {
         "seed": seed,

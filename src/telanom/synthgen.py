@@ -27,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DataError, _number
+from .errors import DataError, _number, read_file
 from .ingest import (STATION_COLUMNS, DetectionRecord, StationMap,
                      format_timestamp, parse_timestamp, write_csv)
 
@@ -122,11 +122,24 @@ class GroundTruth:
 
     @classmethod
     def load_csv(cls, path):
+        """The ground truth ``save_csv`` wrote to ``path``. A missing
+        column, and a timestamp or criterion that is not an integer, are
+        DataErrors that name the file."""
         gt = cls()
-        with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                gt.criterion[(row["fishid"], int(row["timestamp"]))] = \
-                    int(row["criterion"])
+        with read_file(path, newline="") as f:
+            reader = csv.DictReader(f)
+            missing = [c for c in ("fishid", "timestamp", "criterion")
+                       if c not in (reader.fieldnames or [])]
+            if missing:
+                raise DataError("%s: missing column(s) %s" % (path, missing))
+            for row in reader:
+                try:
+                    gt.criterion[(row["fishid"], int(row["timestamp"]))] = \
+                        int(row["criterion"])
+                except (TypeError, ValueError):
+                    raise DataError("%s:%d: timestamp and criterion must be "
+                                    "integers" % (path, reader.line_num)) \
+                        from None
         return gt
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_file
 from .ingest import write_csv
 from .metrics import confusion, compute_metrics
 
@@ -92,7 +92,7 @@ class PercentileTable:
     @classmethod
     def load_csv(cls, path):
         percentiles, thresholds, metrics = [], [], []
-        with open(path, newline="") as f:
+        with read_file(path, newline="") as f:
             reader = csv.DictReader(f)
             needed = ["percentile", "optimal_threshold"] + METRIC_COLUMNS
             missing = [c for c in needed if c not in (reader.fieldnames or [])]

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import telanom
+import telanom.tuning
 from telanom.cli import _load_config, build_parser, main
 from telanom.errors import DataError
 from telanom.pipeline import RunConfig
@@ -165,6 +166,46 @@ def test_bad_config_boolean_exits_2(dataset, tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]
                 + _data_args(dataset, str(tmp_path / "o"))) == 2
     assert "typo.cfg:6: bad value 'ture'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, setting, grid, message", [
+    (["run", "--seed", "-1"], "", None, "seed must be at least 0"),
+    (["split", "--seed", "-1"], "", None, "seed must be at least 0"),
+    (["tune", "--model", "lof", "--seed", "-1"], "", None,
+     "seed must be at least 0"),
+    (["run"], "seed = -2\n", None, "seed must be at least 0"),
+    (["tune", "--model", "dbscan"], "seed = -2\n", None,
+     "seed must be at least 0"),
+    (["run", "--models", "iforest"], "if_subsample = 0\n", None,
+     "subsample must be >= 1"),
+    (["run", "--models", "autoencoder"], "ae_batch_size = 0\n", None,
+     "batch_size must be >= 1"),
+    (["tune", "--model", "iforest"], "", {"subsample": [256, 0]},
+     "subsample must be >= 1"),
+    (["tune", "--model", "autoencoder"], "", {"batch_size": [64, 0]},
+     "batch_size must be >= 1"),
+], ids=["run-seed", "split-seed", "tune-seed", "config-seed",
+        "tune-config-seed", "if-subsample", "ae-batch-size",
+        "grid-subsample", "grid-batch-size"])
+def test_bad_seeds_and_sizes_exit_2(dataset, tmp_path, capsys, monkeypatch,
+                                    argv, setting, grid, message):
+    """A negative seed, a zero forest subsample and a zero autoencoder
+    batch are data errors, from a flag, a config file or a tune grid; a
+    grid fails before any candidate is fitted."""
+    def fitted(*args, **kwargs):
+        raise AssertionError("a candidate was fitted")
+    monkeypatch.setattr(telanom.tuning, "_fitted", fitted)
+    monkeypatch.setattr(telanom.tuning, "train", fitted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG_TEXT + setting)
+    if grid is not None:
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        argv = argv + ["--grid", str(tmp_path / "grid.json")]
+    code = main(argv + ["--config", str(cfg)]
+                + _data_args(dataset, str(tmp_path / "o")))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error: ") and message in err, err
 
 
 def test_internal_errors_exit_3(dataset, tmp_path, capsys, monkeypatch):

@@ -2,9 +2,10 @@
 import, no module-level private function that nothing in the package
 references (a retired helper must go with its last caller), no JSON
 written outside the package's two JSON writers, no CSV written outside
-its one CSV writer, no file opened for writing outside the one opener
-that renames it into place whole, and no process forked or thread
-started outside the one function that runs work in a child process."""
+its one CSV writer, no file opened outside the one opener of input files
+and the one that renames an output into place whole, and no process
+forked or thread started outside the one class that runs work in a child
+process, which only child.run_all uses."""
 
 import ast
 import pathlib
@@ -121,6 +122,13 @@ def test_csv_is_written_only_by_write_csv():
     assert stray == []
 
 
+def _opener(call):
+    """The name of the function a call calls, bare or as an attribute."""
+    func = call.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
 def _write_mode(call):
     """The mode of an ``open``/``os.fdopen`` call if it may write (w, a, x
     or +), "?" where it is not a string literal, else None."""
@@ -151,10 +159,7 @@ def test_files_are_opened_for_writing_only_by_whole_file():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            opener = (func.id if isinstance(func, ast.Name)
-                      else func.attr if isinstance(func, ast.Attribute)
-                      else None)
+            opener = _opener(node)
             if (opener in ("open", "fdopen") and _write_mode(node)
                     and allowed.get(node) != opener):
                 stray.append("%s:%d %s(..., %r)" % (
@@ -164,13 +169,44 @@ def test_files_are_opened_for_writing_only_by_whole_file():
     assert stray == []
 
 
-def test_fork_is_called_only_by_in_child():
-    """os.fork appears only inside child._in_child, which runs the
-    autoencoder's job and every job child.run_all deals (distance sweep
-    ranges, file writers and grid fits), and no module imports
-    multiprocessing, threading or concurrent.futures."""
+def test_files_are_opened_only_by_read_file_and_whole_file():
+    """Every open, io.open (or any other ``.open``) and os.fdopen call sits
+    in errors.read_file, the opener of every input file, or in
+    errors.whole_file, the opener of every output; the one exception is
+    child.py's os.fdopen of the pipe to the parent."""
+    exempt = {("errors.py", "read_file"): "open",
+              ("errors.py", "whole_file"): "open",
+              ("child.py", "_send_outcomes"): "fdopen"}
     stray = []
     for name, tree in _modules().items():
+        allowed = {}
+        for node in ast.walk(tree):
+            if (name, getattr(node, "name", None)) in exempt:
+                allowed.update(dict.fromkeys(
+                    ast.walk(node), exempt[name, node.name]))
+        stray += ["%s:%d %s" % (name, node.lineno, _opener(node))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and _opener(node) in ("open", "fdopen")
+                  and allowed.get(node) != _opener(node)]
+    assert stray == []
+
+
+def test_fork_is_called_only_by_in_child():
+    """os.fork appears only inside child._in_child, which no module but
+    child.py names: every job that runs in a child (distance sweep ranges,
+    file writers, grid fits and the autoencoder's job) goes through
+    child.run_all. No module imports multiprocessing, threading or
+    concurrent.futures."""
+    stray = []
+    for name, tree in _modules().items():
+        if name != "child.py":
+            stray += ["%s:%d _in_child" % (name, node.lineno)
+                      for node in ast.walk(tree)
+                      if "_in_child" in (getattr(node, "id", None),
+                                         getattr(node, "attr", None))
+                      or isinstance(node, ast.ImportFrom) and "_in_child"
+                      in [alias.name for alias in node.names]]
         inside = set()
         for node in ast.walk(tree):
             if (name, getattr(node, "name", None)) == ("child.py",

@@ -17,7 +17,8 @@ from oracles import reshuffle_report
 from telanom import detectors, pipeline, tuning
 from telanom.cli import build_parser, cmd_tune, main
 from telanom.detectors import Dbscan, IsolationForest, LocalOutlierFactor
-from telanom.errors import DataError, LeakageError, whole_file
+from telanom.errors import (DataError, LeakageError, TrainingError,
+                            whole_file)
 from telanom.features import FeatureTable, engineer_tracks
 from telanom.ingest import Detections, deduplicate, group_tracks
 from telanom.labelling import label_all
@@ -664,6 +665,63 @@ def test_child_without_a_result_is_an_error(tiny_labelled, monkeypatch,
                      seed=5)
     assert len(forks) == 1
     _assert_no_child()
+
+
+@needs_fork
+def test_the_autoencoders_failure_stops_the_later_models(tiny_labelled,
+                                                        monkeypatch, cpus,
+                                                        tmp_path):
+    """The autoencoder's job fails in its child while iforest fits here:
+    LOF, after both in model_list order, never starts, and the
+    autoencoder's error is raised."""
+    cpus(2)
+    sent, started = tmp_path / "sent", []
+
+    def fails(*args, **kwargs):
+        sent.touch()
+        raise TrainingError("the autoencoder diverged")
+
+    def waits(self, *args, _fn=IsolationForest.fit, **kwargs):
+        # wait until the child has failed and had time to send it
+        deadline = time.monotonic() + 20
+        while not sent.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(1)
+        return _fn(self, *args, **kwargs)
+
+    def lof_fit(self, *args, _fn=LocalOutlierFactor.fit, **kwargs):
+        started.append("lof")
+        return _fn(self, *args, **kwargs)
+    monkeypatch.setattr(pipeline, "train", fails)
+    monkeypatch.setattr(IsolationForest, "fit", waits)
+    monkeypatch.setattr(LocalOutlierFactor, "fit", lof_fit)
+    t0 = time.monotonic()
+    with pytest.raises(TrainingError, match="^the autoencoder diverged$"):
+        run_pipeline(tiny_labelled,
+                     _fast_cfg(models="autoencoder,iforest,lof"), seed=5)
+    assert time.monotonic() - t0 < 30
+    assert started == []
+    _assert_no_child()
+
+
+def test_one_cpu_runs_the_models_in_model_list_order(tiny_labelled,
+                                                     monkeypatch, cpus):
+    cpus(1)
+    order = []
+
+    def trains(*args, _fn=pipeline.train, **kwargs):
+        order.append("autoencoder")
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "train", trains)
+    for cls in (IsolationForest, LocalOutlierFactor, Dbscan):
+        def fit(self, *args, _fn=cls.fit, **kwargs):
+            order.append(self.kind)
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "fit", fit)
+    models = "lof,autoencoder,iforest,dbscan"
+    result = run_pipeline(tiny_labelled, _fast_cfg(models=models), seed=5)
+    assert order == models.split(",")
+    assert list(result.models) == list(result.report["models"]) == order
 
 
 @needs_fork

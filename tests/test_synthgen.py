@@ -1,6 +1,8 @@
 """Generator tests: determinism, timestamp discipline, anomaly injection
 counts, ground-truth alignment with the rule labeller, and gap burstiness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,25 @@ def test_ground_truth_csv_round_trip(tmp_path):
     gt.save_csv(path)
     loaded = GroundTruth.load_csv(path)
     assert loaded.criterion == gt.criterion
+
+
+@pytest.mark.parametrize("text,message", [
+    ("fishid,timestamp\nF000,100\n", r"missing column\(s\) \['criterion'\]"),
+    ("fishid,timestamp,criterion\nF000,100,1\nF001,2.5,0\n",
+     ":3: timestamp and criterion must be integers"),
+    ("fishid,timestamp,criterion\nF000,100\n",
+     ":2: timestamp and criterion must be integers"),
+    (b"fishid,timestamp,criterion\n\xff\xfe,1,1\n", "undecodable bytes"),
+], ids=["missing-column", "bad-integer", "short-row", "undecodable"])
+def test_bad_ground_truth_files_are_data_errors(tmp_path, text, message):
+    path = tmp_path / "gt.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(DataError, match="^%s" % re.escape(str(path))) as e:
+        GroundTruth.load_csv(path)
+    assert re.search(message, str(e.value))
 
 
 def test_config_json_round_trip():
