@@ -120,10 +120,11 @@ def _sq_dist_blocks(a, b, start=0, stop=None):
 # returning 1 MB, in a process holding 64 MB, and the cheapest sweep (_nearest) about
 # 2.5 ns per pair. Halving a sweep of p pairs saves about 1.25 p ns, which
 # pays for an empty round trip from about 2M pairs; the floor leaves a
-# factor of two for the results' transfer. The packed forest walk took
-# about 40 ns per row and tree (39,000 rows x 100 trees of 11 features),
-# so one row and tree counts as _WALK_PAIRS pairs and a walk splits from
-# 250k rows x trees.
+# factor of two for the results' transfer. The forest's heap walk takes
+# about 25 ns per row and tree on one CPU (39,000 rows x 100 trees of 11
+# features), 10 pairs' worth. One row and tree counts as _WALK_PAIRS = 16
+# pairs, so a walk splits from 250k rows x trees, about 6 ms of walking:
+# the 1.6-fold overcount stays inside the floor's factor of two.
 _SPLIT_PAIRS = 4 * 10 ** 6
 _WALK_PAIRS = 16
 
@@ -282,20 +283,26 @@ _FOREST_BLOCK_ROWS = 256
 
 
 class _PackedForest:
-    """The trees of an isolation forest packed into flat arrays over all
-    their nodes, and walked for every tree at once.
+    """The trees of an isolation forest packed level by level into a heap,
+    and walked for every tree at once.
 
-    Node i of tree t is node ``roots[t] + i``. A row at node j moves on to
-    ``children[2*j + 1 - (x[feature[j]] < threshold[j])]``: the left child
-    only when ``x[f] < v`` holds, so NaN goes right. A leaf is both its own
-    children and has threshold +inf, so a row that reaches one stays there
-    for the remaining levels; its ``value`` is its depth + c(size). Packing
-    checks the trees: lists of unequal length, a child that is not after its
-    parent in its own tree, a node with two parents and a negative size are
-    DataErrors.
+    Slot p of level L of tree t is entry ``t * 2**L + p`` of that level's
+    arrays; its right child is slot 2p of level L + 1 and its left child
+    slot 2p + 1, so a row at entry i of level L moves on to entry
+    ``2*i + (x[feature[L][i]] < threshold[L][i])`` of level L + 1: the left
+    child only when ``x[f] < v`` holds, so NaN goes right. A leaf above the
+    last level fills every slot below it with feature 0 and threshold +inf,
+    so a row that reaches it stays in its slots for the remaining levels,
+    and every slot of the last level holds the ``value`` of its leaf: the
+    leaf's depth + c(size). There are ``max_depth`` levels of splits, and
+    one when every tree is a single leaf. Packing checks the trees: lists
+    of unequal length, a child that is not after its parent in its own
+    tree, a node with two parents, a negative size and a tree deeper than
+    ``height_limit`` are DataErrors. The depths are checked before the
+    heap, 2**L slots per tree at level L, is made.
     """
 
-    def __init__(self, trees):
+    def __init__(self, trees, height_limit):
         if not isinstance(trees, list) or not trees:
             raise DataError("trees must be a non-empty list")
         try:
@@ -312,9 +319,9 @@ class _PackedForest:
         if len(bad):
             raise DataError("tree %d: %s are empty or differ in length"
                             % (bad[0], ", ".join(_TREE_KEYS)))
-        self.roots = np.cumsum(n) - n
+        roots = np.cumsum(n) - n
         node = np.arange(len(feature))
-        own_root = np.repeat(self.roots, n)
+        own_root = np.repeat(roots, n)
         own_end = own_root + np.repeat(n, n)
         split = feature >= 0
         left += own_root
@@ -328,25 +335,38 @@ class _PackedForest:
             raise DataError("a tree node is the child of two nodes")
         if (size < 0).any():
             raise DataError("negative node size")
+        self.n_trees = len(trees)
         self.width = int(feature.max(initial=-1)) + 1
 
         depth = np.zeros(len(node), dtype=np.int64)
-        frontier = self.roots[split[self.roots]]
+        frontier = roots[split[roots]]
         self.max_depth = 0
         while len(frontier):
+            if self.max_depth == height_limit:
+                tree = np.searchsorted(roots, frontier.min(), "right") - 1
+                raise DataError("tree %d is deeper than its height limit %d"
+                                % (tree, height_limit))
             self.max_depth += 1
             kids = np.concatenate([left[frontier], right[frontier]])
             depth[kids] = self.max_depth
             frontier = kids[split[kids]]
         sizes, size_of = np.unique(size, return_inverse=True)
-        self.value = depth + np.array(
+        value = depth + np.array(
             [expected_path_length(int(s)) for s in sizes])[size_of]
 
         leaf = ~split
-        self.feature = np.where(leaf, 0, feature)
-        self.threshold = np.where(leaf, np.inf, threshold)
-        self.children = np.column_stack([np.where(leaf, node, left),
-                                         np.where(leaf, node, right)]).ravel()
+        feature[leaf] = 0
+        threshold[leaf] = np.inf
+        # a leaf's children are itself: it fills every slot below it
+        children = np.column_stack([np.where(leaf, node, right),
+                                    np.where(leaf, node, left)])
+        self.feature, self.threshold = [], []
+        at = roots
+        for _ in range(max(1, self.max_depth)):
+            self.feature.append(feature[at])
+            self.threshold.append(threshold[at])
+            at = children[at].ravel()
+        self.value = value[at]
 
     def mean_depths(self, x, sizes):
         """For each t of ``sizes``: each row's path length averaged over the
@@ -361,14 +381,14 @@ class _PackedForest:
                             % (self.width - 1, width))
         totals = _split_sweep(functools.partial(self._walk, x, sizes), n,
                               _FOREST_BLOCK_ROWS,
-                              n * len(self.roots) * _WALK_PAIRS)
+                              n * self.n_trees * _WALK_PAIRS)
         return [total / t for total, t in zip(totals, sizes)]
 
     def _walk(self, x, sizes, start, stop):
         """[the leaf values of the rows of ``x`` from ``start`` to ``stop``,
         summed over the first t trees] for each t of ``sizes``."""
         width = x.shape[1]
-        n_trees = len(self.roots)
+        n_trees = self.n_trees
         reads = np.asarray(sizes, dtype=np.intp) - 1
         rows = max(1, min(stop - start, _FOREST_BLOCK_ROWS))
         buffers = (np.empty(n_trees * rows, np.intp),
@@ -376,6 +396,10 @@ class _PackedForest:
                    np.empty(n_trees * rows), np.empty(n_trees * rows),
                    np.empty(n_trees * rows, bool))
         totals = np.empty((len(reads), stop - start))
+        # level 0's slots are the trees, read by broadcasting
+        slots = 2 * np.arange(n_trees)[:, None]
+        root_feature = self.feature[0][:, None]
+        root_threshold = self.threshold[0][:, None]
         # mode="clip": every index is in range by construction, and the
         # default mode="raise" copies through a buffer when given out=
         for lo in range(start, stop, rows):
@@ -385,17 +409,19 @@ class _PackedForest:
                 for b in buffers)
             block = x[lo:hi].ravel()
             offsets = np.arange(hi - lo) * width
-            node[...] = self.roots[:, None]
-            for _ in range(self.max_depth):
-                np.take(self.feature, node, out=at, mode="clip")
+            np.add(root_feature, offsets, out=at)
+            np.take(block, at, out=xv, mode="clip")
+            np.less(xv, root_threshold, out=go_left)
+            np.add(slots, go_left, out=node)
+            for feature, threshold in zip(self.feature[1:],
+                                          self.threshold[1:]):
+                np.take(feature, node, out=at, mode="clip")
                 at += offsets
                 np.take(block, at, out=xv, mode="clip")
-                np.take(self.threshold, node, out=v, mode="clip")
+                np.take(threshold, node, out=v, mode="clip")
                 np.less(xv, v, out=go_left)
-                node *= 2
-                node += 1
-                node -= go_left
-                np.take(self.children, node, out=node, mode="clip")
+                node += node
+                node += go_left
             np.take(self.value, node, out=v, mode="clip")
             np.cumsum(v, axis=0, out=v)
             totals[:, lo - start:hi - start] = v[reads]
@@ -541,7 +567,8 @@ class IsolationForest(_Detector):
     @trees.setter
     def trees(self, trees):
         # scoring walks the packed form, which packing checks
-        self._forest = None if trees is None else _PackedForest(trees)
+        self._forest = None if trees is None else _PackedForest(
+            trees, math.ceil(math.log2(self.sample_size)))
         self._trees = trees
 
     def _build_tree(self, x, rng, height_limit):

@@ -94,6 +94,9 @@ class RunConfig:
         if bad:
             raise DataError("unknown model(s) %s; choose from %s"
                             % (bad, ", ".join(MODEL_NAMES)))
+        twice = sorted({m for m in names if names.count(m) > 1})
+        if twice:
+            raise DataError("model(s) %s named more than once" % twice)
         return names
 
     def model_params(self, name):
@@ -102,15 +105,19 @@ class RunConfig:
                 for p in MODEL_PARAMS[name]}
 
     def interval_mode(self):
-        """Returns "none", "auto" or an integer number of seconds."""
+        """Returns "none", "auto" or an integer number of seconds: a finite
+        number below 2**63, truncated."""
         v = str(self.resample_interval).strip().lower()
         if v in ("none", "auto"):
             return v
         try:
-            return int(float(v))
+            seconds = float(v)
+            if abs(seconds) < 2.0 ** 63:
+                return int(seconds)
         except ValueError:
-            raise DataError("bad resample_interval %r"
-                            % self.resample_interval) from None
+            pass
+        raise DataError("bad resample_interval %r: not a finite number of "
+                        "seconds below 2**63" % self.resample_interval)
 
     def validate(self):
         for name, frac in (("normal_test_fraction", self.normal_test_fraction),
@@ -122,6 +129,8 @@ class RunConfig:
             raise DataError("split_unit must be 'detection' or 'fish'")
         if _number(vars(self), "seed", integer=True) < 0:
             raise DataError("seed must be at least 0")
+        if _number(vars(self), "max_points", integer=True) < 1:
+            raise DataError("max_points must be at least 1")
         self.model_list
         self.interval_mode()
         return self

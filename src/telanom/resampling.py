@@ -147,7 +147,8 @@ def resample(table, plan):
     group = np.repeat(np.arange(len(starts)), n_points)
     k = np.arange(len(group)) - np.repeat(np.cumsum(n_points) - n_points,
                                           n_points)
-    grid = np.minimum(t0[group] + plan.delta_t * k, t1[group])
+    # capped before t0 is added, so no step of up to 2**63 s overflows
+    grid = t0[group] + np.minimum(plan.delta_t * k, (t1 - t0)[group])
     src_key = (np.repeat(np.arange(len(starts)), size) * 86400
                + (src.timestamp - np.repeat(t0, size))).astype(np.float64)
     grid_key = (group * 86400 + (grid - t0[group])).astype(np.float64)

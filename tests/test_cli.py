@@ -184,14 +184,29 @@ def test_bad_config_boolean_exits_2(dataset, tmp_path, capsys):
      "subsample must be >= 1"),
     (["tune", "--model", "autoencoder"], "", {"batch_size": [64, 0]},
      "batch_size must be >= 1"),
+    (["run", "--resample-interval", "inf"], "", None,
+     "bad resample_interval 'inf'"),
+    (["run"], "resample_interval = 1e19\n", None,
+     "bad resample_interval '1e19'"),
+    (["run", "--max-points", "0"], "", None,
+     "max_points must be at least 1"),
+    (["run"], "max_points = -5\n", None, "max_points must be at least 1"),
+    (["run", "--models", "iforest,iforest"], "", None,
+     "model(s) ['iforest'] named more than once"),
+    (["run"], "models = autoencoder,lof,autoencoder\n", None,
+     "model(s) ['autoencoder'] named more than once"),
 ], ids=["run-seed", "split-seed", "tune-seed", "config-seed",
         "tune-config-seed", "if-subsample", "ae-batch-size",
-        "grid-subsample", "grid-batch-size"])
+        "grid-subsample", "grid-batch-size", "interval-inf",
+        "config-interval-1e19", "max-points-0", "config-max-points",
+        "models-twice", "config-models-twice"])
 def test_bad_seeds_and_sizes_exit_2(dataset, tmp_path, capsys, monkeypatch,
                                     argv, setting, grid, message):
-    """A negative seed, a zero forest subsample and a zero autoencoder
-    batch are data errors, from a flag, a config file or a tune grid; a
-    grid fails before any candidate is fitted."""
+    """A negative seed, a zero forest subsample, a zero autoencoder batch,
+    an interval that is not a finite number of seconds below 2**63, a
+    point budget below 1 and a model named twice are data errors, from a
+    flag, a config file or a tune grid; a grid fails before any candidate
+    is fitted."""
     def fitted(*args, **kwargs):
         raise AssertionError("a candidate was fitted")
     monkeypatch.setattr(telanom.tuning, "_fitted", fitted)

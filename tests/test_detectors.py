@@ -906,6 +906,99 @@ def test_a_failing_split_sweep_leaves_no_child(monkeypatch, cpus, failing):
     _assert_no_child()
 
 
+def _hand_tree(spec):
+    """A tree's parallel node lists, in preorder, from nested specs: a
+    split is (feature, threshold, left spec, right spec), a leaf its size;
+    a split's size is its leaves' sum."""
+    tree = {k: [] for k in ("feature", "threshold", "left", "right", "size")}
+
+    def add(spec):
+        node = len(tree["size"])
+        split = isinstance(spec, tuple)
+        tree["feature"].append(spec[0] if split else -1)
+        tree["threshold"].append(float(spec[1]) if split else 0.0)
+        tree["left"].append(-1)
+        tree["right"].append(-1)
+        tree["size"].append(0 if split else spec)
+        if split:
+            tree["left"][node] = add(spec[2])
+            tree["right"][node] = add(spec[3])
+            tree["size"][node] = (tree["size"][tree["left"][node]]
+                                  + tree["size"][tree["right"][node]])
+        return node
+    add(spec)
+    return tree
+
+
+def _full_spec(rng, depth):
+    """A complete subtree of ``depth`` levels of splits on three features,
+    at thresholds among -1, 0, 0.5 and 1."""
+    if depth == 0:
+        return int(rng.integers(0, 6))
+    return (int(rng.integers(0, 3)), float(rng.choice([-1.0, 0.0, 0.5, 1.0])),
+            _full_spec(rng, depth - 1), _full_spec(rng, depth - 1))
+
+
+def _chain_spec(depth):
+    """A tree ``depth`` levels deep: each split's left child is a leaf."""
+    spec = 1
+    for level in range(depth):
+        spec = (level % 3, float(level % 2), 1, spec)
+    return spec
+
+
+def _hand_forest(specs, sample_size):
+    model = IsolationForest(n_estimators=len(specs))
+    model.sample_size = sample_size
+    model.trees = [_hand_tree(spec) for spec in specs]
+    return model
+
+
+def _heap_forests():
+    rng = np.random.default_rng(31)
+    # a spine with a leaf beside it at every depth, alternating sides, and
+    # a full subtree at its foot; a full tree; a single leaf; a chain
+    spine = _full_spec(rng, 2)
+    for level in range(4):
+        leaf = int(rng.integers(0, 4))
+        split = (level % 3, [0.5, -1.0, 1.0, 0.0][level])
+        spine = split + ((leaf, spine) if level % 2 else (spine, leaf))
+    yield "leaves at every depth", _hand_forest(
+        [spine, _full_spec(rng, 6), 3, _chain_spec(6)], sample_size=64)
+    # thresholds at a node's minimum: the left child is an empty leaf
+    yield "empty left child", _hand_forest(
+        [(0, -1.0, 0, (1, 0.0, 0, (2, 0.5, 2, 3))), (2, -1.0, 0, 7),
+         _full_spec(rng, 3)], sample_size=16)
+    yield "single leaf", IsolationForest(n_estimators=5, seed=6).fit(
+        np.ones((20, 3)))
+
+
+@needs_fork
+@pytest.mark.parametrize("name", ["leaves at every depth",
+                                  "empty left child", "single leaf"])
+def test_hand_built_forests_match_the_oracle(monkeypatch, cpus, name):
+    """Hand-built forests score every row as the per-tree walk does, bit
+    for bit, whole or split on 1, 2 and 3 CPUs: rows on the thresholds,
+    NaN and infinite ones among them."""
+    model = dict(_heap_forests())[name]
+    rng = np.random.default_rng(32)
+    values = np.array([-1.0, 0.0, 0.5, 1.0, np.nan, np.inf, -np.inf,
+                       -0.5, 2.0])
+    q = rng.choice(values, size=(3 * 256 + 7, 3))
+    q[:len(values)] = values[:, None]
+    want = isolation_mean_depths(model.trees, q)
+    if name == "single leaf":
+        assert model._forest.max_depth == 0
+    cpus(1)
+    assert model.mean_depths(q).tobytes() == want.tobytes()
+    monkeypatch.setattr(detectors, "_SPLIT_PAIRS", 1)
+    for n_cpus in (1, 2, 3):
+        forks = cpus(n_cpus)
+        assert model.mean_depths(q).tobytes() == want.tobytes()
+        assert len(forks) == n_cpus - 1
+        _assert_no_child()
+
+
 def _forest_and_rows(n, n_estimators=100):
     rng = np.random.default_rng(99)
     x = _blobs(rng, 600, d=4, spread=0.6, box=3.0)
@@ -991,8 +1084,9 @@ def test_prefix_walks_are_the_walks_of_smaller_forests(monkeypatch, cpus,
     model, q = _forest_and_rows(n, n_estimators=30)
     sizes = [1, 7, 20, 30]
     want = [isolation_mean_depths(model.trees[:t], q) for t in sizes]
-    alone = [detectors._PackedForest(model.trees[:t]).mean_depths(q, [t])[0]
-             for t in sizes]
+    height_limit = math.ceil(math.log2(model.sample_size))
+    alone = [detectors._PackedForest(model.trees[:t], height_limit)
+             .mean_depths(q, [t])[0] for t in sizes]
     for a, b in zip(alone, want):
         assert a.tobytes() == b.tobytes()
     monkeypatch.setattr(detectors, "_SPLIT_PAIRS", 1)
@@ -1139,11 +1233,17 @@ def test_load_model_rejects_corrupt_iforest(tmp_path):
         "non-empty list": [dict(obj, trees=[]), dict(obj, trees={})],
         "number lists": [_corrupt_tree(obj, 1, threshold="abc"),
                          dict(obj, trees=[[1, 2]])],
+        # 60 rows: a height limit of 6
+        "tree 1 is deeper than its height limit 6": [
+            _corrupt_tree(obj, 1, **_hand_tree(_chain_spec(depth)))
+            for depth in (7, 300)],
     }
     for message, objs in bad.items():
         for cut in objs:
             with pytest.raises(DataError, match=message):
                 load_model(_write(path, cut))
+    at_limit = _corrupt_tree(obj, 1, **_hand_tree(_chain_spec(6)))
+    assert load_model(_write(path, at_limit)).trees == at_limit["trees"]
 
 
 def test_load_model_rejects_truncated_file(tmp_path):

@@ -101,6 +101,15 @@ def test_resample_trailing_remainder():
     assert list(gaps) == [100, 100, 50]               # one short final gap
 
 
+@pytest.mark.parametrize("step", [10 ** 6, 2 ** 62, 2 ** 63 - 1000])
+def test_resample_step_longer_than_the_day(step):
+    # a group's grid is its first and last detection, whatever the step:
+    # t0 + step may not fit in 64 bits
+    moves = [("S0", DAY0), ("S1", DAY0 + 250)]
+    out = resample(_table(moves), fixed_plan(step))
+    assert list(out.timestamp) == [DAY0, DAY0 + 250]
+
+
 def test_resample_single_detection_passthrough():
     moves = [("S0", DAY0), ("S0", DAY0 + 86400 * 2)]  # two one-detection days
     table = _table(moves)
