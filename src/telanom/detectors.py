@@ -297,12 +297,14 @@ class _PackedForest:
     leaf's depth + c(size). There are ``max_depth`` levels of splits, and
     one when every tree is a single leaf. Packing checks the trees: lists
     of unequal length, a child that is not after its parent in its own
-    tree, a node with two parents, a negative size and a tree deeper than
-    ``height_limit`` are DataErrors. The depths are checked before the
-    heap, 2**L slots per tree at level L, is made.
+    tree, a node with two parents, a negative size, a split whose
+    children's sizes do not sum to its own, a tree deeper than
+    ``height_limit`` and, when ``sample_size`` is given, a root of another
+    size are DataErrors. All are checked before the heap, 2**L slots per
+    tree at level L, is made.
     """
 
-    def __init__(self, trees, height_limit):
+    def __init__(self, trees, height_limit, sample_size=None):
         if not isinstance(trees, list) or not trees:
             raise DataError("trees must be a non-empty list")
         try:
@@ -350,6 +352,17 @@ class _PackedForest:
             kids = np.concatenate([left[frontier], right[frontier]])
             depth[kids] = self.max_depth
             frontier = kids[split[kids]]
+        splits = np.flatnonzero(split)
+        uneven = splits[size[left[splits]] + size[right[splits]]
+                        != size[splits]]
+        if len(uneven):
+            raise DataError("tree %d: a split's children's sizes do not sum "
+                            "to its own"
+                            % (np.searchsorted(roots, uneven[0], "right") - 1))
+        if sample_size is not None and (size[roots] != sample_size).any():
+            tree = np.flatnonzero(size[roots] != sample_size)[0]
+            raise DataError("tree %d's root size %d is not sample_size %d"
+                            % (tree, size[roots[tree]], sample_size))
         sizes, size_of = np.unique(size, return_inverse=True)
         value = depth + np.array(
             [expected_path_length(int(s)) for s in sizes])[size_of]
@@ -664,11 +677,15 @@ class IsolationForest(_Detector):
                     _number(obj, "subsample", integer=True),
                     _number(obj, "seed", integer=True))
         model.sample_size = _number(obj, "sample_size", integer=True)
-        if model.sample_size < 1:
-            raise DataError("sample_size must be >= 1, got %r"
-                            % (model.sample_size,))
+        if not 1 <= model.sample_size <= model.subsample:
+            raise DataError("sample_size must be in [1, subsample %d], got %r"
+                            % (model.subsample, model.sample_size))
         model.threshold = _number(obj, "threshold")
-        model.trees = obj["trees"]
+        # as the trees setter, with every root's size checked too
+        model._forest = _PackedForest(
+            obj["trees"], math.ceil(math.log2(model.sample_size)),
+            model.sample_size)
+        model._trees = obj["trees"]
         return model
 
 

@@ -26,7 +26,7 @@ import io
 import logging
 from dataclasses import dataclass, field
 from datetime import date, timezone, timedelta, datetime
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -47,8 +47,15 @@ STATION_COLUMNS = ["station", "lat", "lon", "order"]
 DROP_REASONS = ("missing_field", "bad_coordinate", "bad_timestamp",
                 "unknown_station")
 
-# rows read per block; bounds the raw strings held at once
+# rows csv.reader reads per block; bounds the raw strings held at once
 _BLOCK_ROWS = 4096
+
+# characters of a detection CSV tokenised as bytes at once; bounds the text
+# and the token arrays held at once
+_CHUNK_CHARS = 1 << 20
+
+# fields of up to this many bytes are told apart as numpy byte strings
+_KEY_BYTES = 64
 
 # rows written per block; bounds the formatted text held at once (at 16,384
 # rows, resampled.csv's blocks raised the peak RSS of a survey run)
@@ -194,14 +201,19 @@ def _check_header(fieldnames, required, path):
 def load_station_map(path):
     with read_file(path, newline="") as f:
         reader = csv.DictReader(f)
-        _check_header(reader.fieldnames, STATION_COLUMNS, path)
         rows = []
-        for row in reader:
-            try:
-                rows.append((row["station"], float(row["lat"]),
-                             float(row["lon"]), int(row["order"])))
-            except (TypeError, ValueError):
-                raise DataError("%s: malformed station row %r" % (path, row)) from None
+        try:
+            _check_header(reader.fieldnames, STATION_COLUMNS, path)
+            for row in reader:
+                try:
+                    rows.append((row["station"], float(row["lat"]),
+                                 float(row["lon"]), int(row["order"])))
+                except (TypeError, ValueError):
+                    raise DataError("%s: malformed station row %r"
+                                    % (path, row)) from None
+        except csv.Error as e:
+            raise DataError("%s: line %d: %s"
+                            % (path, reader.line_num, e)) from None
     return StationMap(rows)
 
 
@@ -250,30 +262,29 @@ def _decode(book, parse):
     return np.array(values), np.array(ok, dtype=bool)
 
 
-def _decode_clocks(book):
-    """_decode(book, _clock_seconds), with the canonical strings (exactly
-    eight ASCII characters, ``HH:MM:SS``) parsed as one array; every other
-    string goes through _clock_seconds."""
-    strings = list(book)
-    values = np.zeros(len(strings), dtype=np.int64)
-    ok = np.zeros(len(strings), dtype=bool)
-    eight = np.flatnonzero(np.fromiter(map(len, strings), np.int64,
-                                       len(strings)) == 8)
-    chars = np.array([strings[i] for i in eight], dtype="U8").view(
-        np.uint32).reshape(-1, 8)
-    digits = chars - ord("0")  # unsigned: past 9 for every non-digit
-    canonical = ((chars[:, [2, 5]] == ord(":")).all(axis=1)
+def _decode_clocks(chars, texts, codes):
+    """(seconds since midnight, ok) of each row of a time_sa column: rows
+    of the (m, 8) uint8 matrix ``chars`` in the canonical form (``HH:MM:SS``
+    in ASCII digits) are read as one array, and every other row goes
+    through _clock_seconds, once per distinct text. A row's text is
+    ``texts[codes[i]]``, or its row of ``chars`` where ``codes[i]`` is -1:
+    _Block's form of the column."""
+    digits = chars - np.uint8(ord("0"))  # unsigned: past 9 for non-digits
+    canonical = ((chars[:, 2] == ord(":")) & (chars[:, 5] == ord(":"))
                  & (digits[:, [0, 1, 3, 4, 6, 7]] <= 9).all(axis=1))
-    fast = eight[canonical]
-    h, mi, s = (10 * digits[canonical, i] + digits[canonical, i + 1]
+    h, mi, s = (10 * digits[:, i].astype(np.int64) + digits[:, i + 1]
                 for i in (0, 3, 6))
-    ok[fast] = (h <= 23) & (mi <= 59) & (s <= 59)
-    values[fast] = np.where(ok[fast], h * 3600 + mi * 60 + s, 0)
-    slow = np.ones(len(strings), dtype=bool)
-    slow[fast] = False
-    slow = np.flatnonzero(slow)
-    values[slow], ok[slow] = _decode([strings[i] for i in slow],
-                                     _clock_seconds)
+    ok = canonical & (h <= 23) & (mi <= 59) & (s <= 59)
+    values = np.where(ok, h * 3600 + mi * 60 + s, 0)
+    slow = np.flatnonzero(~canonical)
+    book = _Codebook()
+    slow_codes = np.fromiter(
+        (book[texts[c] if c >= 0 else chars[i].tobytes().decode()]
+         for i, c in zip(slow.tolist(), codes[slow].tolist())),
+        np.int64, len(slow))
+    slow_values, slow_ok = _decode(book, _clock_seconds)
+    values[slow] = slow_values[slow_codes]
+    ok[slow] = slow_ok[slow_codes]
     return values, ok
 
 
@@ -289,6 +300,153 @@ def _clock_texts(seconds):
     return chars.view("S8").ravel().astype("U8").tolist()
 
 
+class _Block(NamedTuple):
+    """The records a tokeniser read from one block of a detection CSV.
+
+    ``n_rows`` counts them, blank lines aside; the other fields cover the
+    m of them wide enough to hold every required column. ``columns`` holds
+    (distinct texts, int64 code of each row into them) for each of
+    DETECTION_COLUMNS, and ``clocks`` the (m, 8) uint8 UTF-8 bytes of each
+    row's time_sa where they are exactly eight, zeros elsewhere; time_sa's
+    own codes are -1 where ``clocks`` holds its bytes."""
+    n_rows: int
+    columns: list
+    clocks: np.ndarray
+
+
+def _layout(header, path):
+    """Each of DETECTION_COLUMNS' index in a row (the last column of a
+    repeated name) and the least row width that holds them all."""
+    _check_header(header, DETECTION_COLUMNS, path)
+    where = {name: i for i, name in enumerate(header)}
+    columns = [where[c] for c in DETECTION_COLUMNS]
+    return columns, max(columns) + 1
+
+
+def _clock_column(texts, codes):
+    """_Block's time_sa column and ``clocks`` of a column given as distinct
+    texts and the code of each row."""
+    raw = [t.encode() for t in texts]
+    eight = np.array([len(r) == 8 for r in raw], dtype=bool)
+    table = np.zeros((len(raw), 8), dtype=np.uint8)
+    table[eight] = np.frombuffer(b"".join(r for r in raw if len(r) == 8),
+                                 np.uint8).reshape(-1, 8)
+    odd = np.flatnonzero(~eight)
+    remap = np.full(len(raw), -1, dtype=np.int64)
+    remap[odd] = np.arange(len(odd))
+    return ([texts[i] for i in odd.tolist()], remap[codes]), table[codes]
+
+
+def _reader_blocks(lines, layout, path):
+    """_Blocks of the records csv.reader reads from ``lines``, _BLOCK_ROWS
+    at a time. ``layout`` is _layout's, or None when the header is the
+    first record; a csv.Error is a DataError that names the file."""
+    reader = csv.reader(lines)
+    try:
+        columns, width = layout or _layout(next(reader, None), path)
+        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+            rows = [r for r in block if len(r) >= width]
+            fields = list(zip(*rows)) or [()] * width
+            coded = []
+            for col in columns:
+                book = _Codebook()
+                codes = np.fromiter(map(book.__getitem__, fields[col]),
+                                    np.int64, len(rows))
+                coded.append((list(book), codes))
+            coded[-1], clocks = _clock_column(*coded[-1])
+            yield _Block(sum(map(bool, block)), coded, clocks)
+    except csv.Error as e:
+        raise DataError("%s: line %d: %s" % (path, reader.line_num, e)) \
+            from None
+
+
+def _factorize(raw, padded, starts, ends):
+    """(distinct texts, int64 code of each field) of the fields
+    ``raw[starts[i]:ends[i]]``. ``padded`` is ``raw`` as a uint8 array
+    with _KEY_BYTES zero bytes after it. Fields of at most _KEY_BYTES bytes
+    are zero-padded to the longest one's width (no field holds a NUL) and
+    told apart by one np.unique on those bytes; only the distinct fields
+    are decoded. Longer fields go through a dict."""
+    lengths = ends - starts
+    width = max(1, int(lengths.max(initial=0)))
+    if width > _KEY_BYTES:
+        book = _Codebook()
+        codes = np.fromiter(
+            (book[raw[a:z]] for a, z in zip(starts.tolist(), ends.tolist())),
+            np.int64, len(starts))
+        return [key.decode() for key in book], codes
+    keys = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
+    keys[np.arange(width) >= lengths[:, None]] = 0
+    _, first, codes = np.unique(keys.view("S%d" % width).ravel(),
+                                return_index=True, return_inverse=True)
+    return [raw[a:z].decode() for a, z in zip(starts[first].tolist(),
+                                              ends[first].tolist())], codes
+
+
+def _byte_block(raw, starts, ends, columns):
+    """The _Block of the lines [starts, ends) of ``raw``, none of them
+    blank, in a file of no quote and no NUL: each line is split at its
+    commas, and a line of fewer than ``max(columns)`` commas is too short
+    for the row."""
+    b = np.frombuffer(raw, np.uint8)
+    padded = np.concatenate((b, np.zeros(_KEY_BYTES, np.uint8)))
+    commas = np.flatnonzero(b == ord(","))
+    first = np.searchsorted(commas, starts)
+    n_commas = np.searchsorted(commas, ends) - first
+    wide = n_commas >= max(columns)
+    first, n_commas = first[wide], n_commas[wide]
+    starts, ends = starts[wide], ends[wide]
+    # a field runs from after the comma before it (or the line's start)
+    # to the comma after it (or the line's end)
+    commas = np.concatenate((commas, [0]))
+    spans = [(commas[first + col - 1] + 1 if col else starts,
+              np.where(n_commas > col, commas[first + col], ends))
+             for col in columns]
+    field_start, field_end = spans[-1]
+    eight = field_end - field_start == 8
+    clocks = np.zeros((len(starts), 8), dtype=np.uint8)
+    clocks[eight] = np.lib.stride_tricks.sliding_window_view(padded, 8)[
+        field_start[eight]]
+    texts, odd = _factorize(raw, padded, field_start[~eight],
+                            field_end[~eight])
+    clock_codes = np.full(len(starts), -1, dtype=np.int64)
+    clock_codes[~eight] = odd
+    columns = [_factorize(raw, padded, *span) for span in spans[:-1]]
+    return _Block(len(wide), columns + [(texts, clock_codes)], clocks)
+
+
+def _blocks(f, path):
+    """The _Blocks of the detection CSV open as ``f``, read by _byte_block
+    in chunks of about _CHUNK_CHARS characters, each completed to the end
+    of its last line. From the first chunk that holds a quote or a NUL, or
+    a line longer than csv's field limit, on, the rest of the file goes to
+    _reader_blocks: no quote came before, so the chunk starts a record in
+    the state csv.reader would reach."""
+    layout = None
+    for text in iter(lambda: f.read(_CHUNK_CHARS), ""):
+        text += f.readline()
+        raw = text.encode()
+        if raw[-1:] not in (b"\n", b"\r"):
+            raw += b"\n"
+        # a line ends at every \r and \n, so a \r\n ends a line and a
+        # blank one: blank lines are not records to csv.reader
+        b = np.frombuffer(raw, np.uint8)
+        ends = np.flatnonzero((b == ord("\n")) | (b == ord("\r")))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        if (b'"' in raw or b"\0" in raw
+                or (ends - starts).max() > csv.field_size_limit()):
+            yield from _reader_blocks(
+                chain(io.StringIO(text, newline=""), f), layout, path)
+            return
+        if layout is None:
+            layout = _layout(raw[:ends[0]].decode().split(","), path)
+            starts, ends = starts[1:], ends[1:]
+        full = ends > starts  # blank lines are not rows
+        yield _byte_block(raw, starts[full], ends[full], layout[0])
+    if layout is None:
+        _layout(None, path)
+
+
 def parse_csv(path, station_map):
     """Parse a detection CSV against a station map into Detections, in file
     order.
@@ -296,33 +454,31 @@ def parse_csv(path, station_map):
     Malformed rows and rows whose station is not in the map are dropped and
     counted in the returned ParseReport; a row is checked for each reason
     of DROP_REASONS in turn, and a row too short to hold every required
-    column is a missing_field. A missing file or a missing required column
-    is an error.
+    column is a missing_field. A missing file, a missing required column
+    and a file csv.reader cannot read are errors.
+
+    Records are read as csv.reader reads them. A file is tokenised as
+    bytes by numpy until a quote (or a NUL, or an overlong line) turns up,
+    and by csv.reader from there on; both give each column's distinct
+    texts, which are decoded once each.
     """
     report = ParseReport()
+    books = [_Codebook() for _ in DETECTION_COLUMNS]  # over all blocks
+    codes = [[] for _ in DETECTION_COLUMNS]
+    clocks = [np.zeros((0, 8), dtype=np.uint8)]
     with read_file(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        _check_header(header, DETECTION_COLUMNS, path)
-        where = {name: i for i, name in enumerate(header)}  # last one wins
-        columns = [where[c] for c in DETECTION_COLUMNS]
-        width = max(columns) + 1
-        books = [_Codebook() for _ in columns]
-        blocks = [[] for _ in columns]
-        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
-            rows = [r for r in block if len(r) >= width]
-            n_rows = sum(map(bool, block))  # blank lines are not rows
-            report.n_rows += n_rows
-            if n_rows > len(rows):
-                report.drop("missing_field", n_rows - len(rows))
-            if not rows:
-                continue
-            fields = list(zip(*rows))
-            for book, col, out in zip(books, columns, blocks):
-                out.append(np.fromiter(map(book.__getitem__, fields[col]),
-                                       np.int64, len(rows)))
+        for block in _blocks(f, path):
+            report.n_rows += block.n_rows
+            if block.n_rows > len(block.clocks):
+                report.drop("missing_field", block.n_rows - len(block.clocks))
+            for book, (texts, block_codes), out in zip(books, block.columns,
+                                                       codes):
+                remap = np.fromiter(map(book.__getitem__, texts), np.int64,
+                                    len(texts))
+                out.append(np.append(remap, -1)[block_codes])
+            clocks.append(block.clocks)
     fish, recv, station, lat, lon, day, clock = (
-        np.concatenate(b) if b else np.empty(0, np.int64) for b in blocks)
+        np.concatenate(c) if c else np.empty(0, np.int64) for c in codes)
 
     fish_ids, recv_ids, station_ids = (
         np.array([s.strip() for s in book], dtype=object)
@@ -331,14 +487,15 @@ def parse_csv(path, station_map):
     lat_v, lat_ok = _decode(books[3], float)
     lon_v, lon_ok = _decode(books[4], float)
     day_v, day_ok = _decode(books[5], _day_number)
-    clock_v, clock_ok = _decode_clocks(books[6])
+    clock_v, clock_ok = _decode_clocks(np.concatenate(clocks), list(books[6]),
+                                       clock)
 
     lat_deg, lon_deg = lat_v[lat], lon_v[lon]
     checks = ((fish_ids != "")[fish] & (station_ids != "")[station]
               & lat_ok[lat] & lon_ok[lon],
               (-90.0 <= lat_deg) & (lat_deg <= 90.0)
               & (-180.0 <= lon_deg) & (lon_deg <= 180.0),
-              day_ok[day] & clock_ok[clock],
+              day_ok[day] & clock_ok,
               known[station])
     kept = np.ones(len(fish), dtype=bool)
     for reason, ok in zip(DROP_REASONS, checks):
@@ -351,7 +508,7 @@ def parse_csv(path, station_map):
     detections = Detections(
         fish_ids[fish[idx]], recv_ids[recv[idx]], station_ids[station[idx]],
         lat_deg[idx], lon_deg[idx],
-        day_v[day[idx]] * 86400 + clock_v[clock[idx]] - UTC_OFFSET_S)
+        day_v[day[idx]] * 86400 + clock_v[idx] - UTC_OFFSET_S)
     for reason, n in sorted(report.dropped.items()):
         log.warning("%s: dropped %d row(s): %s", path, n, reason)
     return detections, report

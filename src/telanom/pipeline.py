@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -105,19 +106,19 @@ class RunConfig:
                 for p in MODEL_PARAMS[name]}
 
     def interval_mode(self):
-        """Returns "none", "auto" or an integer number of seconds: a finite
-        number below 2**63, truncated."""
+        """Returns "none", "auto" or an integer number of seconds: a whole
+        number in [1, 2**63), such as 600 or 600.0."""
         v = str(self.resample_interval).strip().lower()
         if v in ("none", "auto"):
             return v
         try:
             seconds = float(v)
-            if abs(seconds) < 2.0 ** 63:
-                return int(seconds)
         except ValueError:
-            pass
-        raise DataError("bad resample_interval %r: not a finite number of "
-                        "seconds below 2**63" % self.resample_interval)
+            seconds = math.nan
+        if seconds.is_integer() and 1 <= seconds < 2.0 ** 63:
+            return int(seconds)
+        raise DataError("bad resample_interval %r: not a whole number of "
+                        "seconds in [1, 2**63)" % self.resample_interval)
 
     def validate(self):
         for name, frac in (("normal_test_fraction", self.normal_test_fraction),

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from the textbook definition, not
 from the production code, so the two can disagree; the exceptions are the
-row-at-a-time front end, the scalar code the columnar one replaced, and at
-the end the allocating autoencoder training loop and the rank loop that
-buffered and array code replaced, the per-model confidence-interval repeats
+row-at-a-time front end, the scalar code the columnar one replaced (and
+the csv.reader tokeniser the byte tokeniser replaced), and at the end the
+allocating autoencoder training loop and the rank loop that buffered and
+array code replaced, the per-model confidence-interval repeats
 the all-models-per-repeat ones replaced, the two table helpers only tests
 use, the per-model LOF neighbourhood sweep the shared neighbour pass
 replaced, the scalar generator and csv.writer writers that the batched
@@ -19,6 +20,7 @@ import csv
 import dataclasses
 import math
 from datetime import date
+from itertools import islice
 
 import mpmath
 import numpy as np
@@ -28,7 +30,10 @@ from telanom.detectors import _nearest, _sq_dist_blocks, expected_path_length
 from telanom.errors import TrainingError
 from telanom.features import (CONTINUOUS_DIMS, FEATURE_NAMES, STEPWISE_DIMS,
                               FeatureTable, haversine_km)
-from telanom.ingest import (DETECTION_COLUMNS, UTC_OFFSET_S, DetectionRecord,
+from telanom.ingest import (_BLOCK_ROWS, DETECTION_COLUMNS, DROP_REASONS,
+                            UTC_OFFSET_S, DetectionRecord, Detections,
+                            ParseReport, _check_header, _clock_seconds,
+                            _Codebook, _day_number, _decode,
                             format_timestamp, local_day, parse_timestamp)
 from telanom.metrics import SUMMARY_COLUMNS, reshuffle_ci
 from telanom.pipeline import run_pipeline
@@ -349,6 +354,66 @@ def haversine_direct(lat1, lon1, lat2, lon2, radius_km=6371.0):
 # The scalar ingest/feature/label/resample code that the columnar front end
 # replaced, kept as its reference: the columnar code must reproduce it
 # bit for bit. Inputs are DetectionRecord lists.
+
+
+def row_parse_csv(path, station_map):
+    """parse_csv as csv.reader rows, _BLOCK_ROWS at a time, every column's
+    strings numbered by a codebook and decoded once per distinct string:
+    the tokeniser that the byte tokeniser replaced. A file csv.reader
+    cannot read raises its csv.Error."""
+    report = ParseReport()
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        _check_header(header, DETECTION_COLUMNS, path)
+        where = {name: i for i, name in enumerate(header)}  # last one wins
+        columns = [where[c] for c in DETECTION_COLUMNS]
+        width = max(columns) + 1
+        books = [_Codebook() for _ in columns]
+        blocks = [[] for _ in columns]
+        for block in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+            rows = [r for r in block if len(r) >= width]
+            n_rows = sum(map(bool, block))  # blank lines are not rows
+            report.n_rows += n_rows
+            if n_rows > len(rows):
+                report.drop("missing_field", n_rows - len(rows))
+            if not rows:
+                continue
+            fields = list(zip(*rows))
+            for book, col, out in zip(books, columns, blocks):
+                out.append(np.fromiter(map(book.__getitem__, fields[col]),
+                                       np.int64, len(rows)))
+    fish, recv, station, lat, lon, day, clock = (
+        np.concatenate(b) if b else np.empty(0, np.int64) for b in blocks)
+
+    fish_ids, recv_ids, station_ids = (
+        np.array([s.strip() for s in book], dtype=object)
+        for book in books[:3])
+    known = np.array([s in station_map for s in station_ids], dtype=bool)
+    lat_v, lat_ok = _decode(books[3], float)
+    lon_v, lon_ok = _decode(books[4], float)
+    day_v, day_ok = _decode(books[5], _day_number)
+    clock_v, clock_ok = _decode(books[6], _clock_seconds)
+
+    lat_deg, lon_deg = lat_v[lat], lon_v[lon]
+    checks = ((fish_ids != "")[fish] & (station_ids != "")[station]
+              & lat_ok[lat] & lon_ok[lon],
+              (-90.0 <= lat_deg) & (lat_deg <= 90.0)
+              & (-180.0 <= lon_deg) & (lon_deg <= 180.0),
+              day_ok[day] & clock_ok[clock],
+              known[station])
+    kept = np.ones(len(fish), dtype=bool)
+    for reason, ok in zip(DROP_REASONS, checks):
+        n_bad = int(np.count_nonzero(kept & ~ok))
+        if n_bad:
+            report.drop(reason, n_bad)
+        kept &= ok
+    idx = np.flatnonzero(kept)
+    report.n_parsed = len(idx)
+    return Detections(
+        fish_ids[fish[idx]], recv_ids[recv[idx]], station_ids[station[idx]],
+        lat_deg[idx], lon_deg[idx],
+        day_v[day[idx]] * 86400 + clock_v[clock[idx]] - UTC_OFFSET_S), report
 
 
 def deduplicate_records(records):

@@ -203,7 +203,7 @@ def test_bad_config_boolean_exits_2(dataset, tmp_path, capsys):
 def test_bad_seeds_and_sizes_exit_2(dataset, tmp_path, capsys, monkeypatch,
                                     argv, setting, grid, message):
     """A negative seed, a zero forest subsample, a zero autoencoder batch,
-    an interval that is not a finite number of seconds below 2**63, a
+    an interval that is not a whole number of seconds in [1, 2**63), a
     point budget below 1 and a model named twice are data errors, from a
     flag, a config file or a tune grid; a grid fails before any candidate
     is fitted."""
@@ -221,6 +221,34 @@ def test_bad_seeds_and_sizes_exit_2(dataset, tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("data error: ") and message in err, err
+
+
+@pytest.mark.parametrize("interval", ["0.5", "-5", "1.5", "0", "nan",
+                                      "9223372036854775808", "600 s"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_interval_must_be_whole_seconds(dataset, tmp_path, capsys,
+                                        monkeypatch, interval, where):
+    """An interval that is not a whole number of seconds in [1, 2**63) is
+    refused before the input is read, never truncated."""
+    def parsed(*args):
+        raise AssertionError("the input was read")
+    monkeypatch.setattr(telanom.pipeline, "parse_csv", parsed)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG_TEXT + ("resample_interval = %s\n" % interval
+                                   if where == "config" else ""))
+    flag = ["--resample-interval", interval] if where == "flag" else []
+    code = main(["run", "--config", str(cfg)] + flag
+                + _data_args(dataset, str(tmp_path / "o")))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "bad resample_interval %r" % interval in err, err
+
+
+@pytest.mark.parametrize("interval, seconds", [
+    ("600", 600), ("600.0", 600), (" 1 ", 1), (600, 600), ("1e3", 1000),
+    ("auto", "auto"), ("None", "none")])
+def test_interval_mode_reads_whole_seconds(interval, seconds):
+    assert RunConfig(resample_interval=interval).interval_mode() == seconds
 
 
 def test_internal_errors_exit_3(dataset, tmp_path, capsys, monkeypatch):
@@ -552,6 +580,76 @@ def test_evaluate_rejects_broken_classical_and_scaler_files(dataset, tmp_path,
     assert main(["evaluate", "--config", str(cfg), "--seed", "5",
                  "--models-dir", out]
                 + _data_args(dataset, str(tmp_path / "eval"))) == 0
+
+
+# main's wall time and the process's peak RSS in MB, VmHWM: unlike
+# ru_maxrss, it is not the peak of the process that ran the interpreter
+_EVALUATE_PEAK = """
+import sys, time
+from telanom.cli import main
+t = time.perf_counter()
+code = main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    kb = [line.split()[1] for line in f if line.startswith("VmHWM:")][0]
+print(time.perf_counter() - t, int(kb) / 1024)
+sys.exit(code)
+"""
+
+
+def _chain(depth, root_size):
+    """A tree of ``depth`` splits, each with a leaf of one row on its left,
+    over ``root_size`` rows."""
+    n = 2 * depth + 1
+    return {"feature": [0 if i % 2 == 0 and i < n - 1 else -1
+                        for i in range(n)],
+            "threshold": [0.0] * n,
+            "left": [i + 1 if i % 2 == 0 and i < n - 1 else -1
+                     for i in range(n)],
+            "right": [i + 2 if i % 2 == 0 and i < n - 1 else -1
+                      for i in range(n)],
+            "size": [root_size - i // 2 if i % 2 == 0 else 1
+                     for i in range(n)]}
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda o: dict(o, sample_size=2 ** 34,
+                    trees=[_chain(34, 2 ** 34)] + o["trees"][1:]),
+     "sample_size must be in [1, subsample 256], got 17179869184"),
+    (lambda o: dict(o, sample_size=2 ** 34, subsample=2 ** 34,
+                    trees=[_chain(34, 2 ** 34)] + o["trees"][1:]),
+     "tree 1's root size"),
+    (lambda o: dict(o, sample_size=2 ** 34, subsample=2 ** 34,
+                    trees=[dict(_chain(34, 2 ** 34), size=[1] * 69)]
+                    + o["trees"][1:]),
+     "tree 0: a split's children's sizes do not sum to its own"),
+], ids=["sample-size", "root-size", "child-sizes"])
+def test_evaluate_refuses_a_forest_that_asks_for_a_huge_heap(
+        dataset, tmp_path, change, message):
+    """A saved forest whose sizes are not those of a fit is refused before
+    its heap, 2**34 slots per tree here, is made: evaluate exits 2 within
+    a second and 100 MB."""
+    out = str(tmp_path / "trained")
+    cfg = tmp_path / "if.cfg"
+    cfg.write_text(RUN_CFG_TEXT.replace("iforest,dbscan", "iforest"))
+    assert main(["train", "--config", str(cfg), "--seed", "5"]
+                + _data_args(dataset, out)) == 0
+    path = os.path.join(out, "models", "iforest.json")
+    with open(path) as f:
+        model = json.load(f)
+    with open(path, "w") as f:
+        json.dump(change(model), f)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(telanom.__file__)),
+        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVALUATE_PEAK, "evaluate", "--config",
+         str(cfg), "--seed", "5", "--models-dir", out]
+        + _data_args(dataset, str(tmp_path / "eval")),
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr, proc.stderr
+    seconds, peak_mb = map(float, proc.stdout.split())
+    assert seconds < 1.0 and peak_mb < 100, (seconds, peak_mb)
 
 
 def test_tune_rejects_unknown_and_bad_grid_parameters(dataset, tmp_path,

@@ -939,9 +939,10 @@ def _full_spec(rng, depth):
             _full_spec(rng, depth - 1), _full_spec(rng, depth - 1))
 
 
-def _chain_spec(depth):
-    """A tree ``depth`` levels deep: each split's left child is a leaf."""
-    spec = 1
+def _chain_spec(depth, foot=1):
+    """A tree ``depth`` levels deep: each split's left child is a leaf of
+    size 1, and the last split's right child one of size ``foot``."""
+    spec = foot
     for level in range(depth):
         spec = (level % 3, float(level % 2), 1, spec)
     return spec
@@ -1230,6 +1231,13 @@ def test_load_model_rejects_corrupt_iforest(tmp_path):
         "negative": [_corrupt_tree(obj, 1, size=[-1] + tree["size"][1:])],
         "sample_size": [dict(obj, sample_size=0),
                         dict(obj, sample_size=2.5)],
+        "sample_size must be in \\[1, subsample 256\\], got 257": [
+            dict(obj, sample_size=257)],
+        "tree 1's root size 7 is not sample_size 60": [
+            _corrupt_tree(obj, 1, **_hand_tree(_chain_spec(6)))],
+        "tree 1: a split's children's sizes do not sum to its own": [
+            _corrupt_tree(obj, 1, size=[61] + tree["size"][1:]),
+            _corrupt_tree(obj, 1, size=tree["size"][:-1] + [2])],
         "non-empty list": [dict(obj, trees=[]), dict(obj, trees={})],
         "number lists": [_corrupt_tree(obj, 1, threshold="abc"),
                          dict(obj, trees=[[1, 2]])],
@@ -1242,7 +1250,7 @@ def test_load_model_rejects_corrupt_iforest(tmp_path):
         for cut in objs:
             with pytest.raises(DataError, match=message):
                 load_model(_write(path, cut))
-    at_limit = _corrupt_tree(obj, 1, **_hand_tree(_chain_spec(6)))
+    at_limit = _corrupt_tree(obj, 1, **_hand_tree(_chain_spec(6, foot=54)))
     assert load_model(_write(path, at_limit)).trees == at_limit["trees"]
 
 

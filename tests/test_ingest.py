@@ -3,7 +3,7 @@ import pytest
 
 from telanom.errors import DataError
 from telanom.ingest import (DetectionRecord, Detections, StationMap,
-                            _clock_seconds, _Codebook, _decode_clocks,
+                            _clock_column, _clock_seconds, _decode_clocks,
                             deduplicate,
                             format_timestamp, group_tracks, load_station_map,
                             local_day, parse_csv, parse_timestamp,
@@ -172,11 +172,10 @@ def test_clock_fast_path_matches_clock_seconds():
              for m in (0, 59, 60, 99) for s in (0, 59, 60, 99)]
     for strings in (CLOCK_EDGES, every + wrong + CLOCK_EDGES, [],
                     ["1:2:3"], ["12:00:00"]):
-        book = _Codebook()
-        for s in strings:
-            book[s]
-        values, ok = _decode_clocks(book)
-        want = [_clock_oracle(s) for s in book]
+        # the column as the csv.reader tokeniser hands it over
+        column, chars = _clock_column(strings, np.arange(len(strings)))
+        values, ok = _decode_clocks(chars, *column)
+        want = [_clock_oracle(s) for s in strings]
         assert values.tolist() == [v for v, _ in want]
         assert ok.tolist() == [k for _, k in want]
 
