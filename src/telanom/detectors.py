@@ -19,7 +19,7 @@ from .errors import DataError, _array, _number, load_json, whole_file
 from .autoencoder import Autoencoder, TrainConfig
 from .child import run_all, usable_cpus
 from .thresholding import (_Detector, _as_matrix, _check_width,
-                           contamination_threshold)
+                           contamination_threshold, contamination_top)
 
 EULER_GAMMA = 0.5772156649
 _HARMONIC_EXACT_LIMIT = 10 ** 6
@@ -281,6 +281,18 @@ _TREE_KEYS = ("feature", "threshold", "left", "right", "size")
 # whatever the number of rows scored.
 _FOREST_BLOCK_ROWS = 256
 
+# The contamination threshold's pruned walk (_PackedForest._least_totals):
+# every row is walked _BOUND_LEVEL levels before any is dropped, and
+# 2r + _CANDIDATE_EXTRA rows are walked in full for the bound. A row is
+# dropped when its least total exceeds the bound by the factor
+# _PRUNE_SLACK. A sum of t positive terms rounds by under t * 2**-53 of
+# itself (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+# 4.2), and the division and power of the score by an ulp each: 1e-9
+# covers any forest under 10**6 trees many times over.
+_BOUND_LEVEL = 3           # at most 8: a row's slot of a tree fits a byte
+_CANDIDATE_EXTRA = 32
+_PRUNE_SLACK = 1.0 + 1e-9
+
 
 class _PackedForest:
     """The trees of an isolation forest packed level by level into a heap,
@@ -381,6 +393,31 @@ class _PackedForest:
             at = children[at].ravel()
         self.value = value[at]
 
+    @property
+    def depth(self):
+        """The level of the leaf values: the levels of splits walked."""
+        return len(self.feature)
+
+    def _bounds(self):
+        """[(least, greatest) leaf value in the slots below each entry of
+        level L] for every level L, the last level's being ``value``. An
+        entry's slots are its two children's, so each level is the
+        elementwise min and max of the next one's even and odd entries.
+        Made for each pruned walk: kept, they would add 16 bytes per slot
+        to the model."""
+        least = greatest = self.value
+        bounds = [(least, greatest)]
+        for _ in range(self.depth):
+            least = np.minimum(least[0::2], least[1::2])
+            greatest = np.maximum(greatest[0::2], greatest[1::2])
+            bounds.append((least, greatest))
+        return bounds[::-1]
+
+    def _check_rows(self, x):
+        if x.shape[1] < self.width:
+            raise DataError("the forest splits on feature %d; rows have %d"
+                            % (self.width - 1, x.shape[1]))
+
     def mean_depths(self, x, sizes):
         """For each t of ``sizes``: each row's path length averaged over the
         first t trees, the mean depths of a forest of those t trees. The
@@ -388,57 +425,173 @@ class _PackedForest:
         read after tree t, so the means are bit-identical to walking the t
         trees one at a time, and one walk serves every t. The rows are
         split across the CPUs by ``_split_sweep``."""
-        n, width = x.shape
-        if width < self.width:
-            raise DataError("the forest splits on feature %d; rows have %d"
-                            % (self.width - 1, width))
+        self._check_rows(x)
+        n = len(x)
         totals = _split_sweep(functools.partial(self._walk, x, sizes), n,
                               _FOREST_BLOCK_ROWS,
                               n * self.n_trees * _WALK_PAIRS)
         return [total / t for total, t in zip(totals, sizes)]
 
+    def shallowest_depths(self, x, r):
+        """The mean depths over all the trees of the rows of ``x`` that can
+        be among its ``r`` shallowest, each bit-identical to its
+        ``mean_depths``, in no particular order. Every row left out is
+        deeper than the r-th shallowest by far more than rounding can
+        close, so its score ranks below the r-th highest.
+
+        The rows are split across the CPUs by ``_split_sweep``, and each
+        range keeps what can be among its own r shallowest
+        (``_least_totals``): the r-th shallowest of a range is no
+        shallower than that of all the rows. Where 2r + 32 candidates are
+        over an eighth of the rows, pruning cannot pay, and every row's
+        mean depth is returned."""
+        self._check_rows(x)
+        n = len(x)
+        if 8 * (2 * r + _CANDIDATE_EXTRA) > n:
+            return self.mean_depths(x, [self.n_trees])[0]
+        totals, = _split_sweep(functools.partial(self._least_totals, x, r),
+                               n, _FOREST_BLOCK_ROWS,
+                               n * self.n_trees * _WALK_PAIRS)
+        return totals / self.n_trees
+
     def _walk(self, x, sizes, start, stop):
         """[the leaf values of the rows of ``x`` from ``start`` to ``stop``,
         summed over the first t trees] for each t of ``sizes``."""
-        width = x.shape[1]
-        n_trees = self.n_trees
         reads = np.asarray(sizes, dtype=np.intp) - 1
-        rows = max(1, min(stop - start, _FOREST_BLOCK_ROWS))
-        buffers = (np.empty(n_trees * rows, np.intp),
-                   np.empty(n_trees * rows, np.intp),
-                   np.empty(n_trees * rows), np.empty(n_trees * rows),
-                   np.empty(n_trees * rows, bool))
         totals = np.empty((len(reads), stop - start))
-        # level 0's slots are the trees, read by broadcasting
-        slots = 2 * np.arange(n_trees)[:, None]
-        root_feature = self.feature[0][:, None]
-        root_threshold = self.threshold[0][:, None]
-        # mode="clip": every index is in range by construction, and the
-        # default mode="raise" copies through a buffer when given out=
-        for lo in range(start, stop, rows):
-            hi = min(stop, lo + rows)
-            node, at, xv, v, go_left = (
-                b[:n_trees * (hi - lo)].reshape(n_trees, hi - lo)
-                for b in buffers)
-            block = x[lo:hi].ravel()
-            offsets = np.arange(hi - lo) * width
-            np.add(root_feature, offsets, out=at)
-            np.take(block, at, out=xv, mode="clip")
-            np.less(xv, root_threshold, out=go_left)
-            np.add(slots, go_left, out=node)
-            for feature, threshold in zip(self.feature[1:],
-                                          self.threshold[1:]):
-                np.take(feature, node, out=at, mode="clip")
-                at += offsets
-                np.take(block, at, out=xv, mode="clip")
-                np.take(threshold, node, out=v, mode="clip")
-                np.less(xv, v, out=go_left)
-                node += node
-                node += go_left
+        for lo, hi, node, v in self._blocks(x, start, stop, self.depth):
             np.take(self.value, node, out=v, mode="clip")
             np.cumsum(v, axis=0, out=v)
             totals[:, lo - start:hi - start] = v[reads]
         return list(totals)
+
+    def _buffers(self, rows):
+        """Flat buffers for blocks of up to ``rows`` rows in every tree: one
+        of entries, then ``_descend``'s scratch. A block's arrays are views
+        of them (``_shaped``): made for every block, arrays of this size
+        cost a page fault per 4 KB."""
+        size = self.n_trees * max(1, min(rows, _FOREST_BLOCK_ROWS))
+        return [np.empty(size, dtype) for dtype in (
+            np.intp, np.intp, np.float64, np.float64, bool)]
+
+    def _shaped(self, buffers, rows):
+        return [b[:self.n_trees * rows].reshape(self.n_trees, rows)
+                for b in buffers]
+
+    def _blocks(self, x, start, stop, level):
+        """For each block of the rows of ``x`` from ``start`` to ``stop``:
+        (lo, hi, node, v), ``node`` the entries of ``level`` that rows lo
+        to hi reach in each tree (trees x rows) and ``v`` a float buffer of
+        its shape. Both are rewritten for the next block."""
+        buffers = self._buffers(stop - start)
+        for lo in range(start, stop, _FOREST_BLOCK_ROWS):
+            hi = min(stop, lo + _FOREST_BLOCK_ROWS)
+            node, *scratch = self._shaped(buffers, hi - lo)
+            self._descend(x[lo:hi], node, 0, level, scratch)
+            yield lo, hi, node, scratch[2]
+
+    def _descend(self, block, node, first, last, scratch):
+        """Moves the rows of ``block`` in each tree from the entries
+        ``node`` of level ``first`` (trees x rows, rewritten in place) to
+        the entries of level ``last`` they reach. From level 0 ``node`` is
+        not read. ``scratch``: (index, float, float, bool) buffers of
+        ``node``'s shape."""
+        at, xv, v, go_left = scratch
+        offsets = np.arange(node.shape[1]) * block.shape[1]
+        block = block.ravel()
+        # mode="clip": every index is in range by construction, and the
+        # default mode="raise" copies through a buffer when given out=
+        if first == 0:
+            # level 0's slots are the trees, read by broadcasting
+            np.add(self.feature[0][:, None], offsets, out=at)
+            np.take(block, at, out=xv, mode="clip")
+            np.less(xv, self.threshold[0][:, None], out=go_left)
+            np.add(2 * np.arange(self.n_trees)[:, None], go_left, out=node)
+            first = 1
+        for feature, threshold in zip(self.feature[first:last],
+                                      self.threshold[first:last]):
+            np.take(feature, node, out=at, mode="clip")
+            at += offsets
+            np.take(block, at, out=xv, mode="clip")
+            np.take(threshold, node, out=v, mode="clip")
+            np.less(xv, v, out=go_left)
+            node += node
+            node += go_left
+
+    def _least_totals(self, x, r, start, stop):
+        """[The totals over all the trees of the rows of ``x`` from
+        ``start`` to ``stop`` that can be among the r least of those rows'
+        totals], each bit-identical to ``_walk``'s.
+
+        Every row is walked ``_BOUND_LEVEL`` levels, where its total lies
+        between the sums of its entries' least and greatest leaf values
+        (``_bounds``). The 2r + 32 rows of least upper bound are walked in
+        full, and the r-th least of their totals, U, is at least the r-th
+        least of all. Of the other rows, one whose lower bound exceeds
+        U * ``_PRUNE_SLACK`` is dropped, and the rest go on a level at a
+        time, pruned again at each level, and are summed at the last. No
+        row is walked twice."""
+        k = min(_BOUND_LEVEL, self.depth)
+        bounds = self._bounds()
+        least, greatest = bounds[k]
+        m = stop - start
+        # the slot every row reaches at level k in each tree, its entry
+        # less the tree's first, kept for the rows that go on
+        slots = np.empty((self.n_trees, m), np.uint8)
+        firsts = np.arange(self.n_trees)[:, None] << k
+        low, high = np.empty(m), np.empty(m)
+        for lo, hi, node, v in self._blocks(x, start, stop, k):
+            np.subtract(node, firsts, out=slots[:, lo - start:hi - start],
+                        casting="unsafe")
+            np.take(least, node, out=v, mode="clip")
+            v.sum(axis=0, out=low[lo - start:hi - start])
+            np.take(greatest, node, out=v, mode="clip")
+            v.sum(axis=0, out=high[lo - start:hi - start])
+        n_first = min(m, 2 * r + _CANDIDATE_EXTRA)
+        first = np.argpartition(high, n_first - 1)[:n_first]
+        lows = [least for least, _ in bounds]
+        totals = self._finish(x[start:stop], slots, first, k, lows, np.inf)
+        if n_first == m:
+            return [totals]
+        bound = np.partition(totals, r - 1)[r - 1] * _PRUNE_SLACK
+        rest = low <= bound
+        rest[first] = False
+        return [np.concatenate([totals, self._finish(
+            x[start:stop], slots, np.flatnonzero(rest), k, lows, bound)])]
+
+    def _finish(self, x, slots, rows, level, lows, bound):
+        """The totals of the ``rows`` of ``x`` from their slots ``slots[:,
+        rows]`` of ``level`` in each tree, summed as ``_walk`` sums them,
+        in blocks of rows; a row whose lower bound, from ``lows`` (each
+        level's least leaf values), exceeds ``bound`` at a level on the way
+        is dropped."""
+        firsts = np.arange(self.n_trees)[:, None] << level
+        buffers = self._buffers(len(rows))
+        # a block's kept entries are copied to the spare entry buffer
+        spare = np.empty_like(buffers[0])
+        totals = []
+        for i in range(0, len(rows), _FOREST_BLOCK_ROWS):
+            some = rows[i:i + _FOREST_BLOCK_ROWS]
+            block, at = x[some], level
+            node, *scratch = self._shaped(buffers, len(some))
+            np.add(slots[:, some], firsts, out=node)
+            for deeper in range(level + 1, self.depth):
+                self._descend(block, node, at, deeper, scratch)
+                at = deeper
+                v = scratch[2]
+                np.take(lows[deeper], node, out=v, mode="clip")
+                kept = v.sum(axis=0) <= bound
+                if not kept.all():
+                    block = block[kept]
+                    buffers[0], spare = spare, buffers[0]
+                    kept_node, *scratch = self._shaped(buffers, len(block))
+                    np.compress(kept, node, axis=1, out=kept_node)
+                    node = kept_node
+            self._descend(block, node, at, self.depth, scratch)
+            v = scratch[2]
+            np.take(self.value, node, out=v, mode="clip")
+            totals.append(np.cumsum(v, axis=0, out=v)[-1].copy())
+        return np.concatenate(totals) if totals else np.empty(0)
 
 
 _LOW_HALF = 0xFFFFFFFF
@@ -529,6 +682,9 @@ class IsolationForest(_Detector):
 
     ``fit`` grows the trees, and the threshold is taken from the training
     rows' scores on its first read; the model keeps the rows till then.
+    ``threshold_of`` walks in full only the rows that can score among the
+    top contamination share, and gives the threshold of all the scores
+    bit for bit.
     Fits of one seed and subsample draw the same trees in the same order,
     so the first t trees of a fit are a t-tree fit's trees, and
     ``prefix_scores`` scores every such forest from one walk: a grid reads
@@ -563,8 +719,7 @@ class IsolationForest(_Detector):
     def threshold(self):
         if self._fit_x is not None:
             x, self._fit_x = self._fit_x, None
-            self._threshold = contamination_threshold(self.scores(x),
-                                                      self.contamination)
+            self._threshold = self.threshold_of(x)
         return self._threshold
 
     @threshold.setter
@@ -635,6 +790,18 @@ class IsolationForest(_Detector):
         self.trees = trees
         self._fit_x = x
         return self
+
+    def threshold_of(self, rows):
+        """``contamination_threshold(self.scores(rows), contamination)``,
+        bit for bit: the r-th highest score, read off the scores of the
+        rows that can be among the r highest (``shallowest_depths``)."""
+        if self._forest is None:
+            raise DataError("model is not fitted")
+        x = _as_matrix(rows)
+        r = contamination_top(len(x), self.contamination)
+        scores = np.sort(scores_from_mean_depths(
+            self._forest.shallowest_depths(x, r), self.sample_size))
+        return float(scores[-r])
 
     def mean_depths(self, rows):
         return self._prefix_depths(rows)[0]

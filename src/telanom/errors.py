@@ -3,6 +3,7 @@ JSON files it saves, and the opener every file it writes goes through."""
 
 import contextlib
 import json
+import math
 import os
 import re
 
@@ -76,14 +77,18 @@ def remove_temporaries(root):
 
 
 def _number(obj, key, integer=False):
-    """Field ``key`` of a saved file or of grid parameters: a JSON number,
-    or an integer when ``integer``; DataError otherwise."""
+    """Field ``key`` of a saved file or of grid parameters: a finite JSON
+    number, or an integer when ``integer``; DataError otherwise. Python's
+    JSON reader takes NaN, Infinity and -Infinity, which no field
+    holds."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(
             value, int if integer else (int, float)):
         raise DataError("%s must be %s, got %r"
                         % (key, "an integer" if integer else "a number",
                            value))
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DataError("%s must be finite, got %r" % (key, value))
     return value
 
 

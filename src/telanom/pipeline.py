@@ -700,11 +700,12 @@ def _stage_writers(cfg, table, label_report, data):
 
 def _write_artifacts(cfg, result):
     """Every file of a run under cfg.out_dir that depends on the models.
-    The writers share nothing, so run_all deals them across the CPUs,
-    round robin, and raises the first error in their order. They are
-    listed heaviest first so that the shares come out even: the LOF and
-    DBSCAN model files, which hold their fit rows, take the most time
-    when those models run."""
+    The writers share nothing. Where the LOF or DBSCAN model file is among
+    them, run_all deals them across the CPUs, round robin, and raises the
+    first error in their order; they are listed heaviest first so that the
+    shares come out even, and those two files, which hold their fit rows,
+    take the most time. Without them the writers run here, in order: the
+    other files are small, and writing them costs less than a fork."""
     out = cfg.out_dir
     write = functools.partial
 
@@ -740,4 +741,8 @@ def _write_artifacts(cfg, result):
         })
     writers.append(write(write_summary_csv, rows,
                          os.path.join(out, "summary.csv")))
-    run_all(writers)
+    if {"lof", "dbscan"} & set(result.models):
+        run_all(writers)
+    else:
+        for writer in writers:
+            writer()

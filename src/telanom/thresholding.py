@@ -27,14 +27,17 @@ def nearest_rank_percentile(values, p):
     """Nearest-rank percentile: the value at rank ceil(p/100 * n) of the
     ascending sort, 0 < p <= 100."""
     values = np.sort(np.asarray(values, dtype=np.float64))
-    n = len(values)
+    return float(values[_rank(len(values), p) - 1])
+
+
+def _rank(n, p):
+    """The rank of the nearest-rank percentile ``p`` of ``n`` values."""
     if n == 0:
         raise ValueError("empty data")
     if not 0.0 < p <= 100.0:
         raise ValueError("percentile out of range: %r" % p)
     # p * n first: exact multiples of 100 stay exact under the division
-    rank = max(1, math.ceil(p * n / 100.0))
-    return float(values[rank - 1])
+    return max(1, math.ceil(p * n / 100.0))
 
 
 def contamination_threshold(train_scores, contamination):
@@ -43,6 +46,12 @@ def contamination_threshold(train_scores, contamination):
     their scores."""
     return nearest_rank_percentile(train_scores,
                                    (1.0 - contamination) * 100.0)
+
+
+def contamination_top(n, contamination):
+    """r such that the ``contamination_threshold`` of ``n`` scores is their
+    r-th largest."""
+    return n - _rank(n, (1.0 - contamination) * 100.0) + 1
 
 
 def flag(scores, threshold):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -195,11 +196,16 @@ def test_bad_config_boolean_exits_2(dataset, tmp_path, capsys):
      "model(s) ['iforest'] named more than once"),
     (["run"], "models = autoencoder,lof,autoencoder\n", None,
      "model(s) ['autoencoder'] named more than once"),
+    (["tune", "--model", "dbscan"], "", {"eps": [0.5, math.nan]},
+     "eps must be finite, got nan"),
+    (["run", "--models", "dbscan"], "dbscan_eps = nan\n", None,
+     "eps must be finite, got nan"),
 ], ids=["run-seed", "split-seed", "tune-seed", "config-seed",
         "tune-config-seed", "if-subsample", "ae-batch-size",
         "grid-subsample", "grid-batch-size", "interval-inf",
         "config-interval-1e19", "max-points-0", "config-max-points",
-        "models-twice", "config-models-twice"])
+        "models-twice", "config-models-twice", "grid-eps-nan",
+        "config-eps-nan"])
 def test_bad_seeds_and_sizes_exit_2(dataset, tmp_path, capsys, monkeypatch,
                                     argv, setting, grid, message):
     """A negative seed, a zero forest subsample, a zero autoencoder batch,
@@ -580,6 +586,53 @@ def test_evaluate_rejects_broken_classical_and_scaler_files(dataset, tmp_path,
     assert main(["evaluate", "--config", str(cfg), "--seed", "5",
                  "--models-dir", out]
                 + _data_args(dataset, str(tmp_path / "eval"))) == 0
+
+
+@pytest.fixture(scope="module")
+def trained_all(dataset, tmp_path_factory):
+    """(config path, output directory) of a train run of all four
+    models."""
+    root = tmp_path_factory.mktemp("trained-all")
+    cfg = root / "all.cfg"
+    cfg.write_text(RUN_CFG_TEXT.replace("iforest,dbscan",
+                                        "autoencoder,iforest,lof,dbscan"))
+    out = str(root / "trained")
+    assert main(["train", "--config", str(cfg), "--seed", "5"]
+                + _data_args(dataset, out)) == 0
+    return cfg, out
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("models/iforest.json", "threshold", math.nan),
+    ("models/iforest.json", "contamination", math.inf),
+    ("models/lof.json", "threshold", math.inf),
+    ("models/lof.json", "contamination", math.nan),
+    ("models/lof.json", "lrd_cap", -math.inf),
+    ("models/dbscan.json", "eps", math.nan),
+    ("threshold.json", "threshold", math.nan),
+])
+def test_evaluate_refuses_non_finite_numbers(trained_all, dataset, tmp_path,
+                                             capsys, name, field, value):
+    """Python's JSON reader takes NaN and Infinity. Every number field of a
+    model file and threshold.json refuses them: a NaN threshold would flag
+    no row and exit 0."""
+    cfg, trained = trained_all
+    out = str(tmp_path / "trained")
+    shutil.copytree(trained, out)
+    path = os.path.join(out, name)
+    with open(path) as f:
+        obj = json.load(f)
+    obj[field] = value
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(cfg), "--seed", "5",
+                 "--models-dir", out]
+                + _data_args(dataset, str(tmp_path / "eval")))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error") and os.path.basename(name) in err
+    assert "%s must be finite, got %r" % (field, value) in err, err
 
 
 # main's wall time and the process's peak RSS in MB, VmHWM: unlike

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from oracles import (brute_force_lof, isolation_mean_depths,
@@ -19,7 +20,9 @@ from telanom.detectors import (MODEL_KINDS, Dbscan, IsolationForest,
                                expected_path_length, harmonic, load_model,
                                save_model, scores_from_mean_depths)
 from telanom.errors import DataError
-from telanom.thresholding import contamination_threshold, flag
+from telanom.pipeline import RunConfig, prepare_training
+from telanom.thresholding import (contamination_threshold, contamination_top,
+                                  flag)
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -1135,6 +1138,132 @@ def test_iforest_threshold_is_taken_on_first_read():
     assert model.fit(x).threshold == want
     model.fit(x).threshold = 0.5
     assert model.threshold == 0.5 and model._fit_x is None
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def _threshold_cases(draw, contamination):
+    """(model, rows): a forest fitted on blobs, on a grid of
+    four values (duplicated rows, tied totals) or on constant rows (every
+    tree a single leaf), and rows to threshold, drawn from the fit rows
+    and new blobs, with NaN and infinite entries among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["blobs", "blobs", "grid", "constant"]))
+    n_fit = draw(st.integers(2, 400) | st.integers(100, 400))
+    if kind == "blobs":
+        fit = _blobs(rng, n_fit, d=3, spread=0.6, box=3.0)
+    elif kind == "grid":
+        fit = rng.choice([-1.0, 0.0, 0.5, 1.0], size=(n_fit, 3))
+    else:
+        fit = np.ones((n_fit, 3))
+    model = IsolationForest(
+        n_estimators=draw(st.sampled_from([1, 7, 30])),
+        contamination=contamination,
+        subsample=draw(st.sampled_from([2, 16, 256, 256])),
+        seed=draw(st.integers(0, 100))).fit(fit)
+    # most row counts are large enough for the pruned walk
+    n = draw(st.integers(1, 3000) | st.integers(300, 3000))
+    rows = np.vstack([fit, _blobs(rng, n, d=3, box=6.0)])[
+        rng.integers(0, n_fit + n, size=n)]
+    specials = draw(st.integers(0, 3))
+    at = rng.integers(0, n, size=(specials, 2))
+    rows[at[:, 0], rng.integers(0, 3, size=specials)] = rng.choice(
+        _SPECIAL, size=specials)
+    return model, rows
+
+
+@needs_fork
+@pytest.mark.parametrize("contamination", [1e-4, 0.001, 0.01, 0.05, 0.3,
+                                           0.9])
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bounded_threshold_is_the_contamination_threshold(monkeypatch, cpus,
+                                                          contamination,
+                                                          data):
+    """The forest's threshold, read off the rows that can score among its
+    top share, is the contamination threshold of every row's score, bit
+    for bit, on 1, 2 and 3 CPUs, split at every size."""
+    model, rows = data.draw(_threshold_cases(contamination))
+    cpus(1)
+    want = contamination_threshold(model.scores(rows), model.contamination)
+    monkeypatch.setattr(detectors, "_SPLIT_PAIRS", 1)
+    # any bound at least the r-th least total is exact: with r candidates
+    # (extra -r) it is their greatest total, and rows of the top share are
+    # left out of the candidates more often
+    r = contamination_top(len(rows), contamination)
+    monkeypatch.setattr(detectors, "_CANDIDATE_EXTRA",
+                        data.draw(st.sampled_from([32, 0, -r])))
+    for n_cpus in (1, 2, 3):
+        cpus(n_cpus)
+        got = model.threshold_of(rows)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        _assert_no_child()
+
+
+def test_the_shallowest_row_outside_the_candidates_is_kept():
+    """A row whose lower bound lies just under the candidates' bound is
+    kept at every level. In 99 trees every row reaches a leaf worth 6
+    (depth 5, size 2). In the last, the others reach one worth 6 too, and
+    row 0 one worth 5 beside one worth 5 + c(20), under an entry of level 3
+    whose other child is a leaf worth 4. Row 0 is the shallowest (599
+    against 600) but has the largest upper bound at level 3, so it is no
+    candidate; its lower bound is 598 at level 3 and 599 at level 4, within
+    0.4% of the bound."""
+    def full(depth, leaf):
+        return leaf if depth == 0 else (0, 0.5, full(depth - 1, leaf),
+                                        full(depth - 1, leaf))
+    left = (0, 0.5, (0, 0.5, (0, 0.5, (0, 0.5, 1, 20), 1), full(2, 2)),
+            full(3, 2))
+    right = (0, 0.5, full(3, 2),
+             (0, 0.5, full(2, 2), (0, 0.5, full(1, 2), full(1, 2))))
+    model = _hand_forest([full(5, 2)] * 99 + [(0, 0.5, left, right)],
+                         sample_size=32)
+    model.contamination = 0.001
+    rows = np.ones((300, 1))
+    rows[0] = 0.0
+    assert detectors._BOUND_LEVEL == 3 and model._forest.depth == 5
+    assert model.mean_depths(rows[:2]).tolist() == [5.99, 6.0]
+    want = contamination_threshold(model.scores(rows), 0.001)
+    assert want == model.scores(rows[:1])[0]
+    assert model.threshold_of(rows) == want
+
+
+def test_a_range_smaller_than_the_candidates_is_walked_in_full():
+    # the last range of a split walk can hold fewer rows than 2r + 32
+    model, q = _forest_and_rows(40, n_estimators=30)
+    forest = model._forest
+    got = forest._least_totals(q, 4, 0, 40)[0]
+    want = forest._walk(q, [30], 0, 40)[0]
+    assert np.sort(got).tobytes() == np.sort(want).tobytes()
+
+
+def test_survey_like_thresholds_walk_few_rows_in_full(monkeypatch, cpus,
+                                                      small_table):
+    """On a pipeline's fit rows at the default contamination, the threshold
+    walks few rows to the last level: a change that walked them all would
+    keep the bits and lose the gain."""
+    labelled, _ = small_table
+    cfg = RunConfig(resample_interval="3600", max_points=20000)
+    x = prepare_training(labelled, cfg, 0).fit_x
+    model = IsolationForest(seed=5).fit(x)
+    walked = []
+
+    def descend(self, block, node, first, last, scratch,
+                _fn=detectors._PackedForest._descend):
+        if last == self.depth:
+            walked.append(node.shape[1])
+        return _fn(self, block, node, first, last, scratch)
+    monkeypatch.setattr(detectors._PackedForest, "_descend", descend)
+    cpus(1)
+    assert len(x) > 8 * (2 * contamination_top(len(x), 0.001) + 32)
+    assert model.threshold == contamination_threshold(model.scores(x), 0.001)
+    full, scored = sum(walked[:-_walks(len(x))]), sum(walked[-_walks(len(x)):])
+    assert scored == len(x)
+    assert full < 0.1 * len(x), (full, len(x))
 
 
 def test_predict_derives_from_scores_and_threshold():

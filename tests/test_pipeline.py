@@ -607,6 +607,28 @@ def test_forked_and_inline_runs_are_identical(tiny_labelled, tiny_csvs,
 
 
 @needs_fork
+@pytest.mark.parametrize("models, forks", [
+    ("iforest", 0), ("autoencoder,iforest", 0), ("iforest,lof", 1),
+    ("dbscan", 1)])
+def test_model_files_are_dealt_only_with_fit_rows(tiny_csvs, tmp_path, cpus,
+                                                  models, forks):
+    """The artifact writers are dealt to a child only where the LOF or
+    DBSCAN model file, which hold their fit rows, is among them; the
+    others run here and write the same files."""
+    det, sta = tiny_csvs
+    cfg = _fast_cfg(models=models, input_csv=det, station_csv=sta,
+                    out_dir=str(tmp_path / "out"))
+    cpus(1)
+    result = run_experiment(cfg, timer=lambda: 0.0)
+    before = _files(tmp_path / "out")
+    made = cpus(2)
+    pipeline._write_artifacts(cfg, result)
+    assert len(made) == forks
+    _assert_no_child()
+    assert _files(tmp_path / "out") == before
+
+
+@needs_fork
 def test_child_data_error_is_the_parents(tiny_labelled, tiny_csvs, tmp_path,
                                          monkeypatch, capsys, cpus):
     forks = cpus(2)
@@ -770,8 +792,8 @@ _STAGE_FILES = ("labels.csv", "label_report.json", "plan.json",
 
 @needs_fork
 @pytest.mark.parametrize("models,forks_on", [
-    ("iforest", {2: 3, 3: 5}),
-    ("autoencoder", {2: 2, 3: 3}),
+    ("iforest", {2: 2, 3: 3}),
+    ("autoencoder", {2: 1, 3: 1}),
     ("autoencoder,iforest,lof,dbscan", {2: 4, 3: 7}),
 ], ids=["run-iforest", "threshold", "run-all"])
 def test_stage_files_on_one_two_and_three_cpus(tiny_csvs, tmp_path, cpus,
@@ -792,8 +814,9 @@ def test_stage_files_on_one_two_and_three_cpus(tiny_csvs, tmp_path, cpus,
         shutil.rmtree(out)
         # the run's child (stage files, and the autoencoder's job beside
         # classical models), one per further share of the model files'
-        # writers, the split sweeps of the LOF/DBSCAN fit rows' pass and
-        # the split walk of the forest's 2,943 fit rows
+        # writers where LOF and DBSCAN run, the split sweeps of the
+        # LOF/DBSCAN fit rows' pass and the split walk of the forest's
+        # 2,943 fit rows
         assert len(forks) == forks_on.get(n_cpus, 0)
         _assert_no_child()
     assert files[0] == files[1] == files[2]
@@ -1041,9 +1064,10 @@ def test_ci_repeats_on_one_and_two_cpus_are_the_same(tiny_csvs, tmp_path,
     for n_cpus in (1, 2):
         forks = cpus(n_cpus)
         cis.append(run_experiment(cfg, timer=lambda: 0.0).report["ci"])
-        # on two CPUs: the run's autoencoder and stage files, each
-        # repeat's autoencoder, and the model files' writers
-        assert len(forks) == 5 * (n_cpus - 1)
+        # on two CPUs: the run's autoencoder and stage files, and each
+        # repeat's autoencoder; without LOF or DBSCAN the model files'
+        # writers run in the process
+        assert len(forks) == 4 * (n_cpus - 1)
         _assert_no_child()
     assert cis[0] == cis[1]
     assert all(cis[0][name]["recall"]["n"] == 3 for name in cis[0])

@@ -2,6 +2,7 @@
 tie handling, and scoring-path behaviour on a separable toy problem."""
 
 import gc
+import math
 import os
 import time
 import weakref
@@ -158,6 +159,13 @@ def test_autoencoder_path_scores_lexicographically(monkeypatch):
     ("dbscan", {"min_pts": [True]}, "min_pts must be an integer"),
     ("autoencoder", {"learning_rate": [None]}, "learning_rate must be a "
                                                "number"),
+    ("iforest", {"contamination": [0.1, math.inf]},
+     "contamination must be finite, got inf"),
+    ("lof", {"contamination": [math.nan]},
+     "contamination must be finite, got nan"),
+    ("dbscan", {"eps": [0.5, math.nan]}, "eps must be finite, got nan"),
+    ("autoencoder", {"learning_rate": [-math.inf]},
+     "learning_rate must be finite, got -inf"),
 ])
 def test_grid_rejects_unknown_parameters_and_bad_values(kind, grid, message):
     train_x, val_x, val_y, _, _ = _toy_problem()
