@@ -41,6 +41,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise DataError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise DataError("epochs must be >= 1")
+        if not self.learning_rate > 0:
+            raise DataError("learning_rate must be positive")
 
 
 @dataclass

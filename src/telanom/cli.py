@@ -151,16 +151,14 @@ def cmd_tune(args):
     from .tuning import DEFAULT_GRIDS, grid_search
 
     cfg = _load_config(args)
-    grid = DEFAULT_GRIDS[args.model]
-    if args.grid:
-        grid = load_json(args.grid, dict)
+    grid = (load_json(args.grid, dict) if args.grid
+            else DEFAULT_GRIDS[args.model])
 
     # candidates fit on run's training rows and are scored on its labelled
     # validation rows; the test rows stay out
     data = prepare_training(prepare_table(cfg)[0], cfg, cfg.seed)
-    train_x = data.ae_train if args.model == "autoencoder" else data.fit_x
-    result = grid_search(args.model, grid, train_x, data.val_x, data.val_y,
-                         seed=cfg.seed)
+    result = grid_search(args.model, grid, data.fit_x, data.val_x,
+                         data.val_y, seed=cfg.seed)
     out = _outdir(cfg)
     path = os.path.join(out, "tune_%s.csv" % args.model)
     result.save_csv(path)
@@ -269,7 +267,7 @@ def build_parser():
     p = sub.add_parser("tune", help="hyperparameter grid search")
     _add_common(p)
     p.add_argument("--model", required=True,
-                   choices=["iforest", "lof", "dbscan", "autoencoder"])
+                   choices=["iforest", "lof", "dbscan"])
     p.add_argument("--grid", help="JSON file overriding the default grid")
     p.set_defaults(fn=cmd_tune)
 

@@ -878,6 +878,8 @@ class LocalOutlierFactor(_Detector):
             raise DataError("k must be >= 1")
         if not 0.0 < contamination < 1.0:
             raise DataError("contamination must be in (0, 1)")
+        if not lrd_cap > 0:
+            raise DataError("lrd_cap must be positive")
         self.k = int(k)
         self.contamination = float(contamination)
         self.lrd_cap = float(lrd_cap)
@@ -951,9 +953,12 @@ class LocalOutlierFactor(_Detector):
                     _number(obj, "contamination"), _number(obj, "lrd_cap"))
         model.threshold = _number(obj, "threshold")
         model.x = _array(obj, "x", 2)
-        model.kdist = _array(obj, "kdist", 1)
-        model.lrd = _array(obj, "lrd", 1)
-        model.train_lof = _array(obj, "train_lof", 1)
+        for key in ("kdist", "lrd", "train_lof"):
+            value = _array(obj, key, 1)
+            if (value < 0).any():
+                raise DataError("%s must be non-negative, got %r"
+                                % (key, float(value[value < 0][0])))
+            setattr(model, key, value)
         # scoring indexes kdist and lrd by training row
         n = len(model.x)
         if any(len(a) != n for a in (model.kdist, model.lrd, model.train_lof)):
@@ -1107,6 +1112,14 @@ class Dbscan(_Detector):
         if len(model.core_labels) != len(model.core_points):
             raise DataError("core_points and core_labels differ in length")
         model._n_clusters = _number(obj, "n_clusters", integer=True)
+        if model._n_clusters < 0:
+            raise DataError("n_clusters must be >= 0")
+        outside = ((model._core_labels < 0)
+                   | (model._core_labels >= model._n_clusters))
+        if outside.any():
+            raise DataError("core_labels must lie in [0, n_clusters=%d), "
+                            "got %d" % (model._n_clusters,
+                                        model._core_labels[outside][0]))
         return model
 
 

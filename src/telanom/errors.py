@@ -92,9 +92,9 @@ def _number(obj, key, integer=False):
     return value
 
 
-def _array(obj, key, ndim, dtype=np.float64):
-    """Saved file field ``key``: a ``ndim``-d array of numbers; DataError
-    otherwise."""
+def _array(obj, key, ndim, dtype=np.float64, finite=True):
+    """Saved file field ``key``: a ``ndim``-d array of numbers, all finite
+    when ``finite``; DataError otherwise."""
     try:
         value = np.asarray(obj[key], dtype=dtype)
     except (TypeError, ValueError):
@@ -102,7 +102,30 @@ def _array(obj, key, ndim, dtype=np.float64):
     if value.ndim != ndim:
         raise DataError("%s must be %d-d, got shape %s"
                         % (key, ndim, value.shape))
+    if finite:
+        _finite(value, key)
     return value
+
+
+def _finite(values, what, rows=None, columns=()):
+    """DataError naming the first NaN or infinite entry of ``values``, in
+    C order, if there is one. A 2-d array names it by row (``rows[i]`` or
+    ``row i``) and column (with its name when ``columns`` names every
+    column), any other array by its index."""
+    bad = ~np.isfinite(values)
+    if not bad.any():
+        return
+    at = tuple(np.argwhere(bad)[0])
+    if values.ndim == 2:
+        row, col = at
+        place = "%s, column %d%s" % (
+            rows[row] if rows else "row %d" % row, col,
+            " (%s)" % columns[col] if len(columns) == values.shape[1]
+            else "")
+    else:
+        place = "entry %s" % ", ".join(map(str, at))
+    raise DataError("%s: %s is %r, not a finite number"
+                    % (what, place, float(values[at])))
 
 
 class LeakageError(RuntimeError):

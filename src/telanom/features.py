@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, _array
+from .errors import DataError, _array, _finite
 from .ingest import UTC_OFFSET_S, categorize, first_of_runs, write_csv
 
 EARTH_RADIUS_KM = 6371.0
@@ -239,7 +239,7 @@ class Scaler:
         if values.ndim != 2:
             raise DataError("cannot fit scaler on an array of shape %s"
                             % (values.shape,))
-        _finite(values, "cannot fit scaler")
+        _finite(values, "cannot fit scaler", columns=FEATURE_NAMES)
         self.mins = values.min(axis=0)
         self.maxs = values.max(axis=0)
         return self
@@ -255,7 +255,7 @@ class Scaler:
         if values.ndim != 2 or values.shape[1] != len(self.mins):
             raise DataError("expected rows of %d features, got shape %s"
                             % (len(self.mins), values.shape))
-        _finite(values, "cannot scale")
+        _finite(values, "cannot scale", columns=FEATURE_NAMES)
         return (values - self.mins) / self._denom()
 
     def to_json(self):
@@ -265,25 +265,13 @@ class Scaler:
     def from_json(cls, obj):
         """The scaler ``to_json`` described; DataError unless ``mins`` and
         ``maxs`` are number lists of one length."""
-        mins, maxs = (_array(obj, key, 1) for key in ("mins", "maxs"))
+        mins, maxs = (_array(obj, key, 1, finite=False)
+                      for key in ("mins", "maxs"))
         if mins.shape != maxs.shape:
             raise DataError("scaler mins and maxs differ in length")
-        _finite(np.vstack([mins, maxs]), "scaler", rows=("mins", "maxs"))
+        _finite(np.vstack([mins, maxs]), "scaler", rows=("mins", "maxs"),
+                columns=FEATURE_NAMES)
         return cls(mins, maxs)
-
-
-def _finite(values, what, rows=None):
-    """DataError naming the row (``rows[i]`` or ``row i``) and column of
-    the first NaN or infinite entry of a 2-d array, in row order, if there
-    is one."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        name = (" (%s)" % FEATURE_NAMES[col]
-                if values.shape[1] == N_FEATURES else "")
-        raise DataError("%s: %s, column %d%s is %r, not a finite number"
-                        % (what, rows[row] if rows else "row %d" % row, col,
-                           name, float(values[row, col])))
 
 
 def write_feature_csv(table, path):

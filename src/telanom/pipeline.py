@@ -132,6 +132,10 @@ class RunConfig:
             raise DataError("seed must be at least 0")
         if _number(vars(self), "max_points", integer=True) < 1:
             raise DataError("max_points must be at least 1")
+        repeats = _number(vars(self), "ci_repeats", integer=True)
+        if repeats != 0 and repeats < 2:
+            raise DataError("ci_repeats must be 0 or at least 2, got %d"
+                            % repeats)
         self.model_list
         self.interval_mode()
         return self

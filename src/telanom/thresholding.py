@@ -148,8 +148,7 @@ def build_table(errors, labels):
     n = len(sorted_errors)
     ps, thresholds, metric_rows = [], [], []
     for p in range(1, 101):
-        rank = max(1, math.ceil(p * n / 100.0))
-        thr = float(sorted_errors[rank - 1])
+        thr = float(sorted_errors[_rank(n, p) - 1])
         metric_rows.append(compute_metrics(confusion(flag(errors, thr),
                                                      labels)))
         thresholds.append(thr)

@@ -9,12 +9,9 @@ Every candidate is built by detectors.build_model, as run builds its
 models, so a parameter the grid leaves out takes run's default and an
 unknown parameter or a bad value is a DataError that names it.
 
-Scoring: the classical detectors fit on the training rows (labels unused)
-and are scored by F1 on the labelled validation rows. The autoencoder
-trains on all of the normal training rows it is given and is scored by the
-lexicographic (recall, precision, specificity) outcome of its selected
-percentile threshold on the validation rows. Absent metrics compare as
--inf.
+Grids serve the three classical detectors. Each candidate fits on the
+training rows (labels unused) and is scored by F1 on the labelled
+validation rows; an absent F1 compares as -inf.
 """
 
 from __future__ import annotations
@@ -26,14 +23,12 @@ from itertools import product
 
 import numpy as np
 
-from .autoencoder import train
 from .child import run_all
 from .detectors import NeighbourPass, build_model
 from .errors import DataError
 from .ingest import write_csv
 from .metrics import confusion, compute_metrics
-from .thresholding import (build_table, contamination_threshold, flag,
-                           select_threshold)
+from .thresholding import contamination_threshold, flag
 
 DEFAULT_GRIDS = {
     "iforest": {
@@ -47,13 +42,6 @@ DEFAULT_GRIDS = {
     "dbscan": {
         "eps": [0.5, 1.5, 2.0, 3.5, 5.0],
         "min_pts": [2, 4, 10],
-    },
-    "autoencoder": {
-        "learning_rate": [0.001, 0.01, 0.1],
-        "units": [4, 8, 16, 32, 64, 128],
-        "bottleneck": [2, 4, 8],
-        "batch_size": [128, 256, 512],
-        "epochs": [20, 50],
     },
 }
 
@@ -87,10 +75,6 @@ def _canonical_candidates(grid):
                             "%r" % (name, grid[name])) from None
     for combo in product(*lists):
         yield dict(zip(names, combo))
-
-
-def _nn(v):
-    return -math.inf if v is None else v
 
 
 def _fitted(build, train_x, **fit_args):
@@ -190,30 +174,23 @@ def _thresholded_scores(kind, models, builds, train_x, val_x):
 def _score_classical(threshold, val_scores, val_y):
     """F1 outcome of one classical candidate."""
     m = compute_metrics(confusion(flag(val_scores, threshold), val_y))
-    return (_nn(m["f1_score"]),), {"f1_score": m["f1_score"],
-                                   "recall": m["recall"],
-                                   "precision": m["precision"]}
-
-
-def _score_autoencoder(build, train_x, val_x, val_y):
-    model, train_cfg = build()
-    train(model, train_x, train_cfg)
-    sel = select_threshold(build_table(model.scores(val_x), val_y))
-    m = sel.metrics
-    return ((_nn(m["recall"]), _nn(m["precision"]), _nn(m["specificity"])),
-            {"recall": m["recall"], "precision": m["precision"],
-             "specificity": m["specificity"], "percentile": sel.percentile})
+    f1 = m["f1_score"]
+    return (-math.inf if f1 is None else f1,), {
+        "f1_score": f1, "recall": m["recall"], "precision": m["precision"]}
 
 
 def grid_search(model_kind, grid, train_x, val_x, val_y, seed=0):
     """Exhaustive search over a candidate grid; returns GridSearchResult.
 
-    ``train_x``: training matrix (normal rows only for the autoencoder).
-    ``val_x``/``val_y``: labelled validation rows, both classes present for
-    the autoencoder path. Every candidate is built, and so checked, before
-    any is fitted; each fit builds its candidate again, so that only a
-    candidate's parameters and outcome outlive its fit.
+    ``model_kind`` is one of DEFAULT_GRIDS' kinds; ``train_x`` is the
+    training matrix and ``val_x``/``val_y`` the labelled validation rows.
+    Every candidate is built, and so checked, before any is fitted; each
+    fit builds its candidate again, so that only a candidate's parameters
+    and outcome outlive its fit.
     """
+    if model_kind not in DEFAULT_GRIDS:
+        raise DataError("no grid search for model %r; choose from %s"
+                        % (model_kind, ", ".join(DEFAULT_GRIDS)))
     train_x = np.asarray(train_x, dtype=np.float64)
     val_x = np.asarray(val_x, dtype=np.float64)
     val_y = np.asarray(val_y)
@@ -223,14 +200,9 @@ def grid_search(model_kind, grid, train_x, val_x, val_y, seed=0):
                                 train_x.shape[1], seed)
               for params in candidates]
     models = [build()[0] for build in builds]
-    if model_kind == "autoencoder":
-        outcomes = run_all([
-            functools.partial(_score_autoencoder, build, train_x, val_x,
-                              val_y) for build in builds])
-    else:
-        outcomes = [_score_classical(threshold, val_scores, val_y)
-                    for threshold, val_scores in _thresholded_scores(
-                        model_kind, models, builds, train_x, val_x)]
+    outcomes = [_score_classical(threshold, val_scores, val_y)
+                for threshold, val_scores in _thresholded_scores(
+                    model_kind, models, builds, train_x, val_x)]
     best = None
     rows = []
     for params, (score, detail) in zip(candidates, outcomes):

@@ -183,8 +183,6 @@ def test_bad_config_boolean_exits_2(dataset, tmp_path, capsys):
      "batch_size must be >= 1"),
     (["tune", "--model", "iforest"], "", {"subsample": [256, 0]},
      "subsample must be >= 1"),
-    (["tune", "--model", "autoencoder"], "", {"batch_size": [64, 0]},
-     "batch_size must be >= 1"),
     (["run", "--resample-interval", "inf"], "", None,
      "bad resample_interval 'inf'"),
     (["run"], "resample_interval = 1e19\n", None,
@@ -200,23 +198,34 @@ def test_bad_config_boolean_exits_2(dataset, tmp_path, capsys):
      "eps must be finite, got nan"),
     (["run", "--models", "dbscan"], "dbscan_eps = nan\n", None,
      "eps must be finite, got nan"),
+    (["run", "--ci-repeats", "1"], "", None,
+     "ci_repeats must be 0 or at least 2, got 1"),
+    (["run"], "ci_repeats = -3\n", None,
+     "ci_repeats must be 0 or at least 2, got -3"),
+    (["run", "--models", "autoencoder"], "ae_epochs = -1\n", None,
+     "epochs must be >= 1"),
+    (["run", "--models", "autoencoder"], "ae_learning_rate = -0.01\n", None,
+     "learning_rate must be positive"),
 ], ids=["run-seed", "split-seed", "tune-seed", "config-seed",
         "tune-config-seed", "if-subsample", "ae-batch-size",
-        "grid-subsample", "grid-batch-size", "interval-inf",
+        "grid-subsample", "interval-inf",
         "config-interval-1e19", "max-points-0", "config-max-points",
         "models-twice", "config-models-twice", "grid-eps-nan",
-        "config-eps-nan"])
+        "config-eps-nan", "ci-repeats-1", "config-ci-repeats",
+        "ae-epochs", "ae-learning-rate"])
 def test_bad_seeds_and_sizes_exit_2(dataset, tmp_path, capsys, monkeypatch,
                                     argv, setting, grid, message):
     """A negative seed, a zero forest subsample, a zero autoencoder batch,
-    an interval that is not a whole number of seconds in [1, 2**63), a
-    point budget below 1 and a model named twice are data errors, from a
-    flag, a config file or a tune grid; a grid fails before any candidate
-    is fitted."""
+    fewer than one epoch or a learning rate that is not positive, an
+    interval that is not a whole number of seconds in [1, 2**63), a point
+    budget below 1, one or a negative number of confidence-interval
+    repeats and a model named twice are data errors, from a flag, a config
+    file or a tune grid; a grid fails before any candidate is fitted, and
+    a run before the autoencoder trains."""
     def fitted(*args, **kwargs):
-        raise AssertionError("a candidate was fitted")
+        raise AssertionError("a model was fitted")
     monkeypatch.setattr(telanom.tuning, "_fitted", fitted)
-    monkeypatch.setattr(telanom.tuning, "train", fitted)
+    monkeypatch.setattr(telanom.pipeline, "train", fitted)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(RUN_CFG_TEXT + setting)
     if grid is not None:
@@ -227,6 +236,22 @@ def test_bad_seeds_and_sizes_exit_2(dataset, tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("data error: ") and message in err, err
+
+
+def test_tune_has_no_autoencoder_grid(dataset, tmp_path, capsys,
+                                      monkeypatch):
+    """tune takes the classical models only: --model autoencoder is a usage
+    error, made before the input is read or a model trained."""
+    def called(*args, **kwargs):
+        raise AssertionError("tune went on")
+    monkeypatch.setattr(telanom.pipeline, "parse_csv", called)
+    monkeypatch.setattr(telanom.pipeline, "train", called)
+    code = main(["tune", "--model", "autoencoder"]
+                + _data_args(dataset, str(tmp_path / "o")))
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "invalid choice: 'autoencoder'" in err, err
+    assert not os.path.exists(tmp_path / "o")
 
 
 @pytest.mark.parametrize("interval", ["0.5", "-5", "1.5", "0", "nan",
@@ -610,19 +635,32 @@ def trained_all(dataset, tmp_path_factory):
     ("models/lof.json", "lrd_cap", -math.inf),
     ("models/dbscan.json", "eps", math.nan),
     ("threshold.json", "threshold", math.nan),
+    ("models/autoencoder.json", "params/b4/0", math.nan),
+    ("models/autoencoder.json", "params/w1/3/1", -math.inf),
+    ("models/lof.json", "x/2/1", math.inf),
+    ("models/lof.json", "kdist/0", math.nan),
+    ("models/lof.json", "lrd/1", -math.inf),
+    ("models/lof.json", "train_lof/2", math.nan),
+    ("models/dbscan.json", "core_points/0/3", math.nan),
 ])
 def test_evaluate_refuses_non_finite_numbers(trained_all, dataset, tmp_path,
                                              capsys, name, field, value):
-    """Python's JSON reader takes NaN and Infinity. Every number field of a
-    model file and threshold.json refuses them: a NaN threshold would flag
-    no row and exit 0."""
+    """Python's JSON reader takes NaN and Infinity. Every number of a model
+    file and threshold.json refuses them: a NaN threshold would flag no
+    row, and a NaN bias of the autoencoder made it miss every anomaly,
+    and either exited 0. ``field`` is a path of keys and list indices."""
     cfg, trained = trained_all
     out = str(tmp_path / "trained")
     shutil.copytree(trained, out)
     path = os.path.join(out, name)
     with open(path) as f:
         obj = json.load(f)
-    obj[field] = value
+    *keys, last = [int(key) if key.isdigit() else key
+                   for key in field.split("/")]
+    entry = obj
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
     with open(path, "w") as f:
         json.dump(obj, f)
     capsys.readouterr()
@@ -632,7 +670,16 @@ def test_evaluate_refuses_non_finite_numbers(trained_all, dataset, tmp_path,
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("data error") and os.path.basename(name) in err
-    assert "%s must be finite, got %r" % (field, value) in err, err
+    array = [key for key in field.split("/") if not key.isdigit()][-1]
+    at = [int(key) for key in field.split("/") if key.isdigit()]
+    if not at:
+        want = "%s must be finite, got %r" % (field, value)
+    elif len(at) == 1:
+        want = "%s: entry %d is %r, not a finite number" % (array, *at, value)
+    else:
+        want = "%s: row %d, column %d is %r, not a finite number" % (
+            array, *at, value)
+    assert want in err, err
 
 
 # main's wall time and the process's peak RSS in MB, VmHWM: unlike

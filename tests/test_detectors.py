@@ -1319,6 +1319,21 @@ def test_load_model_rejects_inconsistent_lof(tmp_path):
                        for key in ("x", "kdist", "lrd", "train_lof")})
     with pytest.raises(DataError, match="more than k=3"):
         load_model(_write(path, few))
+    for key in ("kdist", "lrd", "train_lof"):
+        negative = dict(obj, **{key: [-0.5] + obj[key][1:]})
+        with pytest.raises(DataError, match=": %s must be non-negative, got "
+                           "-0.5$" % key):
+            load_model(_write(path, negative))
+        nan = dict(obj, **{key: obj[key][:1] + [math.nan] + obj[key][2:]})
+        with pytest.raises(DataError, match="%s: entry 1 is nan" % key):
+            load_model(_write(path, nan))
+    x = [row[:] for row in obj["x"]]
+    x[4][2] = math.inf
+    with pytest.raises(DataError, match="x: row 4, column 2 is inf"):
+        load_model(_write(path, dict(obj, x=x)))
+    for cap in (0.0, -1.0):
+        with pytest.raises(DataError, match="lrd_cap must be positive"):
+            load_model(_write(path, dict(obj, lrd_cap=cap)))
 
 
 def test_load_model_rejects_inconsistent_dbscan(tmp_path):
@@ -1328,6 +1343,19 @@ def test_load_model_rejects_inconsistent_dbscan(tmp_path):
     cut = dict(obj, core_labels=obj["core_labels"][:-1])
     with pytest.raises(DataError, match="differ in length"):
         load_model(_write(path, cut))
+    with pytest.raises(DataError, match="n_clusters must be >= 0"):
+        load_model(_write(path, dict(obj, n_clusters=-1)))
+    n = obj["n_clusters"]
+    for label in (-1, n):
+        labels = obj["core_labels"][:-1] + [label]
+        with pytest.raises(DataError, match=r"core_labels must lie in "
+                           r"\[0, n_clusters=%d\), got %d$" % (n, label)):
+            load_model(_write(path, dict(obj, core_labels=labels)))
+    points = [row[:] for row in obj["core_points"]]
+    points[1][0] = math.nan
+    with pytest.raises(DataError, match="core_points: row 1, column 0 is "
+                                        "nan"):
+        load_model(_write(path, dict(obj, core_points=points)))
 
 
 def test_load_model_rejects_non_object(tmp_path):

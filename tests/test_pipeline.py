@@ -437,25 +437,15 @@ def _cli_args(tiny_csvs, out, *argv):
                          "--seed", "5", "--resample-interval", "600"]
 
 
-AE_GRID = {"units": [4], "bottleneck": [2], "learning_rate": [0.01],
-           "batch_size": [64], "epochs": [2]}
-
-
 @pytest.mark.parametrize("argv,want", [
     # val_x stacks the ae_val matrix on the anomalies, so tune reads ae_val
     (("tune", "--model", "lof"),
      dict(resample=1, scaler_fit=1, fit=2, ae_fit=1, threshold=2)),
-    (("tune", "--model", "autoencoder"),
-     dict(resample=1, scaler_fit=1, ae_fit=2, threshold=2)),
     (("resample",), dict(resample=1, scaler_fit=1)),
-], ids=["tune-lof", "tune-autoencoder", "resample"])
+], ids=["tune-lof", "resample"])
 def test_cli_training_paths_go_through_the_guard(tiny_csvs, tmp_path,
                                                  monkeypatch, argv, want):
     stages = _record_stages(monkeypatch)
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps(AE_GRID))
-    if "autoencoder" in argv:
-        argv += ("--grid", str(grid))
     assert main(_cli_args(tiny_csvs, tmp_path / "out", *argv)) == 0
     assert collections.Counter(stages) == collections.Counter(want)
 

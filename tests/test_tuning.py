@@ -12,7 +12,7 @@ import pytest
 
 from telanom import detectors, tuning
 from telanom.detectors import Dbscan, LocalOutlierFactor, NeighbourPass
-from telanom.errors import DataError, TrainingError
+from telanom.errors import DataError
 from telanom.metrics import compute_metrics, confusion
 from telanom.tuning import (DEFAULT_GRIDS, GridSearchResult,
                             _canonical_candidates, grid_search)
@@ -119,36 +119,6 @@ def _nn(v):
     return float("-inf") if v is None else v
 
 
-def test_autoencoder_path_scores_lexicographically(monkeypatch):
-    _, _, _, train_n, val_n = _toy_problem()
-    trained_on = []
-
-    def recorded(model, rows, cfg, *args, _fn=tuning.train, **kwargs):
-        trained_on.append(rows)
-        return _fn(model, rows, cfg, *args, **kwargs)
-    monkeypatch.setattr(tuning, "train", recorded)
-    rng = np.random.default_rng(5)
-    val_a = rng.normal(7.0, 0.4, size=(10, 3))
-    # squeeze into the unit box the way the pipeline scaler would
-    lo, hi = -1.6, 8.6
-    sq = lambda x: (x - lo) / (hi - lo)
-    val_x = np.vstack([sq(val_n), sq(val_a)])
-    val_y = np.concatenate([np.ones(len(val_n), dtype=int),
-                            np.zeros(10, dtype=int)])
-    grid = {"units": [8], "bottleneck": [2], "epochs": [30],
-            "learning_rate": [0.01], "batch_size": [64]}
-    result = grid_search("autoencoder", grid, sq(train_n), val_x, val_y,
-                         seed=1)
-    assert len(result.rows) == 1
-    assert len(result.best_score) == 3
-    row = result.rows[0]
-    assert {"recall", "precision", "specificity", "percentile"} <= set(row)
-    assert result.best_score[0] == _nn(row["recall"])
-    # the candidate trains on every training row it is given
-    (rows,) = trained_on
-    assert np.array_equal(rows, sq(train_n))
-
-
 @pytest.mark.parametrize("kind,grid,message", [
     ("lof", {"kk": [5, 50]}, "no parameter 'kk'"),
     ("iforest", {"seed": [1]}, "no parameter 'seed'"),
@@ -157,15 +127,12 @@ def test_autoencoder_path_scores_lexicographically(monkeypatch):
     ("lof", {"k": [5, "5"]}, "parameter 'k' needs a list of numbers"),
     ("dbscan", {"eps": 0.5}, "parameter 'eps' needs a list of numbers"),
     ("dbscan", {"min_pts": [True]}, "min_pts must be an integer"),
-    ("autoencoder", {"learning_rate": [None]}, "learning_rate must be a "
-                                               "number"),
+    ("iforest", {"contamination": [None]}, "contamination must be a number"),
     ("iforest", {"contamination": [0.1, math.inf]},
      "contamination must be finite, got inf"),
     ("lof", {"contamination": [math.nan]},
      "contamination must be finite, got nan"),
     ("dbscan", {"eps": [0.5, math.nan]}, "eps must be finite, got nan"),
-    ("autoencoder", {"learning_rate": [-math.inf]},
-     "learning_rate must be finite, got -inf"),
 ])
 def test_grid_rejects_unknown_parameters_and_bad_values(kind, grid, message):
     train_x, val_x, val_y, _, _ = _toy_problem()
@@ -173,17 +140,35 @@ def test_grid_rejects_unknown_parameters_and_bad_values(kind, grid, message):
         grid_search(kind, grid, train_x, val_x, val_y)
 
 
-def test_unknown_model_kind_rejected():
-    with pytest.raises(DataError):
-        grid_search("svm", {"c": [1]}, np.ones((4, 2)), np.ones((4, 2)),
-                    np.ones(4, dtype=int))
+@pytest.mark.parametrize("params,message", [
+    ({"learning_rate": None}, "learning_rate must be a number"),
+    ({"learning_rate": -math.inf}, "learning_rate must be finite, got -inf"),
+])
+def test_autoencoder_parameters_are_checked_when_built(params, message):
+    # run builds its autoencoder through build_model, which no grid reaches
+    with pytest.raises(DataError, match=message):
+        detectors.build_model("autoencoder", params, 3, 0)
+
+
+def test_unknown_model_kind_rejected(monkeypatch):
+    # a kind without a grid, the autoencoder too, is refused before any
+    # candidate is built, let alone fitted
+    def built(*args):
+        raise AssertionError("a candidate was built")
+    monkeypatch.setattr(tuning, "build_model", built)
+    for kind in ("svm", "autoencoder"):
+        with pytest.raises(DataError, match="no grid search for model %r"
+                                            % kind):
+            grid_search(kind, {"units": [4]}, np.ones((4, 2)),
+                        np.ones((4, 2)), np.ones(4, dtype=int))
 
 
 def test_default_grids_cover_all_models():
-    assert set(DEFAULT_GRIDS) == {"iforest", "lof", "dbscan", "autoencoder"}
-    ae = DEFAULT_GRIDS["autoencoder"]
-    assert set(ae) == {"learning_rate", "units", "bottleneck", "batch_size",
-                       "epochs"}
+    assert DEFAULT_GRIDS == {
+        "iforest": {"contamination": [0.001, 0.02, 0.05, 0.3],
+                    "n_estimators": [100, 150, 200]},
+        "lof": {"k": [5, 10, 20], "contamination": [0.01, 0.08, 0.1, 0.2]},
+        "dbscan": {"eps": [0.5, 1.5, 2.0, 3.5, 5.0], "min_pts": [2, 4, 10]}}
 
 
 def test_grid_result_csv(tmp_path):
@@ -313,17 +298,13 @@ def test_dbscan_grid_shares_fits_and_scores_by_core_mask(monkeypatch, cpus):
                  "subsample": [64, 256]}),
     ("lof", DEFAULT_GRIDS["lof"]),
     ("dbscan", {"eps": [0.05, 0.5, 1.5, 2.0, 3.5], "min_pts": [1, 2, 4, 10]}),
-    ("autoencoder", {"units": [4, 8], "bottleneck": [2], "epochs": [3],
-                     "learning_rate": [0.01, 0.1], "batch_size": [64]}),
 ])
 def test_grids_dealt_across_cpus_give_the_rows_of_one(cpus, kind, grid):
     # each distinct fit is a job of run_all: on two CPUs half of them run in
     # a child process, and every row and the choice stay the same. The
     # forest candidates of one subsample share a fit, so the iforest grid
     # has two subsamples
-    train_x, val_x, val_y, train_n, _ = _toy_problem()
-    if kind == "autoencoder":
-        train_x = train_n
+    train_x, val_x, val_y, _, _ = _toy_problem()
     results = []
     for n_cpus in (1, 2):
         forks = cpus(n_cpus)
@@ -339,27 +320,28 @@ def test_grids_dealt_across_cpus_give_the_rows_of_one(cpus, kind, grid):
 @pytest.mark.skipif(not hasattr(os, "fork")
                     or not hasattr(os, "sched_getaffinity"),
                     reason="a child process needs fork")
-def test_a_failed_autoencoder_candidate_ends_the_grid_at_once(monkeypatch,
-                                                              cpus):
-    # candidates 0 and 2 are trained here, 1 and 3 in a child: candidate
-    # 2's TrainingError is raised once candidate 1 is done, and the child
-    # is killed in candidate 3
+def test_a_failed_candidate_ends_the_grid_at_once(monkeypatch, cpus):
+    # four DBSCAN fits, one per core mask: fits 0 and 2 are made here, 1
+    # and 3 in a child. Fit 2's error is raised once fit 1 is done, and
+    # the child is killed in fit 3
+    train_x, val_x, val_y, _, _ = _toy_problem()
+    grid = {"eps": [0.2, 0.3, 0.5, 1.0], "min_pts": [4]}
+    counts = NeighbourPass(train_x, train_x, radii=grid["eps"])
+    assert len({(counts.counts(eps) >= 4).tobytes()
+                for eps in grid["eps"]}) == 4
     forks = cpus(2)
 
-    def score(build, train_x, val_x, val_y):
+    def scores(build, train_x, val_x, **fit_args):
         model = build()[0]
-        if model.units == 16:
-            raise TrainingError("candidate 2 diverged")
-        if model.units == 32:
+        if model.eps == 0.5:
+            raise RuntimeError("fit 2 failed")
+        if model.eps == 1.0:
             time.sleep(60)
-        return (0.0,), {}
-    monkeypatch.setattr(tuning, "_score_autoencoder", score)
-    train_x, val_x, val_y, _, _ = _toy_problem()
-    grid = {"units": [4, 8, 16, 32], "bottleneck": [2], "epochs": [1],
-            "learning_rate": [0.01], "batch_size": [64]}
+        return model.threshold, np.zeros(len(val_x))
+    monkeypatch.setattr(tuning, "_fitted_scores", scores)
     t0 = time.monotonic()
-    with pytest.raises(TrainingError, match="candidate 2 diverged"):
-        grid_search("autoencoder", grid, train_x, val_x, val_y)
+    with pytest.raises(RuntimeError, match="fit 2 failed"):
+        grid_search("dbscan", grid, train_x, val_x, val_y)
     assert time.monotonic() - t0 < 30
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
@@ -371,7 +353,6 @@ def test_a_failed_autoencoder_candidate_ends_the_grid_at_once(monkeypatch,
                  "subsample": [64, 256]}),
     ("lof", {"k": [3, 5, 8], "contamination": [0.05, 0.1]}),
     ("dbscan", {"eps": [0.5, 1.0, 2.0], "min_pts": [2, 4]}),
-    ("autoencoder", {"units": [4, 8], "epochs": [1], "batch_size": [64]}),
 ])
 def test_no_fitted_candidate_outlives_its_fit(monkeypatch, cpus, kind,
                                               grid):
@@ -391,11 +372,8 @@ def test_no_fitted_candidate_outlives_its_fit(monkeypatch, cpus, kind,
             fitted.append(weakref.ref(model))
             return fit(model, *args, **kwargs)
         return start
-    if kind == "autoencoder":
-        monkeypatch.setattr(tuning, "train", watched(tuning.train))
-    else:
-        cls = type(detectors.build_model(kind, {}, 3, 0)[0])
-        monkeypatch.setattr(cls, "fit", watched(cls.fit))
+    cls = type(detectors.build_model(kind, {}, 3, 0)[0])
+    monkeypatch.setattr(cls, "fit", watched(cls.fit))
     got = grid_search(kind, grid, train_x, val_x, val_y)
     assert got == want
     assert len(alive) > 1 and not any(alive)
