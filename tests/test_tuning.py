@@ -143,7 +143,7 @@ def test_grid_rejects_unknown_parameters_and_bad_values(kind, grid, message):
 @pytest.mark.parametrize("params,message", [
     ({"learning_rate": None}, "learning_rate must be a number"),
     ({"learning_rate": -math.inf}, "learning_rate must be finite, got -inf"),
-])
+], ids=["learning-rate-none", "learning-rate-minus-inf"])
 def test_autoencoder_parameters_are_checked_when_built(params, message):
     # run builds its autoencoder through build_model, which no grid reaches
     with pytest.raises(DataError, match=message):
