@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DataError, _array, _number, load_json, whole_file
 from .autoencoder import Autoencoder, TrainConfig
 from .child import run_all, usable_cpus
-from .thresholding import (_Detector, _as_matrix, _check_width,
-                           contamination_threshold, contamination_top)
+from .thresholding import _Detector, _as_matrix, _check_width
 
 EULER_GAMMA = 0.5772156649
 _HARMONIC_EXACT_LIMIT = 10 ** 6
@@ -672,19 +671,13 @@ class IsolationForest(_Detector):
 
     Trees are grown on subsamples of ``subsample`` points with height capped
     at ceil(log2(subsample size)); a leaf reached at depth h containing s
-    training points contributes h + c(s) to the path length. The decision
-    threshold is the (1 - contamination) nearest-rank quantile of the
-    training scores and a row is anomalous when its score is strictly above
-    the threshold. A tree's random draws come from ``_Draws``, the
-    generator's own draws replayed. Scoring walks the trees as one
-    ``_PackedForest``, packed whenever ``trees`` is set: once per fit or
-    load.
+    training points contributes h + c(s) to the path length. Its threshold
+    is set by the contamination rule over its training scores, which
+    ``top_scores`` gives for the rows that can rank among the highest. A
+    tree's random draws come from ``_Draws``, the generator's own draws
+    replayed. Scoring walks the trees as one ``_PackedForest``, packed
+    whenever ``trees`` is set: once per fit or load.
 
-    ``fit`` grows the trees, and the threshold is taken from the training
-    rows' scores on its first read; the model keeps the rows till then.
-    ``threshold_of`` walks in full only the rows that can score among the
-    top contamination share, and gives the threshold of all the scores
-    bit for bit.
     Fits of one seed and subsample draw the same trees in the same order,
     so the first t trees of a fit are a t-tree fit's trees, and
     ``prefix_scores`` scores every such forest from one walk: a grid reads
@@ -714,18 +707,6 @@ class IsolationForest(_Detector):
         # scalar configuration constants: estimators, contamination,
         # subsample, seed, fitted threshold
         return 5
-
-    @property
-    def threshold(self):
-        if self._fit_x is not None:
-            x, self._fit_x = self._fit_x, None
-            self._threshold = self.threshold_of(x)
-        return self._threshold
-
-    @threshold.setter
-    def threshold(self, threshold):
-        self._fit_x = None
-        self._threshold = threshold
 
     @property
     def trees(self):
@@ -788,20 +769,18 @@ class IsolationForest(_Detector):
             idx = rng.choice(n, size=self.sample_size, replace=False)
             trees.append(self._build_tree(x[idx], rng, height_limit))
         self.trees = trees
-        self._fit_x = x
         return self
 
-    def threshold_of(self, rows):
-        """``contamination_threshold(self.scores(rows), contamination)``,
-        bit for bit: the r-th highest score, read off the scores of the
-        rows that can be among the r highest (``shallowest_depths``)."""
+    def top_scores(self, rows, r):
+        """The scores of the rows that can be among the ``r`` highest of
+        ``rows``, each bit-identical to its ``scores``, in no particular
+        order: the rows the contamination rule needs, walked in full
+        (``shallowest_depths``) while the others are dropped early."""
         if self._forest is None:
             raise DataError("model is not fitted")
-        x = _as_matrix(rows)
-        r = contamination_top(len(x), self.contamination)
-        scores = np.sort(scores_from_mean_depths(
-            self._forest.shallowest_depths(x, r), self.sample_size))
-        return float(scores[-r])
+        return scores_from_mean_depths(
+            self._forest.shallowest_depths(_as_matrix(rows), r),
+            self.sample_size)
 
     def mean_depths(self, rows):
         return self._prefix_depths(rows)[0]
@@ -867,8 +846,8 @@ class LocalOutlierFactor(_Detector):
     reachability densities and LOF values of the training rows straight from
     the definitions. New rows are scored against the training set. Local
     reachability density is capped at ``lrd_cap`` so exact duplicates cannot
-    divide by zero. The decision threshold is the (1 - contamination)
-    nearest-rank quantile of the training LOF values.
+    divide by zero. Its threshold is set by the contamination rule over
+    the training LOF values, ``train_lof``.
     """
 
     kind = "lof"
@@ -918,8 +897,6 @@ class LocalOutlierFactor(_Detector):
         dists = np.sqrt(((x[ids] - x[own]) ** 2).sum(axis=1))
         self.lrd = self._lrd(ids, dists, sizes)
         self.train_lof = _run_means(self.lrd[ids], sizes) / self.lrd
-        self.threshold = contamination_threshold(self.train_lof,
-                                                 self.contamination)
         return self
 
     def scores(self, rows, neighbours=None):
@@ -1171,7 +1148,7 @@ def save_model(model, path):
     # json.dumps takes the C encoder; json.dump streams through the Python
     # one and writes the same bytes about three times slower
     with whole_file(path) as f:
-        f.write(json.dumps(model.to_json()))
+        f.write(json.dumps(model.to_json(), allow_nan=False))
         f.write("\n")
 
 

@@ -97,12 +97,16 @@ def roc_auc(scores, actual):
 
     ``scores``: higher means more anomalous. ``actual``: 0/1 labels with
     0 the positive class. Ties contribute 1/2; all-equal scores give 0.5.
-    Returns None when either class is missing.
+    Returns None when either class is missing. NaN scores have no rank and
+    are refused.
     """
     s = np.asarray(scores, dtype=np.float64)
     a = np.asarray(actual)
     if s.shape != a.shape:
         raise ValueError("length mismatch")
+    if np.isnan(s).any():
+        raise ValueError("%d of %d scores are NaN"
+                         % (np.isnan(s).sum(), len(s)))
     pos = a == 0
     n_pos = int(pos.sum())
     n_neg = len(a) - n_pos
@@ -158,5 +162,5 @@ def write_summary_csv(rows, path):
 def save_report(report, path):
     """Indented, key-sorted JSON: the writer of every report-like file."""
     with whole_file(path) as f:
-        json.dump(report, f, indent=2, sort_keys=True)
+        json.dump(report, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")

@@ -30,8 +30,8 @@ from .autoencoder import train
 from .child import run_all
 from .detectors import (MODEL_PARAMS, NeighbourPass, build_model, load_model,
                         save_model)
-from .errors import (DataError, LeakageError, _number, load_json,
-                     read_file, remove_temporaries, whole_file)
+from .errors import (DataError, LeakageError, TrainingError, _number,
+                     load_json, read_file, remove_temporaries, whole_file)
 from .features import FeatureTable, Scaler, engineer_tracks, write_feature_csv
 from .ingest import parse_csv, load_station_map, deduplicate, group_tracks
 from .labelling import (CRIT_SINGLE_STATION, CRIT_SKIPPED, CRIT_STATIONARY,
@@ -39,7 +39,8 @@ from .labelling import (CRIT_SINGLE_STATION, CRIT_SKIPPED, CRIT_STATIONARY,
 from .metrics import (confusion, compute_metrics, reshuffle_ci, roc_auc,
                       save_report, write_summary_csv)
 from .resampling import collect_candidates, fixed_plan, plan_for, resample
-from .thresholding import build_table, flag, select_threshold
+from .thresholding import (build_table, contamination_threshold, flag,
+                           select_threshold)
 
 # sub-seed tags so every seeded stage draws from its own stream
 _SEED_SPLIT = 1
@@ -422,10 +423,16 @@ def _per_criterion(predicted, test):
     return out
 
 
-def _model_entry(name, model, x_test, test, interval):
+def _model_entry(name, model, x_test, test, interval,
+                 nan_error=TrainingError):
     """Score the test rows of the table ``test`` once; the model's report
-    entry, less its runtime_s."""
+    entry, less its runtime_s. A NaN score, which no threshold can flag or
+    rank, is a ``nan_error``: a TrainingError for a model fitted here and a
+    DataError for a loaded one."""
     scores = model.scores(x_test)
+    if np.isnan(scores).any():
+        raise nan_error("%s scores %d of %d test rows as NaN"
+                        % (name, np.isnan(scores).sum(), len(scores)))
     predicted = flag(scores, model.threshold)
     cm, m = _evaluate(predicted, scores, test.label)
     return {"model": name, "resample_interval": interval,
@@ -496,6 +503,11 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
                                x_test.shape[1], model_seed)
         if name == "iforest":
             model.fit(data.fit_x)
+            # the contamination rule reads only the scores that can rank
+            # among its r highest, which the forest walks in full
+            model.threshold = contamination_threshold(
+                functools.partial(model.top_scores, data.fit_x),
+                model.contamination, len(data.fit_x))
         else:
             if neighbours is None:
                 neighbours = NeighbourPass(
@@ -503,6 +515,9 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
                     ks=[cfg.lof_k] if "lof" in names else [],
                     radii=[cfg.dbscan_eps] if "dbscan" in names else [])
             model.fit(data.fit_x, neighbours=neighbours)
+        if name == "lof":
+            model.threshold = contamination_threshold(model.train_lof,
+                                                      model.contamination)
         if name == "dbscan" and stage_writers:
             # the run saves dbscan.json, which holds the clusters: they
             # are made here, while the autoencoder's child trains, not in
@@ -639,7 +654,7 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
                 lambda obj: _number(obj, "threshold"))
         try:
             reports[name] = _model_entry(name, model, x_test, test,
-                                         interval)
+                                         interval, nan_error=DataError)
         except DataError as e:
             raise DataError("%s: %s" % (path, e)) from None
         reports[name]["runtime_s"] = timer() - t0

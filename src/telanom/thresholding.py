@@ -1,11 +1,22 @@
-"""Percentile threshold search over validation reconstruction errors.
+"""The three threshold rules, and the detector protocol they serve.
 
-Candidate thresholds are the 1st..100th percentiles (nearest-rank) of the
-combined validation errors, normal and anomalous together. A row is
-classified anomalous when its error is strictly greater than the threshold.
-The selected percentile maximises recall first, then precision among the
-recall maximisers, then specificity among those; remaining ties go to the
-smallest percentile and the full tie set is reported.
+A model only ranks rows: its ``scores`` are higher for more anomalous
+rows. A row is classified anomalous when its score is strictly greater
+than the model's ``threshold``, which one of three rules sets:
+
+- the contamination rule (``contamination_threshold``), on the scores of
+  the fit rows: the threshold budgets a contamination share of them as
+  anomalous. The isolation forest's and LOF's, applied by ``run`` and
+  ``tune`` once the model is fitted.
+- the percentile rule (``build_table`` and ``select_threshold``), on
+  labelled validation scores: candidate thresholds are the 1st..100th
+  percentiles (nearest-rank) of the combined validation scores, normal and
+  anomalous together. The selected percentile maximises recall first, then
+  precision among the recall maximisers, then specificity among those;
+  remaining ties go to the smallest percentile and the full tie set is
+  reported. The autoencoder's, applied by ``run``.
+- DBSCAN's radius: its scores are distances to the nearest core point, and
+  its threshold is its own ``eps``, set by the model.
 """
 
 from __future__ import annotations
@@ -23,15 +34,9 @@ from .metrics import confusion, compute_metrics
 METRIC_COLUMNS = ["precision", "recall", "f1_score", "specificity", "accuracy"]
 
 
-def nearest_rank_percentile(values, p):
-    """Nearest-rank percentile: the value at rank ceil(p/100 * n) of the
-    ascending sort, 0 < p <= 100."""
-    values = np.sort(np.asarray(values, dtype=np.float64))
-    return float(values[_rank(len(values), p) - 1])
-
-
 def _rank(n, p):
-    """The rank of the nearest-rank percentile ``p`` of ``n`` values."""
+    """The rank of the nearest-rank percentile ``p`` of ``n`` values: the
+    value at rank ceil(p/100 * n) of the ascending sort, 0 < p <= 100."""
     if n == 0:
         raise ValueError("empty data")
     if not 0.0 < p <= 100.0:
@@ -40,18 +45,27 @@ def _rank(n, p):
     return max(1, math.ceil(p * n / 100.0))
 
 
-def contamination_threshold(train_scores, contamination):
-    """The threshold that budgets a ``contamination`` share of the training
-    rows as anomalous: the (1 - contamination) nearest-rank percentile of
-    their scores."""
-    return nearest_rank_percentile(train_scores,
-                                   (1.0 - contamination) * 100.0)
-
-
 def contamination_top(n, contamination):
     """r such that the ``contamination_threshold`` of ``n`` scores is their
-    r-th largest."""
+    r-th highest."""
     return n - _rank(n, (1.0 - contamination) * 100.0) + 1
+
+
+def contamination_threshold(scores, contamination, n=None):
+    """The contamination rule: the r-th highest score of ``n`` fit rows,
+    r = ``contamination_top(n, contamination)``, which budgets a
+    ``contamination`` share of them as anomalous. ``scores`` are all n
+    scores or, with ``n`` given, any subset holding every row that can
+    rank among the r highest, or a function of r that gives one. Fewer
+    than r scores are refused."""
+    n = len(scores) if n is None else n
+    r = contamination_top(n, contamination)
+    if callable(scores):
+        scores = scores(r)
+    if len(scores) < r:
+        raise ValueError("%d scores cannot hold the %d highest of %d"
+                         % (len(scores), r, n))
+    return float(np.sort(np.asarray(scores, dtype=np.float64))[-r])
 
 
 def flag(scores, threshold):
@@ -75,9 +89,12 @@ def _check_width(x, width):
 
 
 class _Detector:
-    """The protocol every model shares: ``scores`` and a ``threshold``,
-    from which ``predict`` is derived. A row is anomalous when its score is
-    strictly above the threshold."""
+    """The protocol every model shares. ``fit`` (``autoencoder.train`` for
+    the autoencoder) learns from the training rows; ``scores(rows)`` ranks
+    rows, higher for more anomalous; ``threshold`` is set after the fit by
+    the model's rule (the module docstring), except DBSCAN's, its own
+    ``eps``; and ``predict`` is derived from them: a row is anomalous (0)
+    when its score is strictly above the threshold."""
 
     def predict(self, rows):
         return flag(self.scores(rows), self.threshold)
@@ -133,7 +150,8 @@ def build_table(errors, labels):
     """Score every candidate percentile threshold on validation data.
 
     ``errors`` are reconstruction errors of the combined validation set and
-    ``labels`` its 0/1 ground truth; both classes must be present.
+    ``labels`` its 0/1 ground truth; both classes must be present, and
+    NaN errors, which no threshold can rank, are refused.
     """
     errors = np.asarray(errors, dtype=np.float64)
     labels = np.asarray(labels)
@@ -143,6 +161,9 @@ def build_table(errors, labels):
         raise DataError("empty validation set")
     if not ((labels == 0).any() and (labels == 1).any()):
         raise DataError("validation set must contain both classes")
+    if np.isnan(errors).any():
+        raise DataError("%d of %d validation errors are NaN"
+                        % (np.isnan(errors).sum(), len(errors)))
 
     sorted_errors = np.sort(errors)
     n = len(sorted_errors)

@@ -38,7 +38,7 @@ from telanom.ingest import (_BLOCK_ROWS, DETECTION_COLUMNS, DROP_REASONS,
 from telanom.metrics import SUMMARY_COLUMNS, reshuffle_ci
 from telanom.pipeline import run_pipeline
 from telanom.synthgen import GroundTruth, _adjacent_step, make_station_map
-from telanom.thresholding import METRIC_COLUMNS
+from telanom.thresholding import METRIC_COLUMNS, contamination_threshold
 
 
 def haversine_law_of_cosines(lat1, lon1, lat2, lon2, radius_km=6371.0):
@@ -240,6 +240,19 @@ def rng_isolation_trees(x, n_estimators, subsample, seed):
         idx = rng.choice(n, size=sample_size, replace=False)
         trees.append(_rng_isolation_tree(x[idx], rng, height_limit))
     return trees, rng.bit_generator.state
+
+
+def run_threshold(model, fit_x):
+    """The threshold run gives ``model``, fitted on ``fit_x``: the
+    contamination rule over the scores of every fit row for the forest
+    (which run takes off its candidates alone) and over ``train_lof`` for
+    LOF; DBSCAN's own eps."""
+    if model.kind == "iforest":
+        return contamination_threshold(model.scores(fit_x),
+                                       model.contamination)
+    if model.kind == "lof":
+        return contamination_threshold(model.train_lof, model.contamination)
+    return model.threshold
 
 
 def same_partition(a, b):

@@ -14,7 +14,9 @@ import pytest
 import telanom
 import telanom.tuning
 from telanom.cli import _load_config, build_parser, main
+from telanom.detectors import LocalOutlierFactor, save_model
 from telanom.errors import DataError
+from telanom.metrics import save_report
 from telanom.pipeline import RunConfig
 
 
@@ -680,6 +682,84 @@ def test_evaluate_refuses_non_finite_numbers(trained_all, dataset, tmp_path,
         want = "%s: row %d, column %d is %r, not a finite number" % (
             array, *at, value)
     assert want in err, err
+
+
+@pytest.fixture(scope="module")
+def ci_set_run(tmp_path_factory):
+    """(data flags, run directory) of the CI set (``synth --fish 6 --days
+    90 --seed 1``) run with all four models, ``--max-points 5000`` and two
+    confidence-interval repeats, as CI runs it."""
+    root = tmp_path_factory.mktemp("ci-set")
+    data = str(root / "data")
+    assert main(["synth", "--fish", "6", "--days", "90", "--seed", "1",
+                 "--out", data]) == 0
+    flags = ["--input", os.path.join(data, "detections.csv"),
+             "--stations", os.path.join(data, "stations.csv"),
+             "--max-points", "5000",
+             "--models", "autoencoder,iforest,lof,dbscan"]
+    out = str(root / "run")
+    assert main(["run"] + flags + ["--ci-repeats", "2", "--out", out]) == 0
+    return flags, out
+
+
+def _no_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+def test_every_json_file_of_a_run_is_strict_json(ci_set_run, tmp_path):
+    """Python's JSON writer writes NaN and Infinity unless told not to, and
+    no other reader takes them. Every JSON file of a run and its evaluate
+    parses with a ``parse_constant`` that raises, and save_report and
+    save_model refuse a NaN rather than write one."""
+    flags, out = ci_set_run
+    evaluated = str(tmp_path / "eval")
+    assert main(["evaluate"] + flags + ["--models-dir", out,
+                                        "--out", evaluated]) == 0
+    paths = [os.path.join(folder, name)
+             for root in (out, evaluated)
+             for folder, _, names in os.walk(root)
+             for name in names if name.endswith(".json")]
+    assert {os.path.relpath(path, out) for path in paths} >= {
+        "report.json", "threshold.json", "scaler.json", "plan.json",
+        "label_report.json", os.path.join("models", "iforest.json")}
+    for path in paths:
+        with open(path) as f:
+            json.load(f, parse_constant=_no_constant)
+    with open(os.path.join(out, "models", "lof.json")) as f:
+        lof = LocalOutlierFactor.from_json(json.load(f))
+    lof.threshold = math.nan
+    for write, obj in ((save_report, {"auc": math.nan}), (save_model, lof)):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write(obj, str(tmp_path / "refused.json"))
+        assert not os.path.exists(tmp_path / "refused.json")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_evaluate_refuses_nan_scores(ci_set_run, tmp_path, capsys):
+    """An autoencoder file whose first weights alternate +-1e308 loads,
+    every entry being finite, but scores every row NaN; evaluate exited 0
+    with every anomaly missed and an AUC of 1.0. The scores are refused
+    where they meet the threshold, naming the file."""
+    flags, trained = ci_set_run
+    out = str(tmp_path / "run")
+    shutil.copytree(trained, out)
+    path = os.path.join(out, "models", "autoencoder.json")
+    with open(path) as f:
+        obj = json.load(f)
+    w1 = obj["params"]["w1"]
+    obj["params"]["w1"] = [[(-1e308, 1e308)[(i + j) % 2]
+                            for j in range(len(w1[0]))]
+                           for i in range(len(w1))]
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    capsys.readouterr()
+    code = main(["evaluate"] + flags + ["--models-dir", out,
+                                        "--out", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error: %s: " % path), err
+    assert "autoencoder scores" in err and "as NaN" in err, err
 
 
 # main's wall time and the process's peak RSS in MB, VmHWM: unlike

@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import json
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import oracles
 from oracles import (brute_force_lof, isolation_mean_depths,
                      lof_neighbourhoods, reference_dbscan,
-                     rng_isolation_trees, same_partition)
+                     rng_isolation_trees, run_threshold, same_partition)
 from scipy.spatial.distance import cdist
 from telanom import detectors
 from telanom.detectors import (MODEL_KINDS, Dbscan, IsolationForest,
@@ -32,6 +33,19 @@ def _blobs(rng, n, d=11, centers=3, spread=0.5, box=10.0):
     mus = rng.uniform(-box, box, size=(centers, d))
     assign = rng.integers(0, centers, size=n)
     return mus[assign] + rng.normal(scale=spread, size=(n, d))
+
+
+def _fitted(model, x):
+    """``model`` fitted on ``x``, with the threshold run gives it."""
+    model.threshold = run_threshold(model.fit(x), x)
+    return model
+
+
+def _pruned_threshold(model, rows):
+    """The forest's threshold as run takes it: the contamination rule over
+    the scores of the rows ``top_scores`` walks in full."""
+    return contamination_threshold(functools.partial(model.top_scores, rows),
+                                   model.contamination, len(rows))
 
 
 # -- isolation forest --------------------------------------------------------
@@ -86,8 +100,8 @@ def test_iforest_isolates_obvious_outlier():
     outlier = np.full((1, 11), 9.0)
     # contamination must budget at least one training row: at 0.01 the
     # threshold sits below the top ~1% of train scores
-    model = IsolationForest(n_estimators=100, contamination=0.01,
-                            seed=0).fit(np.vstack([x, outlier]))
+    model = _fitted(IsolationForest(n_estimators=100, contamination=0.01,
+                                    seed=0), np.vstack([x, outlier]))
     s_in = model.scores(x)
     s_out = model.scores(outlier)
     assert s_out[0] > s_in.max()
@@ -97,7 +111,8 @@ def test_iforest_isolates_obvious_outlier():
 def test_iforest_contamination_sets_flag_rate():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(1000, 11))
-    model = IsolationForest(n_estimators=50, contamination=0.1, seed=1).fit(x)
+    model = _fitted(IsolationForest(n_estimators=50, contamination=0.1,
+                                    seed=1), x)
     flagged = (model.predict(x) == 0).sum()
     # strictly-above nearest-rank threshold flags at most the contamination
     # share, and nearly exactly it for continuous scores
@@ -140,7 +155,7 @@ def test_iforest_duplicating_inliers_does_not_mask_outlier():
 def test_iforest_json_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     x = _blobs(rng, 200)
-    model = IsolationForest(n_estimators=10, seed=3).fit(x)
+    model = _fitted(IsolationForest(n_estimators=10, seed=3), x)
     path = str(tmp_path / "if.json")
     save_model(model, path)
     back = load_model(path)
@@ -211,7 +226,7 @@ def test_iforest_loaded_model_matches_oracle(tmp_path):
     x = _blobs(rng, 200, d=5)
     q = np.vstack([_blobs(rng, 40, d=5, box=15.0), [[np.nan] * 5]])
     path = str(tmp_path / "if.json")
-    save_model(IsolationForest(n_estimators=15, seed=7).fit(x), path)
+    save_model(_fitted(IsolationForest(n_estimators=15, seed=7), x), path)
     back = load_model(path)
     assert np.array_equal(back.mean_depths(q),
                           isolation_mean_depths(back.trees, q))
@@ -385,7 +400,7 @@ def test_lof_ties_included_in_neighbourhood():
 def test_lof_flags_outlier():
     rng = np.random.default_rng(21)
     train = rng.normal(scale=0.3, size=(300, 5))
-    model = LocalOutlierFactor(k=5, contamination=0.01).fit(train)
+    model = _fitted(LocalOutlierFactor(k=5, contamination=0.01), train)
     far = np.full((1, 5), 7.0)
     near = train[:5]
     assert model.scores(far)[0] > model.scores(near).max()
@@ -396,7 +411,7 @@ def test_lof_flags_outlier():
 def test_lof_json_round_trip(tmp_path):
     rng = np.random.default_rng(22)
     x = _blobs(rng, 150, d=5)
-    model = LocalOutlierFactor(k=4).fit(x)
+    model = _fitted(LocalOutlierFactor(k=4), x)
     path = str(tmp_path / "lof.json")
     save_model(model, path)
     back = load_model(path)
@@ -729,7 +744,8 @@ def test_lof_takes_precomputed_neighbourhoods():
         for a, b in ((model.kdist, alone.kdist), (model.lrd, alone.lrd),
                      (model.train_lof, alone.train_lof)):
             assert np.array_equal(a, b)
-        assert model.threshold == alone.threshold
+        assert (contamination_threshold(model.train_lof, 0.01)
+                == contamination_threshold(alone.train_lof, 0.01))
         assert np.array_equal(model.scores(q, neighbours=queries),
                               alone.scores(q))
     db = Dbscan(eps=1.0, min_pts=3)
@@ -1121,23 +1137,26 @@ def test_a_smaller_fit_is_a_prefix_of_a_larger_one(subsample):
                                     seed=3, contamination=contamination)
             small.fit(x)
             assert small.trees == big.trees[:t]
-            assert small.threshold == contamination_threshold(train_t,
-                                                              contamination)
+            assert run_threshold(small, x) == contamination_threshold(
+                train_t, contamination)
             assert small.scores(q).tobytes() == val_t.tobytes()
 
 
-def test_iforest_threshold_is_taken_on_first_read():
-    # fit keeps its rows for the threshold, and lets them go once read
+def test_fits_leave_the_threshold_to_the_rule():
+    """A forest's or LOF's fit sets no threshold, and holds no fit row for
+    one; DBSCAN's threshold is its own eps. The rule then takes the
+    forest's threshold off the scores of every fit row or of its
+    candidates alike."""
     rng = np.random.default_rng(97)
     x = _blobs(rng, 300, d=4, spread=0.6, box=3.0)
-    model = IsolationForest(n_estimators=20, seed=2, contamination=0.1)
-    model.fit(x)
-    assert model._fit_x is x
-    want = contamination_threshold(model.scores(x), 0.1)
-    assert model.threshold == want and model._fit_x is None
-    assert model.fit(x).threshold == want
-    model.fit(x).threshold = 0.5
-    assert model.threshold == 0.5 and model._fit_x is None
+    forest = IsolationForest(n_estimators=20, seed=2, contamination=0.1)
+    lof = LocalOutlierFactor(k=5, contamination=0.1)
+    for model in (forest, lof):
+        assert model.fit(x).threshold is None
+    assert not any(value is x for value in vars(forest).values())
+    assert Dbscan(eps=1.5, min_pts=3).fit(x).threshold == 1.5
+    assert _pruned_threshold(forest, x) == contamination_threshold(
+        forest.scores(x), 0.1)
 
 
 _SPECIAL = [np.nan, np.inf, -np.inf]
@@ -1198,7 +1217,7 @@ def test_bounded_threshold_is_the_contamination_threshold(monkeypatch, cpus,
                         data.draw(st.sampled_from([32, 0, -r])))
     for n_cpus in (1, 2, 3):
         cpus(n_cpus)
-        got = model.threshold_of(rows)
+        got = _pruned_threshold(model, rows)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         _assert_no_child()
@@ -1229,7 +1248,7 @@ def test_the_shallowest_row_outside_the_candidates_is_kept():
     assert model.mean_depths(rows[:2]).tolist() == [5.99, 6.0]
     want = contamination_threshold(model.scores(rows), 0.001)
     assert want == model.scores(rows[:1])[0]
-    assert model.threshold_of(rows) == want
+    assert _pruned_threshold(model, rows) == want
 
 
 def test_a_range_smaller_than_the_candidates_is_walked_in_full():
@@ -1260,7 +1279,8 @@ def test_survey_like_thresholds_walk_few_rows_in_full(monkeypatch, cpus,
     monkeypatch.setattr(detectors._PackedForest, "_descend", descend)
     cpus(1)
     assert len(x) > 8 * (2 * contamination_top(len(x), 0.001) + 32)
-    assert model.threshold == contamination_threshold(model.scores(x), 0.001)
+    assert _pruned_threshold(model, x) == contamination_threshold(
+        model.scores(x), 0.001)
     full, scored = sum(walked[:-_walks(len(x))]), sum(walked[-_walks(len(x)):])
     assert scored == len(x)
     assert full < 0.1 * len(x), (full, len(x))
@@ -1274,7 +1294,7 @@ def test_predict_derives_from_scores_and_threshold():
                                   seed=1),
                   LocalOutlierFactor(k=5, contamination=0.05),
                   Dbscan(eps=1.0, min_pts=4)):
-        model.fit(train)
+        _fitted(model, train)
         want = np.where(model.scores(q) > model.threshold, 0, 1)
         assert np.array_equal(model.predict(q), want)
         assert np.array_equal(flag(model.scores(q), model.threshold), want)
@@ -1296,8 +1316,8 @@ def _write(path, obj):
 
 def test_load_model_rejects_missing_keys(tmp_path):
     x = _blobs(np.random.default_rng(70), 40, d=3)
-    for model in (IsolationForest(n_estimators=3).fit(x),
-                  LocalOutlierFactor(k=3).fit(x),
+    for model in (_fitted(IsolationForest(n_estimators=3), x),
+                  _fitted(LocalOutlierFactor(k=3), x),
                   Dbscan(eps=2.0, min_pts=3).fit(x)):
         path, obj = _saved(tmp_path, model)
         for key in obj:
@@ -1310,7 +1330,7 @@ def test_load_model_rejects_missing_keys(tmp_path):
 
 def test_load_model_rejects_inconsistent_lof(tmp_path):
     x = _blobs(np.random.default_rng(71), 40, d=3)
-    path, obj = _saved(tmp_path, LocalOutlierFactor(k=3).fit(x))
+    path, obj = _saved(tmp_path, _fitted(LocalOutlierFactor(k=3), x))
     for key in ("x", "kdist", "lrd", "train_lof"):
         cut = dict(obj, **{key: obj[key][:-1]})
         with pytest.raises(DataError, match="differ in length"):
@@ -1371,8 +1391,8 @@ def _corrupt_tree(obj, tree=0, **lists):
 
 def test_load_model_rejects_corrupt_iforest(tmp_path):
     x = _blobs(np.random.default_rng(73), 60, d=3)
-    path, obj = _saved(tmp_path, IsolationForest(n_estimators=3,
-                                                 seed=1).fit(x))
+    path, obj = _saved(tmp_path, _fitted(IsolationForest(n_estimators=3,
+                                                         seed=1), x))
     tree = obj["trees"][1]
     assert tree["feature"][0] >= 0          # the root splits
     n = len(tree["feature"])
@@ -1413,8 +1433,8 @@ def test_load_model_rejects_corrupt_iforest(tmp_path):
 
 def test_load_model_rejects_truncated_file(tmp_path):
     x = _blobs(np.random.default_rng(74), 60, d=3)
-    for model in (IsolationForest(n_estimators=3).fit(x),
-                  LocalOutlierFactor(k=3).fit(x),
+    for model in (_fitted(IsolationForest(n_estimators=3), x),
+                  _fitted(LocalOutlierFactor(k=3), x),
                   Dbscan(eps=2.0, min_pts=3).fit(x)):
         path, _ = _saved(tmp_path, model)
         text = path.read_text()
@@ -1426,8 +1446,8 @@ def test_load_model_rejects_truncated_file(tmp_path):
 
 def test_iforest_rejects_rows_narrower_than_its_splits(tmp_path):
     x = _blobs(np.random.default_rng(75), 80, d=4)
-    path, obj = _saved(tmp_path, IsolationForest(n_estimators=5,
-                                                 seed=2).fit(x))
+    path, obj = _saved(tmp_path, _fitted(IsolationForest(n_estimators=5,
+                                                         seed=2), x))
     widest = max(f for t in obj["trees"] for f in t["feature"])
     model = load_model(str(path))
     model.scores(x[:, :widest + 1])
@@ -1440,8 +1460,8 @@ def test_model_files_are_json_dump_bytes(tmp_path):
     # json.dump writes, from the C encoder
     from telanom.autoencoder import Autoencoder
     x = _blobs(np.random.default_rng(76), 60, d=3)
-    models = (IsolationForest(n_estimators=4).fit(x),
-              LocalOutlierFactor(k=3).fit(x),
+    models = (_fitted(IsolationForest(n_estimators=4), x),
+              _fitted(LocalOutlierFactor(k=3), x),
               Dbscan(eps=2.0, min_pts=3).fit(x),
               Autoencoder(3, 4, 2, seed=1))
     assert {model.kind for model in models} == set(MODEL_KINDS)

@@ -1,8 +1,9 @@
 """Static checks over src/telanom with the stdlib ast module: no unused
 import, no module-level private function that nothing in the package
 references (a retired helper must go with its last caller), no JSON
-written outside the package's two JSON writers, no CSV written outside
-its one CSV writer, no file opened outside the one opener of input files
+written outside the package's two JSON writers nor with NaN allowed, no
+contamination rule applied outside thresholding.py, no CSV written
+outside its one CSV writer, no file opened outside the one opener of input files
 and the one that renames an output into place whole, and no process
 forked or thread started outside the one class that runs work in a child
 process, which only child.run_all uses."""
@@ -99,6 +100,39 @@ def test_json_is_written_only_by_the_two_writers():
                   for node in _json_writes(tree) if node not in inside]
     assert stray == []
     assert writers == JSON_WRITERS
+
+
+def test_json_writers_refuse_nan():
+    """Every json.dump and json.dumps passes allow_nan=False: Python writes
+    NaN and Infinity as bare tokens otherwise, which are not JSON."""
+    allowing = []
+    for name, tree in _modules().items():
+        writes = _json_writes(tree)
+        allowing += [
+            "%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and node.func in writes
+            and not any(k.arg == "allow_nan" and isinstance(
+                k.value, ast.Constant) and k.value.value is False
+                for k in node.keywords)]
+    assert allowing == []
+
+
+def test_only_thresholding_applies_the_contamination_rule():
+    """contamination_top (the rule's r) and _rank (the nearest rank) are
+    named in thresholding.py alone: detectors only rank, and every
+    contamination threshold is contamination_threshold's."""
+    stray = []
+    for name, tree in _modules().items():
+        if name == "thresholding.py":
+            continue
+        for node in ast.walk(tree):
+            names = [alias.name for alias in node.names] if isinstance(
+                node, ast.ImportFrom) else [getattr(node, "id", None),
+                                            getattr(node, "attr", None)]
+            stray += ["%s:%d %s" % (name, node.lineno, found)
+                      for found in ("contamination_top", "_rank")
+                      if found in names]
+    assert stray == []
 
 
 def test_csv_is_written_only_by_write_csv():

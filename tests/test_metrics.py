@@ -109,6 +109,13 @@ def test_auc_single_class_is_none():
     assert roc_auc([1.0, 2.0], [1, 1]) is None
 
 
+def test_auc_refuses_nan_scores():
+    # _average_ranks sorts NaN last, which would rank it most anomalous
+    with pytest.raises(ValueError, match="1 of 3 scores are NaN"):
+        roc_auc([np.nan, 1.0, 2.0], [1, 0, 1])
+    assert roc_auc([np.inf, 1.0, np.inf], [0, 1, 1]) == 0.75
+
+
 # -- reshuffle CI ------------------------------------------------------------
 
 

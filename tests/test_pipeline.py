@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import reshuffle_report
+from oracles import reshuffle_report, run_threshold
 from telanom import detectors, pipeline, tuning
 from telanom.cli import build_parser, cmd_tune, main
 from telanom.detectors import Dbscan, IsolationForest, LocalOutlierFactor
@@ -320,8 +320,35 @@ def test_grid_candidate_with_run_params_builds_run_models(tiny_labelled,
         # built once to be checked, then again to be fitted
         _checked, model = built
         want = result.models[name]
-        assert model.threshold == want.threshold, name
+        assert run_threshold(model, data.fit_x) == want.threshold, name
         assert np.array_equal(model.scores(x_test), want.scores(x_test)), name
+
+
+@pytest.mark.parametrize("name", ["iforest", "lof"])
+def test_a_fitted_models_nan_scores_are_a_training_error(tiny_labelled,
+                                                         monkeypatch, name):
+    """NaN test scores of a model fitted in the run are a TrainingError,
+    not a report that misses those rows and ranks them first."""
+    cls = detectors.MODEL_KINDS[name]
+
+    def nan_scores(self, rows, *args, _fn=cls.scores, **kwargs):
+        scores = _fn(self, rows, *args, **kwargs)
+        scores[::7] = np.nan
+        return scores
+    monkeypatch.setattr(cls, "scores", nan_scores)
+    with pytest.raises(TrainingError, match="^%s scores [0-9]+ of [0-9]+ "
+                       "test rows as NaN$" % name):
+        run_pipeline(tiny_labelled, _fast_cfg(models=name), seed=5,
+                     timer=lambda: 0.0)
+
+
+def test_dbscan_scores_every_row_inf_without_core_points(tiny_labelled):
+    # +inf is a valid score: no row lies within eps of a core point
+    entry = run_pipeline(tiny_labelled,
+                         _fast_cfg(models="dbscan", dbscan_min_pts=10 ** 6),
+                         seed=5, timer=lambda: 0.0).report["models"]["dbscan"]
+    assert entry["confusion"]["tn"] == entry["confusion"]["fn"] == 0
+    assert entry["metrics"]["auc"] == 0.5
 
 
 @pytest.mark.parametrize("models", ["lof,dbscan", "dbscan,iforest,lof",

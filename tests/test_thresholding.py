@@ -1,26 +1,89 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from telanom.errors import DataError
 from telanom.metrics import compute_metrics, confusion, save_report
 from telanom.thresholding import (METRIC_COLUMNS, PercentileTable,
-                                  ThresholdResult, build_table,
-                                  nearest_rank_percentile, select_threshold)
+                                  ThresholdResult, _rank, build_table,
+                                  contamination_threshold, contamination_top,
+                                  select_threshold)
 
 
 def test_nearest_rank_percentile():
+    # the rank of the p-th percentile of n values; with the contamination
+    # rule, the value of [15, 20, 35, 40, 50] at that rank
     data = [15.0, 20.0, 35.0, 40.0, 50.0]
-    assert nearest_rank_percentile(data, 30) == 20.0   # ceil(1.5) = rank 2
-    assert nearest_rank_percentile(data, 40) == 20.0   # rank 2 exactly
-    assert nearest_rank_percentile(data, 41) == 35.0   # ceil(2.05) = rank 3
-    assert nearest_rank_percentile(data, 100) == 50.0
-    assert nearest_rank_percentile(data, 0.1) == 15.0  # rank floor is 1
+    assert _rank(5, 30) == 2                # ceil(1.5) = rank 2
+    assert _rank(5, 40) == 2                # rank 2 exactly
+    assert _rank(5, 41) == 3                # ceil(2.05) = rank 3
+    assert _rank(5, 100) == 5
+    assert _rank(5, 0.1) == 1               # rank floor is 1
+    assert contamination_threshold(data, 0.7) == 20.0   # p = 30
+    assert contamination_threshold(data, 0.2) == 40.0   # p = 80, rank 4
+    assert contamination_threshold(data, 0.001) == 50.0
+    assert contamination_threshold(data, 0.999) == 15.0
     with pytest.raises(ValueError):
-        nearest_rank_percentile(data, 0)
+        _rank(5, 0)
     with pytest.raises(ValueError):
-        nearest_rank_percentile(data, 101)
+        _rank(5, 101)
     with pytest.raises(ValueError):
-        nearest_rank_percentile([], 50)
+        _rank(0, 50)
+    with pytest.raises(ValueError):
+        contamination_threshold([], 0.5)
+
+
+@st.composite
+def _subset_cases(draw):
+    """(scores, contamination, subset): scores drawn from a few values, so
+    that the r-th highest is often tied, and a subset of them that holds
+    r scores no lower than the r-th highest, only some of its ties among
+    them, beside any others."""
+    n = draw(st.integers(1, 3) | st.integers(1, 200))
+    values = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1e-300,
+                                            np.inf]), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scores = rng.choice(values, size=n) + rng.choice([0.0, 0.1], size=n) \
+        * draw(st.booleans())
+    # 1e-6 keeps r at 1 and 0.999 makes r = n for n up to 1000
+    contamination = draw(st.sampled_from([1e-6, 0.001, 0.05, 0.3, 0.5, 0.9,
+                                          0.999]))
+    r = contamination_top(n, contamination)
+    order = np.argsort(-scores, kind="stable")
+    top = order[:r]
+    rest = order[r:]
+    extra = rest[rng.random(len(rest)) < draw(st.sampled_from([0.0, 0.3,
+                                                               1.0]))]
+    subset = scores[rng.permutation(np.concatenate([top, extra]))]
+    return scores, contamination, subset
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_subset_cases())
+def test_the_rule_over_the_top_r_is_the_rule_over_all(case):
+    """The contamination rule over any subset that holds the r highest
+    scores, given n, is the rule over all n scores, bit for bit, whether
+    the subset is handed over or made for r; one score fewer than r is
+    refused."""
+    scores, contamination, subset = case
+    n = len(scores)
+    r = contamination_top(n, contamination)
+    want = contamination_threshold(scores, contamination)
+    assert want == np.sort(scores)[_rank(n, (1 - contamination) * 100) - 1]
+    asked = []
+
+    def candidates(top):
+        asked.append(top)
+        return subset
+    for got in (contamination_threshold(subset, contamination, n),
+                contamination_threshold(candidates, contamination, n)):
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert asked == [r]
+    assert 1 <= r <= n
+    with pytest.raises(ValueError, match="cannot hold"):
+        contamination_threshold(np.sort(subset)[1 - r:] if r > 1 else [],
+                                contamination, n)
 
 
 def test_build_table_thresholds_come_from_combined_errors():
@@ -56,6 +119,10 @@ def test_build_table_input_validation():
         build_table([1.0, 2.0], [1])
     with pytest.raises(DataError):
         build_table([1.0, 2.0], [1, 1])     # one class only
+    with pytest.raises(DataError, match="1 of 3 validation errors are NaN"):
+        build_table([1.0, np.nan, 2.0], [0, 1, 1])
+    # +inf ranks above every finite error
+    assert build_table([1.0, np.inf, 2.0], [0, 1, 1]).thresholds[-1] == np.inf
 
 
 def _mk_table(rows):
