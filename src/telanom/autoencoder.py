@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TrainingError, _array, _number
+from .errors import DataError, TrainingError, _array, _number, _object
 from .ingest import write_csv
 from .thresholding import _Detector, _as_matrix, _check_width
 
@@ -78,6 +78,12 @@ class _Workspace:
             self.du, self.dz2, self.mask = buf(u), buf(b), buf(u, bool)
 
 
+def _param_shapes(d, u, b):
+    """Name -> shape of each parameter of a d -> u -> b -> u -> d net."""
+    return {"w1": (d, u), "b1": (u,), "w2": (u, b), "b2": (b,),
+            "w3": (b, u), "b3": (u,), "w4": (u, d), "b4": (d,)}
+
+
 def _param_views(flat, shapes):
     """Name -> view of ``flat`` reshaped to ``shapes[name]``, laid out in
     PARAM_NAMES order."""
@@ -118,9 +124,7 @@ class Autoencoder(_Detector):
 
     @property
     def param_shapes(self):
-        d, u, b = self.n_inputs, self.units, self.bottleneck
-        return {"w1": (d, u), "b1": (u,), "w2": (u, b), "b2": (b,),
-                "w3": (b, u), "b3": (u,), "w4": (u, d), "b4": (d,)}
+        return _param_shapes(self.n_inputs, self.units, self.bottleneck)
 
     @property
     def n_parameters(self):
@@ -240,19 +244,13 @@ class Autoencoder(_Detector):
 
     @classmethod
     def from_json(cls, obj):
-        """The model ``to_json`` described; DataError when a parameter's
-        shape does not fit the layer sizes."""
-        model = cls(*(_number(obj, key, integer=True)
-                      for key in ("n_inputs", "units", "bottleneck", "seed")))
-        for k, shape in model.param_shapes.items():
-            value = _array(obj["params"], k, len(shape))
-            if value.shape != shape:
-                raise DataError(
-                    "autoencoder parameter %s has shape %s, expected %s for "
-                    "n_inputs=%d, units=%d, bottleneck=%d"
-                    % (k, value.shape, shape, model.n_inputs, model.units,
-                       model.bottleneck))
-            model.params[k] = value
+        # the parameters are read before the constructor draws weights
+        sizes = [_number(obj, key, integer=True)
+                 for key in ("n_inputs", "units", "bottleneck", "seed")]
+        params = {k: _array(_object(obj, "params"), k, shape)
+                  for k, shape in _param_shapes(*sizes[:3]).items()}
+        model = cls(*sizes)
+        model.params = params
         return model
 
 

@@ -292,6 +292,14 @@ _BOUND_LEVEL = 3           # at most 8: a row's slot of a tree fits a byte
 _CANDIDATE_EXTRA = 32
 _PRUNE_SLACK = 1.0 + 1e-9
 
+# A forest packs at most n_trees * 2**height_limit slots at its last level,
+# and this many: 8 bytes of feature and 8 of threshold per slot above the
+# last level and 8 of leaf value per slot of it, 24 MiB of heap at the cap
+# (a pruned walk's bounds add 16 MiB while it runs). The largest forest the
+# tests fit, 300 trees on 601 rows, takes 307,200 slots, the default grid's
+# 200 trees of subsample 256 take 51,200 and 100 of subsample 8192 819,200.
+_MAX_HEAP_SLOTS = 2 ** 20
+
 
 class _PackedForest:
     """The trees of an isolation forest packed level by level into a heap,
@@ -310,9 +318,9 @@ class _PackedForest:
     of unequal length, a child that is not after its parent in its own
     tree, a node with two parents, a negative size, a split whose
     children's sizes do not sum to its own, a tree deeper than
-    ``height_limit`` and, when ``sample_size`` is given, a root of another
-    size are DataErrors. All are checked before the heap, 2**L slots per
-    tree at level L, is made.
+    ``height_limit``, when ``sample_size`` is given, a root of another
+    size and a heap of more than ``_MAX_HEAP_SLOTS`` are DataErrors. All
+    are checked before the heap, 2**L slots per tree at level L, is made.
     """
 
     def __init__(self, trees, height_limit, sample_size=None):
@@ -374,6 +382,10 @@ class _PackedForest:
             tree = np.flatnonzero(size[roots] != sample_size)[0]
             raise DataError("tree %d's root size %d is not sample_size %d"
                             % (tree, size[roots[tree]], sample_size))
+        if self.n_trees * 2 ** height_limit > _MAX_HEAP_SLOTS:
+            raise DataError("%d trees of height limit %d need more than %d "
+                            "heap slots" % (self.n_trees, height_limit,
+                                            _MAX_HEAP_SLOTS))
         sizes, size_of = np.unique(size, return_inverse=True)
         value = depth + np.array(
             [expected_path_length(int(s)) for s in sizes])[size_of]
@@ -818,20 +830,19 @@ class IsolationForest(_Detector):
 
     @classmethod
     def from_json(cls, obj):
-        model = cls(_number(obj, "n_estimators", integer=True),
-                    _number(obj, "contamination"),
-                    _number(obj, "subsample", integer=True),
-                    _number(obj, "seed", integer=True))
-        model.sample_size = _number(obj, "sample_size", integer=True)
-        if not 1 <= model.sample_size <= model.subsample:
-            raise DataError("sample_size must be in [1, subsample %d], got %r"
-                            % (model.subsample, model.sample_size))
-        model.threshold = _number(obj, "threshold")
+        subsample = _number(obj, "subsample", integer=True)
+        sample_size = _number(obj, "sample_size", integer=True, low=1,
+                              high=subsample)
         # as the trees setter, with every root's size checked too
-        model._forest = _PackedForest(
-            obj["trees"], math.ceil(math.log2(model.sample_size)),
-            model.sample_size)
-        model._trees = obj["trees"]
+        forest = _PackedForest(obj["trees"], math.ceil(math.log2(sample_size)),
+                               sample_size)
+        model = cls(_number(obj, "n_estimators", integer=True,
+                            low=forest.n_trees, high=forest.n_trees),
+                    _number(obj, "contamination"), subsample,
+                    _number(obj, "seed", integer=True))
+        model.sample_size = sample_size
+        model.threshold = _number(obj, "threshold")
+        model._forest, model._trees = forest, obj["trees"]
         return model
 
 
@@ -929,20 +940,16 @@ class LocalOutlierFactor(_Detector):
         model = cls(_number(obj, "k", integer=True),
                     _number(obj, "contamination"), _number(obj, "lrd_cap"))
         model.threshold = _number(obj, "threshold")
-        model.x = _array(obj, "x", 2)
-        for key in ("kdist", "lrd", "train_lof"):
-            value = _array(obj, key, 1)
-            if (value < 0).any():
-                raise DataError("%s must be non-negative, got %r"
-                                % (key, float(value[value < 0][0])))
-            setattr(model, key, value)
+        model.x = _array(obj, "x", (None, None))
         # scoring indexes kdist and lrd by training row
-        n = len(model.x)
-        if any(len(a) != n for a in (model.kdist, model.lrd, model.train_lof)):
-            raise DataError("x, kdist, lrd and train_lof differ in length")
-        if n <= model.k:
+        rows = model.x.shape[:1]
+        model.kdist = _array(obj, "kdist", rows, low=0)
+        model.lrd = _array(obj, "lrd", rows, low=0, high=model.lrd_cap)
+        model.train_lof = _array(obj, "train_lof", rows, low=0)
+        # a fit needs k neighbours of each row besides itself
+        if len(model.x) <= model.k:
             raise DataError("%d training rows, need more than k=%d"
-                            % (n, model.k))
+                            % (len(model.x), model.k))
         return model
 
 
@@ -1080,23 +1087,17 @@ class Dbscan(_Detector):
     @classmethod
     def from_json(cls, obj):
         model = cls(_number(obj, "eps"), _number(obj, "min_pts", integer=True))
-        # a model without core points is saved with an empty list
-        if obj["core_points"] == []:
-            model.core_points = np.empty((0, 1))
-        else:
-            model.core_points = _array(obj, "core_points", 2)
-        model._core_labels = _array(obj, "core_labels", 1, dtype=np.int64)
-        if len(model.core_labels) != len(model.core_points):
-            raise DataError("core_points and core_labels differ in length")
-        model._n_clusters = _number(obj, "n_clusters", integer=True)
-        if model._n_clusters < 0:
-            raise DataError("n_clusters must be >= 0")
-        outside = ((model._core_labels < 0)
-                   | (model._core_labels >= model._n_clusters))
-        if outside.any():
-            raise DataError("core_labels must lie in [0, n_clusters=%d), "
-                            "got %d" % (model._n_clusters,
-                                        model._core_labels[outside][0]))
+        model.core_points = _array(obj, "core_points", (None, None))
+        rows = model.core_points.shape[:1]
+        model._n_clusters = _number(obj, "n_clusters", integer=True, low=0,
+                                    high=rows[0])
+        model._core_labels = _array(obj, "core_labels", rows, dtype=np.int64,
+                                    low=0, high=model._n_clusters - 1)
+        # a fit numbers its clusters 0, 1, ..., each holding a core point
+        named = len(np.unique(model._core_labels))
+        if named != model._n_clusters:
+            raise DataError("n_clusters is %d, but core_labels name %d"
+                            % (model._n_clusters, named))
         return model
 
 
@@ -1154,7 +1155,7 @@ def save_model(model, path):
 
 def _from_json(obj):
     kind = obj.get("kind")
-    if kind not in MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise DataError("unknown model kind %r" % (kind,))
     return MODEL_KINDS[kind].from_json(obj)
 

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import reprlib
+import sys
 
 import numpy as np
 
@@ -39,7 +41,7 @@ def load_json(path, read):
     with read_file(path) as f:
         try:
             obj = json.load(f)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:    # or nested too deep
             raise DataError("%s: not a JSON file: %s" % (path, e)) from None
     if not isinstance(obj, dict):
         raise DataError("%s: expected a JSON object" % path)
@@ -76,56 +78,73 @@ def remove_temporaries(root):
                 os.remove(os.path.join(folder, name))
 
 
-def _number(obj, key, integer=False):
+def _object(obj, key):
+    """Field ``key`` of a saved file: a JSON object; DataError otherwise."""
+    value = obj[key]
+    if not isinstance(value, dict):
+        raise DataError("%s must be an object, got %s"
+                        % (key, reprlib.repr(value)))
+    return value
+
+
+def _number(obj, key, integer=False, low=-math.inf, high=math.inf):
     """Field ``key`` of a saved file or of grid parameters: a finite JSON
-    number, or an integer when ``integer``; DataError otherwise. Python's
-    JSON reader takes NaN, Infinity and -Infinity, which no field
-    holds."""
+    number in ``[low, high]``, returned as a float, or an int when
+    ``integer``. A bool, NaN, an infinity (Python's JSON reader takes
+    them) or an integer past a float's range is a DataError naming it."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(
             value, int if integer else (int, float)):
-        raise DataError("%s must be %s, got %r"
-                        % (key, "an integer" if integer else "a number",
-                           value))
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DataError("%s must be finite, got %r" % (key, value))
+        raise DataError("%s must be %s, got %s" % (
+            key, "an integer" if integer else "a number", reprlib.repr(value)))
+    if not integer and not abs(value) <= sys.float_info.max:
+        raise DataError("%s must be finite, got %s"
+                        % (key, reprlib.repr(value)))
+    value = value if integer else float(value)
+    if not low <= value <= high:
+        raise DataError("%s must be in [%s, %s], got %s"
+                        % (key, low, high, reprlib.repr(value)))
     return value
 
 
-def _array(obj, key, ndim, dtype=np.float64, finite=True):
-    """Saved file field ``key``: a ``ndim``-d array of numbers, all finite
-    when ``finite``; DataError otherwise."""
+def _array(obj, key, shape, dtype=np.float64, low=-math.inf, high=math.inf):
+    """Field ``key`` of a saved file: a ``dtype`` array of JSON numbers of
+    ``shape``, an int for each fixed dimension and None for each free one
+    (``[]`` has no rows), each finite, in ``[low, high]`` and integral for
+    an integer dtype. Otherwise a DataError naming it or its bad entry."""
+    field = obj[key]
     try:
-        value = np.asarray(obj[key], dtype=dtype)
-    except (TypeError, ValueError):
-        raise DataError("%s must be an array of numbers" % key) from None
-    if value.ndim != ndim:
-        raise DataError("%s must be %d-d, got shape %s"
-                        % (key, ndim, value.shape))
-    if finite:
-        _finite(value, key)
-    return value
+        value = np.asarray(field)
+    except ValueError:                       # a ragged list
+        value = np.asarray(None)
+    if value.dtype.kind not in "iuf":
+        raise DataError("%s must be an array of numbers, got %s"
+                        % (key, reprlib.repr(field)))
+    if value.shape == (0,):
+        value = value.reshape([0] + [d or 0 for d in shape[1:]])
+    if value.ndim != len(shape) or any(
+            d not in (None, n) for d, n in zip(shape, value.shape)):
+        raise DataError("%s must have shape %s, got %s"
+                        % (key, shape, value.shape))
+    _refuse(~np.isfinite(value), value, key, "not a finite number")
+    _refuse((value < low) | (value > high), value, key,
+            "not in [%s, %s]" % (low, high))
+    with np.errstate(invalid="ignore"):
+        cast = value.astype(dtype, copy=False)
+    _refuse(cast != value, value, key, "not an integer")
+    return cast
 
 
-def _finite(values, what, rows=None, columns=()):
-    """DataError naming the first NaN or infinite entry of ``values``, in
-    C order, if there is one. A 2-d array names it by row (``rows[i]`` or
-    ``row i``) and column (with its name when ``columns`` names every
-    column), any other array by its index."""
-    bad = ~np.isfinite(values)
-    if not bad.any():
-        return
-    at = tuple(np.argwhere(bad)[0])
-    if values.ndim == 2:
-        row, col = at
-        place = "%s, column %d%s" % (
-            rows[row] if rows else "row %d" % row, col,
-            " (%s)" % columns[col] if len(columns) == values.shape[1]
-            else "")
-    else:
-        place = "entry %s" % ", ".join(map(str, at))
-    raise DataError("%s: %s is %r, not a finite number"
-                    % (what, place, float(values[at])))
+def _refuse(bad, values, what, why, columns=()):
+    """DataError naming the first entry of a 1-d or 2-d ``values`` where
+    ``bad`` holds, if any, and ``why``; a column by name if ``columns``."""
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        place = ("row %d, column %d" if values.ndim == 2 else "entry %d") % at
+        if len(columns) == values.shape[-1]:
+            place += " (%s)" % columns[at[-1]]
+        raise DataError("%s: %s is %r, %s"
+                        % (what, place, values[at].item(), why))
 
 
 class LeakageError(RuntimeError):

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, _array, _finite
+from .errors import DataError, _array, _refuse
 from .ingest import UTC_OFFSET_S, categorize, first_of_runs, write_csv
 
 EARTH_RADIUS_KM = 6371.0
@@ -239,7 +239,8 @@ class Scaler:
         if values.ndim != 2:
             raise DataError("cannot fit scaler on an array of shape %s"
                             % (values.shape,))
-        _finite(values, "cannot fit scaler", columns=FEATURE_NAMES)
+        _refuse(~np.isfinite(values), values, "cannot fit scaler",
+                "not a finite number", FEATURE_NAMES)
         self.mins = values.min(axis=0)
         self.maxs = values.max(axis=0)
         return self
@@ -255,7 +256,8 @@ class Scaler:
         if values.ndim != 2 or values.shape[1] != len(self.mins):
             raise DataError("expected rows of %d features, got shape %s"
                             % (len(self.mins), values.shape))
-        _finite(values, "cannot scale", columns=FEATURE_NAMES)
+        _refuse(~np.isfinite(values), values, "cannot scale",
+                "not a finite number", FEATURE_NAMES)
         return (values - self.mins) / self._denom()
 
     def to_json(self):
@@ -263,15 +265,8 @@ class Scaler:
 
     @classmethod
     def from_json(cls, obj):
-        """The scaler ``to_json`` described; DataError unless ``mins`` and
-        ``maxs`` are number lists of one length."""
-        mins, maxs = (_array(obj, key, 1, finite=False)
-                      for key in ("mins", "maxs"))
-        if mins.shape != maxs.shape:
-            raise DataError("scaler mins and maxs differ in length")
-        _finite(np.vstack([mins, maxs]), "scaler", rows=("mins", "maxs"),
-                columns=FEATURE_NAMES)
-        return cls(mins, maxs)
+        mins = _array(obj, "mins", (None,))
+        return cls(mins, _array(obj, "maxs", mins.shape))
 
 
 def write_feature_csv(table, path):

@@ -31,7 +31,8 @@ from .child import run_all
 from .detectors import (MODEL_PARAMS, NeighbourPass, build_model, load_model,
                         save_model)
 from .errors import (DataError, LeakageError, TrainingError, _number,
-                     load_json, read_file, remove_temporaries, whole_file)
+                     _object, load_json, read_file, remove_temporaries,
+                     whole_file)
 from .features import FeatureTable, Scaler, engineer_tracks, write_feature_csv
 from .ingest import parse_csv, load_station_map, deduplicate, group_tracks
 from .labelling import (CRIT_SINGLE_STATION, CRIT_SKIPPED, CRIT_STATIONARY,
@@ -607,16 +608,19 @@ def _reshuffle_report(labelled, cfg):
 
 def _run_interval(report, cfg, ingest_summary):
     """The resample interval of the run that wrote ``report``; DataError
-    naming the field when ``cfg`` or the inputs would rebuild another test
-    split than that run held out."""
+    naming the field when one it reads is malformed, or when ``cfg`` or
+    the inputs would rebuild another test split than that run held out."""
+    config = _object(report, "config")
     for name in ("seed", "normal_test_fraction", "anomaly_test_fraction",
                  "split_unit"):
-        if report["config"][name] != getattr(cfg, name):
+        if config[name] != getattr(cfg, name):
             raise DataError("%s is %r, the run's was %r" % (
-                name, getattr(cfg, name), report["config"][name]))
-    if report["ingest"] != ingest_summary:
+                name, getattr(cfg, name), config[name]))
+    if _object(report, "ingest") != ingest_summary:
         raise DataError("ingest summary differs: not the run's input CSVs")
-    return report["resample_interval"]
+    if report["resample_interval"] == "none":
+        return "none"
+    return _number(report, "resample_interval", integer=True, low=1)
 
 
 def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
@@ -642,8 +646,6 @@ def evaluate_saved(cfg, models_dir, timer=time.perf_counter):
     reports = {}
     for name in cfg.model_list:
         path = os.path.join(models_dir, "models", "%s.json" % name)
-        if not os.path.exists(path):
-            raise DataError("no saved model %r under %s" % (name, models_dir))
         t0 = timer()
         model = load_model(path)
         if model.kind != name:

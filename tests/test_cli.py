@@ -794,7 +794,7 @@ def _chain(depth, root_size):
 @pytest.mark.parametrize("change, message", [
     (lambda o: dict(o, sample_size=2 ** 34,
                     trees=[_chain(34, 2 ** 34)] + o["trees"][1:]),
-     "sample_size must be in [1, subsample 256], got 17179869184"),
+     "sample_size must be in [1, 256], got 17179869184"),
     (lambda o: dict(o, sample_size=2 ** 34, subsample=2 ** 34,
                     trees=[_chain(34, 2 ** 34)] + o["trees"][1:]),
      "tree 1's root size"),

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1331,18 +1332,22 @@ def test_load_model_rejects_missing_keys(tmp_path):
 def test_load_model_rejects_inconsistent_lof(tmp_path):
     x = _blobs(np.random.default_rng(71), 40, d=3)
     path, obj = _saved(tmp_path, _fitted(LocalOutlierFactor(k=3), x))
-    for key in ("x", "kdist", "lrd", "train_lof"):
+    for key in ("kdist", "lrd", "train_lof"):
         cut = dict(obj, **{key: obj[key][:-1]})
-        with pytest.raises(DataError, match="differ in length"):
+        with pytest.raises(DataError, match=r"%s must have shape \(40,\), "
+                           r"got \(39,\)$" % key):
             load_model(_write(path, cut))
+    with pytest.raises(DataError, match=r"kdist must have shape \(39,\), "
+                       r"got \(40,\)$"):
+        load_model(_write(path, dict(obj, x=obj["x"][:-1])))
     few = dict(obj, **{key: obj[key][:3]
                        for key in ("x", "kdist", "lrd", "train_lof")})
     with pytest.raises(DataError, match="more than k=3"):
         load_model(_write(path, few))
     for key in ("kdist", "lrd", "train_lof"):
         negative = dict(obj, **{key: [-0.5] + obj[key][1:]})
-        with pytest.raises(DataError, match=": %s must be non-negative, got "
-                           "-0.5$" % key):
+        with pytest.raises(DataError, match=r": %s: entry 0 is -0.5, not in "
+                           r"\[0, " % key):
             load_model(_write(path, negative))
         nan = dict(obj, **{key: obj[key][:1] + [math.nan] + obj[key][2:]})
         with pytest.raises(DataError, match="%s: entry 1 is nan" % key):
@@ -1354,28 +1359,66 @@ def test_load_model_rejects_inconsistent_lof(tmp_path):
     for cap in (0.0, -1.0):
         with pytest.raises(DataError, match="lrd_cap must be positive"):
             load_model(_write(path, dict(obj, lrd_cap=cap)))
+    # a fit caps every lrd at lrd_cap
+    above = dict(obj, lrd=obj["lrd"][:2] + [2e12] + obj["lrd"][3:])
+    with pytest.raises(DataError, match=r"lrd: entry 2 is 2000000000000.0, "
+                       r"not in \[0, 1000000000000.0\]$"):
+        load_model(_write(path, above))
+    # float() of it overflows
+    with pytest.raises(DataError, match=r"lrd_cap must be finite, got "
+                       r"10000.*0000$"):
+        load_model(_write(path, dict(obj, lrd_cap=10 ** 400)))
+    for key, value in (("x", [[1.0, 2.0, 3.0], [4.0, 5.0]]),
+                       ("kdist", ["0.5"] * 40), ("lrd", None),
+                       ("train_lof", {"0": 1.0})):
+        with pytest.raises(DataError, match=r"%s must be an array of numbers, "
+                           r"got " % key):
+            load_model(_write(path, dict(obj, **{key: value})))
 
 
 def test_load_model_rejects_inconsistent_dbscan(tmp_path):
     x = _blobs(np.random.default_rng(72), 40, d=3)
     path, obj = _saved(tmp_path, Dbscan(eps=2.0, min_pts=3).fit(x))
     assert len(obj["core_labels"]) > 1
+    m = len(obj["core_points"])
     cut = dict(obj, core_labels=obj["core_labels"][:-1])
-    with pytest.raises(DataError, match="differ in length"):
+    with pytest.raises(DataError, match=r"core_labels must have shape "
+                       r"\(%d,\), got \(%d,\)$" % (m, m - 1)):
         load_model(_write(path, cut))
-    with pytest.raises(DataError, match="n_clusters must be >= 0"):
+    with pytest.raises(DataError, match=r"n_clusters must be in \[0, %d\], "
+                       r"got -1$" % m):
         load_model(_write(path, dict(obj, n_clusters=-1)))
     n = obj["n_clusters"]
     for label in (-1, n):
         labels = obj["core_labels"][:-1] + [label]
-        with pytest.raises(DataError, match=r"core_labels must lie in "
-                           r"\[0, n_clusters=%d\), got %d$" % (n, label)):
+        with pytest.raises(DataError, match=r"core_labels: entry %d is %d, "
+                           r"not in \[0, %d\]$" % (m - 1, label, n - 1)):
             load_model(_write(path, dict(obj, core_labels=labels)))
     points = [row[:] for row in obj["core_points"]]
     points[1][0] = math.nan
     with pytest.raises(DataError, match="core_points: row 1, column 0 is "
                                         "nan"):
         load_model(_write(path, dict(obj, core_points=points)))
+    # cluster ids are integers: 0.7 and 1.9 are not read as 0 and 1
+    labels = [0.7, 1.9] + obj["core_labels"][2:]
+    with pytest.raises(DataError, match=r"core_labels: entry 0 is 0.7, not "
+                       r"an integer$"):
+        load_model(_write(path, dict(obj, core_labels=labels)))
+    # and a float too large for an integer is refused, not an OverflowError
+    for big in (1e308, [1e308] * m, [2 ** 63] * m, [10 ** 400] * m):
+        with pytest.raises(DataError, match="core_labels"):
+            load_model(_write(path, dict(obj, core_labels=big)))
+    # every cluster id a fit numbers holds a core point
+    for more in (1, 5):
+        with pytest.raises(DataError, match=r"n_clusters is %d, but "
+                           r"core_labels name %d$" % (n + more, n)):
+            load_model(_write(path, dict(obj, n_clusters=n + more)))
+    empty = dict(obj, core_points=[], core_labels=[], n_clusters=0)
+    assert load_model(_write(path, empty)).scores(x[:2]).tolist() == [
+        math.inf, math.inf]
+    with pytest.raises(DataError, match=r"n_clusters must be in \[0, 0\], "
+                       r"got 1$"):
+        load_model(_write(path, dict(empty, n_clusters=1)))
 
 
 def test_load_model_rejects_non_object(tmp_path):
@@ -1408,8 +1451,13 @@ def test_load_model_rejects_corrupt_iforest(tmp_path):
         "negative": [_corrupt_tree(obj, 1, size=[-1] + tree["size"][1:])],
         "sample_size": [dict(obj, sample_size=0),
                         dict(obj, sample_size=2.5)],
-        "sample_size must be in \\[1, subsample 256\\], got 257": [
+        "sample_size must be in \\[1, 256\\], got 257": [
             dict(obj, sample_size=257)],
+        # a fit grows n_estimators trees
+        "n_estimators must be in \\[3, 3\\], got 100$": [
+            dict(obj, n_estimators=100)],
+        "n_estimators must be in \\[2, 2\\], got 3$": [
+            dict(obj, trees=obj["trees"][:2])],
         "tree 1's root size 7 is not sample_size 60": [
             _corrupt_tree(obj, 1, **_hand_tree(_chain_spec(6)))],
         "tree 1: a split's children's sizes do not sum to its own": [
@@ -1431,6 +1479,43 @@ def test_load_model_rejects_corrupt_iforest(tmp_path):
     assert load_model(_write(path, at_limit)).trees == at_limit["trees"]
 
 
+def _chain_forest(obj, n_trees, sample_size, depth=0):
+    """``obj`` holding ``n_trees`` trees of ``depth`` splits, each with a
+    one-row leaf on its left, over ``sample_size`` rows."""
+    tree = _hand_tree(_chain_spec(depth, foot=sample_size - depth))
+    return dict(obj, n_estimators=n_trees, subsample=sample_size,
+                sample_size=sample_size, trees=[tree] * n_trees)
+
+
+def test_load_model_caps_the_forest_heap(tmp_path):
+    """A forest packs n_trees * 2**height_limit slots at most, and a file
+    past _MAX_HEAP_SLOTS is refused before any heap array is made, whatever
+    the depth of its trees: four 20-deep chains over 2**20 rows, a 4 KB
+    file, would ask for 2**22 slots."""
+    x = _blobs(np.random.default_rng(76), 60, d=3)
+    path, obj = _saved(tmp_path, _fitted(IsolationForest(n_estimators=3,
+                                                         seed=1), x))
+    # a sample of 2**15 + 1 rows: a height limit of 16
+    trees = detectors._MAX_HEAP_SLOTS // 2 ** 16
+    at_cap = load_model(_write(path, _chain_forest(obj, trees, 2 ** 15 + 1)))
+    assert at_cap.scores(x).shape == (60,)
+    past = [(_chain_forest(obj, trees + 1, 2 ** 15 + 1), trees + 1, 16),
+            (_chain_forest(obj, 4, 2 ** 20, depth=20), 4, 20),
+            (_chain_forest(obj, 4, 2 ** 34, depth=34), 4, 34)]
+    for forest, n, height in past:
+        _write(path, forest)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="%d trees of height limit %d "
+                               "need more than %d heap slots$"
+                               % (n, height, detectors._MAX_HEAP_SLOTS)):
+                load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak
+
+
 def test_load_model_rejects_truncated_file(tmp_path):
     x = _blobs(np.random.default_rng(74), 60, d=3)
     for model in (_fitted(IsolationForest(n_estimators=3), x),
@@ -1442,6 +1527,12 @@ def test_load_model_rejects_truncated_file(tmp_path):
             path.write_text(text[:cut])
             with pytest.raises(DataError, match="JSON"):
                 load_model(str(path))
+        # Python's JSON reader raises RecursionError, not a ValueError, on
+        # lists nested this deep
+        path.write_text(text[:-2] + ', "x": %s%s}' % ("[" * 10 ** 5,
+                                                      "]" * 10 ** 5))
+        with pytest.raises(DataError, match="not a JSON file"):
+            load_model(str(path))
 
 
 def test_iforest_rejects_rows_narrower_than_its_splits(tmp_path):

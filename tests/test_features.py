@@ -258,10 +258,9 @@ def test_scaler_rejects_non_finite_rows(bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_saved_scaler_rejects_non_finite_values(bad):
     saved = Scaler().fit(np.arange(6.0).reshape(2, 3)).to_json()
-    with pytest.raises(DataError, match=r"^scaler: maxs, column 2 is %s, "
+    with pytest.raises(DataError, match=r"^maxs: entry 2 is %s, "
                        r"not a finite number$" % bad):
         Scaler.from_json(dict(saved, maxs=saved["maxs"][:2] + [bad]))
-    with pytest.raises(DataError, match=r"^scaler: mins, column 0 is %s"
-                       % bad):
+    with pytest.raises(DataError, match=r"^mins: entry 0 is %s" % bad):
         Scaler.from_json(dict(saved, mins=[bad] + saved["mins"][1:],
                               maxs=[bad] * 3))

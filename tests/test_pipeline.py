@@ -9,17 +9,20 @@ import json
 import os
 import shutil
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import reshuffle_report, run_threshold
 from telanom import detectors, pipeline, tuning
 from telanom.cli import build_parser, cmd_tune, main
 from telanom.detectors import Dbscan, IsolationForest, LocalOutlierFactor
-from telanom.errors import (DataError, LeakageError, TrainingError,
-                            whole_file)
-from telanom.features import FeatureTable, engineer_tracks
+from telanom.autoencoder import Autoencoder
+from telanom.errors import (DataError, LeakageError, TrainingError, _number,
+                            load_json, whole_file)
+from telanom.features import FeatureTable, Scaler, engineer_tracks
 from telanom.ingest import Detections, deduplicate, group_tracks
 from telanom.labelling import label_all
 from telanom.pipeline import (LeakageGuard, RunConfig, evaluate_saved,
@@ -1134,6 +1137,136 @@ def test_evaluate_saved_rejects_another_split(iforest_run, change):
     with pytest.raises(DataError, match="report.json: %s is" % next(
             iter(change))):
         evaluate_saved(dataclasses.replace(cfg, **change), out)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(config=[7]), r"config must be an object, got \[7\]"),
+    (dict(ingest=[]), r"ingest must be an object, got \[\]"),
+    (dict(resample_interval=float("nan")),
+     "resample_interval must be an integer, got nan"),
+    (dict(resample_interval={}), "resample_interval must be an integer, "
+                                 "got {}"),
+    (dict(resample_interval=0), r"resample_interval must be in \[1, inf\], "
+                                "got 0"),
+    (dict(resample_interval="auto"), "resample_interval must be an integer, "
+                                     "got 'auto'"),
+], ids=["config-list", "ingest-list", "interval-nan", "interval-object",
+        "interval-zero", "interval-auto"])
+def test_evaluate_saved_rejects_a_malformed_report(iforest_run, tmp_path,
+                                                   change, message):
+    """The report.json fields evaluate reads are checked as it reads them:
+    config and ingest are objects, and resample_interval, which evaluate
+    copies into evaluation.json, is "none" or an integer of at least 1."""
+    out, cfg = iforest_run
+    copy = str(tmp_path / "run")
+    shutil.copytree(out, copy)
+    path = os.path.join(copy, "report.json")
+    with open(path) as f:
+        report = json.load(f)
+    with open(path, "w") as f:
+        json.dump(dict(report, resample_interval=600), f)
+    assert evaluate_saved(cfg, copy)["models"]["iforest"][
+        "resample_interval"] == 600
+    with open(path, "w") as f:
+        json.dump(dict(report, **change), f)
+    with pytest.raises(DataError, match="report.json: %s$" % message):
+        evaluate_saved(cfg, copy)
+
+
+@pytest.fixture(scope="module")
+def saved_files(iforest_run, tmp_path_factory):
+    """(a scratch file path, {name: (a valid file's object, the reader
+    evaluate reads it with)}) for a small model file of each kind,
+    scaler.json, threshold.json and iforest_run's report.json."""
+    out, cfg = iforest_run
+    with open(os.path.join(out, "report.json")) as f:
+        report = json.load(f)
+    x = np.random.default_rng(81).normal(size=(12, 3))
+    forest = IsolationForest(n_estimators=3, subsample=8).fit(x)
+    forest.threshold = 0.5
+    lof = LocalOutlierFactor(k=3).fit(x)
+    lof.threshold = 1.5
+    dbscan = Dbscan(eps=1.5, min_pts=3).fit(x)
+    assert 0 < len(dbscan.core_points) < len(x)
+    models = {model.kind: (model.to_json(), detectors.load_model)
+              for model in (Autoencoder(3, units=4), forest, lof, dbscan)}
+    return str(tmp_path_factory.mktemp("fuzz") / "file.json"), dict(
+        models,
+        scaler=(Scaler().fit(x).to_json(),
+                lambda path: load_json(path, Scaler.from_json)),
+        threshold=({"percentile": 95.0, "threshold": 0.25, "metrics": {},
+                    "tie_set": [95.0]},
+                   lambda path: load_json(
+                       path, lambda obj: _number(obj, "threshold"))),
+        report=(report, lambda path: load_json(
+            path, lambda obj: pipeline._run_interval(obj, cfg,
+                                                     report["ingest"]))))
+
+
+def _fields(value, path=()):
+    """The path of every field inside a JSON value: each key of an object
+    and the first and last entry of each list, with the fields inside
+    them."""
+    if isinstance(value, dict):
+        inner = value.items()
+    elif isinstance(value, list) and value:
+        inner = {0: value[0], len(value) - 1: value[-1]}.items()
+    else:
+        return
+    for key, field in inner:
+        yield path + (key,)
+        yield from _fields(field, path + (key,))
+
+
+_FUZZ_VALUES = [None, True, False, "x", [], {}, [[1.0], [1.0, 2.0]],
+                [1.0, [2.0]], float("nan"), float("inf"), -float("inf"),
+                1e308, -1e308, 2 ** 63, 10 ** 400, -1, 0, 0.5]
+
+
+@st.composite
+def _fuzzed(draw, files):
+    """(file name, the bytes of the valid file with one field replaced by
+    a value of _FUZZ_VALUES, or with some bytes flipped, or cut short)."""
+    name = draw(st.sampled_from(sorted(files)))
+    obj = files[name][0]
+    how = draw(st.sampled_from(["replace", "flip", "truncate"]))
+    if how == "replace":
+        *outer, last = draw(st.sampled_from(list(_fields(obj))))
+        obj = json.loads(json.dumps(obj))
+        inner = obj
+        for key in outer:
+            inner = inner[key]
+        inner[last] = draw(st.sampled_from(_FUZZ_VALUES))
+    data = bytearray(json.dumps(obj).encode())
+    if how == "flip":
+        for at in draw(st.lists(st.integers(0, len(data) - 1), min_size=1,
+                                max_size=3)):
+            data[at] ^= draw(st.integers(1, 255))
+    elif how == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    return name, bytes(data)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_saved_file_reader_returns_or_refuses(saved_files, data):
+    """Whatever one replaced field, flipped byte or cut makes of a valid
+    file, the reader evaluate reads it with returns or raises a
+    DataError, within 50 MB: never another exception, and never a heap
+    of the sizes a file asks for."""
+    path, files = saved_files
+    name, content = data.draw(_fuzzed(files))
+    with open(path, "wb") as f:
+        f.write(content)
+    tracemalloc.start()
+    try:
+        files[name][1](path)
+    except DataError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20, (name, peak)
 
 
 def test_evaluate_saved_rejects_other_inputs(iforest_run, tmp_path):
