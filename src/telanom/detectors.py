@@ -301,6 +301,15 @@ _PRUNE_SLACK = 1.0 + 1e-9
 _MAX_HEAP_SLOTS = 2 ** 20
 
 
+def _check_heap(n_trees, height_limit):
+    """DataError when ``n_trees`` trees of ``height_limit`` would pack more
+    than _MAX_HEAP_SLOTS slots."""
+    if n_trees * 2 ** height_limit > _MAX_HEAP_SLOTS:
+        raise DataError("%d trees of height limit %d need more than %d "
+                        "heap slots" % (n_trees, height_limit,
+                                        _MAX_HEAP_SLOTS))
+
+
 class _PackedForest:
     """The trees of an isolation forest packed level by level into a heap,
     and walked for every tree at once.
@@ -315,26 +324,32 @@ class _PackedForest:
     and every slot of the last level holds the ``value`` of its leaf: the
     leaf's depth + c(size). There are ``max_depth`` levels of splits, and
     one when every tree is a single leaf. Packing checks the trees: lists
-    of unequal length, a child that is not after its parent in its own
-    tree, a node with two parents, a negative size, a split whose
-    children's sizes do not sum to its own, a tree deeper than
+    of unequal length, a non-finite threshold, a feature, child or size
+    that is not an integer of at least -1 (0 for a size), a child that is
+    not after its parent in its own tree, a node with two parents, a split
+    whose children's sizes do not sum to its own, a tree deeper than
     ``height_limit``, when ``sample_size`` is given, a root of another
-    size and a heap of more than ``_MAX_HEAP_SLOTS`` are DataErrors. All
-    are checked before the heap, 2**L slots per tree at level L, is made.
+    size and a heap of more than ``_MAX_HEAP_SLOTS`` (``_check_heap``) are
+    DataErrors. All are checked before the heap, 2**L slots per tree at
+    level L, is made.
     """
 
     def __init__(self, trees, height_limit, sample_size=None):
         if not isinstance(trees, list) or not trees:
             raise DataError("trees must be a non-empty list")
-        try:
-            lengths = np.array([[len(tree[k]) for k in _TREE_KEYS]
-                                for tree in trees], dtype=np.intp)
-            feature, threshold, left, right, size = (
-                np.array([v for tree in trees for v in tree[k]], dtype=dtype)
-                for k, dtype in zip(_TREE_KEYS, (np.intp, np.float64, np.intp,
-                                                 np.intp, np.int64)))
-        except (TypeError, ValueError, OverflowError):
-            raise DataError("trees must be objects of number lists") from None
+        if not all(isinstance(tree, dict) and all(
+                isinstance(tree[k], list) for k in _TREE_KEYS)
+                for tree in trees):
+            raise DataError("trees must be objects of number lists")
+        lengths = np.array([[len(tree[k]) for k in _TREE_KEYS]
+                            for tree in trees], dtype=np.intp)
+        # each list of every tree, joined, is read once
+        feature, threshold, left, right, size = (
+            _array({k: [v for tree in trees for v in tree[k]]}, k, (None,),
+                   dtype, low=low)
+            for k, dtype, low in zip(
+                _TREE_KEYS, (np.intp, np.float64, np.intp, np.intp, np.int64),
+                (-1, -math.inf, -1, -1, 0)))
         n = lengths[:, 0]
         bad = np.flatnonzero((lengths != n[:, None]).any(axis=1) | (n < 1))
         if len(bad):
@@ -354,8 +369,6 @@ class _PackedForest:
         if np.bincount(np.concatenate([left[split], right[split]]),
                        minlength=len(node)).max(initial=0) > 1:
             raise DataError("a tree node is the child of two nodes")
-        if (size < 0).any():
-            raise DataError("negative node size")
         self.n_trees = len(trees)
         self.width = int(feature.max(initial=-1)) + 1
 
@@ -382,10 +395,7 @@ class _PackedForest:
             tree = np.flatnonzero(size[roots] != sample_size)[0]
             raise DataError("tree %d's root size %d is not sample_size %d"
                             % (tree, size[roots[tree]], sample_size))
-        if self.n_trees * 2 ** height_limit > _MAX_HEAP_SLOTS:
-            raise DataError("%d trees of height limit %d need more than %d "
-                            "heap slots" % (self.n_trees, height_limit,
-                                            _MAX_HEAP_SLOTS))
+        _check_heap(self.n_trees, height_limit)
         sizes, size_of = np.unique(size, return_inverse=True)
         value = depth + np.array(
             [expected_path_length(int(s)) for s in sizes])[size_of]
@@ -776,6 +786,8 @@ class IsolationForest(_Detector):
         rng = np.random.default_rng(self.seed)
         self.sample_size = min(self.subsample, n)
         height_limit = math.ceil(math.log2(self.sample_size))
+        # a forest past the heap cap is refused before any tree is grown
+        _check_heap(self.n_estimators, height_limit)
         trees = []
         for _ in range(self.n_estimators):
             idx = rng.choice(n, size=self.sample_size, replace=False)
@@ -848,6 +860,25 @@ class IsolationForest(_Detector):
 
 # ---------------------------------------------------------------------------
 # local outlier factor
+
+# A LOF fit's k-distances and reach distances are distances between two of
+# its rows, at most D, the diagonal of their bounding box, as computed:
+# the distance kernel's squared distances, |a|^2 + |b|^2 - 2 a.b over w
+# columns, are off by at most about 4 (w + 2) eps M, M the largest squared
+# row norm (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+# 3.1). That bound, times this slack, caps a loaded model's k-distances and
+# its inverse floors its lrd values.
+_LOF_SLACK = 2.0
+
+
+def _farthest(x):
+    """The most a LOF fit on the rows of ``x`` can find between two of
+    them: _LOF_SLACK times the root of D^2 + 4 (w + 2) eps M."""
+    with np.errstate(over="ignore"):
+        d2 = float(np.square(x.max(axis=0) - x.min(axis=0)).sum())
+        m2 = float(np.square(x).sum(axis=1).max())
+    return _LOF_SLACK * math.sqrt(
+        d2 + 4 * (x.shape[1] + 2) * np.finfo(np.float64).eps * m2)
 
 
 class LocalOutlierFactor(_Detector):
@@ -941,15 +972,18 @@ class LocalOutlierFactor(_Detector):
                     _number(obj, "contamination"), _number(obj, "lrd_cap"))
         model.threshold = _number(obj, "threshold")
         model.x = _array(obj, "x", (None, None))
-        # scoring indexes kdist and lrd by training row
-        rows = model.x.shape[:1]
-        model.kdist = _array(obj, "kdist", rows, low=0)
-        model.lrd = _array(obj, "lrd", rows, low=0, high=model.lrd_cap)
-        model.train_lof = _array(obj, "train_lof", rows, low=0)
         # a fit needs k neighbours of each row besides itself
         if len(model.x) <= model.k:
             raise DataError("%d training rows, need more than k=%d"
                             % (len(model.x), model.k))
+        # scoring indexes kdist and lrd by training row; rows that are all
+        # the origin (far 0) have every lrd at the cap
+        rows, far = model.x.shape[:1], _farthest(model.x)
+        model.kdist = _array(obj, "kdist", rows, low=0, high=far)
+        model.lrd = _array(obj, "lrd", rows, high=model.lrd_cap,
+                           low=min(model.lrd_cap, 1 / far) if far
+                           else model.lrd_cap)
+        model.train_lof = _array(obj, "train_lof", rows, low=0)
         return model
 
 

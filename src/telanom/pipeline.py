@@ -298,11 +298,9 @@ class ExperimentResult:
     scaler: Scaler
     plan: object
     models: dict = field(default_factory=dict)
-    threshold: object = None
     percentile_table: object = None
     loss_curve: object = None
     table: FeatureTable = None
-    label_report: object = None
 
 
 def ingest_detections(cfg):
@@ -442,23 +440,43 @@ def _model_entry(name, model, x_test, test, interval,
             "n_parameters": model.n_parameters}
 
 
-def _autoencoder_job(data, cfg, x_test, test, interval, model_seed, timer):
-    """The autoencoder's part of a run, which shares nothing with the
-    classical models': trained on normal rows, thresholded on labelled
-    ones, then scored on the test rows. Returns (model, loss curve,
-    percentile table, threshold, report entry)."""
+def _model_job(name, data, cfg, x_test, test, interval, model_seed,
+               neighbours, clusters, timer):
+    """One model's part of a run: built, fitted (LOF and DBSCAN reading
+    ``neighbours``), thresholded by its rule, clustered for DBSCAN with
+    ``clusters``, then scored on the test rows once. Returns (model, report
+    entry, extras): the autoencoder's (loss curve, percentile table), None
+    for the others."""
     t0 = timer()
-    model, train_cfg = build_model("autoencoder",
-                                   cfg.model_params("autoencoder"),
+    model, train_cfg = build_model(name, cfg.model_params(name),
                                    x_test.shape[1], model_seed)
-    loss_curve = train(model, data.ae_train, train_cfg, val_rows=data.ae_val)
-    table = build_table(model.scores(data.val_x), data.val_y)
-    threshold = select_threshold(table)
-    model.threshold = threshold.threshold
-    entry = _model_entry("autoencoder", model, x_test, test, interval)
+    extras = None
+    if name == "autoencoder":
+        loss_curve = train(model, data.ae_train, train_cfg,
+                           val_rows=data.ae_val)
+        table = build_table(model.scores(data.val_x), data.val_y)
+        threshold = select_threshold(table)
+        model.threshold = threshold.threshold
+        extras = loss_curve, table
+    elif name == "iforest":
+        model.fit(data.fit_x)
+        # the contamination rule reads only the scores that can rank among
+        # its r highest, which the forest walks in full
+        model.threshold = contamination_threshold(
+            functools.partial(model.top_scores, data.fit_x),
+            model.contamination, len(data.fit_x))
+    else:
+        model.fit(data.fit_x, neighbours=neighbours)
+        if name == "lof":
+            model.threshold = contamination_threshold(model.train_lof,
+                                                      model.contamination)
+        elif clusters:
+            model.cluster()
+    entry = _model_entry(name, model, x_test, test, interval)
     entry["runtime_s"] = timer() - t0
-    entry["threshold"] = threshold.to_json()
-    return model, loss_curve, table, threshold, entry
+    if name == "autoencoder":
+        entry["threshold"] = threshold.to_json()
+    return model, entry, extras
 
 
 def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
@@ -466,11 +484,11 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
     """Split/resample/fit/threshold/evaluate on an already labelled table.
 
     Returns an ExperimentResult whose report carries one entry per model.
-    run_all runs one job per model, in cfg.model_list order, then the
-    writers that ``stage_writers(data)`` lists, where given, of the files
-    that depend on no model. The writers, and the autoencoder's job where
-    classical models fit beside it, run apart in one child process while
-    this one fits the classical models. A run given stage writers saves
+    run_all runs one _model_job per model, in cfg.model_list order, then
+    the writers that ``stage_writers(data)`` lists, where given, of the
+    files that depend on no model. The writers, and the autoencoder's job
+    where classical models fit beside it, run apart in one child process
+    while this one fits the classical models. A run given stage writers saves
     its models, so DBSCAN's clusters are made in its job; elsewhere (the
     confidence-interval repeats) only a read of them makes them. Every
     result, and the first error raised, is the same as when all of it runs
@@ -481,9 +499,15 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
     test = data.split.test_table()
     x_test = data.scaler.transform(test.values)
     model_seed = _model_seed(seed)
-    result = ExperimentResult(report={}, split=data.split,
-                              train_pool=data.pool, scaler=data.scaler,
-                              plan=data.plan)
+    result = ExperimentResult(report={
+        "seed": seed,
+        "resample_interval": interval,
+        "split": data.split.counts(),
+        "resample_plan": data.plan.to_json() if data.plan else None,
+        "n_train_pool": len(data.pool),
+        "models": {},
+    }, split=data.split, train_pool=data.pool, scaler=data.scaler,
+        plan=data.plan)
 
     names = cfg.model_list
     # every matrix is built through the guard in this process, in the order
@@ -494,66 +518,27 @@ def run_pipeline(labelled, cfg, seed, timer=time.perf_counter,
         else:
             data.fit_x
     # LOF's k-neighbourhoods and DBSCAN's eps-counts over fit_x come from
-    # one neighbour pass, made by whichever of the two fits first
+    # one neighbour pass, which sweeps in whichever of the two fits first
     neighbours = None
-
-    def classical(name):
-        nonlocal neighbours
-        t0 = timer()
-        model, _ = build_model(name, cfg.model_params(name),
-                               x_test.shape[1], model_seed)
-        if name == "iforest":
-            model.fit(data.fit_x)
-            # the contamination rule reads only the scores that can rank
-            # among its r highest, which the forest walks in full
-            model.threshold = contamination_threshold(
-                functools.partial(model.top_scores, data.fit_x),
-                model.contamination, len(data.fit_x))
-        else:
-            if neighbours is None:
-                neighbours = NeighbourPass(
-                    data.fit_x, data.fit_x, self_excluded=True,
-                    ks=[cfg.lof_k] if "lof" in names else [],
-                    radii=[cfg.dbscan_eps] if "dbscan" in names else [])
-            model.fit(data.fit_x, neighbours=neighbours)
-        if name == "lof":
-            model.threshold = contamination_threshold(model.train_lof,
-                                                      model.contamination)
-        if name == "dbscan" and stage_writers:
-            # the run saves dbscan.json, which holds the clusters: they
-            # are made here, while the autoencoder's child trains, not in
-            # the file's writer
-            model.cluster()
-        entry = _model_entry(name, model, x_test, test, interval)
-        entry["runtime_s"] = timer() - t0
-        return model, entry
-
-    jobs = [functools.partial(_autoencoder_job, data, cfg, x_test, test,
-                              interval, model_seed, timer)
-            if name == "autoencoder" else functools.partial(classical, name)
+    if "lof" in names or "dbscan" in names:
+        neighbours = NeighbourPass(
+            data.fit_x, data.fit_x, self_excluded=True,
+            ks=[cfg.lof_k] if "lof" in names else [],
+            radii=[cfg.dbscan_eps] if "dbscan" in names else [])
+    jobs = [functools.partial(_model_job, name, data, cfg, x_test, test,
+                              interval, model_seed, neighbours,
+                              bool(stage_writers), timer)
             for name in names]
     writers = stage_writers(data) if stage_writers else []
     apart = set(range(len(jobs), len(jobs) + len(writers)))
     if "autoencoder" in names and len(names) > 1:
         apart.add(names.index("autoencoder"))
-    model_reports = {}
-    for name, outcome in zip(names, run_all(jobs + writers, apart)):
-        if name == "autoencoder":
-            (model, result.loss_curve, result.percentile_table,
-             result.threshold, entry) = outcome
-        else:
-            model, entry = outcome
+    for name, (model, entry, extras) in zip(
+            names, run_all(jobs + writers, apart)):
         result.models[name] = model
-        model_reports[name] = entry
-
-    result.report = {
-        "seed": seed,
-        "resample_interval": interval,
-        "split": data.split.counts(),
-        "resample_plan": data.plan.to_json() if data.plan else None,
-        "n_train_pool": len(data.pool),
-        "models": model_reports,
-    }
+        result.report["models"][name] = entry
+        if extras:
+            result.loss_curve, result.percentile_table = extras
     return result
 
 
@@ -574,7 +559,6 @@ def run_experiment(cfg, timer=time.perf_counter):
         result = run_pipeline(labelled, cfg, cfg.seed, timer=timer,
                               stage_writers=writers)
         result.table = labelled
-        result.label_report = label_report
         result.report["config"] = cfg.to_json()
         result.report["ingest"] = ingest_summary
         result.report["labels"] = label_report.to_json()
@@ -687,8 +671,7 @@ _RUN_OUTPUTS = (
     "features.csv", "split.csv", "scaler.json", "report.json",
     "threshold.json", "percentile_table.csv", "loss_curve.csv",
     "summary.csv") + tuple(os.path.join("models", "%s.json" % name)
-                           for name in ("autoencoder", "iforest", "lof",
-                                        "dbscan"))
+                           for name in MODEL_NAMES)
 
 
 def _remove_outputs(out):
@@ -738,28 +721,19 @@ def _write_artifacts(cfg, result):
                       os.path.join(out, "scaler.json")),
                 write(save_report, result.report,
                       os.path.join(out, "report.json"))]
-    if result.threshold is not None:
-        writers += [write(save_report, result.threshold.to_json(),
+    entries = result.report["models"]
+    if "autoencoder" in entries:
+        writers += [write(save_report, entries["autoencoder"]["threshold"],
                           os.path.join(out, "threshold.json")),
                     write(result.percentile_table.save_csv,
-                          os.path.join(out, "percentile_table.csv"))]
-    if result.loss_curve is not None:
-        writers.append(write(result.loss_curve.save_csv,
-                             os.path.join(out, "loss_curve.csv")))
-
-    rows = []
-    for name, entry in result.report["models"].items():
-        m = entry["metrics"]
-        rows.append({
-            "model": name,
-            "resampling": entry["resample_interval"],
-            "accuracy": m["accuracy"], "recall": m["recall"],
-            "specificity": m["specificity"], "precision": m["precision"],
-            "f1_score": m["f1_score"], "auc": m["auc"],
-            "n_parameters": entry["n_parameters"],
-            "train_time_minutes": entry["runtime_s"] / 60.0,
-            "fn_fraction": m["fn_fraction"], "fa_fraction": m["fa_fraction"],
-        })
+                          os.path.join(out, "percentile_table.csv")),
+                    write(result.loss_curve.save_csv,
+                          os.path.join(out, "loss_curve.csv"))]
+    rows = [dict(entry["metrics"], model=name,
+                 resampling=entry["resample_interval"],
+                 n_parameters=entry["n_parameters"],
+                 train_time_minutes=entry["runtime_s"] / 60.0)
+            for name, entry in entries.items()]
     writers.append(write(write_summary_csv, rows,
                          os.path.join(out, "summary.csv")))
     if {"lof", "dbscan"} & set(result.models):

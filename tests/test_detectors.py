@@ -1346,8 +1346,9 @@ def test_load_model_rejects_inconsistent_lof(tmp_path):
         load_model(_write(path, few))
     for key in ("kdist", "lrd", "train_lof"):
         negative = dict(obj, **{key: [-0.5] + obj[key][1:]})
+        # lrd's floor is the bound below, not 0
         with pytest.raises(DataError, match=r": %s: entry 0 is -0.5, not in "
-                           r"\[0, " % key):
+                           r"\[" % key):
             load_model(_write(path, negative))
         nan = dict(obj, **{key: obj[key][:1] + [math.nan] + obj[key][2:]})
         with pytest.raises(DataError, match="%s: entry 1 is nan" % key):
@@ -1362,12 +1363,35 @@ def test_load_model_rejects_inconsistent_lof(tmp_path):
     # a fit caps every lrd at lrd_cap
     above = dict(obj, lrd=obj["lrd"][:2] + [2e12] + obj["lrd"][3:])
     with pytest.raises(DataError, match=r"lrd: entry 2 is 2000000000000.0, "
-                       r"not in \[0, 1000000000000.0\]$"):
+                       r"not in \[%r, 1000000000000.0\]$"
+                       % (1 / detectors._farthest(np.array(obj["x"])))):
         load_model(_write(path, above))
     # float() of it overflows
     with pytest.raises(DataError, match=r"lrd_cap must be finite, got "
                        r"10000.*0000$"):
         load_model(_write(path, dict(obj, lrd_cap=10 ** 400)))
+    # no k-distance of a fit passes the farthest its rows can be found
+    # apart, so no lrd lies under its inverse but the cap: a file of
+    # k-distances at 1e308 and lrd values at 1e-308 scored every row +inf
+    far = detectors._farthest(np.array(obj["x"]))
+    assert max(obj["kdist"]) < far and min(obj["lrd"]) > 1 / far
+    huge = dict(obj, kdist=[1e308] * 40, lrd=[1e-308] * 40)
+    with pytest.raises(DataError, match=r"lof.json: kdist: entry 0 is "
+                       r"1e\+308, not in \[0, %r\]$" % far):
+        load_model(_write(path, huge))
+    for key, value in (("kdist", 1.01 * far), ("lrd", 0.99 / far),
+                       ("lrd", 1e-308)):
+        cut = dict(obj, **{key: obj[key][:5] + [value] + obj[key][6:]})
+        with pytest.raises(DataError, match=r"%s: entry 5 is %r, not in "
+                           % (key, value)):
+            load_model(_write(path, cut))
+    # rows all at the origin are no distance apart: every lrd is the cap
+    origin = dict(obj, x=[[0.0] * 3] * 40, kdist=[0.0] * 40,
+                  lrd=[1e12] * 40)
+    assert load_model(_write(path, origin)).lrd.min() == 1e12
+    with pytest.raises(DataError, match=r"lrd: entry 0 is 999999999999.0, "
+                       r"not in \[1000000000000.0, 1000000000000.0\]$"):
+        load_model(_write(path, dict(origin, lrd=[1e12 - 1] + [1e12] * 39)))
     for key, value in (("x", [[1.0, 2.0, 3.0], [4.0, 5.0]]),
                        ("kdist", ["0.5"] * 40), ("lrd", None),
                        ("train_lof", {"0": 1.0})):
@@ -1439,6 +1463,8 @@ def test_load_model_rejects_corrupt_iforest(tmp_path):
     tree = obj["trees"][1]
     assert tree["feature"][0] >= 0          # the root splits
     n = len(tree["feature"])
+    # the lists are read joined: tree 1's root is this entry of them
+    root = len(obj["trees"][0]["feature"])
     bad = {
         "differ in length": [_corrupt_tree(obj, 1, **{k: tree[k][:-1]})
                              for k in tree],
@@ -1448,7 +1474,27 @@ def test_load_model_rejects_corrupt_iforest(tmp_path):
             _corrupt_tree(obj, 1, left=[-1] + tree["left"][1:])],
         "two nodes": [_corrupt_tree(obj, 1, right=[tree["left"][0]]
                                     + tree["right"][1:])],
-        "negative": [_corrupt_tree(obj, 1, size=[-1] + tree["size"][1:])],
+        r"size: entry %d is -1, not in \[0, inf\]$" % root: [
+            _corrupt_tree(obj, 1, size=[-1] + tree["size"][1:])],
+        # a float list entry is refused, not truncated
+        r"feature: entry %d is %s, not an integer$" % (
+            root, tree["feature"][0] + 0.5): [
+            _corrupt_tree(obj, 1, feature=[tree["feature"][0] + 0.5]
+                          + tree["feature"][1:])],
+        r"left: entry %d is %s, not an integer$" % (
+            root, tree["left"][0] + 0.9): [
+            _corrupt_tree(obj, 1, left=[tree["left"][0] + 0.9]
+                          + tree["left"][1:])],
+        r"right: entry %d is 1e\+300, not an integer$" % root: [
+            _corrupt_tree(obj, 1, right=[1e300] + tree["right"][1:])],
+        r"size: entry %d is 2.5, not an integer$" % (root + 1): [
+            _corrupt_tree(obj, 1, size=tree["size"][:1] + [2.5]
+                          + tree["size"][2:])],
+        r"feature: entry %d is -2, not in \[-1, inf\]$" % root: [
+            _corrupt_tree(obj, 1, feature=[-2] + tree["feature"][1:])],
+        r"threshold: entry %d is (nan|inf), not a finite number$" % root: [
+            _corrupt_tree(obj, 1, threshold=[value] + tree["threshold"][1:])
+            for value in (math.nan, math.inf)],
         "sample_size": [dict(obj, sample_size=0),
                         dict(obj, sample_size=2.5)],
         "sample_size must be in \\[1, 256\\], got 257": [
@@ -1514,6 +1560,20 @@ def test_load_model_caps_the_forest_heap(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20, peak
+
+
+def test_fit_refuses_a_forest_past_the_heap_cap_before_growing(monkeypatch):
+    """A fit whose trees would pack past _MAX_HEAP_SLOTS is refused with
+    the loader's message before its first draw: 17 trees over a sample of
+    2**15 + 1 rows, a height limit of 16, grew every tree first."""
+    grown = []
+    monkeypatch.setattr(IsolationForest, "_build_tree",
+                        lambda *args: grown.append(args))
+    x = np.random.default_rng(77).normal(size=(2 ** 15 + 1, 2))
+    with pytest.raises(DataError, match="^17 trees of height limit 16 need "
+                       "more than %d heap slots$" % detectors._MAX_HEAP_SLOTS):
+        IsolationForest(n_estimators=17, subsample=2 ** 15 + 1).fit(x)
+    assert grown == []
 
 
 def test_load_model_rejects_truncated_file(tmp_path):

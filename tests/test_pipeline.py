@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import reshuffle_report, run_threshold
 from telanom import detectors, pipeline, tuning
 from telanom.cli import build_parser, cmd_tune, main
@@ -970,6 +971,41 @@ def test_a_failing_stage_writer_leaves_the_other_files_whole(
 
 
 # ------------------------------------------------- experiment + evaluation
+
+def test_summary_and_threshold_files_restate_the_report(tiny_csvs, tmp_path):
+    """summary.csv holds each report.json entry's row, mapped key by key,
+    and threshold.json the autoencoder entry's threshold."""
+    det, sta = tiny_csvs
+    out = tmp_path / "out"
+    run_experiment(_fast_cfg(input_csv=det, station_csv=sta,
+                             out_dir=str(out), resample_interval="auto",
+                             max_points=2500,
+                             models="autoencoder,iforest,lof,dbscan"),
+                   timer=iter(range(100)).__next__)
+    with open(out / "report.json") as f:
+        entries = json.load(f)["models"]
+    rows = []
+    # report.json's keys are sorted; summary.csv keeps the run's order
+    for name in ("autoencoder", "iforest", "lof", "dbscan"):
+        entry = entries[name]
+        m = entry["metrics"]
+        rows.append({
+            "model": name,
+            "resampling": entry["resample_interval"],
+            "accuracy": m["accuracy"], "recall": m["recall"],
+            "specificity": m["specificity"], "precision": m["precision"],
+            "f1_score": m["f1_score"], "auc": m["auc"],
+            "n_parameters": entry["n_parameters"],
+            "train_time_minutes": entry["runtime_s"] / 60.0,
+            "fn_fraction": m["fn_fraction"], "fa_fraction": m["fa_fraction"],
+        })
+    assert len(rows) == 4 and all(row["train_time_minutes"] for row in rows)
+    oracles.csv_summary(rows, tmp_path / "summary.csv")
+    assert (out / "summary.csv").read_bytes() == (
+        tmp_path / "summary.csv").read_bytes()
+    with open(out / "threshold.json") as f:
+        assert json.load(f) == entries["autoencoder"]["threshold"]
+
 
 def test_run_experiment_writes_artifacts(tiny_csvs, tmp_path):
     det, sta = tiny_csvs
